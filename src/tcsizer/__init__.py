@@ -8,7 +8,6 @@ simulator that validates every analytic bound empirically.
 from .analysis import (
     DIVERGED,
     AnalyticVerdict,
-    InvalidAllocation,
     MissingStage,
     PreconditionViolated,
     ResponseReport,
@@ -31,6 +30,7 @@ from .model import (
     Analytic,
     Cluster,
     Core,
+    InvalidAllocation,
     Leaf,
     Par,
     ReplicationExceeded,

@@ -30,22 +30,20 @@ from .model import (
     Cluster,
     Duration,
     Expr,
+    InvalidAllocation,  # raised by solve_system; importable from here
     Leaf,
     Marker,
     Par,
     Seq,
     Stage,
     System,
+    effective_blocking,
 )
 
 #: Returned when the response-time iteration climbs past its cap.
 DIVERGED = Marker("DIVERGED")
 
 ResponseTime = Union[int, Marker]
-
-
-class InvalidAllocation(Exception):
-    """A stage has no host core (or an unknown one)."""
 
 
 class MissingStage(Exception):
@@ -138,19 +136,12 @@ def solve_system(system: System, allocation: Mapping[str, str],
     blocking of its host core). The iteration cap is the largest
     end-to-end deadline in the system, so a stage that converges above
     its own analytic's deadline is still reported (and judged
-    infeasible) rather than clipped to DIVERGED.
+    infeasible) rather than clipped to DIVERGED. A stage without a
+    priority raises ValueError; one without a known core raises
+    InvalidAllocation.
     """
+    blocking = effective_blocking(system, allocation, cluster)
     stages = list(system.stages())
-    for s in stages:
-        if s.id not in allocation:
-            raise InvalidAllocation(f"stage {s.id!r} has no core")
-        if s.priority is None:
-            raise ValueError(f"stage {s.id!r} has no priority")
-    core_ids = {c.id for c in cluster.cores}
-    for sid, cid in allocation.items():
-        if cid not in core_ids:
-            raise InvalidAllocation(f"stage {sid!r} mapped to unknown core {cid!r}")
-
     cap = max((a.end_to_end_deadline for a in system.analytics), default=0)
 
     by_core: dict[str, list[Stage]] = {}
@@ -162,10 +153,8 @@ def solve_system(system: System, allocation: Mapping[str, str],
         mates = by_core[allocation[s.id]]
         interferers = [z for z in mates
                        if z.id != s.id and z.priority >= s.priority]
-        b_eff = max(s.blocking,
-                    cluster.core(allocation[s.id]).platform_blocking)
         per_stage[s.id] = stage_response_time(
-            s, interferers, cap, blocking=b_eff)
+            s, interferers, cap, blocking=blocking[s.id])
 
     per_analytic: dict[str, AnalyticVerdict] = {}
     for analytic in system.analytics:

@@ -23,7 +23,8 @@ A system spec is a strict JSON document:
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
 exactly to integer nanoseconds; "inf" is allowed for inter-arrival times
 only. Unknown keys are rejected. Topology nodes are either a stage id
-(leaf) or a one-key object {"seq": [...]} / {"par": [...]}.
+(leaf) or a one-key object {"seq": [...]} / {"par": [...]}, nested at
+most MAX_TOPOLOGY_DEPTH deep.
 
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
@@ -40,7 +41,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 from . import analysis, model, sim, sizing
 from .model import (
@@ -121,39 +123,155 @@ def _json_number(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-# --- strict JSON walking ------------------------------------------------------
+# --- spec codec ---------------------------------------------------------------
+#
+# Every spec record is a table of fields. A field names its key (the
+# record's attribute of the same name), its value parser, called as
+# parse(value, JSON pointer), and its value formatter. Absent optional
+# keys take the record type's default. _read and _write walk a table.
 
-def _expect(obj, typ, path, what):
-    if not isinstance(obj, typ) or isinstance(obj, bool) and typ is not bool:
+#: Deepest nesting of seq/par nodes the topology reader accepts; the
+#: composition functions recurse once per level.
+MAX_TOPOLOGY_DEPTH = 100
+
+
+def _same(value):
+    return value
+
+
+class _Field(NamedTuple):
+    key: str
+    parse: Callable[[Any, str], Any]
+    format: Callable[[Any], Any] = _same
+    required: bool = False
+
+
+def _read(obj: Any, path: str, fields: tuple[_Field, ...],
+          what: str) -> dict[str, Any]:
+    """Parsed values of the keys ``obj`` holds: missing required keys
+    are reported first, then unknown keys, then bad values."""
+    if not isinstance(obj, dict):
         raise ParseError(path, f"expected {what}")
-    return obj
-
-
-def _expect_keys(obj: dict, path: str, required: tuple[str, ...],
-                 optional: tuple[str, ...] = ()) -> None:
-    for key in required:
-        if key not in obj:
-            raise ParseError(f"{path}/{key}", "missing required key")
+    for f in fields:
+        if f.required and f.key not in obj:
+            raise ParseError(f"{path}/{f.key}", "missing required key")
+    known = {f.key for f in fields}
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in known:
             raise ParseError(f"{path}/{key}", "unknown key")
+    return {f.key: f.parse(obj[f.key], f"{path}/{f.key}")
+            for f in fields if f.key in obj}
 
 
-def _parse_topology(node: Any, path: str) -> Expr:
+def _write(record: Any, fields: tuple[_Field, ...]) -> dict[str, Any]:
+    """Spec object of a record; fields whose value is None are left out."""
+    return {f.key: f.format(value) for f in fields
+            if (value := getattr(record, f.key)) is not None}
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(path, "expected a string")
+    return value
+
+
+def _integer(message: str, least: int | None = None):
+    def parse(value: Any, path: str) -> int:
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or least is not None and value < least):
+            raise ParseError(path, message)
+        return value
+    return parse
+
+
+_factor = _integer("factors must be positive integers", 1)
+
+
+def _duration(value: Any, path: str) -> int:
+    return parse_duration(value, path=path)
+
+
+def _inter_arrival(value: Any, path: str):
+    return parse_duration(value, allow_inf=True, path=path)
+
+
+def _ratio(value: Any, path: str, what: str) -> Fraction:
+    if isinstance(value, bool):
+        raise ParseError(path, f"{what} must be a number")
+    try:
+        if isinstance(value, (int, Fraction, str)):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(path, f"{what} must be a number or a \"num/den\" string")
+
+
+def _capacity(value: Any, path: str) -> Fraction:
+    cap = _ratio(value, path, "capacity")
+    if not 0 < cap <= 1:
+        raise ParseError(path, "capacity must be in (0, 1]")
+    return cap
+
+
+def _frequency(value: Any, path: str) -> Fraction:
+    f = _ratio(value, path, "frequency")
+    if f <= 0:
+        raise ParseError(path, "frequency must be positive")
+    return f
+
+
+def _policy(enum):
+    def parse(value: Any, path: str):
+        try:
+            return enum(value)
+        except ValueError:
+            raise ParseError(path, f"unknown policy {value!r}") from None
+    return parse
+
+
+def _list_of(parse_item):
+    def parse(value: Any, path: str) -> list:
+        if not isinstance(value, list):
+            raise ParseError(path, "expected a list")
+        return [parse_item(v, f"{path}/{i}") for i, v in enumerate(value)]
+    return parse
+
+
+def _map_of(parse_value):
+    def parse(value: Any, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise ParseError(path, "expected an object")
+        return {k: parse_value(v, f"{path}/{k}") for k, v in value.items()}
+    return parse
+
+
+def _records(key: str, make, fields: tuple[_Field, ...], what: str) -> _Field:
+    """A required list of records built by ``make`` from ``fields``."""
+    def parse_record(value: Any, path: str):
+        return make(**_read(value, path, fields, what))
+    return _Field(key, _list_of(parse_record),
+                  lambda records: [_write(r, fields) for r in records], True)
+
+
+def _parse_topology(node: Any, path: str, depth: int = 1) -> Expr:
     if isinstance(node, str):
         return Leaf(node)
     if isinstance(node, dict):
         if len(node) != 1:
             raise ParseError(path, 'topology node must be a stage id or '
                              'a one-key {"seq"|"par": [...]} object')
+        if depth > MAX_TOPOLOGY_DEPTH:
+            raise ParseError(path, f"topology nested deeper than "
+                             f"{MAX_TOPOLOGY_DEPTH} levels")
         key, children = next(iter(node.items()))
         if key not in ("seq", "par"):
             raise ParseError(f"{path}/{key}", "unknown composition kind")
-        _expect(children, list, f"{path}/{key}", "a list")
+        if not isinstance(children, list):
+            raise ParseError(f"{path}/{key}", "expected a list")
         if not children:
             raise ParseError(f"{path}/{key}", "empty composition")
         parsed = tuple(
-            _parse_topology(c, f"{path}/{key}/{i}")
+            _parse_topology(c, f"{path}/{key}/{i}", depth + 1)
             for i, c in enumerate(children))
         return Seq(parsed) if key == "seq" else Par(parsed)
     raise ParseError(path, f"bad topology node {node!r}")
@@ -167,77 +285,34 @@ def _emit_topology(expr: Expr):
     return {"par": [_emit_topology(c) for c in expr.children]}
 
 
-def _parse_stage(obj: Any, path: str) -> Stage:
-    _expect(obj, dict, path, "a stage object")
-    _expect_keys(obj, path, ("id", "cost", "inter_arrival", "deadline"),
-                 ("blocking",))
-    sid = _expect(obj["id"], str, f"{path}/id", "a string")
-    return Stage(
-        id=sid,
-        cost=parse_duration(obj["cost"], path=f"{path}/cost"),
-        inter_arrival=parse_duration(obj["inter_arrival"], allow_inf=True,
-                                     path=f"{path}/inter_arrival"),
-        deadline=parse_duration(obj["deadline"], path=f"{path}/deadline"),
-        blocking=parse_duration(obj.get("blocking", "0ns"),
-                                path=f"{path}/blocking"),
-    )
+_STAGE_FIELDS = (
+    _Field("id", _string, required=True),
+    _Field("cost", _duration, format_duration, True),
+    _Field("inter_arrival", _inter_arrival, format_duration, True),
+    _Field("deadline", _duration, format_duration, True),
+    _Field("blocking", _duration, format_duration),
+)
 
+_ANALYTIC_FIELDS = (
+    _Field("id", _string, required=True),
+    _records("stages", Stage, _STAGE_FIELDS, "a stage object"),
+    _Field("topology", _parse_topology, _emit_topology, True),
+    _Field("end_to_end_deadline", _duration, format_duration, True),
+)
 
-def _parse_analytic(obj: Any, path: str) -> Analytic:
-    _expect(obj, dict, path, "an analytic object")
-    _expect_keys(obj, path,
-                 ("id", "stages", "topology", "end_to_end_deadline"))
-    stages = _expect(obj["stages"], list, f"{path}/stages", "a list")
-    return Analytic(
-        id=_expect(obj["id"], str, f"{path}/id", "a string"),
-        stages=tuple(_parse_stage(s, f"{path}/stages/{i}")
-                     for i, s in enumerate(stages)),
-        topology=_parse_topology(obj["topology"], f"{path}/topology"),
-        end_to_end_deadline=parse_duration(
-            obj["end_to_end_deadline"], path=f"{path}/end_to_end_deadline"),
-    )
+_CORE_FIELDS = (
+    _Field("id", _string, required=True),
+    _Field("capacity", _capacity, _json_number),
+    _Field("platform_blocking", _duration, format_duration),
+)
 
-
-def _parse_ratio(value: Any, path: str, what: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(path, f"{what} must be a number")
-    try:
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ParseError(path, f"{what} must be a number or a \"num/den\" string")
-
-
-def _parse_capacity(value: Any, path: str) -> Fraction:
-    cap = _parse_ratio(value, path, "capacity")
-    if not 0 < cap <= 1:
-        raise ParseError(path, "capacity must be in (0, 1]")
-    return cap
+_CLUSTER_FIELDS = (_records("cores", Core, _CORE_FIELDS, "a core object"),)
 
 
 def _parse_cluster(obj: Any, path: str) -> Cluster:
-    _expect(obj, dict, path, "a cluster object")
-    _expect_keys(obj, path, ("cores",))
-    cores_obj = _expect(obj["cores"], list, f"{path}/cores", "a list")
-    if not cores_obj:
-        raise ParseError(f"{path}/cores", "cluster must have at least one core")
-    cores = []
-    for i, c in enumerate(cores_obj):
-        cpath = f"{path}/cores/{i}"
-        _expect(c, dict, cpath, "a core object")
-        _expect_keys(c, cpath, ("id",), ("capacity", "platform_blocking"))
-        cores.append(Core(
-            id=_expect(c["id"], str, f"{cpath}/id", "a string"),
-            capacity=_parse_capacity(c.get("capacity", 1), f"{cpath}/capacity"),
-            platform_blocking=parse_duration(
-                c.get("platform_blocking", "0ns"),
-                path=f"{cpath}/platform_blocking"),
-        ))
+    values = _read(obj, path, _CLUSTER_FIELDS, "a cluster object")
     try:
-        return Cluster(tuple(cores))
+        return Cluster(**values)
     except ValueError as exc:
         raise ParseError(f"{path}/cores", str(exc)) from None
 
@@ -254,63 +329,51 @@ class Options:
     release_policy: sim.ReleasePolicy = sim.ReleasePolicy.SYNCHRONOUS
 
 
-def _parse_frequency(value: Any, path: str) -> Fraction:
-    f = _parse_ratio(value, path, "frequency")
-    if f <= 0:
-        raise ParseError(path, "frequency must be positive")
-    return f
+# options.sim holds more fields of the same Options record
+_SIM_FIELDS = (
+    _Field("horizon", _duration, format_duration),
+    _Field("seed", _integer("seed must be an integer")),
+    _Field("blocking_policy", _policy(sim.BlockingPolicy),
+           lambda policy: policy.value),
+    _Field("release_policy", _policy(sim.ReleasePolicy),
+           lambda policy: policy.value),
+)
+
+_OPTION_FIELDS = (
+    _Field("u_max", _capacity, _json_number),
+    _Field("frequencies_hz", _list_of(_frequency),
+           lambda freqs: [_json_number(f) for f in freqs]),
+    _Field("factors", _list_of(_factor)),
+    _Field("input_frequency_hz", _frequency, _json_number),
+)
+
+
+def _parse_sim(obj: Any, path: str) -> dict[str, Any]:
+    return _read(obj, path, _SIM_FIELDS, "an object")
 
 
 def _parse_options(obj: Any, path: str) -> Options:
-    _expect(obj, dict, path, "an options object")
-    _expect_keys(obj, path, (),
-                 ("u_max", "frequencies_hz", "factors", "input_frequency_hz",
-                  "sim"))
-    opts = Options()
-    if "u_max" in obj:
-        opts.u_max = _parse_capacity(obj["u_max"], f"{path}/u_max")
-    if "frequencies_hz" in obj:
-        freqs = _expect(obj["frequencies_hz"], list,
-                        f"{path}/frequencies_hz", "a list")
-        opts.frequencies_hz = [
-            _parse_frequency(f, f"{path}/frequencies_hz/{i}")
-            for i, f in enumerate(freqs)]
-    if "factors" in obj:
-        factors = _expect(obj["factors"], list, f"{path}/factors", "a list")
-        for i, k in enumerate(factors):
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise ParseError(f"{path}/factors/{i}",
-                                 "factors must be positive integers")
-        opts.factors = list(factors)
-    if "input_frequency_hz" in obj:
-        opts.input_frequency_hz = _parse_frequency(
-            obj["input_frequency_hz"], f"{path}/input_frequency_hz")
-    if "sim" in obj:
-        sobj = _expect(obj["sim"], dict, f"{path}/sim", "an object")
-        _expect_keys(sobj, f"{path}/sim", (),
-                     ("horizon", "seed", "blocking_policy", "release_policy"))
-        if "horizon" in sobj:
-            opts.horizon = parse_duration(sobj["horizon"],
-                                          path=f"{path}/sim/horizon")
-        if "seed" in sobj:
-            seed = sobj["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ParseError(f"{path}/sim/seed", "seed must be an integer")
-            opts.seed = seed
-        if "blocking_policy" in sobj:
-            try:
-                opts.blocking_policy = sim.BlockingPolicy(
-                    sobj["blocking_policy"])
-            except ValueError:
-                raise ParseError(f"{path}/sim/blocking_policy",
-                                 f"unknown policy {sobj['blocking_policy']!r}")
-        if "release_policy" in sobj:
-            try:
-                opts.release_policy = sim.ReleasePolicy(sobj["release_policy"])
-            except ValueError:
-                raise ParseError(f"{path}/sim/release_policy",
-                                 f"unknown policy {sobj['release_policy']!r}")
-    return opts
+    values = _read(obj, path, (*_OPTION_FIELDS, _Field("sim", _parse_sim)),
+                   "an options object")
+    sim_values = values.pop("sim", {})
+    return Options(**values, **sim_values)
+
+
+def _emit_options(options: Options) -> dict[str, Any]:
+    return {**_write(options, _OPTION_FIELDS),
+            "sim": _write(options, _SIM_FIELDS)}
+
+
+# priorities and allocation are keyed by stage id; parse_system_spec
+# checks the ids and applies both maps onto the stages
+_DOC_FIELDS = (
+    _records("analytics", Analytic, _ANALYTIC_FIELDS, "an analytic object"),
+    _Field("cluster", _parse_cluster,
+           lambda cluster: _write(cluster, _CLUSTER_FIELDS), True),
+    _Field("priorities", _map_of(_integer("priority must be an integer"))),
+    _Field("allocation", _map_of(_string)),
+    _Field("options", _parse_options, _emit_options),
+)
 
 
 def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
@@ -320,101 +383,42 @@ def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
         doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError("", f"invalid JSON: {exc}") from None
-    _expect(doc, dict, "", "a JSON object")
-    _expect_keys(doc, "", ("analytics", "cluster"),
-                 ("allocation", "priorities", "options"))
-
-    analytics_obj = _expect(doc["analytics"], list, "/analytics", "a list")
-    system = System(tuple(
-        _parse_analytic(a, f"/analytics/{i}")
-        for i, a in enumerate(analytics_obj)))
-    cluster = _parse_cluster(doc["cluster"], "/cluster")
+    except RecursionError:
+        raise ParseError("", "invalid JSON: nested too deeply") from None
+    values = _read(doc, "", _DOC_FIELDS, "a JSON object")
+    system = System(values["analytics"])
+    cluster = values["cluster"]
 
     stage_ids = {s.id for s in system.stages()}
-    if "priorities" in doc:
-        prios = _expect(doc["priorities"], dict, "/priorities", "an object")
-        for sid, p in prios.items():
+    if "priorities" in values:
+        for sid in values["priorities"]:
             if sid not in stage_ids:
                 raise ParseError(f"/priorities/{sid}", "unknown stage")
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ParseError(f"/priorities/{sid}",
-                                 "priority must be an integer")
-        system = model.with_priorities(system, prios)
-    if "allocation" in doc:
-        alloc = _expect(doc["allocation"], dict, "/allocation", "an object")
+        system = model.with_priorities(system, values["priorities"])
+    if "allocation" in values:
         core_ids = {c.id for c in cluster.cores}
-        for sid, cid in alloc.items():
+        for sid, cid in values["allocation"].items():
             if sid not in stage_ids:
                 raise ParseError(f"/allocation/{sid}", "unknown stage")
             if cid not in core_ids:
                 raise ParseError(f"/allocation/{sid}",
                                  f"unknown core {cid!r}")
-        system = model.with_allocation(system, alloc)
-
-    options = (_parse_options(doc["options"], "/options")
-               if "options" in doc else Options())
-    return system, cluster, options
+        system = model.with_allocation(system, values["allocation"])
+    return system, cluster, values.get("options", Options())
 
 
 def emit_system_spec(system: System, cluster: Cluster,
                      options: Options | None = None) -> str:
     """Inverse of parse_system_spec: parse(emit(x)) == x."""
-    doc: dict[str, Any] = {
-        "analytics": [
-            {
-                "id": a.id,
-                "end_to_end_deadline": format_duration(a.end_to_end_deadline),
-                "stages": [
-                    {
-                        "id": s.id,
-                        "cost": format_duration(s.cost),
-                        "inter_arrival": format_duration(s.inter_arrival),
-                        "deadline": format_duration(s.deadline),
-                        "blocking": format_duration(s.blocking),
-                    }
-                    for s in a.stages
-                ],
-                "topology": _emit_topology(a.topology),
-            }
-            for a in system.analytics
-        ],
-        "cluster": {
-            "cores": [
-                {
-                    "id": c.id,
-                    "capacity": _json_number(c.capacity),
-                    "platform_blocking": format_duration(c.platform_blocking),
-                }
-                for c in cluster.cores
-            ]
-        },
-    }
-    priorities = {s.id: s.priority for s in system.stages()
-                  if s.priority is not None}
-    if priorities:
-        doc["priorities"] = priorities
-    allocation = {s.id: s.core for s in system.stages() if s.core is not None}
-    if allocation:
-        doc["allocation"] = allocation
-    if options is not None:
-        opt: dict[str, Any] = {"u_max": _json_number(options.u_max)}
-        if options.frequencies_hz is not None:
-            opt["frequencies_hz"] = [_json_number(f)
-                                     for f in options.frequencies_hz]
-        if options.factors is not None:
-            opt["factors"] = options.factors
-        if options.input_frequency_hz is not None:
-            opt["input_frequency_hz"] = _json_number(
-                options.input_frequency_hz)
-        sim_opt: dict[str, Any] = {}
-        if options.horizon is not None:
-            sim_opt["horizon"] = format_duration(options.horizon)
-        if options.seed is not None:
-            sim_opt["seed"] = options.seed
-        sim_opt["blocking_policy"] = options.blocking_policy.value
-        sim_opt["release_policy"] = options.release_policy.value
-        opt["sim"] = sim_opt
-        doc["options"] = opt
+    doc = _write(SimpleNamespace(
+        analytics=system.analytics,
+        cluster=cluster,
+        priorities={s.id: s.priority for s in system.stages()
+                    if s.priority is not None} or None,
+        allocation={s.id: s.core for s in system.stages()
+                    if s.core is not None} or None,
+        options=options,
+    ), _DOC_FIELDS)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -480,15 +484,22 @@ def _load_spec(path: str) -> tuple[System, Cluster, Options]:
     return system, cluster, options
 
 
-def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
-    """Fill in priorities (deadline-monotonic) and allocation (first-fit)
-    when the spec file leaves them out entirely; partial assignments are
-    input errors."""
+def _prioritize(system: System) -> System:
+    """Deadline-monotonic priorities when the spec file leaves them out
+    entirely; a partial assignment is an input error."""
     prio_set = [s.priority is not None for s in system.stages()]
     if not any(prio_set):
-        system = model.with_priorities(system, model.assign_priorities_dm(system))
-    elif not all(prio_set):
+        return model.with_priorities(system, model.assign_priorities_dm(system))
+    if not all(prio_set):
         raise _UsageError("priorities must be given for all stages or none")
+    return system
+
+
+def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
+    """Fill in priorities (_prioritize) and allocation (first-fit) when
+    the spec file leaves them out entirely; partial assignments are
+    input errors."""
+    system = _prioritize(system)
     core_set = [s.core is not None for s in system.stages()]
     if not any(core_set):
         try:
@@ -516,29 +527,27 @@ def _report_json(report: analysis.ResponseReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_umax(arg: str | None, options: Options) -> Fraction:
-    if arg is None:
-        return options.u_max
+def _flag(text: str, name: str, parse):
+    """A flag value through its spec field's parser. The text is read as
+    the spec would hold it: as JSON when it parses, else as the string
+    itself."""
     try:
-        value = Fraction(arg)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad --umax value {arg!r}") from None
-    if not 0 < value <= 1:
-        raise _UsageError("--umax must be in (0, 1]")
-    return value
+        value = json.loads(text, parse_float=Fraction)
+    except (ValueError, RecursionError):
+        value = text
+    return parse(value, name)
 
 
-def _parse_freq_list(arg: str) -> list[Fraction]:
-    out = []
-    for tok in arg.split(","):
-        try:
-            f = Fraction(tok.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"bad frequency {tok!r}") from None
-        if f <= 0:
-            raise _UsageError(f"bad frequency {tok!r}")
-        out.append(f)
-    return out
+def _flag_list(text: str, name: str, parse_item) -> list:
+    """A comma-separated flag value, each item through ``parse_item``."""
+    return [_flag(tok, f"{name}/{i}", parse_item)
+            for i, tok in enumerate(text.split(","))]
+
+
+def _u_max(args, options: Options) -> Fraction:
+    if args.umax is None:
+        return options.u_max
+    return _flag(args.umax, "--umax", _capacity)
 
 
 def _cmd_analyze(args, out) -> int:
@@ -551,11 +560,11 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_size(args, out) -> int:
     system, _cluster, options = _load_spec(args.spec)
-    freqs = (_parse_freq_list(args.freqs) if args.freqs
-             else options.frequencies_hz)
+    freqs = (_flag_list(args.freqs, "--freqs", _frequency)
+             if args.freqs else options.frequencies_hz)
     if not freqs:
         raise _UsageError("no frequencies given")
-    u_max = _parse_umax(args.umax, options)
+    u_max = _u_max(args, options)
     rows = sizing.frequency_sweep(system, freqs, u_max,
                                   replication_limit=args.replication_limit)
     out.write("frequency_hz,total_utilization,min_cores\n")
@@ -568,22 +577,17 @@ def _cmd_size(args, out) -> int:
 
 def _cmd_decimate(args, out) -> int:
     system, _cluster, options = _load_spec(args.spec)
-    if args.factors:
-        try:
-            factors = [int(tok) for tok in args.factors.split(",")]
-        except ValueError:
-            raise _UsageError("bad --factors list") from None
-    else:
-        factors = options.factors
-    if not factors or any(f < 1 for f in factors):
+    factors = (_flag_list(args.factors, "--factors", _factor)
+               if args.factors else options.factors)
+    if not factors:
         raise _UsageError("factors must be positive integers")
     if args.freq is not None:
-        freq = _parse_freq_list(args.freq)[0]
+        freq = _flag(args.freq, "--freq", _frequency)
     elif options.input_frequency_hz is not None:
         freq = options.input_frequency_hz
     else:
         raise _UsageError("no input frequency (--freq or options)")
-    u_max = _parse_umax(args.umax, options)
+    u_max = _u_max(args, options)
     rows = sizing.decimation_sweep(system, freq, factors, u_max)
     out.write("factor,end_to_end_ns,aggregator_utilization,cores_saved\n")
     for row in rows:
@@ -596,7 +600,7 @@ def _cmd_decimate(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     system, cluster, options = _load_spec(args.spec)
     system, allocation = _prepare(system, cluster)
-    horizon = (parse_duration(args.horizon) if args.horizon
+    horizon = (_flag(args.horizon, "--horizon", _duration) if args.horizon
                else options.horizon)
     if horizon is None:
         raise _UsageError("no horizon (--horizon or options)")
@@ -640,10 +644,9 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    system, cluster, options = _load_spec(args.spec)
-    if not any(s.priority is not None for s in system.stages()):
-        system = model.with_priorities(system, model.assign_priorities_dm(system))
-    u_max = _parse_umax(args.umax, options)
+    system, _cluster, options = _load_spec(args.spec)
+    system = _prioritize(system)
+    u_max = _u_max(args, options)
     result = sizing.baseline_comparison(system, u_max)
     doc = {"ours": result.ours, "baseline": result.baseline}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

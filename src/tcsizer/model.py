@@ -51,10 +51,6 @@ Duration = int
 InterArrival = Union[int, Marker]
 
 
-def is_infinite(value: InterArrival) -> bool:
-    return value is INFINITE
-
-
 class ReplicationExceeded(Exception):
     """Rate replication would need more replicas than allowed."""
 
@@ -64,6 +60,10 @@ class ReplicationExceeded(Exception):
         self.stage_id = stage_id
         self.needed = needed
         self.k_max = k_max
+
+
+class InvalidAllocation(Exception):
+    """A stage has no host core (or an unknown one)."""
 
 
 class AllocationFailed(Exception):
@@ -144,6 +144,43 @@ def leaves(expr: Expr) -> Iterator[str]:
         raise TypeError(f"not a composition expression: {expr!r}")
 
 
+def _sources(expr: Expr) -> list[str]:
+    """Stage ids where an item enters the expression."""
+    if isinstance(expr, Leaf):
+        return [expr.stage]
+    if isinstance(expr, Seq):
+        return _sources(expr.children[0])
+    out: list[str] = []
+    for c in expr.children:
+        out.extend(_sources(c))
+    return out
+
+
+def _sinks(expr: Expr) -> list[str]:
+    """Stage ids where an item leaves the expression."""
+    if isinstance(expr, Leaf):
+        return [expr.stage]
+    if isinstance(expr, Seq):
+        return _sinks(expr.children[-1])
+    out: list[str] = []
+    for c in expr.children:
+        out.extend(_sinks(c))
+    return out
+
+
+def _collect_edges(expr: Expr, preds: dict[str, tuple[str, ...]]) -> None:
+    """Fill ``preds`` with each non-source stage's sorted predecessors."""
+    if isinstance(expr, Leaf):
+        return
+    if isinstance(expr, Seq):
+        for a, b in zip(expr.children, expr.children[1:]):
+            upstream = tuple(sorted(_sinks(a)))
+            for src in _sources(b):
+                preds[src] = upstream
+    for c in expr.children:
+        _collect_edges(c, preds)
+
+
 @dataclass(frozen=True)
 class Analytic:
     """A set of stages plus their composition and an end-to-end deadline."""
@@ -156,12 +193,6 @@ class Analytic:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
 
-    def stage(self, stage_id: str) -> Stage:
-        for s in self.stages:
-            if s.id == stage_id:
-                return s
-        raise KeyError(stage_id)
-
 
 @dataclass(frozen=True)
 class System:
@@ -173,19 +204,6 @@ class System:
     def stages(self) -> Iterator[Stage]:
         for analytic in self.analytics:
             yield from analytic.stages
-
-    def stage(self, stage_id: str) -> Stage:
-        for s in self.stages():
-            if s.id == stage_id:
-                return s
-        raise KeyError(stage_id)
-
-    def analytic_of(self, stage_id: str) -> Analytic:
-        for analytic in self.analytics:
-            for s in analytic.stages:
-                if s.id == stage_id:
-                    return analytic
-        raise KeyError(stage_id)
 
 
 @dataclass(frozen=True)
@@ -232,6 +250,26 @@ def homogeneous_cluster(m: int, capacity=Fraction(1),
     cap = capacity if isinstance(capacity, Fraction) else Fraction(capacity)
     return Cluster(tuple(
         Core(f"c{i}", cap, platform_blocking) for i in range(m)))
+
+
+def effective_blocking(system: System, allocation: Mapping[str, str],
+                       cluster: Cluster) -> dict[str, Duration]:
+    """Each stage's blocking on its host core, max(stage blocking, core
+    platform blocking). Raises ValueError for a stage without a priority,
+    InvalidAllocation for one without a known core."""
+    platform = {c.id: c.platform_blocking for c in cluster.cores}
+    out: dict[str, Duration] = {}
+    for s in system.stages():
+        if s.priority is None:
+            raise ValueError(f"stage {s.id!r} has no priority")
+        if s.id not in allocation:
+            raise InvalidAllocation(f"stage {s.id!r} has no core")
+        core = allocation[s.id]
+        if core not in platform:
+            raise InvalidAllocation(
+                f"stage {s.id!r} mapped to unknown core {core!r}")
+        out[s.id] = max(s.blocking, platform[core])
+    return out
 
 
 # --- validation ---------------------------------------------------------------
@@ -375,13 +413,9 @@ def replicate_for_rate(stage: Stage, k_max: int) -> list[Stage]:
     """
     if stage.inter_arrival is INFINITE:
         raise ValueError(f"stage {stage.id!r}: cannot replicate a one-shot stage")
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    k = -(-stage.cost // stage.inter_arrival)
+    k = replica_count(stage, stage.inter_arrival, k_max)
     if k <= 1:
         return [stage]
-    if k > k_max:
-        raise ReplicationExceeded(stage.id, k, k_max)
     t_new = k * stage.inter_arrival
     d_new = min(stage.deadline, t_new + stage.blocking)
     return [
@@ -389,6 +423,18 @@ def replicate_for_rate(stage: Stage, k_max: int) -> list[Stage]:
                 deadline=d_new)
         for i in range(1, k + 1)
     ]
+
+
+def replica_count(stage: Stage, inter_arrival: Duration, k_max: int) -> int:
+    """k = ceil(C/T) replicas for ``stage`` arriving every
+    ``inter_arrival`` ns (at most 1 when C <= T); raises
+    ReplicationExceeded when k > k_max."""
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    k = -(-stage.cost // inter_arrival)
+    if k > k_max:
+        raise ReplicationExceeded(stage.id, k, k_max)
+    return k
 
 
 # --- first-fit-decreasing allocation ------------------------------------------

@@ -35,15 +35,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .analysis import DIVERGED, InvalidAllocation, ResponseReport
+from .analysis import DIVERGED, ResponseReport
 from .model import (
     INFINITE,
     Cluster,
     Duration,
-    Expr,
-    Leaf,
-    Seq,
     System,
+    _collect_edges,
+    _sinks,
+    _sources,
+    effective_blocking,
 )
 
 
@@ -67,13 +68,10 @@ class SimConfig:
     seed: int = 0
     blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL
     release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS
-    tie_policy: str = "FIFO"
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.tie_policy != "FIFO":
-            raise ValueError("only FIFO tie-breaking is defined")
 
 
 class SimEvent(NamedTuple):
@@ -104,42 +102,6 @@ class Violation(NamedTuple):
     bound: Duration
 
 
-# --- topology plumbing --------------------------------------------------------
-
-def _sources(expr: Expr) -> list[str]:
-    if isinstance(expr, Leaf):
-        return [expr.stage]
-    if isinstance(expr, Seq):
-        return _sources(expr.children[0])
-    out: list[str] = []
-    for c in expr.children:
-        out.extend(_sources(c))
-    return out
-
-
-def _sinks(expr: Expr) -> list[str]:
-    if isinstance(expr, Leaf):
-        return [expr.stage]
-    if isinstance(expr, Seq):
-        return _sinks(expr.children[-1])
-    out: list[str] = []
-    for c in expr.children:
-        out.extend(_sinks(c))
-    return out
-
-
-def _collect_edges(expr: Expr, preds: dict[str, tuple[str, ...]]) -> None:
-    if isinstance(expr, Leaf):
-        return
-    if isinstance(expr, Seq):
-        for a, b in zip(expr.children, expr.children[1:]):
-            upstream = tuple(sorted(_sinks(a)))
-            for src in _sources(b):
-                preds[src] = upstream
-    for c in expr.children:
-        _collect_edges(c, preds)
-
-
 class _StageRt:
     __slots__ = ("id", "core", "prio", "cost", "period", "b_eff",
                  "preds", "analytic", "is_sink")
@@ -166,10 +128,10 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     """Run the system until the horizon and return the trace.
 
     Requires an allocated, prioritized system (priorities and a host
-    core for every stage). Raises HorizonTooShort when not a single item
-    completes end-to-end.
+    core for every stage; see model.effective_blocking for the errors).
+    Raises HorizonTooShort when not a single item completes end-to-end.
     """
-    core_ids = {c.id for c in cluster.cores}
+    blocking = effective_blocking(system, allocation, cluster)
     info: dict[str, _StageRt] = {}
     successors: dict[str, list[str]] = {}
     analytic_sinks: dict[str, int] = {}
@@ -181,20 +143,11 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
         sinks = set(_sinks(analytic.topology))
         analytic_sinks[analytic.id] = len(sinks)
         for s in analytic.stages:
-            if s.priority is None:
-                raise ValueError(f"stage {s.id!r} has no priority")
-            if s.id not in allocation:
-                raise InvalidAllocation(f"stage {s.id!r} has no core")
-            core = allocation[s.id]
-            if core not in core_ids:
-                raise InvalidAllocation(
-                    f"stage {s.id!r} mapped to unknown core {core!r}")
             period = (None if s.inter_arrival is INFINITE
                       else s.inter_arrival)
             info[s.id] = _StageRt(
-                id=s.id, core=core, prio=s.priority, cost=s.cost,
-                period=period,
-                b_eff=max(s.blocking, cluster.core(core).platform_blocking),
+                id=s.id, core=allocation[s.id], prio=s.priority, cost=s.cost,
+                period=period, b_eff=blocking[s.id],
                 preds=None if s.id in sources else preds[s.id],
                 analytic=analytic.id, is_sink=s.id in sinks)
         for sid, ups in preds.items():

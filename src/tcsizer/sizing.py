@@ -27,6 +27,8 @@ from .model import (
     Seq,
     Stage,
     System,
+    _sinks,
+    replica_count,
     replicate_for_rate,
 )
 from .workloads import period_from_frequency
@@ -94,15 +96,16 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
 
     Per-stage utilizations are keyed by the template's stage ids; a
     replicated stage's replicas sum back to exactly C/T_in, so the total
-    is replication-invariant.
+    is replication-invariant. Every stage is held to the replication
+    limit as retime_system would hold it (ReplicationExceeded
+    propagates).
     """
     rows = []
     for f in frequencies:
         freq = Fraction(f)
-        # materialize for the side effects of the contract: replication
-        # limits are enforced (ReplicationExceeded propagates)
-        retime_system(template, freq, replication_limit=replication_limit)
         t_in = period_from_frequency(freq)
+        for s in template.stages():
+            replica_count(s, t_in, replication_limit)
         per_stage = {
             s.id: Fraction(s.cost, t_in) if s.inter_arrival is not INFINITE
             else Fraction(0)
@@ -125,17 +128,6 @@ def _unique_sink(analytic: Analytic) -> str:
             f"analytic {analytic.id!r}: decimation needs a unique final stage, "
             f"found {sinks}")
     return sinks[0]
-
-
-def _sinks(expr: Expr) -> list[str]:
-    if isinstance(expr, Leaf):
-        return [expr.stage]
-    if isinstance(expr, Seq):
-        return _sinks(expr.children[-1])
-    out: list[str] = []
-    for c in expr.children:
-        out.extend(_sinks(c))
-    return out
 
 
 def decimation_sweep(template: System, input_frequency, factors: Sequence[int],

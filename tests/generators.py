@@ -41,6 +41,7 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.model import AllocationFailed
+from tcsizer.workloads import _uunifast
 
 # all divide 1e9, so any subset's lcm divides 1e9
 DIVISOR_PERIODS = [
@@ -50,17 +51,6 @@ DIVISOR_PERIODS = [
 ]
 
 HARMONIC_PERIODS = [1_000_000 * (1 << k) for k in range(8)]
-
-
-def _uunifast(rng: random.Random, total: float, n: int) -> list[float]:
-    remaining = total
-    out = []
-    for i in range(n - 1):
-        nxt = remaining * rng.random() ** (1.0 / (n - i - 1))
-        out.append(remaining - nxt)
-        remaining = nxt
-    out.append(remaining)
-    return out
 
 
 def _single_stage_analytic(aid: str, cost: int, period: int,

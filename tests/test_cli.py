@@ -21,6 +21,7 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.cli import (
+    MAX_TOPOLOGY_DEPTH,
     Options,
     ParseError,
     emit_system_spec,
@@ -193,6 +194,52 @@ class TestSpecRoundTrip:
         assert parsed.cores[0].capacity == capacity
 
 
+def nested_spec(depth: int) -> str:
+    """One stage under ``depth`` nested seq nodes."""
+    doc = json.dumps({
+        "analytics": [{
+            "id": "a", "end_to_end_deadline": "1s",
+            "stages": [{"id": "s", "cost": "1ms", "inter_arrival": "10ms",
+                        "deadline": "10ms"}],
+            "topology": "TOPOLOGY",
+        }],
+        "cluster": {"cores": [{"id": "c0"}]},
+    })
+    return doc.replace('"TOPOLOGY"',
+                       '{"seq": [' * depth + '"s"' + ']}' * depth)
+
+
+class TestNestingCap:
+    def test_cap_depth_is_accepted(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_spec(MAX_TOPOLOGY_DEPTH))
+        code, out, _ = invoke(["analyze", str(path)])
+        assert code == 0
+        assert json.loads(out)["per_analytic"]["a"]["end_to_end"] == MS
+
+    def test_node_past_cap_names_its_pointer(self):
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(nested_spec(MAX_TOPOLOGY_DEPTH + 1))
+        assert exc.value.path == (
+            "/analytics/0/topology" + "/seq/0" * MAX_TOPOLOGY_DEPTH)
+
+    @pytest.mark.parametrize("depth", [450, 800])
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["size", "--freqs", "1"],
+        ["decimate", "--factors", "1", "--freq", "1"], ["compare"],
+        ["simulate", "--horizon", "1s"]])
+    def test_deep_topology_is_an_input_error(self, tmp_path, depth, command):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_spec(depth))
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "simulate":
+            argv += ["--trace", str(tmp_path / "t.csv")]
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestAnalyzeCommand:
     def test_gp_configuration_infeasible(self, table_vi_gp):
         code, out, _ = invoke(["analyze", str(table_vi_gp)])
@@ -291,6 +338,13 @@ class TestDecimateCommand:
         code, _, err = invoke(["decimate", str(microblog), "--factors", "1"])
         assert code == 1
         assert "frequency" in err
+
+    def test_freq_takes_one_frequency(self, microblog):
+        code, out, err = invoke(["decimate", str(microblog), "--factors", "1",
+                                 "--freq", "1000,2000"])
+        assert code == 1
+        assert out == ""
+        assert "--freq" in err
 
 
 class TestSimulateCommand:

@@ -249,9 +249,11 @@ class TestCoreAndCluster:
 def test_with_priorities_returns_new_system():
     system = builtin_system(ScenarioId.TABLE_VI)
     updated = with_priorities(system, {"TC1": 4})
-    assert system.stage("TC1").priority is None
-    assert updated.stage("TC1").priority == 4
-    assert updated.stage("TC2").priority is None
+    before = {s.id: s for s in system.stages()}
+    after = {s.id: s for s in updated.stages()}
+    assert before["TC1"].priority is None
+    assert after["TC1"].priority == 4
+    assert after["TC2"].priority is None
 
 
 def test_leaves_order():

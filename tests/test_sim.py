@@ -10,6 +10,7 @@ from tcsizer import (
     Cluster,
     Core,
     HorizonTooShort,
+    InvalidAllocation,
     Leaf,
     ReleasePolicy,
     SimConfig,
@@ -124,8 +125,18 @@ class TestBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(horizon=0)
+
+    def test_placement_is_checked(self):
+        prioritized = System((single("s", 2 * MS, 10 * MS),))
+        with pytest.raises(InvalidAllocation):
+            run(prioritized, {}, homogeneous_cluster(1), horizon=SEC)
+        with pytest.raises(InvalidAllocation):
+            run(prioritized, {"s": "nope"}, homogeneous_cluster(1),
+                horizon=SEC)
+        unprioritized = System((single("s", 2 * MS, 10 * MS, prio=None),))
         with pytest.raises(ValueError):
-            SimConfig(horizon=1, tie_policy="LIFO")
+            run(unprioritized, {"s": "c0"}, homogeneous_cluster(1),
+                horizon=SEC)
 
 
 class TestBlocking:

@@ -47,10 +47,20 @@ class TestRetime:
                     ScenarioId.MICROBLOG_ONLINE, frequency_hz=4000)).total)
 
     def test_propagates_replication_limit(self, microblog):
-        with pytest.raises(ReplicationExceeded):
-            retime_system(microblog, 4000, replication_limit=2)
-        with pytest.raises(ReplicationExceeded):
-            frequency_sweep(microblog, [4000], u_max=1, replication_limit=2)
+        cases = [
+            (microblog, 4000, 2, ("microblog-split", 3, 2)),
+            # one-shot stages are retimed like the rest, so they count too
+            (builtin_system(ScenarioId.TABLE_VI), 2, 4096,
+             ("TC1", 7200, 4096)),
+        ]
+        for template, frequency, limit, expected in cases:
+            with pytest.raises(ReplicationExceeded) as retimed:
+                retime_system(template, frequency, replication_limit=limit)
+            with pytest.raises(ReplicationExceeded) as swept:
+                frequency_sweep(template, [1, frequency], u_max=1,
+                                replication_limit=limit)
+            for exc in (retimed.value, swept.value):
+                assert (exc.stage_id, exc.needed, exc.k_max) == expected
 
 
 class TestFrequencySweep:
