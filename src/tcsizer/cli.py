@@ -92,7 +92,10 @@ def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(path, f"cannot parse duration {text!r}")
-    value = Fraction(m.group(1)) * _UNITS[m.group(2)]
+    number, unit = m.groups()
+    if "." not in number:
+        return int(number) * _UNITS[unit]
+    value = Fraction(number) * _UNITS[unit]
     if value.denominator != 1:
         raise ParseError(
             path, f"duration {text!r} is not a whole number of nanoseconds")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping, Union
 
 # Duration helpers (integer nanoseconds).
@@ -444,17 +445,40 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
     id), each on the first core whose accumulated utilization stays within
     its capacity. Raises AllocationFailed naming the first unplaceable
     stage.
+
+    Cost: O(n log n) to sort the n stages, then O(log m) ``Fraction``
+    operations per stage on m cores. A tournament tree holds each core's
+    remaining capacity ``capacity - load`` at a leaf (padding leaves hold
+    -1 and never fit) and the max of its children at every inner node.
+    Each stage walks down from the root, going left whenever the left
+    subtree's max is at least its utilization u, so it reaches the first
+    core with ``u <= capacity - load``; in exact arithmetic that is the
+    first core with ``load + u <= capacity``, the one a linear scan finds.
     """
-    order = sorted(system.stages(), key=lambda s: (-s.utilization(), s.id))
-    load: dict[str, Fraction] = {c.id: Fraction(0) for c in cluster.cores}
+    # two stable sorts give the order of the key (-u, id)
+    weighted = [(s.utilization(), s) for s in system.stages()]
+    weighted.sort(key=lambda us: us[1].id)
+    weighted.sort(key=itemgetter(0), reverse=True)
+    cores = cluster.cores
+    size = 1
+    while size < len(cores):
+        size *= 2
+    tree: list = [-1] * (2 * size)
+    tree[size:size + len(cores)] = [c.capacity for c in cores]
+    for i in range(size - 1, 0, -1):
+        tree[i] = max(tree[2 * i], tree[2 * i + 1])
     placement: dict[str, str] = {}
-    for stage in order:
-        u = stage.utilization()
-        for core in cluster.cores:
-            if load[core.id] + u <= core.capacity:
-                load[core.id] += u
-                placement[stage.id] = core.id
-                break
-        else:
+    for u, stage in weighted:
+        if tree[1] < u:
             raise AllocationFailed(stage.id)
+        i = 1
+        while i < size:
+            i *= 2
+            if tree[i] < u:
+                i += 1
+        tree[i] -= u
+        placement[stage.id] = cores[i - size].id
+        while i > 1:
+            i //= 2
+            tree[i] = max(tree[2 * i], tree[2 * i + 1])
     return placement

@@ -98,7 +98,8 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     replicated stage's replicas sum back to exactly C/T_in, so the total
     is replication-invariant. Every stage is held to the replication
     limit as retime_system would hold it (ReplicationExceeded
-    propagates).
+    propagates). The total is one fraction, the summed cost of the
+    periodic stages over T_in, equal to the sum of the per-stage values.
     """
     rows = []
     for f in frequencies:
@@ -111,7 +112,8 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
             else Fraction(0)
             for s in template.stages()
         }
-        total = sum(per_stage.values(), Fraction(0))
+        total = Fraction(sum(s.cost for s in template.stages()
+                             if s.inter_arrival is not INFINITE), t_in)
         rows.append(SweepRow(
             frequency_hz=freq,
             total_utilization=total,

@@ -72,9 +72,11 @@ class TestDurations:
         ("1s", SEC),
         ("10min", 600 * SEC),
         ("0.25us", 250),
+        ("01ms", 1_000_000),
     ])
     def test_parse(self, text, ns):
-        assert parse_duration(text) == ns
+        value = parse_duration(text)
+        assert value == ns and type(value) is int
 
     def test_inf_only_for_inter_arrival(self):
         from tcsizer import INFINITE
@@ -88,6 +90,21 @@ class TestDurations:
         with pytest.raises(ParseError) as exc:
             parse_duration(bad, path="/x")
         assert exc.value.path == "/x"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5ns", "duration '0.5ns' is not a whole number of nanoseconds"),
+        ("inf", '"inf" is only allowed for inter-arrival times'),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_duration(text, path="/x")
+        assert (exc.value.path, exc.value.message) == ("/x", message)
+
+    @given(st.integers(0, 10**9), st.sampled_from(
+        ["ns", "us", "µs", "ms", "s", "min", "h"]))
+    @settings(max_examples=200)
+    def test_whole_number_matches_decimal_form(self, n, unit):
+        assert parse_duration(f"{n}{unit}") == parse_duration(f"{n}.0{unit}")
 
     @given(st.integers(0, 10**15))
     @settings(max_examples=200)

@@ -231,6 +231,78 @@ class TestAllocation:
         assert all(load <= Fraction(87, 100) for load in loads.values())
 
 
+def first_fit_by_scan(system, cluster):
+    """Reference first-fit-decreasing: a linear scan of the cores for each
+    stage, with exact Fraction loads."""
+    order = sorted(system.stages(), key=lambda s: (-s.utilization(), s.id))
+    load = {c.id: Fraction(0) for c in cluster.cores}
+    placement = {}
+    for stage in order:
+        u = stage.utilization()
+        for core in cluster.cores:
+            if load[core.id] + u <= core.capacity:
+                load[core.id] += u
+                placement[stage.id] = core.id
+                break
+        else:
+            raise AllocationFailed(stage.id)
+    return placement
+
+
+def placed_or_failed(fn, system, cluster):
+    try:
+        return list(fn(system, cluster).items())
+    except AllocationFailed as exc:
+        return ("failed", exc.stage_id)
+
+
+CAPACITIES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4),
+              Fraction(87, 100), Fraction(1))
+
+# (cost, inter-arrival): utilizations on a twelfths grid collide often
+# and fill the capacities above exactly; INFINITE makes one-shot stages
+STAGE_SHAPES = st.tuples(st.integers(1, 12),
+                         st.sampled_from((12, 12, 24, 36, 48, INFINITE)))
+
+
+class TestFirstFitOracle:
+    @given(shapes=st.lists(STAGE_SHAPES, min_size=1, max_size=40),
+           capacities=st.lists(st.sampled_from(CAPACITIES), min_size=1,
+                               max_size=17),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, shapes, capacities, data):
+        # ids in an order unrelated to the stage order, so equal
+        # utilizations are broken by id, not by position
+        ids = data.draw(st.permutations(range(len(shapes))))
+        system = System(tuple(
+            single(f"s{k:02d}", c, t, 10**6 if t is INFINITE else t)
+            for k, (c, t) in zip(ids, shapes)))
+        cluster = Cluster(tuple(Core(f"c{i}", cap)
+                                for i, cap in enumerate(capacities)))
+        assert (placed_or_failed(allocate_first_fit, system, cluster)
+                == placed_or_failed(first_fit_by_scan, system, cluster))
+
+    def test_zero_utilization_after_full_cores_goes_to_first_core(self):
+        system = System((single("a", 10, 10), single("b", 10, 10),
+                         single("z", 5, INFINITE, 10), single("c", 10, 10)))
+        placement = allocate_first_fit(system, homogeneous_cluster(3))
+        assert list(placement.items()) == [
+            ("a", "c0"), ("b", "c1"), ("c", "c2"), ("z", "c0")]
+
+    def test_exact_fit_on_last_of_three_cores(self):
+        cluster = Cluster((Core("c0", Fraction(1, 2)),
+                           Core("c1", Fraction(1, 2)),
+                           Core("c2", Fraction(1, 3))))
+        stages = (single("a", 1, 2), single("b", 1, 2), single("c", 1, 3))
+        placement = allocate_first_fit(System(stages), cluster)
+        assert list(placement.items()) == [
+            ("a", "c0"), ("b", "c1"), ("c", "c2")]
+        with pytest.raises(AllocationFailed) as exc:
+            allocate_first_fit(System((*stages, single("d", 1, 12))), cluster)
+        assert exc.value.stage_id == "d"
+
+
 class TestCoreAndCluster:
     def test_capacity_bounds(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tcsizer import (
+    INFINITE,
     MS,
     SEC,
     US,
@@ -96,6 +97,20 @@ class TestFrequencySweep:
         for a, b in zip(rows, rows[1:]):
             assert a.total_utilization <= b.total_utilization
             assert a.min_cores <= b.min_cores
+
+    def test_total_is_sum_of_per_stage_with_one_shot_stages(self, microblog):
+        batch = Stage(id="batch", cost=3 * MS, inter_arrival=INFINITE,
+                      deadline=SEC)
+        system = System((*microblog.analytics, Analytic(
+            id="batch", stages=(batch,), topology=Leaf("batch"),
+            end_to_end_deadline=SEC)))
+        u_max = Fraction(3, 4)
+        rows = frequency_sweep(system, [1, 3, 7, 777, 4000], u_max=u_max)
+        for row in rows:
+            assert row.per_stage_utilization["batch"] == 0
+            assert row.total_utilization == sum(
+                row.per_stage_utilization.values(), Fraction(0))
+            assert row.min_cores == min_cores(row.total_utilization, u_max)
 
     def test_row_invariant(self, microblog):
         for row in frequency_sweep(microblog, [7, 77, 777], u_max=Fraction(3, 4)):
