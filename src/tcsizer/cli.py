@@ -28,8 +28,10 @@ most MAX_TOPOLOGY_DEPTH deep.
 
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
-not, 1 = input or usage error. The environment variable TC_SIZER_SEED
-overrides the default --seed.
+not, 1 = input or usage error. Each flag that overrides an option is
+read like that option's field, lists split on commas, so an empty value
+is an input error. The seed of simulate is --seed, else the environment
+variable TC_SIZER_SEED, else options.sim.seed, else 0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -185,9 +187,6 @@ def _integer(message: str, least: int | None = None):
             raise ParseError(path, message)
         return value
     return parse
-
-
-_factor = _integer("factors must be positive integers", 1)
 
 
 def _duration(value: Any, path: str) -> int:
@@ -346,7 +345,8 @@ _OPTION_FIELDS = (
     _Field("u_max", _capacity, _json_number),
     _Field("frequencies_hz", _list_of(_frequency),
            lambda freqs: [_json_number(f) for f in freqs]),
-    _Field("factors", _list_of(_factor)),
+    _Field("factors",
+           _list_of(_integer("factors must be positive integers", 1))),
     _Field("input_frequency_hz", _frequency, _json_number),
 )
 
@@ -459,7 +459,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="discrete-event simulation")
     p.add_argument("spec")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--horizon", default=None, help="duration, e.g. 2s")
     p.add_argument("--trace", default="trace.csv", help="trace CSV path")
     p.add_argument("--blocking", choices=[b.value for b in sim.BlockingPolicy],
@@ -473,18 +473,59 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_spec(path: str) -> tuple[System, Cluster, Options]:
+# The flag (argparse dest) that overrides each option, and whether the
+# flag holds a comma-separated list
+_OPTION_FLAGS = {
+    "u_max": ("umax", False),
+    "frequencies_hz": ("freqs", True),
+    "factors": ("factors", True),
+    "input_frequency_hz": ("freq", False),
+    "horizon": ("horizon", False),
+    "seed": ("seed", False),
+    "blocking_policy": ("blocking", False),
+    "release_policy": ("release", False),
+}
+
+
+def _flag_value(text: str):
+    """A flag token as the spec would hold it: the JSON value when it
+    parses as JSON, else the string itself."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        return json.loads(text, parse_float=Fraction)
+    except (ValueError, RecursionError):
+        return text
+
+
+def _load_spec(args) -> tuple[System, Cluster, Options]:
+    """The spec of ``args.spec``, validated, with each flag ``args``
+    holds read over the option it overrides by that option's parser;
+    list flags are split on commas. The seed is --seed, else
+    TC_SIZER_SEED for simulate, else options.sim.seed."""
+    try:
+        with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot read {args.spec}: {exc.strerror}") from None
     system, cluster, options = parse_system_spec(text)
     report = model.validate_system(system)
     if not report.ok:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
         raise _UsageError(f"invalid system: {findings}")
-    return system, cluster, options
+    overrides = {}
+    if (args.command == "simulate" and args.seed is None
+            and "TC_SIZER_SEED" in os.environ):
+        try:
+            overrides["seed"] = int(os.environ["TC_SIZER_SEED"])
+        except ValueError:
+            raise _UsageError("TC_SIZER_SEED must be an integer") from None
+    for f in (*_OPTION_FIELDS, *_SIM_FIELDS):
+        dest, listed = _OPTION_FLAGS[f.key]
+        text = getattr(args, dest, None)
+        if text is not None:
+            value = ([_flag_value(t) for t in text.split(",")] if listed
+                     else _flag_value(text))
+            overrides[f.key] = f.parse(value, f"--{dest}")
+    return system, cluster, replace(options, **overrides)
 
 
 def _prioritize(system: System) -> System:
@@ -530,31 +571,8 @@ def _report_json(report: analysis.ResponseReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _flag(text: str, name: str, parse):
-    """A flag value through its spec field's parser. The text is read as
-    the spec would hold it: as JSON when it parses, else as the string
-    itself."""
-    try:
-        value = json.loads(text, parse_float=Fraction)
-    except (ValueError, RecursionError):
-        value = text
-    return parse(value, name)
-
-
-def _flag_list(text: str, name: str, parse_item) -> list:
-    """A comma-separated flag value, each item through ``parse_item``."""
-    return [_flag(tok, f"{name}/{i}", parse_item)
-            for i, tok in enumerate(text.split(","))]
-
-
-def _u_max(args, options: Options) -> Fraction:
-    if args.umax is None:
-        return options.u_max
-    return _flag(args.umax, "--umax", _capacity)
-
-
 def _cmd_analyze(args, out) -> int:
-    system, cluster, _ = _load_spec(args.spec)
+    system, cluster, _ = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     report = analysis.solve_system(system, allocation, cluster)
     out.write(_report_json(report))
@@ -562,13 +580,11 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_size(args, out) -> int:
-    system, _cluster, options = _load_spec(args.spec)
-    freqs = (_flag_list(args.freqs, "--freqs", _frequency)
-             if args.freqs else options.frequencies_hz)
-    if not freqs:
+    system, _cluster, options = _load_spec(args)
+    if not options.frequencies_hz:
         raise _UsageError("no frequencies given")
-    u_max = _u_max(args, options)
-    rows = sizing.frequency_sweep(system, freqs, u_max,
+    rows = sizing.frequency_sweep(system, options.frequencies_hz,
+                                  options.u_max,
                                   replication_limit=args.replication_limit)
     out.write("frequency_hz,total_utilization,min_cores\n")
     for row in rows:
@@ -579,19 +595,13 @@ def _cmd_size(args, out) -> int:
 
 
 def _cmd_decimate(args, out) -> int:
-    system, _cluster, options = _load_spec(args.spec)
-    factors = (_flag_list(args.factors, "--factors", _factor)
-               if args.factors else options.factors)
-    if not factors:
+    system, _cluster, options = _load_spec(args)
+    if not options.factors:
         raise _UsageError("factors must be positive integers")
-    if args.freq is not None:
-        freq = _flag(args.freq, "--freq", _frequency)
-    elif options.input_frequency_hz is not None:
-        freq = options.input_frequency_hz
-    else:
+    if options.input_frequency_hz is None:
         raise _UsageError("no input frequency (--freq or options)")
-    u_max = _u_max(args, options)
-    rows = sizing.decimation_sweep(system, freq, factors, u_max)
+    rows = sizing.decimation_sweep(system, options.input_frequency_hz,
+                                   options.factors, options.u_max)
     out.write("factor,end_to_end_ns,aggregator_utilization,cores_saved\n")
     for row in rows:
         out.write(f"{row.factor},{row.end_to_end},"
@@ -601,30 +611,15 @@ def _cmd_decimate(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    system, cluster, options = _load_spec(args.spec)
+    system, cluster, options = _load_spec(args)
     system, allocation = _prepare(system, cluster)
-    horizon = (_flag(args.horizon, "--horizon", _duration) if args.horizon
-               else options.horizon)
-    if horizon is None:
+    if options.horizon is None:
         raise _UsageError("no horizon (--horizon or options)")
-    if args.seed is not None:
-        seed = args.seed
-    elif "TC_SIZER_SEED" in os.environ:
-        try:
-            seed = int(os.environ["TC_SIZER_SEED"])
-        except ValueError:
-            raise _UsageError("TC_SIZER_SEED must be an integer") from None
-    elif options.seed is not None:
-        seed = options.seed
-    else:
-        seed = 0
     config = sim.SimConfig(
-        horizon=horizon,
-        seed=seed,
-        blocking_policy=(sim.BlockingPolicy(args.blocking) if args.blocking
-                         else options.blocking_policy),
-        release_policy=(sim.ReleasePolicy(args.release) if args.release
-                        else options.release_policy),
+        horizon=options.horizon,
+        seed=0 if options.seed is None else options.seed,
+        blocking_policy=options.blocking_policy,
+        release_policy=options.release_policy,
     )
     report = analysis.solve_system(system, allocation, cluster)
     try:
@@ -647,10 +642,9 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    system, _cluster, options = _load_spec(args.spec)
+    system, _cluster, options = _load_spec(args)
     system = _prioritize(system)
-    u_max = _u_max(args, options)
-    result = sizing.baseline_comparison(system, u_max)
+    result = sizing.baseline_comparison(system, options.u_max)
     doc = {"ours": result.ours, "baseline": result.baseline}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

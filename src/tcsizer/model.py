@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 # Duration helpers (integer nanoseconds).
 US = 1_000
@@ -145,41 +145,35 @@ def leaves(expr: Expr) -> Iterator[str]:
         raise TypeError(f"not a composition expression: {expr!r}")
 
 
-def _sources(expr: Expr) -> list[str]:
-    """Stage ids where an item enters the expression."""
-    if isinstance(expr, Leaf):
-        return [expr.stage]
-    if isinstance(expr, Seq):
-        return _sources(expr.children[0])
-    out: list[str] = []
-    for c in expr.children:
-        out.extend(_sources(c))
-    return out
+class Flow(NamedTuple):
+    """How items move through a topology: the stage ids where an item
+    enters and where it leaves, both left to right, and each non-source
+    stage's sorted predecessors."""
+
+    sources: list[str]
+    sinks: list[str]
+    preds: dict[str, tuple[str, ...]]
 
 
-def _sinks(expr: Expr) -> list[str]:
-    """Stage ids where an item leaves the expression."""
-    if isinstance(expr, Leaf):
-        return [expr.stage]
-    if isinstance(expr, Seq):
-        return _sinks(expr.children[-1])
-    out: list[str] = []
-    for c in expr.children:
-        out.extend(_sinks(c))
-    return out
+def item_flow(expr: Expr) -> Flow:
+    """Sources, sinks and predecessors of a topology in one walk."""
+    preds: dict[str, tuple[str, ...]] = {}
 
+    def walk(node: Expr) -> tuple[list[str], list[str]]:
+        if isinstance(node, Leaf):
+            return [node.stage], [node.stage]
+        ends = [walk(c) for c in node.children]
+        if isinstance(node, Seq):
+            for (_, sinks), (sources, _) in zip(ends, ends[1:]):
+                upstream = tuple(sorted(sinks))
+                for sid in sources:
+                    preds[sid] = upstream
+            return ends[0][0], ends[-1][1]
+        return ([sid for sources, _ in ends for sid in sources],
+                [sid for _, sinks in ends for sid in sinks])
 
-def _collect_edges(expr: Expr, preds: dict[str, tuple[str, ...]]) -> None:
-    """Fill ``preds`` with each non-source stage's sorted predecessors."""
-    if isinstance(expr, Leaf):
-        return
-    if isinstance(expr, Seq):
-        for a, b in zip(expr.children, expr.children[1:]):
-            upstream = tuple(sorted(_sinks(a)))
-            for src in _sources(b):
-                preds[src] = upstream
-    for c in expr.children:
-        _collect_edges(c, preds)
+    sources, sinks = walk(expr)
+    return Flow(sources, sinks, preds)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,8 @@ from .model import (
     Cluster,
     Duration,
     System,
-    _collect_edges,
-    _sinks,
-    _sources,
     effective_blocking,
+    item_flow,
 )
 
 
@@ -137,10 +135,9 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     analytic_sinks: dict[str, int] = {}
 
     for analytic in system.analytics:
-        preds: dict[str, tuple[str, ...]] = {}
-        _collect_edges(analytic.topology, preds)
-        sources = set(_sources(analytic.topology))
-        sinks = set(_sinks(analytic.topology))
+        flow = item_flow(analytic.topology)
+        sources = set(flow.sources)
+        sinks = set(flow.sinks)
         analytic_sinks[analytic.id] = len(sinks)
         for s in analytic.stages:
             period = (None if s.inter_arrival is INFINITE
@@ -148,9 +145,9 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             info[s.id] = _StageRt(
                 id=s.id, core=allocation[s.id], prio=s.priority, cost=s.cost,
                 period=period, b_eff=blocking[s.id],
-                preds=None if s.id in sources else preds[s.id],
+                preds=None if s.id in sources else flow.preds[s.id],
                 analytic=analytic.id, is_sink=s.id in sinks)
-        for sid, ups in preds.items():
+        for sid, ups in flow.preds.items():
             for up in ups:
                 successors.setdefault(up, []).append(sid)
     for lst in successors.values():

@@ -27,7 +27,7 @@ from .model import (
     Seq,
     Stage,
     System,
-    _sinks,
+    item_flow,
     replica_count,
     replicate_for_rate,
 )
@@ -124,7 +124,7 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
 
 
 def _unique_sink(analytic: Analytic) -> str:
-    sinks = _sinks(analytic.topology)
+    sinks = item_flow(analytic.topology).sinks
     if len(sinks) != 1:
         raise ValueError(
             f"analytic {analytic.id!r}: decimation needs a unique final stage, "

@@ -26,7 +26,6 @@ from .model import (
     Duration,
     InterArrival,
     Leaf,
-    Par,
     Stage,
     System,
     seq,
@@ -45,10 +44,11 @@ class ScenarioId(Enum):
     TABLE_VI = "table-vi"
 
 
-# (generator, splitter, counter) worst-case costs, ns
+# worst-case costs of the online phases, ns
 _MICROBLOG_COSTS = (127 * US, 507 * US, 511 * US)
 _BOOK_COSTS = (1_100 * US, 5 * MS, 800 * US)
 
+_ONLINE_PHASES = ("gen", "split", "count")
 _OFFLINE_PHASES = ("download", "map", "reduce", "sort")
 
 
@@ -64,26 +64,24 @@ def period_from_frequency(frequency_hz) -> Duration:
     return period
 
 
-def builtin_system(scenario: ScenarioId, *, frequency_hz=None,
-                   costs=None, splitter_hint: int = 1,
+def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
                    inter_arrival: InterArrival = INFINITE,
                    deadline: Duration | None = None,
                    blocking: Duration = 0) -> System:
     """Instantiate a built-in scenario.
 
     Online scenarios need ``frequency_hz``; offline ones need ``costs``
-    (one per phase: download, map, reduce, sort). ``splitter_hint`` > 1
-    turns the splitter phase into that many parallel replicas, each
-    seeing every k-th item. Per-stage deadlines default to the end-to-end
-    deadline so that high-rate templates stay structurally valid; sweeps
-    re-derive tighter per-stage deadlines themselves.
+    (one per phase: download, map, reduce, sort). Per-stage deadlines
+    default to the end-to-end deadline so that high-rate templates stay
+    structurally valid; sweeps re-derive tighter per-stage deadlines
+    themselves.
     """
     if scenario is ScenarioId.MICROBLOG_ONLINE:
         return _online("microblog", _MICROBLOG_COSTS, frequency_hz,
-                       splitter_hint, deadline or SEC, blocking)
+                       deadline or SEC, blocking)
     if scenario is ScenarioId.BOOK_ONLINE:
         return _online("book", _BOOK_COSTS, frequency_hz,
-                       splitter_hint, deadline or SEC, blocking)
+                       deadline or SEC, blocking)
     if scenario is ScenarioId.MICROBLOG_OFFLINE:
         return _offline("microblog-batch", costs, inter_arrival,
                         deadline or 2 * HOUR, blocking)
@@ -95,33 +93,12 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None,
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _online(name: str, stage_costs, frequency_hz, splitter_hint: int,
-            e2e_deadline: Duration, blocking: Duration) -> System:
+def _online(name: str, stage_costs, frequency_hz, e2e_deadline: Duration,
+            blocking: Duration) -> System:
     if frequency_hz is None:
         raise MissingParam(f"{name}: online scenarios need frequency_hz")
-    if splitter_hint < 1:
-        raise ValueError("splitter_hint must be >= 1")
-    t_in = period_from_frequency(frequency_hz)
-    c_gen, c_split, c_count = stage_costs
-
-    def mk(sid, cost, t):
-        return Stage(id=sid, cost=cost, inter_arrival=t,
-                     deadline=e2e_deadline, blocking=blocking)
-
-    generator = mk(f"{name}-gen", c_gen, t_in)
-    counter = mk(f"{name}-count", c_count, t_in)
-    if splitter_hint == 1:
-        splitters = [mk(f"{name}-split", c_split, t_in)]
-        middle = Leaf(splitters[0].id)
-    else:
-        # each replica sees every k-th item
-        splitters = [mk(f"{name}-split#{i}", c_split, splitter_hint * t_in)
-                     for i in range(1, splitter_hint + 1)]
-        middle = Par(tuple(Leaf(s.id) for s in splitters))
-    stages = (generator, *splitters, counter)
-    topo = seq(Leaf(generator.id), middle, Leaf(counter.id))
-    return System((Analytic(id=name, stages=stages, topology=topo,
-                            end_to_end_deadline=e2e_deadline),))
+    return _chain(name, _ONLINE_PHASES, stage_costs,
+                  period_from_frequency(frequency_hz), e2e_deadline, blocking)
 
 
 def _offline(name: str, costs, inter_arrival: InterArrival,
@@ -133,10 +110,17 @@ def _offline(name: str, costs, inter_arrival: InterArrival,
     if len(costs) != len(_OFFLINE_PHASES):
         raise MissingParam(
             f"{name}: expected {len(_OFFLINE_PHASES)} costs, got {len(costs)}")
+    return _chain(name, _OFFLINE_PHASES, costs, inter_arrival, e2e_deadline,
+                  blocking)
+
+
+def _chain(name: str, phases, costs, inter_arrival: InterArrival,
+           e2e_deadline: Duration, blocking: Duration) -> System:
+    """One analytic of one stage per phase, run in sequence."""
     stages = tuple(
         Stage(id=f"{name}-{phase}", cost=cost, inter_arrival=inter_arrival,
               deadline=e2e_deadline, blocking=blocking)
-        for phase, cost in zip(_OFFLINE_PHASES, costs))
+        for phase, cost in zip(phases, costs))
     topo = seq(*(s.id for s in stages))
     return System((Analytic(id=name, stages=stages, topology=topo,
                             end_to_end_deadline=e2e_deadline),))

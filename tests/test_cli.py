@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -18,6 +19,7 @@ from tcsizer import (
     System,
     builtin_system,
     homogeneous_cluster,
+    retime_system,
     with_priorities,
 )
 from tcsizer.cli import (
@@ -123,9 +125,9 @@ class TestSpecRoundTrip:
         assert parsed_cluster == cluster
 
     def test_round_trip_with_everything(self):
-        system = builtin_system(ScenarioId.MICROBLOG_ONLINE,
-                                frequency_hz=1000, splitter_hint=2,
-                                blocking=20 * US)
+        system = retime_system(builtin_system(ScenarioId.MICROBLOG_ONLINE,
+                                              frequency_hz=1,
+                                              blocking=20 * US), 4000)
         cluster = homogeneous_cluster(3, platform_blocking=5 * US)
         options = Options()
         options.frequencies_hz = [1, 4000][:]
@@ -364,6 +366,128 @@ class TestDecimateCommand:
         assert "--freq" in err
 
 
+def all_options_spec(tmp_path, name="all-options.json", **changes):
+    """Microblog at 1 Hz with blocking and D = T + B on 8 cores, with a
+    spec that sets every option; ``changes`` replace options (sim
+    options by their own key)."""
+    system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
+                            deadline=SEC + 20 * US, blocking=20 * US)
+    doc = json.loads(emit_system_spec(system, homogeneous_cluster(8)))
+    doc["options"] = {
+        "u_max": "9/10", "frequencies_hz": [1, 4000], "factors": [1, 10],
+        "input_frequency_hz": 1000,
+        "sim": {"horizon": "2s", "seed": 3, "blocking_policy": "UNIFORM",
+                "release_policy": "JITTERED"},
+    }
+    for key, value in changes.items():
+        options = doc["options"]
+        if key in options["sim"]:
+            options = options["sim"]
+        if value is None:
+            del options[key]
+        else:
+            options[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def invoke_with_trace(argv, tmp_path):
+    """invoke; simulate writes its trace to a fresh file, returned as
+    well (None for the other commands)."""
+    if argv[0] != "simulate":
+        return (*invoke(argv), None)
+    trace_path = tmp_path / "flag-trace.csv"
+    if trace_path.exists():
+        trace_path.unlink()
+    code, out, err = invoke([*argv, "--trace", str(trace_path)])
+    return code, out, err, (trace_path.read_text()
+                            if trace_path.exists() else None)
+
+
+class TestOptionFlags:
+    """Every flag that overrides an option is read like that option."""
+
+    @pytest.mark.parametrize("command, flag, text, key, value", [
+        ("size", "--freqs", "100,4000", "frequencies_hz", [100, 4000]),
+        ("size", "--umax", "1/2", "u_max", "1/2"),
+        ("decimate", "--factors", "1,100", "factors", [1, 100]),
+        ("decimate", "--freq", "500", "input_frequency_hz", 500),
+        ("decimate", "--umax", "0.2", "u_max", 0.2),
+        ("compare", "--umax", "1/1000", "u_max", "1/1000"),
+        ("simulate", "--horizon", "4s", "horizon", "4s"),
+        ("simulate", "--seed", "5", "seed", 5),
+        ("simulate", "--blocking", "ADVERSARIAL", "blocking_policy",
+         "ADVERSARIAL"),
+        ("simulate", "--release", "SYNCHRONOUS", "release_policy",
+         "SYNCHRONOUS"),
+    ])
+    def test_flag_beats_the_spec(self, tmp_path, command, flag, text, key,
+                                 value):
+        spec = all_options_spec(tmp_path)
+        with_flag = invoke_with_trace([command, str(spec), flag, text],
+                                      tmp_path)
+        assert with_flag[0] == 0, with_flag[2]
+        as_option = all_options_spec(tmp_path, "as-option.json",
+                                     **{key: value})
+        assert with_flag == invoke_with_trace([command, str(as_option)],
+                                              tmp_path)
+        assert with_flag != invoke_with_trace([command, str(spec)], tmp_path)
+
+    @pytest.mark.parametrize("command, flag, text, pointer", [
+        ("size", "--freqs", "", "--freqs/0:"),
+        ("size", "--freqs", "1,zap", "--freqs/1:"),
+        ("size", "--umax", "", "--umax:"),
+        ("size", "--umax", "2", "--umax:"),
+        ("decimate", "--factors", "", "--factors/0:"),
+        ("decimate", "--factors", "1,0", "--factors/1:"),
+        ("decimate", "--freq", "", "--freq:"),
+        ("decimate", "--umax", "", "--umax:"),
+        ("compare", "--umax", "", "--umax:"),
+        ("compare", "--umax", "0", "--umax:"),
+        ("simulate", "--horizon", "", "--horizon:"),
+        ("simulate", "--horizon", "3 weeks", "--horizon:"),
+        ("simulate", "--seed", "", "--seed:"),
+        ("simulate", "--seed", "1_000", "--seed:"),
+        ("simulate", "--seed", "+3", "--seed:"),
+        ("simulate", "--seed", "007", "--seed:"),
+        ("simulate", "--seed", "1.5", "--seed:"),
+        ("simulate", "--blocking", "", "argument --blocking:"),
+        ("simulate", "--blocking", "SOMETIMES", "argument --blocking:"),
+        ("simulate", "--release", "", "argument --release:"),
+        ("simulate", "--release", "LATE", "argument --release:"),
+    ])
+    def test_empty_or_malformed_value_is_an_input_error(
+            self, tmp_path, command, flag, text, pointer):
+        spec = all_options_spec(tmp_path)
+        code, out, err, _ = invoke_with_trace([command, str(spec), flag, text],
+                                              tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {pointer}")
+
+    def test_seed_order(self, tmp_path, monkeypatch):
+        """--seed, else TC_SIZER_SEED, else options.sim.seed, else 0."""
+        with_seed = all_options_spec(tmp_path, seed=3)
+        without_seed = all_options_spec(tmp_path, "no-seed.json", seed=None)
+        monkeypatch.delenv("TC_SIZER_SEED", raising=False)
+
+        def run(spec, *flags):
+            return invoke_with_trace(["simulate", str(spec), *flags],
+                                     tmp_path)
+
+        by_seed = {n: run(without_seed, "--seed", str(n))
+                   for n in (0, 3, 5, 7)}
+        assert all(r[0] == 0 for r in by_seed.values())
+        assert len({r[3] for r in by_seed.values()}) == 4
+        assert run(without_seed) == by_seed[0]
+        assert run(with_seed) == by_seed[3]
+        monkeypatch.setenv("TC_SIZER_SEED", "7")
+        assert run(with_seed) == by_seed[7]
+        assert run(without_seed) == by_seed[7]
+        assert run(with_seed, "--seed", "5") == by_seed[5]
+
+
 class TestSimulateCommand:
     def test_trace_and_report(self, microblog, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -419,6 +543,21 @@ class TestCompareCommand:
 
 
 class TestDeterministicOutput:
+    # sha256 of each command's exit code, stdout and trace, so that a
+    # change to any output shows across commits as well as across reruns
+    PINNED = {
+        "analyze":
+            "bc72a2997560b4e3563acebfe1d566e934188e07b919098ad27c33b97eed2e7d",
+        "size":
+            "5d7ecf998dddced5712772d4e9898bb7a613ca506ae7e850bae59666c64695aa",
+        "decimate":
+            "01ab124e7b874bf6549bf3be74b211b0171dd0588d0160d5b34280b13c861eb1",
+        "compare":
+            "cedb264f6ba617ab1297de490256ec90ed3297f178f74e64c9e48e7032f52cce",
+        "simulate":
+            "2fe0ce731bfe996240ab442a2d817594a82ca2ab0f2f8f928b5122f128119c0d",
+    }
+
     def test_commands_are_byte_stable(self, microblog, table_vi_gp, tmp_path):
         commands = [
             ["analyze", str(table_vi_gp)],
@@ -436,3 +575,6 @@ class TestDeterministicOutput:
             artifact2 = (tmp_path / "trace.csv").read_text() \
                 if argv[0] == "simulate" else None
             assert (code1, out1, artifact1) == (code2, out2, artifact2)
+            digest = hashlib.sha256(
+                f"{code1}\n{out1}\n{artifact1 or ''}".encode()).hexdigest()
+            assert digest == self.PINNED[argv[0]], argv[0]

@@ -15,7 +15,9 @@ from tcsizer import (
     Cluster,
     Core,
     Leaf,
+    Par,
     ReplicationExceeded,
+    Seq,
     Stage,
     System,
     allocate_first_fit,
@@ -28,6 +30,7 @@ from tcsizer import (
     validate_system,
     with_priorities,
 )
+from tcsizer.model import item_flow
 from tcsizer.workloads import ScenarioId, builtin_system
 
 
@@ -331,3 +334,81 @@ def test_with_priorities_returns_new_system():
 def test_leaves_order():
     expr = seq("a", par("b", "c"), "d")
     assert list(leaves(expr)) == ["a", "b", "c", "d"]
+
+
+# Reference walkers: the separate source, sink and edge walks that
+# item_flow replaced, kept here as its oracle.
+def sources_by_walk(expr):
+    if isinstance(expr, Leaf):
+        return [expr.stage]
+    if isinstance(expr, Seq):
+        return sources_by_walk(expr.children[0])
+    out = []
+    for c in expr.children:
+        out.extend(sources_by_walk(c))
+    return out
+
+
+def sinks_by_walk(expr):
+    if isinstance(expr, Leaf):
+        return [expr.stage]
+    if isinstance(expr, Seq):
+        return sinks_by_walk(expr.children[-1])
+    out = []
+    for c in expr.children:
+        out.extend(sinks_by_walk(c))
+    return out
+
+
+def edges_by_walk(expr, preds):
+    if isinstance(expr, Leaf):
+        return
+    if isinstance(expr, Seq):
+        for a, b in zip(expr.children, expr.children[1:]):
+            upstream = tuple(sorted(sinks_by_walk(a)))
+            for src in sources_by_walk(b):
+                preds[src] = upstream
+    for c in expr.children:
+        edges_by_walk(c, preds)
+
+
+# Tree shapes: None is a leaf; (kind, children) a seq or par node with
+# one or more children, so Seq in Seq, Par in Par and one-child nodes
+# all occur.
+shapes = st.recursive(
+    st.none(),
+    lambda inner: st.tuples(st.sampled_from([Seq, Par]),
+                            st.lists(inner, min_size=1, max_size=4)),
+    max_leaves=24)
+
+
+def tree_of(shape, ids):
+    """The topology of ``shape`` whose leaves take ids from ``ids``."""
+    if shape is None:
+        return Leaf(next(ids))
+    kind, children = shape
+    return kind(tuple(tree_of(c, ids) for c in children))
+
+
+class TestItemFlow:
+    @given(shapes, st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_the_separate_walks(self, shape, rnd):
+        # unique stage ids, as validated topologies have, in an order
+        # unrelated to the leaf order
+        ids = [f"s{i:02d}" for i in range(32)]
+        rnd.shuffle(ids)
+        expr = tree_of(shape, iter(ids))
+        preds = {}
+        edges_by_walk(expr, preds)
+        flow = item_flow(expr)
+        assert flow.sources == sources_by_walk(expr)
+        assert flow.sinks == sinks_by_walk(expr)
+        assert flow.preds == preds
+
+    def test_example(self):
+        flow = item_flow(seq("a", par("b", seq("c", "d")), "e"))
+        assert flow.sources == ["a"]
+        assert flow.sinks == ["e"]
+        assert flow.preds == {"b": ("a",), "c": ("a",), "d": ("c",),
+                              "e": ("b", "d")}

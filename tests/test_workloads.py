@@ -10,7 +10,6 @@ from tcsizer import (
     SEC,
     US,
     MissingParam,
-    Par,
     ScenarioId,
     builtin_system,
     leaves,
@@ -52,19 +51,6 @@ class TestBuiltinSystems:
         assert [s.cost for s in system.stages()] == [
             1_100 * US, 5 * MS, 800 * US]
 
-    def test_splitter_hint(self):
-        system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1000,
-                                splitter_hint=2)
-        stages = {s.id: s for s in system.stages()}
-        assert len(stages) == 4
-        splitters = [s for sid, s in stages.items() if "#" in sid]
-        # each replica sees every second item
-        assert all(s.inter_arrival == 2 * MS for s in splitters)
-        # phase utilization is hint-invariant
-        assert total_utilization(system).total == Fraction(1145 * US, MS)
-        middle = system.analytics[0].topology.children[1]
-        assert isinstance(middle, Par)
-
     def test_priority_pair_scenario(self):
         system = builtin_system(ScenarioId.TABLE_VI)
         assert [a.id for a in system.analytics] == ["TC1", "TC2"]
@@ -100,7 +86,8 @@ class TestBuiltinSystems:
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 1}),
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 4000}),
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 1000,
-                                       "splitter_hint": 3}),
+                                       "deadline": 10 * MS,
+                                       "blocking": 20 * US}),
         (ScenarioId.BOOK_ONLINE, {"frequency_hz": 40_000}),
         (ScenarioId.MICROBLOG_OFFLINE, {"costs": [MINUTE] * 4}),
         (ScenarioId.BOOK_OFFLINE, {"costs": [MINUTE] * 4}),
