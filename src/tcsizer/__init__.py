@@ -34,6 +34,7 @@ from .model import (
     Leaf,
     Par,
     ReplicationExceeded,
+    RoundRobin,
     Seq,
     Stage,
     System,

@@ -11,7 +11,7 @@ its cost exactly once. All arithmetic is exact: integer nanoseconds for
 times, Fraction for utilizations.
 
 End-to-end response times compose per the topology: sequential stages
-add, parallel branches take the maximum.
+add; parallel branches and round-robin replicas take the maximum.
 
 The sizing side is the linear-time utilization bound: a system whose
 total utilization U satisfies U < (m - 1/2) * U_max fits on m cores of
@@ -34,6 +34,7 @@ from .model import (
     Leaf,
     Marker,
     Par,
+    RoundRobin,
     Seq,
     Stage,
     System,
@@ -114,7 +115,7 @@ def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
 def end_to_end_response(expr: Expr,
                         per_stage: Mapping[str, Duration]) -> Duration:
     """Compose per-stage response times over the topology: Seq sums,
-    Par takes the maximum."""
+    Par and RoundRobin take the maximum."""
     if isinstance(expr, Leaf):
         try:
             return per_stage[expr.stage]
@@ -122,7 +123,7 @@ def end_to_end_response(expr: Expr,
             raise MissingStage(expr.stage) from None
     if isinstance(expr, Seq):
         return sum(end_to_end_response(c, per_stage) for c in expr.children)
-    if isinstance(expr, Par):
+    if isinstance(expr, (Par, RoundRobin)):
         return max(end_to_end_response(c, per_stage) for c in expr.children)
     raise TypeError(f"not a composition expression: {expr!r}")
 

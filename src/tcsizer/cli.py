@@ -23,8 +23,10 @@ A system spec is a strict JSON document:
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
 exactly to integer nanoseconds; "inf" is allowed for inter-arrival times
 only. Unknown keys are rejected. Topology nodes are either a stage id
-(leaf) or a one-key object {"seq": [...]} / {"par": [...]}, nested at
-most MAX_TOPOLOGY_DEPTH deep.
+(leaf) or a one-key object {"seq": [...]} (in sequence), {"par": [...]}
+(every child sees every item) or {"rr": ["s#1", ..., "s#k"]} (stage ids
+of one finite inter-arrival; item n visits child n mod k only), nested
+at most MAX_TOPOLOGY_DEPTH deep.
 
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
@@ -55,6 +57,7 @@ from .model import (
     Expr,
     Leaf,
     Par,
+    RoundRobin,
     Seq,
     Stage,
     System,
@@ -255,36 +258,41 @@ def _records(key: str, make, fields: tuple[_Field, ...], what: str) -> _Field:
                   lambda records: [_write(r, fields) for r in records], True)
 
 
+_NODES = {"seq": Seq, "par": Par, "rr": RoundRobin}
+
+
 def _parse_topology(node: Any, path: str, depth: int = 1) -> Expr:
     if isinstance(node, str):
         return Leaf(node)
     if isinstance(node, dict):
         if len(node) != 1:
             raise ParseError(path, 'topology node must be a stage id or '
-                             'a one-key {"seq"|"par": [...]} object')
+                             'a one-key {"seq"|"par"|"rr": [...]} object')
         if depth > MAX_TOPOLOGY_DEPTH:
             raise ParseError(path, f"topology nested deeper than "
                              f"{MAX_TOPOLOGY_DEPTH} levels")
         key, children = next(iter(node.items()))
-        if key not in ("seq", "par"):
+        if key not in _NODES:
             raise ParseError(f"{path}/{key}", "unknown composition kind")
         if not isinstance(children, list):
             raise ParseError(f"{path}/{key}", "expected a list")
         if not children:
             raise ParseError(f"{path}/{key}", "empty composition")
-        parsed = tuple(
+        for i, c in enumerate(children):
+            if key == "rr" and not isinstance(c, str):
+                raise ParseError(f"{path}/rr/{i}",
+                                 "round-robin children must be stage ids")
+        return _NODES[key](tuple(
             _parse_topology(c, f"{path}/{key}/{i}", depth + 1)
-            for i, c in enumerate(children))
-        return Seq(parsed) if key == "seq" else Par(parsed)
+            for i, c in enumerate(children)))
     raise ParseError(path, f"bad topology node {node!r}")
 
 
 def _emit_topology(expr: Expr):
     if isinstance(expr, Leaf):
         return expr.stage
-    if isinstance(expr, Seq):
-        return {"seq": [_emit_topology(c) for c in expr.children]}
-    return {"par": [_emit_topology(c) for c in expr.children]}
+    key = next(k for k, kind in _NODES.items() if isinstance(expr, kind))
+    return {key: [_emit_topology(c) for c in expr.children]}
 
 
 _STAGE_FIELDS = (
@@ -499,8 +507,8 @@ def _flag_value(text: str):
 def _load_spec(args) -> tuple[System, Cluster, Options]:
     """The spec of ``args.spec``, validated, with each flag ``args``
     holds read over the option it overrides by that option's parser;
-    list flags are split on commas. The seed is --seed, else
-    TC_SIZER_SEED for simulate, else options.sim.seed."""
+    list flags are split on commas. The seed is --seed, else TC_SIZER_SEED
+    (read like --seed) for simulate, else options.sim.seed."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -512,19 +520,15 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
         raise _UsageError(f"invalid system: {findings}")
     overrides = {}
-    if (args.command == "simulate" and args.seed is None
-            and "TC_SIZER_SEED" in os.environ):
-        try:
-            overrides["seed"] = int(os.environ["TC_SIZER_SEED"])
-        except ValueError:
-            raise _UsageError("TC_SIZER_SEED must be an integer") from None
     for f in (*_OPTION_FIELDS, *_SIM_FIELDS):
         dest, listed = _OPTION_FLAGS[f.key]
-        text = getattr(args, dest, None)
+        where, text = f"--{dest}", getattr(args, dest, None)
+        if text is None and dest == "seed" and args.command == "simulate":
+            where, text = "TC_SIZER_SEED", os.environ.get("TC_SIZER_SEED")
         if text is not None:
             value = ([_flag_value(t) for t in text.split(",")] if listed
                      else _flag_value(text))
-            overrides[f.key] = f.parse(value, f"--{dest}")
+            overrides[f.key] = f.parse(value, where)
     return system, cluster, replace(options, **overrides)
 
 

@@ -91,11 +91,12 @@ class Stage:
     priority: int | None = None
     core: str | None = None
 
-    def utilization(self) -> Fraction:
-        """C/T as an exact rational; one-shot stages contribute 0."""
+    def utilization(self, inter_arrival: Duration | None = None) -> Fraction:
+        """C/T as an exact rational, T re-timed to ``inter_arrival`` when
+        given; a one-shot stage runs once at any rate, so it counts 0."""
         if self.inter_arrival is INFINITE:
             return Fraction(0)
-        return Fraction(self.cost, self.inter_arrival)
+        return Fraction(self.cost, inter_arrival or self.inter_arrival)
 
 
 # --- series-parallel composition expressions ---------------------------------
@@ -115,7 +116,14 @@ class Par:
     children: tuple["Expr", ...]
 
 
-Expr = Union[Leaf, Seq, Par]
+@dataclass(frozen=True)
+class RoundRobin:
+    """Replicas of one stage: item n goes to child n mod k only."""
+
+    children: tuple[Leaf, ...]
+
+
+Expr = Union[Leaf, Seq, Par, RoundRobin]
 
 
 def _coerce(node: "Expr | str") -> Expr:
@@ -134,46 +142,66 @@ def par(*children: "Expr | str") -> Expr:
     return items[0] if len(items) == 1 else Par(items)
 
 
-def leaves(expr: Expr) -> Iterator[str]:
+def nodes(expr: Expr) -> list[Expr]:
+    """Every node of a topology, each before its children, left to
+    right; TypeError on anything that is not a composition node."""
+    found, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Seq, Par, RoundRobin)):
+            todo.extend(reversed(node.children))
+        elif not isinstance(node, Leaf):
+            raise TypeError(f"not a composition expression: {node!r}")
+        found.append(node)
+    return found
+
+
+def leaves(expr: Expr) -> list[str]:
     """Stage ids in left-to-right leaf order."""
-    if isinstance(expr, Leaf):
-        yield expr.stage
-    elif isinstance(expr, (Seq, Par)):
-        for child in expr.children:
-            yield from leaves(child)
-    else:
-        raise TypeError(f"not a composition expression: {expr!r}")
+    return [node.stage for node in nodes(expr) if isinstance(node, Leaf)]
 
 
 class Flow(NamedTuple):
     """How items move through a topology: the stage ids where an item
-    enters and where it leaves, both left to right, and each non-source
-    stage's sorted predecessors."""
+    enters and where it leaves, both left to right, each non-source
+    stage's sorted predecessors, and the lane (k, j) of each child j of
+    a k-way round-robin node, which admits the items n = j mod k."""
 
     sources: list[str]
     sinks: list[str]
     preds: dict[str, tuple[str, ...]]
+    lanes: dict[str, tuple[int, int]]
 
 
 def item_flow(expr: Expr) -> Flow:
-    """Sources, sinks and predecessors of a topology in one walk."""
+    """Sources, sinks, predecessors and round-robin lanes of a topology
+    in one walk; a RoundRobin node's ends are its children, as a Par's."""
     preds: dict[str, tuple[str, ...]] = {}
+    lanes: dict[str, tuple[int, int]] = {}
 
     def walk(node: Expr) -> tuple[list[str], list[str]]:
         if isinstance(node, Leaf):
             return [node.stage], [node.stage]
-        ends = [walk(c) for c in node.children]
         if isinstance(node, Seq):
-            for (_, sinks), (sources, _) in zip(ends, ends[1:]):
+            sources, sinks = walk(node.children[0])
+            for child in node.children[1:]:
                 upstream = tuple(sorted(sinks))
-                for sid in sources:
+                child_sources, sinks = walk(child)
+                for sid in child_sources:
                     preds[sid] = upstream
-            return ends[0][0], ends[-1][1]
-        return ([sid for sources, _ in ends for sid in sources],
-                [sid for _, sinks in ends for sid in sinks])
+            return sources, sinks
+        sources, sinks = [], []
+        for child in node.children:
+            child_sources, child_sinks = walk(child)
+            sources += child_sources
+            sinks += child_sinks
+        if isinstance(node, RoundRobin):
+            for j, sid in enumerate(sources):
+                lanes[sid] = (len(sources), j)
+        return sources, sinks
 
     sources, sinks = walk(expr)
-    return Flow(sources, sinks, preds)
+    return Flow(sources, sinks, preds, lanes)
 
 
 @dataclass(frozen=True)
@@ -231,12 +259,6 @@ class Cluster:
         ids = [c.id for c in self.cores]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate core ids in cluster")
-
-    def core(self, core_id: str) -> Core:
-        for c in self.cores:
-            if c.id == core_id:
-                return c
-        raise KeyError(core_id)
 
 
 def homogeneous_cluster(m: int, capacity=Fraction(1),
@@ -336,31 +358,35 @@ def validate_system(system: System) -> ValidationReport:
 
 def _check_topology(analytic: Analytic, apath: str,
                     report: ValidationReport) -> None:
-    declared = {s.id for s in analytic.stages}
+    declared = {s.id: s for s in analytic.stages}
     covered: set[str] = set()
     try:
-        leaf_ids = list(leaves(analytic.topology))
+        topology = nodes(analytic.topology)
     except TypeError:
         report.add(f"{apath}/topology", "malformed composition expression")
         return
-    if _has_empty_node(analytic.topology):
+    if any(not isinstance(n, Leaf) and not n.children for n in topology):
         report.add(f"{apath}/topology", "empty composition node")
-    for sid in leaf_ids:
+    for sid in (n.stage for n in topology if isinstance(n, Leaf)):
         if sid not in declared:
             report.add(f"{apath}/topology",
                        f"topology references unknown stage {sid!r}")
         elif sid in covered:
             report.add(f"{apath}/topology", f"stage {sid!r} covered twice")
         covered.add(sid)
-    for sid in sorted(declared - covered):
+    for sid in sorted(declared.keys() - covered):
         report.add(f"{apath}/topology", f"stage {sid!r} not covered")
-
-
-def _has_empty_node(expr: Expr) -> bool:
-    if isinstance(expr, (Seq, Par)):
-        return not expr.children or any(
-            _has_empty_node(c) for c in expr.children)
-    return False
+    for rr in (n for n in topology if isinstance(n, RoundRobin)):
+        if not all(isinstance(c, Leaf) for c in rr.children):
+            report.add(f"{apath}/topology",
+                       "round-robin children must be stage ids")
+            continue
+        periods = {declared[c.stage].inter_arrival for c in rr.children
+                   if c.stage in declared}
+        if len(periods) > 1 or INFINITE in periods:
+            ids = ", ".join(c.stage for c in rr.children)
+            report.add(f"{apath}/topology", f"round-robin replicas {ids} "
+                       f"do not share one finite inter-arrival")
 
 
 # --- priority assignment ------------------------------------------------------
@@ -400,7 +426,8 @@ def _map_stages(system: System, fn) -> System:
 # --- rate-driven replication --------------------------------------------------
 
 def replicate_for_rate(stage: Stage, k_max: int) -> list[Stage]:
-    """Split an over-rate stage (C > T) into k = ceil(C/T) replicas.
+    """Split an over-rate stage (C > T) into k = ceil(C/T) replicas
+    ``<id>#1`` .. ``<id>#k``, the children of a RoundRobin node in order.
 
     Each replica sees every k-th input item, so its inter-arrival becomes
     k*T while the cost stays put; the deadline is capped at k*T + B. A

@@ -11,15 +11,19 @@ Semantics:
   max(stage blocking, platform blocking of the host core)). The delay
   suspends the job without occupying the core; the core stays available
   to ready jobs.
-* Source stages of an analytic release periodically (all at t = 0 under
-  SYNCHRONOUS - the critical instant - or offset pseudo-randomly within
-  one period under JITTERED). A one-shot stage releases exactly one job.
-* Items flow through the topology: the job of a downstream stage for
-  item n is released when its predecessors complete item n (parallel
-  branches join on the latest completion), throttled so consecutive
-  releases of one stage stay at least its inter-arrival apart.
-* End-to-end response of item n runs from its source release to its last
-  sink completion.
+* Source stages of an analytic release periodically from one phase per
+  analytic: t = 0 under SYNCHRONOUS (the critical instant), a
+  pseudo-random offset within one input period under JITTERED. A
+  one-shot stage releases exactly one job, at t = 0.
+* Items flow through the topology; job indices are item numbers. A
+  round-robin node of k replicas admits item n at child j = n mod k only:
+  source replica j releases items j, j + k, ... from j input periods
+  after the phase. The job of a downstream stage for item n is released
+  when its predecessors that admit item n complete it (parallel branches
+  join on the latest completion), throttled so consecutive releases of
+  one stage stay at least its inter-arrival apart.
+* End-to-end response of item n runs from its earliest source release to
+  its last sink completion.
 
 Identical inputs produce bit-identical traces: the seed fully determines
 UNIFORM/JITTERED draws, and simultaneous events are ordered by
@@ -100,21 +104,18 @@ class Violation(NamedTuple):
     bound: Duration
 
 
+@dataclass(slots=True)
 class _StageRt:
-    __slots__ = ("id", "core", "prio", "cost", "period", "b_eff",
-                 "preds", "analytic", "is_sink")
-
-    def __init__(self, id, core, prio, cost, period, b_eff, preds,
-                 analytic, is_sink):
-        self.id = id
-        self.core = core
-        self.prio = prio
-        self.cost = cost
-        self.period = period  # None for one-shot
-        self.b_eff = b_eff
-        self.preds = preds  # None for sources
-        self.analytic = analytic
-        self.is_sink = is_sink
+    core: str
+    prio: int
+    cost: Duration
+    period: Duration | None  # None for one-shot
+    b_eff: Duration
+    analytic: str
+    is_source: bool
+    is_sink: bool
+    k: int  # admits the items n with n % k == lane
+    lane: int
 
 
 # event ranks: completions first, then blocking ends, then releases
@@ -131,25 +132,32 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     """
     blocking = effective_blocking(system, allocation, cluster)
     info: dict[str, _StageRt] = {}
-    successors: dict[str, list[str]] = {}
+    # each stage's successors as (id, k, lane, predecessors that admit
+    # an item the successor admits), sorted by id
+    successors: dict[str, list[tuple[str, int, int, int]]] = {}
     analytic_sinks: dict[str, int] = {}
 
     for analytic in system.analytics:
         flow = item_flow(analytic.topology)
-        sources = set(flow.sources)
         sinks = set(flow.sinks)
-        analytic_sinks[analytic.id] = len(sinks)
+        # one child of a round-robin node admits each item, so joins and
+        # sinks leave its children past lane 0 out
+        extra = {sid for sid, (_, lane) in flow.lanes.items() if lane}
+        analytic_sinks[analytic.id] = len(sinks - extra)
         for s in analytic.stages:
             period = (None if s.inter_arrival is INFINITE
                       else s.inter_arrival)
+            k, lane = flow.lanes.get(s.id, (1, 0))
             info[s.id] = _StageRt(
-                id=s.id, core=allocation[s.id], prio=s.priority, cost=s.cost,
-                period=period, b_eff=blocking[s.id],
-                preds=None if s.id in sources else flow.preds[s.id],
-                analytic=analytic.id, is_sink=s.id in sinks)
+                core=allocation[s.id], prio=s.priority, cost=s.cost,
+                period=period, b_eff=blocking[s.id], analytic=analytic.id,
+                is_source=s.id not in flow.preds, is_sink=s.id in sinks,
+                k=k, lane=lane)
         for sid, ups in flow.preds.items():
+            dropped = len(extra.intersection(ups)) if extra else 0
+            route = (sid, info[sid].k, info[sid].lane, len(ups) - dropped)
             for up in ups:
-                successors.setdefault(up, []).append(sid)
+                successors.setdefault(up, []).append(route)
     for lst in successors.values():
         lst.sort()
 
@@ -158,19 +166,22 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     trace = SimTrace()
     emit = trace.events.append
 
-    # first releases of source stages
+    # first releases of source stages, from one phase per analytic
     heap: list[tuple] = []
+    phase: dict[str, Duration] = {}
+    jittered = config.release_policy is ReleasePolicy.JITTERED
     for sid in sorted(info):
         st = info[sid]
-        if st.preds is not None:
+        if not st.is_source:
             continue
-        if (config.release_policy is ReleasePolicy.JITTERED
-                and st.period is not None):
-            offset = rng.randrange(st.period)
-        else:
-            offset = 0
+        offset = 0
+        if st.period is not None:
+            t_in = max(1, st.period // st.k)
+            if st.analytic not in phase:
+                phase[st.analytic] = rng.randrange(t_in) if jittered else 0
+            offset = phase[st.analytic] + st.lane * t_in
         if offset < horizon:
-            heapq.heappush(heap, (offset, _RELEASE, sid, 0, 0))
+            heapq.heappush(heap, (offset, _RELEASE, sid, st.lane, 0))
 
     # per-core scheduler state
     ready: dict[str, list] = {c.id: [] for c in cluster.cores}
@@ -198,10 +209,9 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             if item != 0:
                 return  # one-shot downstream: items past the first are dropped
             rel = avail
-        elif item == 0:
-            rel = avail
-        else:
-            rel = max(avail, last_release[sid] + st.period)
+        else:  # items may arrive out of order, so item 0 need not be first
+            prev = last_release.get(sid)
+            rel = avail if prev is None else max(avail, prev + st.period)
         last_release[sid] = rel
         if rel < horizon:
             heapq.heappush(heap, (rel, _RELEASE, sid, item, 0))
@@ -213,12 +223,14 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             left = sink_pending.get(key, analytic_sinks[st.analytic]) - 1
             if left == 0:
                 sink_pending.pop(key, None)
-                trace.end_to_end_responses[key] = t - item_start[key]
+                trace.end_to_end_responses[key] = t - item_start.pop(key)
             else:
                 sink_pending[key] = left
-        for succ in successors.get(sid, ()):  # join on all predecessors
-            jkey = (succ, item)
-            left = join_pending.get(jkey, len(info[succ].preds)) - 1
+        for succ, k, lane, joins in successors.get(sid, ()):
+            if item % k != lane:
+                continue  # another replica of a round-robin node takes it
+            jkey = (succ, item)  # join on the predecessors admitting it
+            left = join_pending.get(jkey, joins) - 1
             if left == 0:
                 join_pending.pop(jkey, None)
                 push_pipeline_release(succ, item, t)
@@ -249,7 +261,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             else:  # _RELEASE
                 emit(SimEvent(t, st.core, "RELEASE", sid, job))
                 jobs[(sid, job)] = [t, st.cost, False]
-                if st.preds is None:
+                if st.is_source:
                     key = (st.analytic, job)
                     if key not in item_start or t < item_start[key]:
                         item_start[key] = t
@@ -257,7 +269,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
                         nxt = t + st.period
                         if nxt < horizon:
                             heapq.heappush(
-                                heap, (nxt, _RELEASE, sid, job + 1, 0))
+                                heap, (nxt, _RELEASE, sid, job + st.k, 0))
                 delay = draw_blocking(st)
                 if delay == 0:
                     heapq.heappush(ready[st.core], (-st.prio, t, sid, job))

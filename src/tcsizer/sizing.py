@@ -23,11 +23,11 @@ from .model import (
     Duration,
     Expr,
     Leaf,
-    Par,
-    Seq,
+    RoundRobin,
     Stage,
     System,
     item_flow,
+    nodes,
     replica_count,
     replicate_for_rate,
 )
@@ -58,24 +58,24 @@ class ComparisonResult(NamedTuple):
 def retime_system(template: System, frequency_hz, *,
                   replication_limit: int = 4096) -> System:
     """Re-time a template (costs and blockings are kept) for one input
-    frequency: every stage gets T = floor(1s / f); stages with C > T are
-    replicated round-robin; every resulting stage gets D = T + B."""
+    frequency: every periodic stage gets T = floor(1s / f) and D = T + B;
+    one with C > T becomes the k = ceil(C/T) replicas of
+    replicate_for_rate (D = kT + B) under a RoundRobin node, which sends
+    item n to replica n mod k. One-shot stages are kept as they are. A
+    template that already holds a RoundRobin node raises ValueError."""
+    _require_template(template)
     t_in = period_from_frequency(frequency_hz)
     analytics = []
     for analytic in template.analytics:
-        stage_map: dict[str, list[Stage]] = {}
-        new_stages: list[Stage] = []
-        for s in analytic.stages:
-            retimed = replace(s, inter_arrival=t_in)
-            replicas = [
-                replace(r, deadline=r.inter_arrival + r.blocking)
-                for r in replicate_for_rate(retimed, replication_limit)
-            ]
-            stage_map[s.id] = replicas
-            new_stages.extend(replicas)
+        stage_map = {s.id: [s] if s.inter_arrival is INFINITE else [
+            replace(r, deadline=r.inter_arrival + r.blocking)
+            for r in replicate_for_rate(replace(s, inter_arrival=t_in),
+                                        replication_limit)
+        ] for s in analytic.stages}
         topo = _expand_topology(analytic.topology, stage_map)
-        analytics.append(replace(analytic, stages=tuple(new_stages),
-                                 topology=topo))
+        analytics.append(replace(
+            analytic, stages=tuple(r for rs in stage_map.values() for r in rs),
+            topology=topo))
     return System(tuple(analytics))
 
 
@@ -84,10 +84,18 @@ def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
         replicas = stage_map[expr.stage]
         if len(replicas) == 1:
             return Leaf(replicas[0].id)
-        return Par(tuple(Leaf(r.id) for r in replicas))
-    if isinstance(expr, Seq):
-        return Seq(tuple(_expand_topology(c, stage_map) for c in expr.children))
-    return Par(tuple(_expand_topology(c, stage_map) for c in expr.children))
+        return RoundRobin(tuple(Leaf(r.id) for r in replicas))
+    return type(expr)(tuple(_expand_topology(c, stage_map)
+                            for c in expr.children))
+
+
+def _require_template(template: System) -> None:
+    """ValueError for a RoundRobin node, whose replicas would each be
+    read as a template stage."""
+    for analytic in template.analytics:
+        if any(isinstance(n, RoundRobin) for n in nodes(analytic.topology)):
+            raise ValueError(f"analytic {analytic.id!r} is already "
+                             f"replicated (round-robin node)")
 
 
 def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
@@ -95,25 +103,23 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     """One row per input frequency.
 
     Per-stage utilizations are keyed by the template's stage ids; a
-    replicated stage's replicas sum back to exactly C/T_in, so the total
-    is replication-invariant. Every stage is held to the replication
-    limit as retime_system would hold it (ReplicationExceeded
-    propagates). The total is one fraction, the summed cost of the
-    periodic stages over T_in, equal to the sum of the per-stage values.
+    replicated stage's replicas sum back to exactly C/T_in, and one-shot
+    stages count 0, so the total, one fraction (the summed cost of the
+    periodic stages over T_in), is that of retime_system's result. Every
+    periodic stage is held to the replication limit as retime_system
+    would hold it (ReplicationExceeded propagates).
     """
+    _require_template(template)
+    periodic = [s for s in template.stages()
+                if s.inter_arrival is not INFINITE]
     rows = []
     for f in frequencies:
         freq = Fraction(f)
         t_in = period_from_frequency(freq)
-        for s in template.stages():
+        for s in periodic:
             replica_count(s, t_in, replication_limit)
-        per_stage = {
-            s.id: Fraction(s.cost, t_in) if s.inter_arrival is not INFINITE
-            else Fraction(0)
-            for s in template.stages()
-        }
-        total = Fraction(sum(s.cost for s in template.stages()
-                             if s.inter_arrival is not INFINITE), t_in)
+        per_stage = {s.id: s.utilization(t_in) for s in template.stages()}
+        total = Fraction(sum(s.cost for s in periodic), t_in)
         rows.append(SweepRow(
             frequency_hz=freq,
             total_utilization=total,
@@ -144,12 +150,15 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
 
     Responses use the isolated-stage model (R = B + C, no interference):
     the sweep sizes each phase onto its own cores, so cross-stage
-    interference is a deployment concern, not a sizing one.
+    interference is a deployment concern, not a sizing one. One-shot
+    stages count 0 utilization, as in frequency_sweep.
     """
+    _require_template(template)
     if len(template.analytics) != 1:
         raise ValueError("decimation_sweep expects a single-analytic system")
     analytic = template.analytics[0]
     agg_id = _unique_sink(analytic)
+    aggregator = next(s for s in analytic.stages if s.id == agg_id)
     t_in = period_from_frequency(input_frequency)
 
     def row(factor: int) -> tuple[Duration, Fraction, int]:
@@ -157,19 +166,13 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
             raise ValueError("decimation factors must be >= 1")
         per_stage_resp: dict[str, Duration] = {}
         util = Fraction(0)
-        agg_util = Fraction(0)
         for s in analytic.stages:
-            if s.id == agg_id:
-                t = factor * t_in
-                resp = s.blocking + (factor - 1) * t_in + s.cost
-                agg_util = Fraction(s.cost, t)
-                util += agg_util
-            else:
-                resp = s.blocking + s.cost
-                util += Fraction(s.cost, t_in)
-            per_stage_resp[s.id] = resp
+            f = factor if s.id == agg_id else 1
+            util += s.utilization(f * t_in)
+            per_stage_resp[s.id] = s.blocking + (f - 1) * t_in + s.cost
         e2e = end_to_end_response(analytic.topology, per_stage_resp)
-        return e2e, agg_util, min_cores(util, u_max)
+        return (e2e, aggregator.utilization(factor * t_in),
+                min_cores(util, u_max))
 
     _, _, cores_undecimated = row(1)
     rows = []

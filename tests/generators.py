@@ -161,8 +161,9 @@ def pipelined_system(seed: int, blocking_scale: int = 1):
     report = solve_system(system, allocation, cluster)
     if not report.system_feasible:
         return None
+    platform = {c.id: c.platform_blocking for c in cluster.cores}
     for s in system.stages():
-        b_eff = max(s.blocking, cluster.core(allocation[s.id]).platform_blocking)
+        b_eff = max(s.blocking, platform[allocation[s.id]])
         r = report.per_stage[s.id]
         if not isinstance(r, int) or r > s.inter_arrival + b_eff:
             return None

@@ -65,6 +65,21 @@ def microblog(tmp_path):
     return path
 
 
+def headline_system():
+    """The microblog scenario re-timed to 4 kHz: round-robin replicas of
+    the splitter and the counter."""
+    return retime_system(builtin_system(ScenarioId.MICROBLOG_ONLINE,
+                                        frequency_hz=1), 4000)
+
+
+@pytest.fixture
+def headline(tmp_path):
+    path = tmp_path / "headline.json"
+    path.write_text(emit_system_spec(headline_system(),
+                                     homogeneous_cluster(8)))
+    return path
+
+
 class TestDurations:
     @pytest.mark.parametrize("text, ns", [
         ("0ns", 0),
@@ -142,6 +157,57 @@ class TestSpecRoundTrip:
         assert options2.seed == 11
         # emit is stable under a second round trip
         assert emit_system_spec(system2, cluster2, options2) == text
+        assert json.loads(text)["analytics"][0]["topology"] == {"seq": [
+            "microblog-gen",
+            {"rr": ["microblog-split#1", "microblog-split#2",
+                    "microblog-split#3"]},
+            {"rr": ["microblog-count#1", "microblog-count#2",
+                    "microblog-count#3"]}]}
+
+    def test_headline_round_trip(self):
+        system, cluster = headline_system(), homogeneous_cluster(8)
+        parsed, parsed_cluster, _ = parse_system_spec(
+            emit_system_spec(system, cluster))
+        assert (parsed, parsed_cluster) == (system, cluster)
+
+    @pytest.mark.parametrize("children, pointer", [
+        (["a", {"seq": ["b"]}], "/analytics/0/topology/rr/1"),
+        ([3, "b"], "/analytics/0/topology/rr/0"),
+        (["a", None], "/analytics/0/topology/rr/1"),
+    ])
+    def test_round_robin_children_are_stage_ids(self, children, pointer):
+        doc = {
+            "analytics": [{
+                "id": "x", "end_to_end_deadline": "1s",
+                "stages": [{"id": sid, "cost": "1ms", "inter_arrival": "10ms",
+                            "deadline": "10ms"} for sid in ("a", "b")],
+                "topology": {"rr": children},
+            }],
+            "cluster": {"cores": [{"id": "c0"}]},
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(json.dumps(doc))
+        assert (exc.value.path, exc.value.message) == (
+            pointer, "round-robin children must be stage ids")
+
+    def test_mixed_period_round_robin_is_an_input_error(self, tmp_path):
+        doc = {
+            "analytics": [{
+                "id": "x", "end_to_end_deadline": "1s",
+                "stages": [{"id": sid, "cost": "1ms", "inter_arrival": t,
+                            "deadline": "10ms"}
+                           for sid, t in (("a", "10ms"), ("b", "20ms"))],
+                "topology": {"rr": ["a", "b"]},
+            }],
+            "cluster": {"cores": [{"id": "c0"}]},
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["analyze", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid system: /analytics/0/topology: round-robin "
+            "replicas a, b do not share one finite inter-arrival\n")
 
     def test_missing_required_field_pointer(self):
         doc = {
@@ -321,6 +387,16 @@ class TestSizeCommand:
         assert code == 0
         assert out.splitlines()[1].split(",")[2] == "8"
 
+    def test_one_shot_stages_need_no_replicas(self, table_vi_tc):
+        code, out, err = invoke(["size", str(table_vi_tc), "--freqs", "100"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "100,0,1"
+
+    def test_replicated_spec_is_an_input_error(self, headline):
+        code, out, err = invoke(["size", str(headline), "--freqs", "100"])
+        assert (code, out) == (1, "")
+        assert "already replicated" in err
+
     def test_bad_freqs(self, microblog):
         code, _, err = invoke(["size", str(microblog), "--freqs", "1,zap"])
         assert code == 1
@@ -466,6 +542,15 @@ class TestOptionFlags:
         assert out == ""
         assert err.startswith(f"error: {pointer}")
 
+    @pytest.mark.parametrize("text", ["", "1_000", "+3", "007", "1.5", "x"])
+    def test_malformed_env_seed_is_an_input_error(self, tmp_path,
+                                                  monkeypatch, text):
+        monkeypatch.setenv("TC_SIZER_SEED", text)
+        code, out, err, _ = invoke_with_trace(
+            ["simulate", str(all_options_spec(tmp_path))], tmp_path)
+        assert (code, out) == (1, "")
+        assert err == "error: TC_SIZER_SEED: seed must be an integer\n"
+
     def test_seed_order(self, tmp_path, monkeypatch):
         """--seed, else TC_SIZER_SEED, else options.sim.seed, else 0."""
         with_seed = all_options_spec(tmp_path, seed=3)
@@ -502,6 +587,15 @@ class TestSimulateCommand:
         assert doc["per_analytic_observed"]["microblog"] <= 1906 * US
         lines = trace_path.read_text().splitlines()
         assert lines[0] == "time_ns,core,kind,stage,job"
+
+    def test_headline_meets_its_bound(self, headline, tmp_path):
+        code, out, err = invoke([
+            "simulate", str(headline), "--horizon", "1s",
+            "--trace", str(tmp_path / "t.csv")])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["conservative"] is True
+        assert doc["per_analytic_observed"]["microblog"] <= 1145 * US
 
     def test_env_seed_overrides_default(self, microblog, tmp_path,
                                         monkeypatch):

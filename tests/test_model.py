@@ -17,6 +17,7 @@ from tcsizer import (
     Leaf,
     Par,
     ReplicationExceeded,
+    RoundRobin,
     Seq,
     Stage,
     System,
@@ -106,6 +107,34 @@ class TestValidation:
         report = validate_system(System((analytic,)))
         assert [(p, m) for p, m in report.findings] == [
             ("/analytics/0/stages/0/cost", "cost must be integer nanoseconds")]
+
+    def test_round_robin_replicas_share_one_finite_inter_arrival(self):
+        def rr_system(*periods):
+            stages = tuple(stage(f"r#{i}", 1, t, 10)
+                           for i, t in enumerate(periods, 1))
+            topo = RoundRobin(tuple(Leaf(s.id) for s in stages))
+            return System((Analytic("a", stages, topo, 10),))
+
+        assert validate_system(rr_system(10, 10, 10)).ok
+        for periods in ((10, 20), (INFINITE, INFINITE), (10, INFINITE)):
+            findings = validate_system(rr_system(*periods)).findings
+            ids = ", ".join(f"r#{i}" for i in range(1, len(periods) + 1))
+            assert findings == [(
+                "/analytics/0/topology",
+                f"round-robin replicas {ids} do not share one finite "
+                f"inter-arrival")]
+
+    def test_round_robin_children_must_be_leaves(self):
+        stages = (stage("a", 1, 10, 10), stage("b", 1, 10, 10))
+        topo = RoundRobin((Leaf("a"), seq("b")))
+        assert validate_system(System((Analytic("x", stages, topo, 10),))).ok
+        topo = RoundRobin((Leaf("a"), par("b", "b")))
+        findings = validate_system(System((Analytic("x", stages, topo, 10),)))
+        assert ("/analytics/0/topology",
+                "round-robin children must be stage ids") in findings.findings
+        empty = Analytic("x", (), RoundRobin(()), 10)
+        assert validate_system(System((empty,))).findings == [
+            ("/analytics/0/topology", "empty composition node")]
 
     def test_idempotent(self):
         system = builtin_system(ScenarioId.TABLE_VI)
@@ -337,7 +366,8 @@ def test_leaves_order():
 
 
 # Reference walkers: the separate source, sink and edge walks that
-# item_flow replaced, kept here as its oracle.
+# item_flow replaced, kept here as its oracle. They read a RoundRobin
+# node as the Par node it used to be.
 def sources_by_walk(expr):
     if isinstance(expr, Leaf):
         return [expr.stage]
@@ -372,22 +402,28 @@ def edges_by_walk(expr, preds):
         edges_by_walk(c, preds)
 
 
-# Tree shapes: None is a leaf; (kind, children) a seq or par node with
-# one or more children, so Seq in Seq, Par in Par and one-child nodes
-# all occur.
+# Tree shapes: None is a leaf; (kind, children) a seq, par or rr node
+# with one or more children, so Seq in Seq, Par in Par and one-child
+# nodes all occur; rr nodes have leaves as children.
 shapes = st.recursive(
-    st.none(),
+    st.none() | st.tuples(st.just(RoundRobin),
+                          st.lists(st.none(), min_size=1, max_size=4)),
     lambda inner: st.tuples(st.sampled_from([Seq, Par]),
                             st.lists(inner, min_size=1, max_size=4)),
     max_leaves=24)
 
 
-def tree_of(shape, ids):
-    """The topology of ``shape`` whose leaves take ids from ``ids``."""
+def tree_of(shape, ids, lanes):
+    """The topology of ``shape`` whose leaves take ids from ``ids``; the
+    lane (k, j) of each child j of a k-way rr node goes into ``lanes``."""
     if shape is None:
         return Leaf(next(ids))
     kind, children = shape
-    return kind(tuple(tree_of(c, ids) for c in children))
+    nodes = tuple(tree_of(c, ids, lanes) for c in children)
+    if kind is RoundRobin:
+        lanes.update((leaf.stage, (len(nodes), j))
+                     for j, leaf in enumerate(nodes))
+    return kind(nodes)
 
 
 class TestItemFlow:
@@ -396,15 +432,17 @@ class TestItemFlow:
     def test_matches_the_separate_walks(self, shape, rnd):
         # unique stage ids, as validated topologies have, in an order
         # unrelated to the leaf order
-        ids = [f"s{i:02d}" for i in range(32)]
+        ids = [f"s{i:02d}" for i in range(96)]  # rr nodes hold up to 4
         rnd.shuffle(ids)
-        expr = tree_of(shape, iter(ids))
+        lanes = {}
+        expr = tree_of(shape, iter(ids), lanes)
         preds = {}
         edges_by_walk(expr, preds)
         flow = item_flow(expr)
         assert flow.sources == sources_by_walk(expr)
         assert flow.sinks == sinks_by_walk(expr)
         assert flow.preds == preds
+        assert flow.lanes == lanes
 
     def test_example(self):
         flow = item_flow(seq("a", par("b", seq("c", "d")), "e"))
@@ -412,3 +450,13 @@ class TestItemFlow:
         assert flow.sinks == ["e"]
         assert flow.preds == {"b": ("a",), "c": ("a",), "d": ("c",),
                               "e": ("b", "d")}
+        assert flow.lanes == {}
+
+    def test_round_robin_example(self):
+        replicas = RoundRobin((Leaf("b#1"), Leaf("b#2"), Leaf("b#3")))
+        flow = item_flow(seq("a", replicas, "c"))
+        assert flow.sources == ["a"]
+        assert flow.sinks == ["c"]
+        assert flow.preds == {"b#1": ("a",), "b#2": ("a",), "b#3": ("a",),
+                              "c": ("b#1", "b#2", "b#3")}
+        assert flow.lanes == {"b#1": (3, 0), "b#2": (3, 1), "b#3": (3, 2)}

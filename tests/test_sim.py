@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from tcsizer import (
@@ -5,6 +7,7 @@ from tcsizer import (
     INFINITE,
     MS,
     SEC,
+    AllocationFailed,
     Analytic,
     BlockingPolicy,
     Cluster,
@@ -13,23 +16,29 @@ from tcsizer import (
     InvalidAllocation,
     Leaf,
     ReleasePolicy,
+    RoundRobin,
     SimConfig,
     SimTrace,
     Stage,
     System,
     WorstObserved,
     allocate_first_fit,
+    assign_priorities_dm,
     homogeneous_cluster,
+    min_cores,
     par,
+    retime_system,
     seq,
     simulate,
     solve_system,
+    total_utilization,
     trace_to_csv,
     verify_conservative,
     with_allocation,
     with_priorities,
     worst_observed,
 )
+from tcsizer.model import item_flow
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import accepted_stream, independent_taskset, pipelined_system
@@ -262,6 +271,21 @@ class TestPipelining:
         assert rel["sink"] == 6 * MS  # b2 finishes at 6 ms
         assert trace.end_to_end_responses[("fan", 0)] == 7 * MS
 
+    def test_items_overtaking_each_other_are_throttled(self):
+        # blocking longer than the period lets item 1 overtake item 0
+        src = Stage(id="src", cost=1 * MS, inter_arrival=10 * MS,
+                    deadline=50 * MS, blocking=30 * MS, priority=2)
+        dst = Stage(id="dst", cost=1 * MS, inter_arrival=10 * MS,
+                    deadline=10 * MS, priority=1)
+        system = System((Analytic("a", (src, dst), seq("src", "dst"), SEC),))
+        trace = run(system, {"src": "c0", "dst": "c1"},
+                    homogeneous_cluster(2), horizon=200 * MS, seed=0,
+                    blocking_policy=BlockingPolicy.UNIFORM)
+        rel = [(e.time, e.job) for e in trace.events
+               if e.kind == "RELEASE" and e.stage == "dst"]
+        assert [job for _, job in rel] != sorted(job for _, job in rel)
+        assert all(b - a >= 10 * MS for (a, _), (b, _) in zip(rel, rel[1:]))
+
     def test_one_shot_downstream_processes_first_item_only(self):
         src = Stage(id="src", cost=1 * MS, inter_arrival=10 * MS,
                     deadline=10 * MS, priority=2)
@@ -303,8 +327,8 @@ def audit_trace(trace, system, allocation, cluster, horizon):
     event timestamps. Assumes B = 0 or ADVERSARIAL blocking (a BLOCK_END
     is then emitted exactly when effective blocking is nonzero)."""
     prio = {s.id: s.priority for s in system.stages()}
-    b_eff = {s.id: max(s.blocking,
-                       cluster.core(allocation[s.id]).platform_blocking)
+    platform = {c.id: c.platform_blocking for c in cluster.cores}
+    b_eff = {s.id: max(s.blocking, platform[allocation[s.id]])
              for s in system.stages()}
     ready: dict[str, set] = {c.id: set() for c in cluster.cores}
     running: dict[str, tuple | None] = {c.id: None for c in cluster.cores}
@@ -413,6 +437,136 @@ class TestConservativeness:
         assert len(violations) == 1
         assert violations[0].kind == "stage"
         assert violations[0].id == "s"
+
+
+def first_fit_on_fewest(system):
+    """The system with deadline-monotonic priorities, placed by first-fit
+    on the least m >= min_cores that places it."""
+    system = with_priorities(system, assign_priorities_dm(system))
+    m = min_cores(total_utilization(system).total, 1)
+    while True:
+        cluster = homogeneous_cluster(m)
+        try:
+            allocation = allocate_first_fit(system, cluster)
+        except AllocationFailed:
+            m += 1
+            continue
+        return with_allocation(system, allocation), allocation, cluster
+
+
+def join_shaped_system(seed):
+    """pipelined_system's draw when one of its analytics has more than
+    one source stage, else None."""
+    got = pipelined_system(seed)
+    if got is not None and any(len(item_flow(a.topology).sources) > 1
+                               for a in got[0].analytics):
+        return got
+    return None
+
+
+class TestRoundRobin:
+    def rr_source(self):
+        """A 2-way round-robin source at 5 ms input period (10 ms per
+        replica) feeding one sink, each on its own core."""
+        a1, a2 = (Stage(id=f"a#{i}", cost=6 * MS, inter_arrival=10 * MS,
+                        deadline=10 * MS, priority=2) for i in (1, 2))
+        z = Stage(id="z", cost=1 * MS, inter_arrival=5 * MS,
+                  deadline=5 * MS, priority=1)
+        topo = seq(RoundRobin((Leaf("a#1"), Leaf("a#2"))), "z")
+        system = System((Analytic("rr", (a1, a2, z), topo, 20 * MS),))
+        return system, {"a#1": "c0", "a#2": "c1", "z": "c2"}
+
+    def test_source_replicas_release_their_own_items(self):
+        system, allocation = self.rr_source()
+        trace = run(system, allocation, homogeneous_cluster(3),
+                    horizon=30 * MS)
+        releases = [(e.time // MS, e.stage, e.job) for e in trace.events
+                    if e.kind == "RELEASE"]
+        assert releases == [
+            (0, "a#1", 0), (5, "a#2", 1), (6, "z", 0), (10, "a#1", 2),
+            (11, "z", 1), (15, "a#2", 3), (16, "z", 2), (20, "a#1", 4),
+            (21, "z", 3), (25, "a#2", 5), (26, "z", 4)]
+        assert set(trace.end_to_end_responses.values()) == {7 * MS}
+        report = solve_system(system, allocation, homogeneous_cluster(3))
+        assert report.per_analytic["rr"].end_to_end == 7 * MS
+
+    def test_jittered_sources_share_the_analytic_phase(self):
+        system, allocation = self.rr_source()
+        for seed in range(5):
+            trace = run(system, allocation, homogeneous_cluster(3),
+                        horizon=30 * MS, seed=seed,
+                        release_policy=ReleasePolicy.JITTERED)
+            first = {e.stage: e.time for e in reversed(trace.events)
+                     if e.kind == "RELEASE"}
+            assert 0 <= first["a#1"] < 5 * MS
+            assert first["a#2"] == first["a#1"] + 5 * MS
+        # a join-shaped analytic: all sources release each item together
+        (_seed, got), = accepted_stream(join_shaped_system, 40, 1)
+        system, allocation, cluster, hyper = got
+        trace = run(system, allocation, cluster, horizon=hyper, seed=3,
+                    release_policy=ReleasePolicy.JITTERED)
+        for analytic in system.analytics:
+            sources = item_flow(analytic.topology).sources
+            at = {e.stage: e.time for e in trace.events
+                  if e.kind == "RELEASE" and e.job == 0
+                  and e.stage in sources}
+            assert len(set(at.values())) == 1
+
+    def test_join_counts_a_round_robin_node_once(self):
+        # c joins the replica that takes each item and x, not both replicas
+        replicas = tuple(Stage(id=f"a#{i}", cost=3 * MS, inter_arrival=10 * MS,
+                               deadline=10 * MS, priority=2) for i in (1, 2))
+        x = Stage(id="x", cost=1 * MS, inter_arrival=5 * MS, deadline=5 * MS,
+                  priority=3)
+        c = Stage(id="c", cost=1 * MS, inter_arrival=5 * MS, deadline=5 * MS,
+                  priority=1)
+        topo = seq(par(RoundRobin((Leaf("a#1"), Leaf("a#2"))), "x"), "c")
+        system = System((Analytic("j", (*replicas, x, c), topo, 20 * MS),))
+        allocation = {"a#1": "c0", "a#2": "c1", "x": "c2", "c": "c2"}
+        trace = run(system, allocation, homogeneous_cluster(3),
+                    horizon=40 * MS)
+        c_jobs = sorted(job for sid, job in trace.job_responses if sid == "c")
+        assert c_jobs == list(range(8))
+        assert set(trace.end_to_end_responses.values()) == {4 * MS}
+        report = solve_system(system, allocation, homogeneous_cluster(3))
+        assert verify_conservative(report, worst_observed(trace)) == []
+
+    @pytest.mark.parametrize("blocking", list(BlockingPolicy))
+    @pytest.mark.parametrize("release", list(ReleasePolicy))
+    @pytest.mark.parametrize("scenario, frequency", [
+        (ScenarioId.MICROBLOG_ONLINE, 4000),
+        (ScenarioId.MICROBLOG_ONLINE, 8000),  # round-robin source too
+        (ScenarioId.BOOK_ONLINE, 1000),
+    ])
+    def test_replicated_scenarios_meet_their_bounds(
+            self, scenario, frequency, blocking, release):
+        template = builtin_system(scenario, frequency_hz=1)
+        system, allocation, cluster = first_fit_on_fewest(
+            retime_system(template, frequency))
+        trace = run(system, allocation, cluster, horizon=250 * MS, seed=7,
+                    blocking_policy=blocking, release_policy=release)
+        report = solve_system(system, allocation, cluster)
+        assert verify_conservative(report, worst_observed(trace)) == []
+        (analytic,) = system.analytics
+        lanes = item_flow(analytic.topology).lanes
+        assert lanes  # something was replicated
+        released = Counter(e.stage for e in trace.events
+                           if e.kind == "RELEASE")
+        completed = Counter(sid for sid, _job in trace.job_responses)
+        for s in system.stages():
+            k, lane = lanes.get(s.id, (1, 0))
+            assert all(job % k == lane for sid, job in trace.job_responses
+                       if sid == s.id)
+            assert (released[s.id] - len(analytic.stages) <= completed[s.id]
+                    <= released[s.id])
+
+    def test_jittered_join_shaped_systems_meet_their_bounds(self):
+        for seed, got in accepted_stream(join_shaped_system, 500, 15):
+            system, allocation, cluster, hyper = got
+            report = solve_system(system, allocation, cluster)
+            trace = run(system, allocation, cluster, horizon=3 * hyper,
+                        seed=seed, release_policy=ReleasePolicy.JITTERED)
+            assert verify_conservative(report, worst_observed(trace)) == []
 
 
 class TestObservation:

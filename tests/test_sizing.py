@@ -12,6 +12,8 @@ from tcsizer import (
     Leaf,
     PreconditionViolated,
     ReplicationExceeded,
+    RoundRobin,
+    Seq,
     Stage,
     System,
     assign_priorities_dm,
@@ -47,21 +49,36 @@ class TestRetime:
                 == total_utilization(builtin_system(
                     ScenarioId.MICROBLOG_ONLINE, frequency_hz=4000)).total)
 
+    def test_replicas_sit_under_a_round_robin_node(self, microblog):
+        retimed = retime_system(microblog, 4000)
+        split = RoundRobin(tuple(Leaf(f"microblog-split#{i}")
+                                 for i in (1, 2, 3)))
+        count = RoundRobin(tuple(Leaf(f"microblog-count#{i}")
+                                 for i in (1, 2, 3)))
+        assert retimed.analytics[0].topology == Seq(
+            (Leaf("microblog-gen"), split, count))
+
+    def test_refuses_a_replicated_system(self, microblog):
+        retimed = retime_system(microblog, 4000)
+        for call in (lambda: retime_system(retimed, 1000),
+                     lambda: frequency_sweep(retimed, [1000], u_max=1),
+                     lambda: decimation_sweep(retimed, 1000, [1], u_max=1)):
+            with pytest.raises(ValueError, match="already replicated"):
+                call()
+
+    def test_keeps_one_shot_stages(self):
+        template = builtin_system(ScenarioId.TABLE_VI)
+        assert retime_system(template, 100) == template
+
     def test_propagates_replication_limit(self, microblog):
-        cases = [
-            (microblog, 4000, 2, ("microblog-split", 3, 2)),
-            # one-shot stages are retimed like the rest, so they count too
-            (builtin_system(ScenarioId.TABLE_VI), 2, 4096,
-             ("TC1", 7200, 4096)),
-        ]
-        for template, frequency, limit, expected in cases:
-            with pytest.raises(ReplicationExceeded) as retimed:
-                retime_system(template, frequency, replication_limit=limit)
-            with pytest.raises(ReplicationExceeded) as swept:
-                frequency_sweep(template, [1, frequency], u_max=1,
-                                replication_limit=limit)
-            for exc in (retimed.value, swept.value):
-                assert (exc.stage_id, exc.needed, exc.k_max) == expected
+        with pytest.raises(ReplicationExceeded) as retimed:
+            retime_system(microblog, 4000, replication_limit=2)
+        with pytest.raises(ReplicationExceeded) as swept:
+            frequency_sweep(microblog, [1, 4000], u_max=1,
+                            replication_limit=2)
+        for exc in (retimed.value, swept.value):
+            assert (exc.stage_id, exc.needed, exc.k_max) == (
+                "microblog-split", 3, 2)
 
 
 class TestFrequencySweep:
@@ -112,6 +129,25 @@ class TestFrequencySweep:
                 row.per_stage_utilization.values(), Fraction(0))
             assert row.min_cores == min_cores(row.total_utilization, u_max)
 
+    @pytest.mark.parametrize("frequency", [1, 3, 7, 777, 4000])
+    def test_total_matches_the_retimed_system_with_one_shot_stages(
+            self, microblog, frequency):
+        batch = Stage(id="batch", cost=3 * MS, inter_arrival=INFINITE,
+                      deadline=SEC)
+        templates = [builtin_system(ScenarioId.TABLE_VI), System((
+            *microblog.analytics, Analytic(
+                id="batch", stages=(batch,), topology=Leaf("batch"),
+                end_to_end_deadline=SEC)))]
+        for template in templates:
+            (row,) = frequency_sweep(template, [frequency], u_max=1)
+            assert row.total_utilization == total_utilization(
+                retime_system(template, frequency)).total
+
+    def test_one_shot_stages_are_not_held_to_the_replica_limit(self):
+        (row,) = frequency_sweep(builtin_system(ScenarioId.TABLE_VI), [100],
+                                 u_max=1)
+        assert (row.total_utilization, row.min_cores) == (0, 1)
+
     def test_row_invariant(self, microblog):
         for row in frequency_sweep(microblog, [7, 77, 777], u_max=Fraction(3, 4)):
             assert row.min_cores == min_cores(row.total_utilization,
@@ -155,6 +191,18 @@ class TestDecimationSweep:
     def test_saves_cores_at_high_rate(self, microblog):
         rows = decimation_sweep(microblog, 4000, [1, 1000], u_max=1)
         assert rows[1].cores_saved > 0
+
+    def test_one_shot_stages_count_zero(self, microblog):
+        batch = Stage(id="microblog-count", cost=511 * US,
+                      inter_arrival=INFINITE, deadline=SEC)
+        (analytic,) = microblog.analytics
+        one_shot = System((Analytic(
+            analytic.id, (*analytic.stages[:2], batch), analytic.topology,
+            analytic.end_to_end_deadline),))
+        rows = decimation_sweep(one_shot, 1000, [1, 10], u_max=1)
+        assert [r.aggregator_utilization for r in rows] == [0, 0]
+        assert [r.cores_saved for r in rows] == [0, 0]
+        assert [r.end_to_end for r in rows] == [1145 * US, 1145 * US + 9 * MS]
 
     def test_needs_unique_aggregator(self):
         a = Stage(id="a", cost=MS, inter_arrival=10 * MS, deadline=10 * MS)
