@@ -98,6 +98,7 @@ def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
     base = b + stage.cost
     cotenants = list(cotenants)
     r = base
+    rounds = 0
     while True:
         if r > deadline_cap:
             return DIVERGED
@@ -110,6 +111,12 @@ def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
         if nxt == r:
             return r
         r = nxt
+        rounds += 1
+        # r > 0 now, so B + C plus the one-shot charges is > 0; once the
+        # periodic interferers fill the core (U >= 1), R >= that + U*R > R
+        # has no fixed point and the loop would only crawl up to the cap
+        if rounds == 64 and sum(z.utilization() for z in cotenants) >= 1:
+            return DIVERGED
 
 
 def end_to_end_response(expr: Expr,

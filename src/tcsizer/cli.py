@@ -630,8 +630,11 @@ def _cmd_simulate(args, out) -> int:
         trace = sim.simulate(system, allocation, cluster, config)
     except sim.HorizonTooShort as exc:
         raise _UsageError(str(exc)) from None
-    with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sim.trace_to_csv(trace))
+    try:
+        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(sim.trace_to_csv(trace))
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.trace}: {exc.strerror}") from None
     observed = sim.worst_observed(trace)
     violations = sim.verify_conservative(report, observed)
     doc = {
@@ -683,3 +686,7 @@ def run_command(argv, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -29,6 +29,15 @@ Identical inputs produce bit-identical traces: the seed fully determines
 UNIFORM/JITTERED draws, and simultaneous events are ordered by
 (time, {COMPLETE, BLOCK_END, RELEASE}, stage id, job index), followed by
 the scheduler's PREEMPT/START/RESUME decisions in core-id order.
+
+Each fact of a job has one home. A ready job is the entry (neg_prio,
+release, stage, job, remaining, started); a core's running record
+appends (dispatched_at, token). Heap events are (time, rank, stage, job,
+last): last is the token of a completion, the release time of a blocking
+end. One function, release(), makes every release and holds the
+throttle, the one-shot rule and the horizon test. A completion counts
+down each join target it admits; the sinks' target is the analytic's
+end, where the item's end-to-end response is taken.
 """
 
 from __future__ import annotations
@@ -113,7 +122,6 @@ class _StageRt:
     b_eff: Duration
     analytic: str
     is_source: bool
-    is_sink: bool
     k: int  # admits the items n with n % k == lane
     lane: int
 
@@ -132,18 +140,12 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     """
     blocking = effective_blocking(system, allocation, cluster)
     info: dict[str, _StageRt] = {}
-    # each stage's successors as (id, k, lane, predecessors that admit
-    # an item the successor admits), sorted by id
-    successors: dict[str, list[tuple[str, int, int, int]]] = {}
-    analytic_sinks: dict[str, int] = {}
-
+    # each stage's join targets as (id, k, lane, predecessors that admit
+    # an item the target admits); the sinks' target is the analytic's
+    # end, keyed (analytic id,) so that no stage id equals it
+    routes: dict[str, list[tuple]] = {}
     for analytic in system.analytics:
         flow = item_flow(analytic.topology)
-        sinks = set(flow.sinks)
-        # one child of a round-robin node admits each item, so joins and
-        # sinks leave its children past lane 0 out
-        extra = {sid for sid, (_, lane) in flow.lanes.items() if lane}
-        analytic_sinks[analytic.id] = len(sinks - extra)
         for s in analytic.stages:
             period = (None if s.inter_arrival is INFINITE
                       else s.inter_arrival)
@@ -151,25 +153,44 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             info[s.id] = _StageRt(
                 core=allocation[s.id], prio=s.priority, cost=s.cost,
                 period=period, b_eff=blocking[s.id], analytic=analytic.id,
-                is_source=s.id not in flow.preds, is_sink=s.id in sinks,
-                k=k, lane=lane)
-        for sid, ups in flow.preds.items():
-            dropped = len(extra.intersection(ups)) if extra else 0
-            route = (sid, info[sid].k, info[sid].lane, len(ups) - dropped)
+                is_source=s.id not in flow.preds, k=k, lane=lane)
+        # one child of a round-robin node admits each item, so joins
+        # leave its children past lane 0 out
+        extra = {sid for sid, (_, lane) in flow.lanes.items() if lane}
+        for target, ups in (*flow.preds.items(),
+                            ((analytic.id,), flow.sinks)):
+            route = (target, *flow.lanes.get(target, (1, 0)),
+                     sum(up not in extra for up in ups))
             for up in ups:
-                successors.setdefault(up, []).append(route)
-    for lst in successors.values():
-        lst.sort()
+                routes.setdefault(up, []).append(route)
 
     rng = random.Random(config.seed)
     horizon = config.horizon
     trace = SimTrace()
     emit = trace.events.append
+    heap: list[tuple] = []
+    ready: dict[str, list] = {c.id: [] for c in cluster.cores}
+    running: dict[str, tuple | None] = {c.id: None for c in cluster.cores}
+    token_seq = 0
+    last_release: dict[str, Duration] = {}
+    join_pending: dict[tuple, int] = {}
+    item_start: dict[tuple[str, int], Duration] = {}
+
+    def release(sid: str, item: int, at: Duration) -> None:
+        st = info[sid]
+        if st.period is None:
+            if item:
+                return  # a one-shot stage runs item 0 only
+        elif sid in last_release:  # items may arrive out of order
+            at = max(at, last_release[sid] + st.period)
+        last_release[sid] = at
+        if at < horizon:
+            heapq.heappush(heap, (at, _RELEASE, sid, item, 0))
 
     # first releases of source stages, from one phase per analytic
-    heap: list[tuple] = []
     phase: dict[str, Duration] = {}
     jittered = config.release_policy is ReleasePolicy.JITTERED
+    adversarial = config.blocking_policy is BlockingPolicy.ADVERSARIAL
     for sid in sorted(info):
         st = info[sid]
         if not st.is_source:
@@ -180,102 +201,57 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             if st.analytic not in phase:
                 phase[st.analytic] = rng.randrange(t_in) if jittered else 0
             offset = phase[st.analytic] + st.lane * t_in
-        if offset < horizon:
-            heapq.heappush(heap, (offset, _RELEASE, sid, st.lane, 0))
-
-    # per-core scheduler state
-    ready: dict[str, list] = {c.id: [] for c in cluster.cores}
-    running: dict[str, list | None] = {c.id: None for c in cluster.cores}
-    # running record: [neg_prio, release, stage, job, dispatched_at, token]
-    token_seq = 0
-
-    # job state: (stage, job) -> [release, remaining, started]
-    jobs: dict[tuple[str, int], list] = {}
-    last_release: dict[str, Duration] = {}
-    join_pending: dict[tuple[str, int], int] = {}
-    item_start: dict[tuple[str, int], Duration] = {}
-    sink_pending: dict[tuple[str, int], int] = {}
-
-    def draw_blocking(st: _StageRt) -> Duration:
-        if st.b_eff == 0:
-            return 0
-        if config.blocking_policy is BlockingPolicy.ADVERSARIAL:
-            return st.b_eff
-        return rng.randint(0, st.b_eff)
-
-    def push_pipeline_release(sid: str, item: int, avail: Duration) -> None:
-        st = info[sid]
-        if st.period is None:
-            if item != 0:
-                return  # one-shot downstream: items past the first are dropped
-            rel = avail
-        else:  # items may arrive out of order, so item 0 need not be first
-            prev = last_release.get(sid)
-            rel = avail if prev is None else max(avail, prev + st.period)
-        last_release[sid] = rel
-        if rel < horizon:
-            heapq.heappush(heap, (rel, _RELEASE, sid, item, 0))
-
-    def complete_item_at(sid: str, item: int, t: Duration) -> None:
-        st = info[sid]
-        if st.is_sink:
-            key = (st.analytic, item)
-            left = sink_pending.get(key, analytic_sinks[st.analytic]) - 1
-            if left == 0:
-                sink_pending.pop(key, None)
-                trace.end_to_end_responses[key] = t - item_start.pop(key)
-            else:
-                sink_pending[key] = left
-        for succ, k, lane, joins in successors.get(sid, ()):
-            if item % k != lane:
-                continue  # another replica of a round-robin node takes it
-            jkey = (succ, item)  # join on the predecessors admitting it
-            left = join_pending.get(jkey, joins) - 1
-            if left == 0:
-                join_pending.pop(jkey, None)
-                push_pipeline_release(succ, item, t)
-            else:
-                join_pending[jkey] = left
+        release(sid, st.lane, offset)
 
     while heap and heap[0][0] <= horizon:
         t = heap[0][0]
         dirty: set[str] = set()
         while heap and heap[0][0] == t:
-            _, rank, sid, job, token = heapq.heappop(heap)
+            _, rank, sid, job, last = heapq.heappop(heap)
             st = info[sid]
             if rank == _COMPLETE:
                 run = running[st.core]
-                if run is None or run[5] != token:
+                if run is None or run[7] != last:
                     continue  # stale completion of a preempted dispatch
                 running[st.core] = None
                 dirty.add(st.core)
                 emit(SimEvent(t, st.core, "COMPLETE", sid, job))
-                rel = jobs[(sid, job)][0]
-                trace.job_responses[(sid, job)] = t - rel
-                complete_item_at(sid, job, t)
+                trace.job_responses[(sid, job)] = t - run[1]
+                for target, k, lane, joins in routes.get(sid, ()):
+                    if job % k != lane:
+                        continue  # another replica of a round-robin node
+                    jkey = (target, job)  # join on the admitting preds
+                    left = join_pending.pop(jkey, joins) - 1
+                    if left:
+                        join_pending[jkey] = left
+                    elif isinstance(target, str):
+                        release(target, job, t)
+                    else:  # the analytic's end: the item is done
+                        key = (st.analytic, job)
+                        trace.end_to_end_responses[key] = (
+                            t - item_start.pop(key))
             elif rank == _READY:
                 emit(SimEvent(t, st.core, "BLOCK_END", sid, job))
                 heapq.heappush(ready[st.core],
-                               (-st.prio, jobs[(sid, job)][0], sid, job))
+                               (-st.prio, last, sid, job, st.cost, False))
                 dirty.add(st.core)
             else:  # _RELEASE
                 emit(SimEvent(t, st.core, "RELEASE", sid, job))
-                jobs[(sid, job)] = [t, st.cost, False]
                 if st.is_source:
                     key = (st.analytic, job)
                     if key not in item_start or t < item_start[key]:
                         item_start[key] = t
                     if st.period is not None:
-                        nxt = t + st.period
-                        if nxt < horizon:
-                            heapq.heappush(
-                                heap, (nxt, _RELEASE, sid, job + st.k, 0))
-                delay = draw_blocking(st)
+                        release(sid, job + st.k, t + st.period)
+                delay = st.b_eff
+                if delay and not adversarial:
+                    delay = rng.randint(0, delay)
                 if delay == 0:
-                    heapq.heappush(ready[st.core], (-st.prio, t, sid, job))
+                    heapq.heappush(ready[st.core],
+                                   (-st.prio, t, sid, job, st.cost, False))
                     dirty.add(st.core)
                 elif t + delay <= horizon:
-                    heapq.heappush(heap, (t + delay, _READY, sid, job, 0))
+                    heapq.heappush(heap, (t + delay, _READY, sid, job, t))
 
         for cid in sorted(dirty):
             rq = ready[cid]
@@ -285,19 +261,16 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             if run is not None:
                 if rq[0][0] >= run[0]:
                     continue  # equal priority never preempts (FIFO)
-                neg, rel, rsid, rjob, disp_at, _ = run
-                jobs[(rsid, rjob)][1] -= t - disp_at
+                neg, rel, rsid, rjob, remaining, _, disp_at, _ = run
                 emit(SimEvent(t, cid, "PREEMPT", rsid, rjob))
-                heapq.heappush(rq, (neg, rel, rsid, rjob))
-                running[cid] = None
-            neg, rel, sid, job = heapq.heappop(rq)
-            state = jobs[(sid, job)]
-            emit(SimEvent(t, cid, "START" if not state[2] else "RESUME",
-                          sid, job))
-            state[2] = True
+                heapq.heappush(
+                    rq, (neg, rel, rsid, rjob, remaining - (t - disp_at), True))
+            entry = heapq.heappop(rq)
+            _, _, sid, job, remaining, started = entry
+            emit(SimEvent(t, cid, "RESUME" if started else "START", sid, job))
             token_seq += 1
-            running[cid] = [neg, rel, sid, job, t, token_seq]
-            heapq.heappush(heap, (t + state[1], _COMPLETE, sid, job, token_seq))
+            running[cid] = (*entry, t, token_seq)
+            heapq.heappush(heap, (t + remaining, _COMPLETE, sid, job, token_seq))
 
     if not trace.end_to_end_responses:
         raise HorizonTooShort(

@@ -73,6 +73,13 @@ class TestStageResponseTime:
         hp = stage("hp", 5 * MS, 5 * MS)  # saturates the core
         assert stage_response_time(lp, [hp], 100 * MS) is DIVERGED
 
+    def test_full_core_leaves_no_fixed_point_above_zero(self):
+        tick = stage("tick", 10 * US, 10 * US)  # U = 1
+        batch = stage("batch", 10 * US, INFINITE, HOUR)
+        assert stage_response_time(batch, [tick], 100 * MS) is DIVERGED
+        idle = stage("idle", 0, INFINITE, HOUR)
+        assert stage_response_time(idle, [tick], 100 * MS) == 0
+
     def test_cap_boundary_is_inclusive(self):
         me = stage("me", HOUR, INFINITE, 2 * HOUR)
         other = stage("other", HOUR, INFINITE, HOUR)

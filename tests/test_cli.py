@@ -1,14 +1,20 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcsizer
 from tcsizer import (
     HOUR,
+    INFINITE,
     MS,
     SEC,
     US,
@@ -38,6 +44,16 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_command(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def invoke_child(argv, timeout):
+    """``python -m tcsizer.cli argv`` in a child process, killed (and the
+    test failed) after ``timeout`` seconds."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(tcsizer.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "tcsizer.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -369,6 +385,29 @@ class TestAnalyzeCommand:
         code, _, err = invoke(["analyze"])
         assert code == 1
 
+    def test_module_runs_the_command(self, table_vi_gp):
+        proc = invoke_child(["analyze", str(table_vi_gp)], timeout=60)
+        code, out, _ = invoke(["analyze", str(table_vi_gp)])
+        assert code == 2
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_full_core_diverges_at_once(self, tmp_path):
+        # tick fills the core (C = T), so the one-shot batch below it has
+        # no fixed point; the iterate must not climb 10 us a round to 2 h
+        tick = Stage(id="tick", cost=10 * US, inter_arrival=10 * US,
+                     deadline=10 * US)
+        batch = Stage(id="batch", cost=10 * US, inter_arrival=INFINITE,
+                      deadline=2 * HOUR)
+        system = System((Analytic("tick", (tick,), Leaf("tick"), 10 * US),
+                         Analytic("batch", (batch,), Leaf("batch"),
+                                  2 * HOUR)))
+        path = tmp_path / "full-core.json"
+        path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
+        proc = invoke_child(["analyze", str(path)], timeout=30)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["per_stage"] == {
+            "batch": "DIVERGED", "tick": 10 * US}
+
 
 class TestSizeCommand:
     def test_csv_output(self, microblog):
@@ -618,6 +657,17 @@ class TestSimulateCommand:
             "--trace", str(tmp_path / "t.csv")])
         assert code == 2
         assert json.loads(out)["system_feasible"] is False
+
+    @pytest.mark.parametrize("target", [".", "missing/t.csv"])
+    def test_unwritable_trace_is_an_input_error(self, table_vi_tc, tmp_path,
+                                                target):
+        path = tmp_path / target
+        code, out, err = invoke([
+            "simulate", str(table_vi_tc), "--horizon", "9h",
+            "--trace", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestCompareCommand:

@@ -126,6 +126,22 @@ class TestBasics:
         at_5ms = [e.kind for e in trace.events if e.time == 5 * MS]
         assert at_5ms.index("COMPLETE") < at_5ms.index("RELEASE")
 
+    def test_job_preempted_as_dispatched_resumes(self):
+        # l is dispatched at 0; the zero-cost a completes at 0 on c1 and
+        # releases b, which preempts l at that same instant
+        a = Stage(id="a", cost=0, inter_arrival=10 * MS, deadline=10 * MS,
+                  priority=3)
+        b = Stage(id="b", cost=1 * MS, inter_arrival=10 * MS,
+                  deadline=10 * MS, priority=2)
+        system = System((Analytic("ab", (a, b), seq("a", "b"), 10 * MS),
+                         single("l", 2 * MS, 10 * MS)))
+        trace = run(system, {"a": "c1", "b": "c0", "l": "c0"},
+                    homogeneous_cluster(2), horizon=10 * MS)
+        assert [(e.time, e.kind) for e in trace.events
+                if e.stage == "l"] == [
+            (0, "RELEASE"), (0, "START"), (0, "PREEMPT"),
+            (1 * MS, "RESUME"), (3 * MS, "COMPLETE")]
+
     def test_horizon_too_short(self):
         system = System((single("s", 2 * MS, 10 * MS),))
         with pytest.raises(HorizonTooShort):
@@ -190,6 +206,24 @@ class TestBlocking:
         cluster = Cluster((Core("c0", platform_blocking=2 * MS),))
         trace = run(system, {"s": "c0"}, cluster, horizon=30 * MS)
         assert set(trace.job_responses.values()) == {3 * MS}
+
+    def test_blocked_job_keeps_its_fifo_place(self):
+        # x is ready at 5 ms but was released at 0, so it queues ahead of
+        # the equal-priority y released at 3 ms while z holds the core
+        w = Stage(id="w", cost=3 * MS, inter_arrival=20 * MS,
+                  deadline=20 * MS, priority=1)
+        y = Stage(id="y", cost=1 * MS, inter_arrival=20 * MS,
+                  deadline=20 * MS, priority=1)
+        system = System((
+            single("z", 6 * MS, 20 * MS, prio=3),
+            single("x", 1 * MS, 20 * MS, d=20 * MS, b=5 * MS),
+            Analytic("wy", (w, y), seq("w", "y"), 20 * MS)))
+        trace = run(system, {"w": "c1", "x": "c0", "y": "c0", "z": "c0"},
+                    homogeneous_cluster(2), horizon=20 * MS)
+        at = {(e.stage, e.kind): e.time for e in trace.events}
+        assert (at[("x", "BLOCK_END")], at[("y", "RELEASE")]) == (5 * MS,
+                                                                  3 * MS)
+        assert (at[("x", "START")], at[("y", "START")]) == (6 * MS, 7 * MS)
 
 
 class TestReleasePolicies:
