@@ -5,10 +5,15 @@ with a blocking term,
 
     R = B + C + sum_z ceil(R / T_z) * C_z
 
-iterated from R0 = B + C over the same-core cotenants z with higher (or
-equal - mutual interference) priority. A one-shot cotenant contributes
-its cost exactly once. All arithmetic is exact: integer nanoseconds for
-times, Fraction for utilizations.
+over the same-core cotenants z with higher (or equal - mutual
+interference) priority. A one-shot cotenant contributes its cost exactly
+once, so it joins B + C in the constant term the iteration starts from.
+Cotenants that share a period T share one ceiling, ceil(R / T) times
+their summed cost, so a round costs one term per distinct period.
+``solve_system`` walks each core's priority levels once, from the highest
+down, adding each level to running per-period cost totals and solving
+each of its stages against them less its own cost. All arithmetic is
+exact: integer nanoseconds for times, Fraction for utilizations.
 
 End-to-end response times compose per the topology: sequential stages
 add; parallel branches and round-robin replicas take the maximum.
@@ -21,6 +26,7 @@ priorities. The inequality is strict, which matters at exact boundaries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -30,6 +36,7 @@ from .model import (
     Cluster,
     Duration,
     Expr,
+    InterArrival,
     InvalidAllocation,  # raised by solve_system; importable from here
     Leaf,
     Marker,
@@ -79,8 +86,28 @@ class UtilizationSummary:
     per_stage: dict[str, Fraction]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _fixed_point(base: Duration, load: list[tuple[int, Duration]],
+                 cap: Duration) -> ResponseTime:
+    """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
+    (period T, summed cost C) pairs of ``load``, or DIVERGED as soon as
+    an iterate exceeds ``cap``."""
+    r = base
+    rounds = 0
+    while True:
+        if r > cap:
+            return DIVERGED
+        nxt = base
+        for t, c in load:
+            nxt += -(-r // t) * c
+        if nxt == r:
+            return r
+        r = nxt
+        rounds += 1
+        # base > 0 now (0 is its own fixed point); once the periodic load
+        # fills the core (U >= 1), R >= base + U*R > R has no fixed point
+        # and the loop would only crawl up to the cap
+        if rounds == 64 and sum(Fraction(c, t) for t, c in load) >= 1:
+            return DIVERGED
 
 
 def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
@@ -91,32 +118,17 @@ def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
 
     ``cotenants`` must already be restricted to the interfering set
     (higher priority plus equal priority on the same core); every entry
-    is charged. ``blocking`` overrides the stage's own blocking term
-    (callers fold in platform blocking that way).
+    is charged: one-shot costs once, periodic costs summed per distinct
+    period and charged ceil(R / T) times. ``blocking`` overrides the
+    stage's own blocking term (callers fold in platform blocking that
+    way).
     """
+    totals: dict[InterArrival, Duration] = defaultdict(int)
+    for z in cotenants:
+        totals[z.inter_arrival] += z.cost
     b = stage.blocking if blocking is None else blocking
-    base = b + stage.cost
-    cotenants = list(cotenants)
-    r = base
-    rounds = 0
-    while True:
-        if r > deadline_cap:
-            return DIVERGED
-        nxt = base
-        for z in cotenants:
-            if z.inter_arrival is INFINITE:
-                nxt += z.cost
-            else:
-                nxt += _ceil_div(r, z.inter_arrival) * z.cost
-        if nxt == r:
-            return r
-        r = nxt
-        rounds += 1
-        # r > 0 now, so B + C plus the one-shot charges is > 0; once the
-        # periodic interferers fill the core (U >= 1), R >= that + U*R > R
-        # has no fixed point and the loop would only crawl up to the cap
-        if rounds == 64 and sum(z.utilization() for z in cotenants) >= 1:
-            return DIVERGED
+    return _fixed_point(b + stage.cost + totals.pop(INFINITE, 0),
+                        list(totals.items()), deadline_cap)
 
 
 def end_to_end_response(expr: Expr,
@@ -152,17 +164,27 @@ def solve_system(system: System, allocation: Mapping[str, str],
     stages = list(system.stages())
     cap = max((a.end_to_end_deadline for a in system.analytics), default=0)
 
-    by_core: dict[str, list[Stage]] = {}
+    by_level: dict[str, dict[int, list[Stage]]] = {}
     for s in stages:
-        by_core.setdefault(allocation[s.id], []).append(s)
+        levels = by_level.setdefault(allocation[s.id], {})
+        levels.setdefault(s.priority, []).append(s)
 
-    per_stage: dict[str, ResponseTime] = {}
-    for s in stages:
-        mates = by_core[allocation[s.id]]
-        interferers = [z for z in mates
-                       if z.id != s.id and z.priority >= s.priority]
-        per_stage[s.id] = stage_response_time(
-            s, interferers, cap, blocking=blocking[s.id])
+    # keyed in the system's stage order, filled in core by core below
+    per_stage: dict[str, ResponseTime] = dict.fromkeys(s.id for s in stages)
+    for levels in by_level.values():
+        # summed cost per period (INFINITE: one-shot) of the stages at or
+        # above the current priority level
+        totals: dict[InterArrival, Duration] = defaultdict(int)
+        for _, level in sorted(levels.items(), reverse=True):
+            for s in level:
+                totals[s.inter_arrival] += s.cost
+            for s in level:
+                totals[s.inter_arrival] -= s.cost
+                load = [(t, c) for t, c in totals.items() if t is not INFINITE]
+                per_stage[s.id] = _fixed_point(
+                    blocking[s.id] + s.cost + totals.get(INFINITE, 0),
+                    load, cap)
+                totals[s.inter_arrival] += s.cost
 
     per_analytic: dict[str, AnalyticVerdict] = {}
     for analytic in system.analytics:

@@ -39,6 +39,7 @@ variable TC_SIZER_SEED, else options.sim.seed, else 0.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -614,11 +615,27 @@ def _cmd_decimate(args, out) -> int:
     return 0
 
 
+def _unwritable(path: str) -> str | None:
+    """The reason open(path, "w") would fail if ``path`` is a directory
+    or its parent is not one, else None; checking creates nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(parent):
+        return os.strerror(
+            errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    return None
+
+
 def _cmd_simulate(args, out) -> int:
     system, cluster, options = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     if options.horizon is None:
         raise _UsageError("no horizon (--horizon or options)")
+    # refuse a bad --trace target before any work, but open it only later
+    reason = _unwritable(args.trace)
+    if reason is not None:
+        raise _UsageError(f"cannot write {args.trace}: {reason}")
     config = sim.SimConfig(
         horizon=options.horizon,
         seed=0 if options.seed is None else options.seed,

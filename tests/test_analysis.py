@@ -12,6 +12,9 @@ from tcsizer import (
     SEC,
     US,
     Analytic,
+    AnalyticVerdict,
+    Cluster,
+    Core,
     InvalidAllocation,
     Leaf,
     MissingStage,
@@ -30,6 +33,7 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
+from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
 
 
@@ -221,6 +225,49 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             solve_system(system, {"s": "c0"}, homogeneous_cluster(1))
 
+    def test_equal_priority_group_drops_only_its_own_cost(self):
+        # hp shares the group's period; a and b tie, b is one-shot
+        hp = single("hp", 2 * MS, 10 * MS, d=100 * MS, prio=3)
+        a = single("a", 3 * MS, 10 * MS, d=100 * MS, b=1 * MS, prio=1)
+        b = single("b", 4 * MS, INFINITE, d=100 * MS, prio=1)
+        system = System((hp, a, b))
+        report = solve_system(system, {"hp": "c0", "a": "c0", "b": "c0"},
+                              homogeneous_cluster(1))
+        # a: 1 + 3 + 4 (b, once) + ceil(R/10)*2 (hp); b: 4 + ceil(R/10)*5
+        assert list(report.per_stage.items()) == [
+            ("hp", 2 * MS), ("a", 10 * MS), ("b", 9 * MS)]
+
+    def test_same_period_on_two_cores_does_not_interfere(self):
+        hp = single("hp", 2 * MS, 10 * MS, prio=2)
+        lp = single("lp", 3 * MS, 10 * MS, prio=1)
+        x = single("x", 5 * MS, 10 * MS, prio=3)
+        y = single("y", 1 * MS, 10 * MS, prio=1)
+        allocation = {"hp": "c0", "lp": "c0", "x": "c1", "y": "c1"}
+        report = solve_system(System((hp, lp, x, y)), allocation,
+                              homogeneous_cluster(2))
+        assert report.per_stage == {
+            "hp": 2 * MS, "lp": 5 * MS, "x": 5 * MS, "y": 6 * MS}
+
+    def test_full_core_diverges_without_crawling_to_the_cap(self):
+        tick = single("tick", 10 * US, 10 * US, prio=2)  # U = 1
+        batch = single("batch", 10 * US, INFINITE, d=2 * HOUR, prio=1)
+        report = solve_system(System((tick, batch)),
+                              {"tick": "c0", "batch": "c0"},
+                              homogeneous_cluster(1))
+        assert report.per_stage == {"tick": 10 * US, "batch": DIVERGED}
+        assert report.per_analytic["batch"].end_to_end is DIVERGED
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_interferer_solve(self, data):
+        system, allocation, cluster = data.draw(placed_systems())
+        report = solve_system(system, allocation, cluster)
+        per_stage, per_analytic, feasible = reference_solve(
+            system, allocation, cluster)
+        assert list(report.per_stage.items()) == list(per_stage.items())
+        assert report.per_analytic == per_analytic
+        assert report.system_feasible == feasible
+
     def test_diverged_stage_sinks_the_analytic(self):
         a = single("a", 6 * MS, 10 * MS, prio=1)
         b = single("b", 6 * MS, 10 * MS, prio=2)
@@ -230,6 +277,85 @@ class TestSolveSystem:
         assert report.per_analytic["a"].end_to_end is DIVERGED
         assert not report.per_analytic["a"].feasible
         assert not report.system_feasible
+
+
+def reference_response_time(stage, interferers, cap, blocking):
+    """The recurrence charged one ceiling per interferer per round."""
+    base = blocking + stage.cost
+    r = base
+    rounds = 0
+    while True:
+        if r > cap:
+            return DIVERGED
+        nxt = base
+        for z in interferers:
+            if z.inter_arrival is INFINITE:
+                nxt += z.cost
+            else:
+                nxt += -(-r // z.inter_arrival) * z.cost
+        if nxt == r:
+            return r
+        r = nxt
+        rounds += 1
+        if rounds == 64 and sum(z.utilization() for z in interferers) >= 1:
+            return DIVERGED
+
+
+def reference_solve(system, allocation, cluster):
+    """solve_system in its direct form: every stage filters its own
+    interferers out of its core's stages."""
+    blocking = effective_blocking(system, allocation, cluster)
+    stages = list(system.stages())
+    cap = max((a.end_to_end_deadline for a in system.analytics), default=0)
+    by_core = {}
+    for s in stages:
+        by_core.setdefault(allocation[s.id], []).append(s)
+    per_stage = {}
+    for s in stages:
+        interferers = [z for z in by_core[allocation[s.id]]
+                       if z.id != s.id and z.priority >= s.priority]
+        per_stage[s.id] = reference_response_time(
+            s, interferers, cap, blocking[s.id])
+    per_analytic = {}
+    for a in system.analytics:
+        if any(per_stage[s.id] is DIVERGED for s in a.stages):
+            per_analytic[a.id] = AnalyticVerdict(DIVERGED, False)
+        else:
+            e2e = end_to_end_response(a.topology, per_stage)
+            per_analytic[a.id] = AnalyticVerdict(
+                e2e, e2e <= a.end_to_end_deadline)
+    feasible = all(v.feasible for v in per_analytic.values())
+    return per_stage, per_analytic, feasible
+
+
+@st.composite
+def placed_systems(draw):
+    """1-3 cores and 1-10 stages with tied priorities, repeated periods,
+    one-shot and zero-cost stages, stage and platform blocking, and caps
+    low enough to diverge (or high enough to meet a full core)."""
+    n_cores = draw(st.integers(1, 3))
+    cluster = Cluster(tuple(
+        Core(f"c{j}", platform_blocking=draw(st.integers(0, 4)))
+        for j in range(n_cores)))
+    stages = [
+        stage(f"s{i}", draw(st.integers(0, 12)),
+              draw(st.sampled_from([10, 20, 30, INFINITE])), d=1000,
+              b=draw(st.integers(0, 6)), prio=draw(st.integers(1, 3)))
+        for i in range(draw(st.integers(1, 10)))]
+    analytics = []
+    while stages:
+        k = draw(st.integers(1, len(stages)))
+        part, stages = stages[:k], stages[k:]
+        ctor = draw(st.sampled_from([seq, par]))
+        analytics.append(Analytic(
+            id=f"a{len(analytics)}", stages=tuple(part),
+            topology=ctor(*(s.id for s in part)),
+            end_to_end_deadline=draw(st.one_of(
+                st.integers(0, 120), st.just(10**6)))))
+    system = System(tuple(analytics))
+    allocation = {s.id: f"c{draw(st.integers(0, n_cores - 1))}"
+                  for s in system.stages()}
+    return system, allocation, cluster
 
 
 class TestUtilization:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcsizer
+from tcsizer import cli
 from tcsizer import (
     HOUR,
     INFINITE,
@@ -668,6 +669,35 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", [".", "missing/t.csv", "f.csv/t.csv"])
+    def test_unwritable_trace_is_refused_before_any_work(
+            self, microblog, tmp_path, monkeypatch, target):
+        (tmp_path / "f.csv").write_text("")
+
+        def never(*args, **kwargs):
+            raise AssertionError("called for an unwritable trace target")
+
+        monkeypatch.setattr(cli.analysis, "solve_system", never)
+        monkeypatch.setattr(cli.sim, "simulate", never)
+        path = tmp_path / target
+        code, out, err = invoke([
+            "simulate", str(microblog), "--horizon", "3s",
+            "--trace", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    def test_short_horizon_leaves_the_trace_file_alone(self, microblog,
+                                                       tmp_path):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_bytes(b"earlier trace\n")
+        code, out, err = invoke([
+            "simulate", str(microblog), "--horizon", "1us",
+            "--trace", str(trace_path)])
+        assert (code, out) == (1, "")
+        assert "no item completed" in err
+        assert trace_path.read_bytes() == b"earlier trace\n"
 
 
 class TestCompareCommand:
