@@ -13,7 +13,9 @@ their summed cost, so a round costs one term per distinct period.
 ``solve_system`` walks each core's priority levels once, from the highest
 down, adding each level to running per-period cost totals and solving
 each of its stages against them less its own cost. All arithmetic is
-exact: integer nanoseconds for times, Fraction for utilizations.
+exact: times are integer nanoseconds, and utilizations are summed as
+integers over the lcm of the periods (``model.scaled_utilizations``) and
+reported as Fraction.
 
 End-to-end response times compose per the topology: sequential stages
 add; parallel branches and round-robin replicas take the maximum.
@@ -46,6 +48,7 @@ from .model import (
     Stage,
     System,
     effective_blocking,
+    scaled_utilizations,
 )
 
 #: Returned when the response-time iteration climbs past its cap.
@@ -203,11 +206,13 @@ def solve_system(system: System, allocation: Mapping[str, str],
 
 
 def total_utilization(system: System) -> UtilizationSummary:
-    """Exact per-stage C/T (0 for one-shot stages) and their sum."""
-    per_stage = {s.id: s.utilization() for s in system.stages()}
+    """Exact per-stage C/T (0 for one-shot stages) and their total, added
+    as integers over the common denominator of ``scaled_utilizations``."""
+    stages = list(system.stages())
+    lcm, weights = scaled_utilizations(stages)
     return UtilizationSummary(
-        total=sum(per_stage.values(), Fraction(0)),
-        per_stage=per_stage,
+        total=Fraction(sum(weights), lcm),
+        per_stage={s.id: s.utilization() for s in stages},
     )
 
 

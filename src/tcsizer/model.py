@@ -14,9 +14,10 @@ unassigned (for priorities and for host cores).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Union
 
 # Duration helpers (integer nanoseconds).
@@ -461,43 +462,64 @@ def replica_count(stage: Stage, inter_arrival: Duration, k_max: int) -> int:
 
 # --- first-fit-decreasing allocation ------------------------------------------
 
+def scaled_utilizations(stages: list[Stage],
+                        denominators=()) -> tuple[int, list[int]]:
+    """Each stage's utilization as an exact integer over one common
+    denominator L: ``(L, [C * (L // T) for each stage])``, 0 for a
+    one-shot stage. L is the lcm of the distinct finite periods and of
+    ``denominators``, so a fraction p/q with q among them is p * (L // q)."""
+    periods = {s.inter_arrival for s in stages} - {INFINITE}
+    # pairwise rounds, so each lcm joins operands of like size
+    lcms = [*periods, *denominators] or [1]
+    while len(lcms) > 1:
+        lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
+    lcm = lcms[0]
+    scale = {t: lcm // t for t in periods}
+    scale[INFINITE] = 0
+    return lcm, [s.cost * scale[s.inter_arrival] for s in stages]
+
+
 def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
     """Place stages on cores, heaviest utilization first (ties by stage
     id), each on the first core whose accumulated utilization stays within
     its capacity. Raises AllocationFailed naming the first unplaceable
     stage.
 
-    Cost: O(n log n) to sort the n stages, then O(log m) ``Fraction``
-    operations per stage on m cores. A tournament tree holds each core's
+    Cost: O(n log n) to sort the n stages, then O(log m) integer
+    operations per stage on m cores: utilizations and capacities are
+    scaled by L, the lcm of the distinct periods and the capacity
+    denominators (``scaled_utilizations``), so every compare is exact,
+    and the integers grow with that lcm. A tournament tree holds each core's
     remaining capacity ``capacity - load`` at a leaf (padding leaves hold
     -1 and never fit) and the max of its children at every inner node.
     Each stage walks down from the root, going left whenever the left
-    subtree's max is at least its utilization u, so it reaches the first
-    core with ``u <= capacity - load``; in exact arithmetic that is the
-    first core with ``load + u <= capacity``, the one a linear scan finds.
+    subtree's max is at least its weight w, so it reaches the first core
+    with ``load + w <= capacity``, the one a linear scan finds.
     """
-    # two stable sorts give the order of the key (-u, id)
-    weighted = [(s.utilization(), s) for s in system.stages()]
-    weighted.sort(key=lambda us: us[1].id)
-    weighted.sort(key=itemgetter(0), reverse=True)
+    stages = sorted(system.stages(), key=attrgetter("id"))
     cores = cluster.cores
+    lcm, weights = scaled_utilizations(
+        stages, [c.capacity.denominator for c in cores])
+    # sorted by id, then stably by weight: the order of the key (-w, id)
+    weighted = sorted(zip(weights, stages), key=itemgetter(0), reverse=True)
     size = 1
     while size < len(cores):
         size *= 2
-    tree: list = [-1] * (2 * size)
-    tree[size:size + len(cores)] = [c.capacity for c in cores]
+    tree: list[int] = [-1] * (2 * size)
+    tree[size:size + len(cores)] = [
+        c.capacity.numerator * (lcm // c.capacity.denominator) for c in cores]
     for i in range(size - 1, 0, -1):
         tree[i] = max(tree[2 * i], tree[2 * i + 1])
     placement: dict[str, str] = {}
-    for u, stage in weighted:
-        if tree[1] < u:
+    for w, stage in weighted:
+        if tree[1] < w:
             raise AllocationFailed(stage.id)
         i = 1
         while i < size:
             i *= 2
-            if tree[i] < u:
+            if tree[i] < w:
                 i += 1
-        tree[i] -= u
+        tree[i] -= w
         placement[stage.id] = cores[i - size].id
         while i > 1:
             i //= 2

@@ -15,7 +15,6 @@ from .analysis import (
     end_to_end_response,
     min_cores,
     require_bound_regime,
-    total_utilization,
 )
 from .model import (
     INFINITE,
@@ -30,6 +29,7 @@ from .model import (
     nodes,
     replica_count,
     replicate_for_rate,
+    scaled_utilizations,
 )
 from .workloads import period_from_frequency
 
@@ -196,14 +196,12 @@ def baseline_comparison(system: System, u_max) -> ComparisonResult:
     when every B is zero.
     """
     require_bound_regime(system)
-    ours_u = Fraction(0)
-    base_u = Fraction(0)
-    for s in system.stages():
-        if s.inter_arrival is INFINITE:
-            continue
-        ours_u += Fraction(s.cost, s.inter_arrival)
-        base_u += Fraction(s.cost + s.blocking, s.inter_arrival)
+    stages = list(system.stages())
+    lcm, weights = scaled_utilizations(stages)
+    ours = sum(weights)
+    blocked = sum(s.blocking * (lcm // s.inter_arrival) for s in stages
+                  if s.inter_arrival is not INFINITE)
     return ComparisonResult(
-        ours=min_cores(ours_u, u_max),
-        baseline=min_cores(base_u, u_max),
+        ours=min_cores(Fraction(ours, lcm), u_max),
+        baseline=min_cores(Fraction(ours + blocked, lcm), u_max),
     )

@@ -24,6 +24,7 @@ import random
 from fractions import Fraction
 
 from tcsizer import (
+    INFINITE,
     Analytic,
     Cluster,
     Core,
@@ -51,6 +52,11 @@ DIVISOR_PERIODS = [
 ]
 
 HARMONIC_PERIODS = [1_000_000 * (1 << k) for k in range(8)]
+
+# pairwise coprime, so their lcm is their product (about 1.4e18 with the
+# two primes near 1e6 and 1e9) and any capacity denominator of 3 or 100
+# takes it past 2**64; INFINITE makes one-shot stages
+COPRIME_PERIODS = (7, 11, 13, 1_000_003, 999_999_937, INFINITE)
 
 
 def _single_stage_analytic(aid: str, cost: int, period: int,

@@ -31,8 +31,10 @@ from tcsizer import (
     validate_system,
     with_priorities,
 )
-from tcsizer.model import item_flow
+from tcsizer.model import item_flow, scaled_utilizations
 from tcsizer.workloads import ScenarioId, builtin_system
+
+from generators import COPRIME_PERIODS
 
 
 def stage(sid, c, t, d, **kw):
@@ -297,6 +299,21 @@ STAGE_SHAPES = st.tuples(st.integers(1, 12),
                          st.sampled_from((12, 12, 24, 36, 48, INFINITE)))
 
 
+# one denominator per capacity (3, 7 or 100) besides 1
+COPRIME_CAPACITIES = (Fraction(1, 3), Fraction(2, 3), Fraction(3, 7),
+                      Fraction(5, 7), Fraction(69, 100), Fraction(1))
+
+
+@st.composite
+def coprime_shape(draw):
+    """(cost, inter-arrival) with u <= 1; costs of a one-shot stage are
+    free, since it counts 0."""
+    t = draw(st.sampled_from(COPRIME_PERIODS))
+    if t is INFINITE:
+        return draw(st.integers(0, 10**12)), t
+    return draw(st.integers(0, t)), t
+
+
 class TestFirstFitOracle:
     @given(shapes=st.lists(STAGE_SHAPES, min_size=1, max_size=40),
            capacities=st.lists(st.sampled_from(CAPACITIES), min_size=1,
@@ -314,6 +331,55 @@ class TestFirstFitOracle:
                                 for i, cap in enumerate(capacities)))
         assert (placed_or_failed(allocate_first_fit, system, cluster)
                 == placed_or_failed(first_fit_by_scan, system, cluster))
+
+    @given(shapes=st.lists(coprime_shape(), min_size=1, max_size=40),
+           capacities=st.lists(st.sampled_from(COPRIME_CAPACITIES),
+                               min_size=1, max_size=9),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan_on_coprime_periods(self, shapes, capacities,
+                                                    data):
+        # the lcm of the periods and capacity denominators is the product
+        # of those present, past 2**64 once both large primes are
+        ids = data.draw(st.permutations(range(len(shapes))))
+        system = System(tuple(
+            single(f"s{k:02d}", c, t, 10**12 if t is INFINITE else t)
+            for k, (c, t) in zip(ids, shapes)))
+        cluster = Cluster(tuple(Core(f"c{i}", cap)
+                                for i, cap in enumerate(capacities)))
+        assert (placed_or_failed(allocate_first_fit, system, cluster)
+                == placed_or_failed(first_fit_by_scan, system, cluster))
+
+    def test_exact_fills_past_64_bits(self):
+        # u = 2/7 + 1/7 fills 3/7 exactly and u = 1 fills 1 exactly, with
+        # L = 3 * 7 * 11 * 13 * 100 * 1_000_003 * 999_999_937 > 2**64
+        stages = (single("a", 2, 7), single("b", 1, 7),
+                  single("c", 999_999_937, 999_999_937),
+                  single("d", 1, 1_000_003), single("e", 1, 11),
+                  single("f", 1, 13))
+        cluster = Cluster((Core("c0", Fraction(3, 7)), Core("c1", 1),
+                           Core("c2", Fraction(1, 3)),
+                           Core("c3", Fraction(1, 100))))
+        system = System(stages)
+        denominators = [c.capacity.denominator for c in cluster.cores]
+        lcm, _ = scaled_utilizations(list(system.stages()), denominators)
+        assert lcm > 2**64
+        assert list(allocate_first_fit(system, cluster).items()) == [
+            ("c", "c1"), ("a", "c0"), ("b", "c0"), ("e", "c2"), ("f", "c2"),
+            ("d", "c2")]
+
+    def test_empty_system_places_nothing(self):
+        assert allocate_first_fit(System(()), homogeneous_cluster(2)) == {}
+
+    def test_all_one_shot_system_takes_its_scale_from_the_capacities(self):
+        stages = (single("x", 5, INFINITE, 10), single("y", 3, INFINITE, 10))
+        system = System(stages)
+        assert scaled_utilizations(list(system.stages()), [3, 100]) == (
+            300, [0, 0])
+        cluster = Cluster((Core("c0", Fraction(1, 3)),
+                           Core("c1", Fraction(69, 100))))
+        assert list(allocate_first_fit(system, cluster).items()) == [
+            ("x", "c0"), ("y", "c0")]
 
     def test_zero_utilization_after_full_cores_goes_to_first_core(self):
         system = System((single("a", 10, 10), single("b", 10, 10),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcsizer import (
     INFINITE,
@@ -28,6 +30,8 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.workloads import ScenarioId, builtin_system
+
+from generators import COPRIME_PERIODS
 
 
 @pytest.fixture
@@ -263,3 +267,64 @@ class TestBaselineComparison:
             if baseline > ours:
                 strict += 1
         assert strict > 0
+
+
+def baseline_by_fractions(system, u_max):
+    """Reference: the per-stage Fraction sums baseline_comparison kept
+    before it summed integers over one common denominator."""
+    ours_u = Fraction(0)
+    base_u = Fraction(0)
+    for s in system.stages():
+        if s.inter_arrival is INFINITE:
+            continue
+        ours_u += Fraction(s.cost, s.inter_arrival)
+        base_u += Fraction(s.cost + s.blocking, s.inter_arrival)
+    return (min_cores(ours_u, u_max), min_cores(base_u, u_max))
+
+
+@st.composite
+def coprime_regime_systems(draw):
+    """One-stage analytics in the T + B = D regime with deadline-monotonic
+    priorities, periods from COPRIME_PERIODS (one-shot stages included)."""
+    stages = []
+    for i, t in enumerate(draw(st.lists(st.sampled_from(COPRIME_PERIODS),
+                                        max_size=30))):
+        if t is INFINITE:
+            c, b = draw(st.integers(0, 10**12)), draw(st.integers(0, 10**6))
+            d = c + b
+        else:
+            c, b = draw(st.integers(0, t)), draw(st.integers(0, t))
+            d = t + b
+        stages.append(Stage(id=f"s{i:02d}", cost=c, inter_arrival=t,
+                            deadline=d, blocking=b))
+    system = System(tuple(
+        Analytic(s.id, (s,), Leaf(s.id), max(1, s.deadline)) for s in stages))
+    return with_priorities(system, assign_priorities_dm(system))
+
+
+class TestScaledSums:
+    @given(coprime_regime_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_per_stage_fraction_sums(self, system):
+        summary = total_utilization(system)
+        per_stage = {s.id: s.utilization() for s in system.stages()}
+        assert summary.per_stage == per_stage
+        assert summary.total == sum(per_stage.values(), Fraction(0))
+        for u_max in (1, Fraction(69, 100), Fraction(1, 3)):
+            assert (baseline_comparison(system, u_max)
+                    == baseline_by_fractions(system, u_max))
+
+    def test_empty_system_needs_one_core(self):
+        assert baseline_comparison(System(()), u_max=1) == (1, 1)
+
+    def test_all_one_shot_system(self):
+        stages = (Stage(id="x", cost=5, inter_arrival=INFINITE, deadline=9,
+                        blocking=4, priority=2),
+                  Stage(id="y", cost=3, inter_arrival=INFINITE, deadline=10,
+                        priority=1))
+        system = System(tuple(
+            Analytic(s.id, (s,), Leaf(s.id), s.deadline) for s in stages))
+        summary = total_utilization(system)
+        assert summary.total == 0
+        assert summary.per_stage == {"x": 0, "y": 0}
+        assert baseline_comparison(system, Fraction(1, 3)) == (1, 1)
