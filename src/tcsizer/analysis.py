@@ -86,7 +86,6 @@ class ResponseReport:
 @dataclass
 class UtilizationSummary:
     total: Fraction
-    per_stage: dict[str, Fraction]
 
 
 def _fixed_point(base: Duration, load: list[tuple[int, Duration]],
@@ -206,14 +205,11 @@ def solve_system(system: System, allocation: Mapping[str, str],
 
 
 def total_utilization(system: System) -> UtilizationSummary:
-    """Exact per-stage C/T (0 for one-shot stages) and their total, added
-    as integers over the common denominator of ``scaled_utilizations``."""
-    stages = list(system.stages())
-    lcm, weights = scaled_utilizations(stages)
-    return UtilizationSummary(
-        total=Fraction(sum(weights), lcm),
-        per_stage={s.id: s.utilization() for s in stages},
-    )
+    """The exact sum of every stage's ``Stage.utilization()`` (C/T, 0 for
+    a one-shot stage), added as integers over the common denominator of
+    ``scaled_utilizations``."""
+    lcm, weights = scaled_utilizations(list(system.stages()))
+    return UtilizationSummary(total=Fraction(sum(weights), lcm))
 
 
 def min_cores(total_utilization, u_max) -> int:

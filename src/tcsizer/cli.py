@@ -63,6 +63,7 @@ from .model import (
     Stage,
     System,
 )
+from .workloads import period_from_frequency
 
 
 class ParseError(Exception):
@@ -221,8 +222,10 @@ def _capacity(value: Any, path: str) -> Fraction:
 
 def _frequency(value: Any, path: str) -> Fraction:
     f = _ratio(value, path, "frequency")
-    if f <= 0:
-        raise ParseError(path, "frequency must be positive")
+    try:
+        period_from_frequency(f)
+    except ValueError as exc:
+        raise ParseError(path, str(exc)) from None
     return f
 
 
@@ -591,11 +594,11 @@ def _cmd_size(args, out) -> int:
     rows = sizing.frequency_sweep(system, options.frequencies_hz,
                                   options.u_max,
                                   replication_limit=args.replication_limit)
-    out.write("frequency_hz,total_utilization,min_cores\n")
-    for row in rows:
-        out.write(f"{format_fraction(row.frequency_hz)},"
-                  f"{format_fraction(row.total_utilization)},"
-                  f"{row.min_cores}\n")
+    # every row is formatted before the first write: an error leaves no output
+    lines = [f"{format_fraction(r.frequency_hz)},"
+             f"{format_fraction(r.total_utilization)},{r.min_cores}\n"
+             for r in rows]
+    out.write("frequency_hz,total_utilization,min_cores\n" + "".join(lines))
     return 0
 
 
@@ -607,11 +610,11 @@ def _cmd_decimate(args, out) -> int:
         raise _UsageError("no input frequency (--freq or options)")
     rows = sizing.decimation_sweep(system, options.input_frequency_hz,
                                    options.factors, options.u_max)
-    out.write("factor,end_to_end_ns,aggregator_utilization,cores_saved\n")
-    for row in rows:
-        out.write(f"{row.factor},{row.end_to_end},"
-                  f"{format_fraction(row.aggregator_utilization)},"
-                  f"{row.cores_saved}\n")
+    lines = [f"{r.factor},{r.end_to_end},"
+             f"{format_fraction(r.aggregator_utilization)},"
+             f"{r.cores_saved}\n" for r in rows]  # formatted first, as in size
+    out.write("factor,end_to_end_ns,aggregator_utilization,cores_saved\n"
+              + "".join(lines))
     return 0
 
 

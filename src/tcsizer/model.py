@@ -404,23 +404,23 @@ def assign_priorities_dm(system: System) -> dict[str, int]:
 def with_priorities(system: System, priorities: Mapping[str, int]) -> System:
     """Copy of the system with priorities applied (ids absent from the
     mapping keep their current priority)."""
-    return _map_stages(
-        system,
-        lambda s: replace(s, priority=priorities[s.id])
-        if s.id in priorities else s)
+    return _map_stages(system, priorities, {})
 
 
 def with_allocation(system: System, allocation: Mapping[str, str]) -> System:
     """Copy of the system with host cores applied."""
-    return _map_stages(
-        system,
-        lambda s: replace(s, core=allocation[s.id])
-        if s.id in allocation else s)
+    return _map_stages(system, {}, allocation)
 
 
-def _map_stages(system: System, fn) -> System:
+def _map_stages(system: System, priorities: Mapping[str, int],
+                cores: Mapping[str, str]) -> System:
+    """Copy of the system, each stage's priority and core taken from the
+    mappings that name it (constructor calls: half the cost of replace)."""
     return System(tuple(
-        replace(a, stages=tuple(fn(s) for s in a.stages))
+        Analytic(a.id, tuple(
+            Stage(s.id, s.cost, s.inter_arrival, s.deadline, s.blocking,
+                  priorities.get(s.id, s.priority), cores.get(s.id, s.core))
+            for s in a.stages), a.topology, a.end_to_end_deadline)
         for a in system.analytics))
 
 
@@ -506,8 +506,9 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
     while size < len(cores):
         size *= 2
     tree: list[int] = [-1] * (2 * size)
+    scale = {q: lcm // q for q in {c.capacity.denominator for c in cores}}
     tree[size:size + len(cores)] = [
-        c.capacity.numerator * (lcm // c.capacity.denominator) for c in cores]
+        c.capacity.numerator * scale[c.capacity.denominator] for c in cores]
     for i in range(size - 1, 0, -1):
         tree[i] = max(tree[2 * i], tree[2 * i + 1])
     placement: dict[str, str] = {}

@@ -39,7 +39,6 @@ class SweepRow:
     frequency_hz: Fraction
     total_utilization: Fraction
     min_cores: int
-    per_stage_utilization: dict[str, Fraction]
 
 
 @dataclass
@@ -102,29 +101,28 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
                     replication_limit: int = 4096) -> list[SweepRow]:
     """One row per input frequency.
 
-    Per-stage utilizations are keyed by the template's stage ids; a
-    replicated stage's replicas sum back to exactly C/T_in, and one-shot
-    stages count 0, so the total, one fraction (the summed cost of the
-    periodic stages over T_in), is that of retime_system's result. Every
-    periodic stage is held to the replication limit as retime_system
-    would hold it (ReplicationExceeded propagates).
+    The total is one fraction, the summed cost of the periodic stages
+    over T_in: the sum of ``Stage.utilization(T_in)`` over the template
+    (one-shot stages count 0) and the total of retime_system's result,
+    whose replicas of a stage sum back to exactly C/T_in. Every periodic
+    stage is held to the replication limit as retime_system would hold
+    it (ReplicationExceeded propagates).
     """
     _require_template(template)
     periodic = [s for s in template.stages()
                 if s.inter_arrival is not INFINITE]
+    cost = sum(s.cost for s in periodic)
     rows = []
     for f in frequencies:
         freq = Fraction(f)
         t_in = period_from_frequency(freq)
         for s in periodic:
             replica_count(s, t_in, replication_limit)
-        per_stage = {s.id: s.utilization(t_in) for s in template.stages()}
-        total = Fraction(sum(s.cost for s in periodic), t_in)
+        total = Fraction(cost, t_in)
         rows.append(SweepRow(
             frequency_hz=freq,
             total_utilization=total,
             min_cores=min_cores(total, u_max),
-            per_stage_utilization=per_stage,
         ))
     return rows
 

@@ -54,13 +54,14 @@ _OFFLINE_PHASES = ("download", "map", "reduce", "sort")
 
 def period_from_frequency(frequency_hz) -> Duration:
     """Events/second -> integer-ns period, floored (floor is the
-    conservative direction: a smaller period means higher utilization)."""
+    conservative direction: a smaller period means higher utilization).
+    ValueError above 1 event/ns, without the frequency's text (too long)."""
     f = Fraction(frequency_hz)
     if f <= 0:
         raise ValueError("frequency must be positive")
     period = (SEC * f.denominator) // f.numerator
     if period < 1:
-        raise ValueError(f"frequency {frequency_hz} exceeds 1 event/ns")
+        raise ValueError("frequency exceeds 1 event/ns")
     return period
 
 

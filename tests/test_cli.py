@@ -481,6 +481,14 @@ class TestDecimateCommand:
         assert out == ""
         assert "--freq" in err
 
+    def test_unprintable_row_leaves_stdout_empty(self, microblog):
+        # T_in = 10**5009 ns: the row's end-to-end time has too many
+        # digits to print, so not even the header may be written
+        code, out, err = invoke(["decimate", str(microblog), "--factors", "2",
+                                 "--freq", "1e-5000"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 def all_options_spec(tmp_path, name="all-options.json", **changes):
     """Microblog at 1 Hz with blocking and D = T + B on 8 cores, with a
@@ -581,6 +589,30 @@ class TestOptionFlags:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {pointer}")
+
+    # above 1 event/ns; 1e5000 also has too many digits to print
+    @pytest.mark.parametrize("text", ["3000000000", "1e5000"])
+    @pytest.mark.parametrize("command, flag, key, listed", [
+        ("size", "--freqs", "frequencies_hz", True),
+        ("decimate", "--freq", "input_frequency_hz", False),
+    ])
+    def test_over_fast_frequency_is_an_input_error(
+            self, tmp_path, text, command, flag, key, listed):
+        spec = all_options_spec(tmp_path)
+        code, out, err = invoke([command, str(spec), flag,
+                                 f"1,{text}" if listed else text])
+        assert (code, out) == (1, "")
+        pointer = f"{flag}/1" if listed else flag
+        assert err == f"error: {pointer}: frequency exceeds 1 event/ns\n"
+        # the same number in the spec, written as JSON text
+        placeholder = 7777
+        spec = all_options_spec(tmp_path, "over-fast.json", **{
+            key: [1, placeholder] if listed else placeholder})
+        spec.write_text(spec.read_text().replace(str(placeholder), text))
+        code, out, err = invoke([command, str(spec)])
+        assert (code, out) == (1, "")
+        pointer = f"/options/{key}/1" if listed else f"/options/{key}"
+        assert err == f"error: {pointer}: frequency exceeds 1 event/ns\n"
 
     @pytest.mark.parametrize("text", ["", "1_000", "+3", "007", "1.5", "x"])
     def test_malformed_env_seed_is_an_input_error(self, tmp_path,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from tcsizer import (
     replicate_for_rate,
     seq,
     validate_system,
+    with_allocation,
     with_priorities,
 )
 from tcsizer.model import item_flow, scaled_utilizations
@@ -424,6 +426,100 @@ def test_with_priorities_returns_new_system():
     assert before["TC1"].priority is None
     assert after["TC1"].priority == 4
     assert after["TC2"].priority is None
+
+
+# Reference copies: the dataclasses.replace code that with_priorities
+# and with_allocation ran before they called the constructors directly.
+def map_stages_by_replace(system, fn):
+    return System(tuple(
+        replace(a, stages=tuple(fn(s) for s in a.stages))
+        for a in system.analytics))
+
+
+def with_priorities_by_replace(system, priorities):
+    return map_stages_by_replace(
+        system,
+        lambda s: replace(s, priority=priorities[s.id])
+        if s.id in priorities else s)
+
+
+def with_allocation_by_replace(system, allocation):
+    return map_stages_by_replace(
+        system,
+        lambda s: replace(s, core=allocation[s.id])
+        if s.id in allocation else s)
+
+
+STAGE_IDS = [f"s{i}" for i in range(9)]  # 3 analytics of up to 3 stages
+
+
+@st.composite
+def assigned_systems(draw):
+    """Analytics over distinct stage ids whose fields, priority and core
+    included, are drawn at random."""
+    ids = iter(draw(st.permutations(STAGE_IDS)))
+    analytics = []
+    for ai, n in enumerate(draw(st.lists(st.integers(1, 3), max_size=3))):
+        stages = tuple(Stage(
+            id=next(ids), cost=draw(st.integers(0, 10)),
+            inter_arrival=draw(st.sampled_from((5, 7, INFINITE))),
+            deadline=draw(st.integers(1, 20)),
+            blocking=draw(st.integers(0, 3)),
+            priority=draw(st.none() | st.integers(1, 9)),
+            core=draw(st.none() | st.sampled_from(("c0", "c1"))))
+            for _ in range(n))
+        analytics.append(Analytic(f"a{ai}", stages,
+                                  Seq_of(*(s.id for s in stages)),
+                                  draw(st.integers(1, 50))))
+    return System(tuple(analytics))
+
+
+class TestStageCopies:
+    # partial mappings: ids of the system and ids of no stage, explicit
+    # None values among the assigned ones
+    @given(assigned_systems(),
+           st.dictionaries(st.sampled_from([*STAGE_IDS, "absent"]),
+                           st.none() | st.integers(1, 9)),
+           st.dictionaries(st.sampled_from([*STAGE_IDS, "absent"]),
+                           st.none() | st.sampled_from(("c0", "c2"))))
+    @settings(max_examples=300)
+    def test_match_the_replace_copies(self, system, priorities, allocation):
+        assert (with_priorities(system, priorities)
+                == with_priorities_by_replace(system, priorities))
+        assert (with_allocation(system, allocation)
+                == with_allocation_by_replace(system, allocation))
+
+    def test_empty_system(self):
+        assert with_priorities(System(()), {"s": 1}) == System(())
+        assert with_allocation(System(()), {"s": "c0"}) == System(())
+
+    def test_every_field_survives_the_copy(self):
+        stage = Stage("s", 3, 7, 11, blocking=2, priority=5, core="c1")
+        analytic = Analytic("a", (stage,), Leaf("s"), 13)
+        # every field differs from its default, so a field added later
+        # fails here until it is set above (and copied)
+        for record, cls in ((stage, Stage), (analytic, Analytic)):
+            for f in fields(cls):
+                assert getattr(record, f.name) != f.default, f.name
+        system = System((analytic,))
+        copies = [
+            (with_priorities(system, {}), {}),
+            (with_allocation(system, {}), {}),
+            (with_priorities(system, {"s": 9}), {"priority": 9}),
+            (with_allocation(system, {"s": "c4"}), {"core": "c4"}),
+            (with_priorities(system, {"s": None}), {"priority": None}),
+            (with_allocation(system, {"s": None}), {"core": None}),
+        ]
+        for copied, changed in copies:
+            (copied_analytic,) = copied.analytics
+            (copied_stage,) = copied_analytic.stages
+            for f in fields(Stage):
+                assert (getattr(copied_stage, f.name)
+                        == changed.get(f.name, getattr(stage, f.name))), f.name
+            for f in fields(Analytic):
+                if f.name != "stages":
+                    assert (getattr(copied_analytic, f.name)
+                            == getattr(analytic, f.name)), f.name
 
 
 def test_leaves_order():

@@ -24,6 +24,7 @@ from tcsizer import (
     frequency_sweep,
     homogeneous_cluster,
     min_cores,
+    period_from_frequency,
     retime_system,
     solve_system,
     total_utilization,
@@ -105,12 +106,15 @@ class TestFrequencySweep:
         assert row.total_utilization == Fraction(69, 10**4)  # 0.0069
         assert row.min_cores == 1
 
-    def test_per_stage_keys_are_template_ids(self, microblog):
+    def test_total_is_sum_over_template_stages(self, microblog):
+        # split and count are replicated at 4 kHz; the template's stages
+        # still sum to the total
         (row,) = frequency_sweep(microblog, [4000], u_max=1)
-        assert set(row.per_stage_utilization) == {
-            "microblog-gen", "microblog-split", "microblog-count"}
-        assert sum(row.per_stage_utilization.values(),
-                   Fraction(0)) == row.total_utilization
+        t_in = period_from_frequency(4000)
+        assert [s.id for s in microblog.stages()] == [
+            "microblog-gen", "microblog-split", "microblog-count"]
+        assert row.total_utilization == sum(
+            (s.utilization(t_in) for s in microblog.stages()), Fraction(0))
 
     def test_monotone_in_frequency(self, microblog):
         rows = frequency_sweep(microblog, [1, 10, 100, 1000, 4000, 16000],
@@ -128,9 +132,10 @@ class TestFrequencySweep:
         u_max = Fraction(3, 4)
         rows = frequency_sweep(system, [1, 3, 7, 777, 4000], u_max=u_max)
         for row in rows:
-            assert row.per_stage_utilization["batch"] == 0
+            t_in = period_from_frequency(row.frequency_hz)
+            assert batch.utilization(t_in) == 0
             assert row.total_utilization == sum(
-                row.per_stage_utilization.values(), Fraction(0))
+                (s.utilization(t_in) for s in system.stages()), Fraction(0))
             assert row.min_cores == min_cores(row.total_utilization, u_max)
 
     @pytest.mark.parametrize("frequency", [1, 3, 7, 777, 4000])
@@ -307,9 +312,8 @@ class TestScaledSums:
     @settings(max_examples=200, deadline=None)
     def test_match_the_per_stage_fraction_sums(self, system):
         summary = total_utilization(system)
-        per_stage = {s.id: s.utilization() for s in system.stages()}
-        assert summary.per_stage == per_stage
-        assert summary.total == sum(per_stage.values(), Fraction(0))
+        assert summary.total == sum(
+            (s.utilization() for s in system.stages()), Fraction(0))
         for u_max in (1, Fraction(69, 100), Fraction(1, 3)):
             assert (baseline_comparison(system, u_max)
                     == baseline_by_fractions(system, u_max))
@@ -324,7 +328,6 @@ class TestScaledSums:
                         priority=1))
         system = System(tuple(
             Analytic(s.id, (s,), Leaf(s.id), s.deadline) for s in stages))
-        summary = total_utilization(system)
-        assert summary.total == 0
-        assert summary.per_stage == {"x": 0, "y": 0}
+        assert total_utilization(system).total == 0
+        assert [s.utilization() for s in system.stages()] == [0, 0]
         assert baseline_comparison(system, Fraction(1, 3)) == (1, 1)
