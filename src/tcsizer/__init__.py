@@ -16,7 +16,6 @@ from .analysis import (
     end_to_end_response,
     min_cores,
     solve_system,
-    stage_response_time,
     total_utilization,
 )
 from .model import (
@@ -78,7 +77,6 @@ from .workloads import (
     ScenarioId,
     builtin_system,
     period_from_frequency,
-    random_system,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .model import (
     INFINITE,
@@ -39,7 +39,6 @@ from .model import (
     Duration,
     Expr,
     InterArrival,
-    InvalidAllocation,  # raised by solve_system; importable from here
     Leaf,
     Marker,
     Par,
@@ -110,27 +109,6 @@ def _fixed_point(base: Duration, load: list[tuple[int, Duration]],
         # and the loop would only crawl up to the cap
         if rounds == 64 and sum(Fraction(c, t) for t, c in load) >= 1:
             return DIVERGED
-
-
-def stage_response_time(stage: Stage, cotenants: Iterable[Stage],
-                        deadline_cap: Duration, *,
-                        blocking: Duration | None = None) -> ResponseTime:
-    """Least fixed point of the response-time recurrence, or DIVERGED as
-    soon as an iterate exceeds ``deadline_cap``.
-
-    ``cotenants`` must already be restricted to the interfering set
-    (higher priority plus equal priority on the same core); every entry
-    is charged: one-shot costs once, periodic costs summed per distinct
-    period and charged ceil(R / T) times. ``blocking`` overrides the
-    stage's own blocking term (callers fold in platform blocking that
-    way).
-    """
-    totals: dict[InterArrival, Duration] = defaultdict(int)
-    for z in cotenants:
-        totals[z.inter_arrival] += z.cost
-    b = stage.blocking if blocking is None else blocking
-    return _fixed_point(b + stage.cost + totals.pop(INFINITE, 0),
-                        list(totals.items()), deadline_cap)
 
 
 def end_to_end_response(expr: Expr,

@@ -460,7 +460,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--freqs", default=None,
                    help="comma-separated frequencies in Hz")
     p.add_argument("--umax", default=None, help="per-core capacity bound")
-    p.add_argument("--replication-limit", type=int, default=4096)
+    p.add_argument("--replication-limit", default="4096",
+                   help="most replicas per stage, an integer >= 1")
 
     p = sub.add_parser("decimate", help="decimation trade-off sweep")
     p.add_argument("spec")
@@ -548,18 +549,17 @@ def _prioritize(system: System) -> System:
 
 
 def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
-    """Fill in priorities (_prioritize) and allocation (first-fit) when
-    the spec file leaves them out entirely; partial assignments are
-    input errors."""
+    """Fill in priorities (_prioritize), and the allocation (first-fit's
+    mapping) when the spec file leaves it out entirely; partial
+    assignments are input errors."""
     system = _prioritize(system)
     core_set = [s.core is not None for s in system.stages()]
     if not any(core_set):
         try:
-            allocation = model.allocate_first_fit(system, cluster)
+            return system, model.allocate_first_fit(system, cluster)
         except model.AllocationFailed as exc:
             raise _UsageError(str(exc)) from None
-        system = model.with_allocation(system, allocation)
-    elif not all(core_set):
+    if not all(core_set):
         raise _UsageError("allocation must cover all stages or none")
     return system, {s.id: s.core for s in system.stages()}
 
@@ -591,9 +591,10 @@ def _cmd_size(args, out) -> int:
     system, _cluster, options = _load_spec(args)
     if not options.frequencies_hz:
         raise _UsageError("no frequencies given")
+    limit = _integer("replication limit must be a positive integer", 1)(
+        _flag_value(args.replication_limit), "--replication-limit")
     rows = sizing.frequency_sweep(system, options.frequencies_hz,
-                                  options.u_max,
-                                  replication_limit=args.replication_limit)
+                                  options.u_max, replication_limit=limit)
     # every row is formatted before the first write: an error leaves no output
     lines = [f"{format_fraction(r.frequency_hz)},"
              f"{format_fraction(r.total_utilization)},{r.min_cores}\n"

@@ -112,12 +112,16 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     periodic = [s for s in template.stages()
                 if s.inter_arrival is not INFINITE]
     cost = sum(s.cost for s in periodic)
+    costliest = max((s.cost for s in periodic), default=0)
     rows = []
     for f in frequencies:
         freq = Fraction(f)
         t_in = period_from_frequency(freq)
-        for s in periodic:
-            replica_count(s, t_in, replication_limit)
+        # ceil(C / T_in) grows with C, so only a limit below 1 or one the
+        # costliest stage passes needs the scan for the first offender
+        if replication_limit < 1 or -(-costliest // t_in) > replication_limit:
+            for s in periodic:
+                replica_count(s, t_in, replication_limit)
         total = Fraction(cost, t_in)
         rows.append(SweepRow(
             frequency_hz=freq,

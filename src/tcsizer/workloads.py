@@ -1,4 +1,4 @@
-"""Built-in analytics scenarios and seeded random system generation.
+"""Built-in analytics scenarios and the frequency-to-period conversion.
 
 The online scenarios are three-phase streams (generator -> splitter ->
 counter) with fixed per-stage costs; the offline ones are four-phase
@@ -10,8 +10,6 @@ deadlines that only fit on one core when priorities reflect deadlines.
 
 from __future__ import annotations
 
-import math
-import random
 from enum import Enum
 from fractions import Fraction
 
@@ -134,46 +132,3 @@ def _priority_pair() -> System:
         return Analytic(id=sid, stages=(stage,), topology=Leaf(sid),
                         end_to_end_deadline=d)
     return System((one_shot("TC1", 2 * HOUR), one_shot("TC2", HOUR)))
-
-
-def random_system(n_stages: int, u_target: float, t_range: tuple[int, int],
-                  seed: int) -> System:
-    """Seeded random single-analytic chain for property testing.
-
-    Per-stage utilizations come from uniform simplex splitting of
-    ``u_target``; periods are log-uniform over ``t_range`` (integer ns);
-    costs are floor(u*T) clamped to >= 1 ns, so the realized total never
-    exceeds the target; D = T, B = 0; the topology is the sequential
-    chain and the analytic deadline is the sum of stage deadlines.
-    """
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
-    if not 0 < u_target <= n_stages:
-        raise ValueError("u_target must be in (0, n_stages]")
-    lo, hi = t_range
-    if not (0 < lo <= hi):
-        raise ValueError("t_range must be a positive interval")
-    rng = random.Random(seed)
-    utils = _uunifast(rng, u_target, n_stages)
-    stages = []
-    for i, u in enumerate(utils):
-        t = int(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-        t = max(lo, min(t, hi))
-        c = max(1, math.floor(u * t))
-        stages.append(Stage(id=f"s{i:02d}", cost=c, inter_arrival=t,
-                            deadline=t))
-    topo = seq(*(s.id for s in stages))
-    return System((Analytic(
-        id=f"rand-{seed}", stages=tuple(stages), topology=topo,
-        end_to_end_deadline=sum(s.deadline for s in stages)),))
-
-
-def _uunifast(rng: random.Random, total: float, n: int) -> list[float]:
-    remaining = total
-    utils = []
-    for i in range(n - 1):
-        nxt = remaining * rng.random() ** (1.0 / (n - i - 1))
-        utils.append(remaining - nxt)
-        remaining = nxt
-    utils.append(remaining)
-    return utils

@@ -42,7 +42,6 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.model import AllocationFailed
-from tcsizer.workloads import _uunifast
 
 # all divide 1e9, so any subset's lcm divides 1e9
 DIVISOR_PERIODS = [
@@ -65,6 +64,19 @@ def _single_stage_analytic(aid: str, cost: int, period: int,
                   deadline=period + blocking, blocking=blocking)
     return Analytic(id=aid, stages=(stage,), topology=Leaf(aid),
                     end_to_end_deadline=period + blocking)
+
+
+def _uunifast(rng: random.Random, total: float, n: int) -> list[float]:
+    """``n`` utilizations summing to ``total``, uniform over the simplex
+    (UUniFast, Bini and Buttazzo 2005)."""
+    remaining = total
+    utils = []
+    for i in range(n - 1):
+        nxt = remaining * rng.random() ** (1.0 / (n - i - 1))
+        utils.append(remaining - nxt)
+        remaining = nxt
+    utils.append(remaining)
+    return utils
 
 
 def independent_taskset(seed: int, max_stages: int = 6, u_cap: float = 0.9):

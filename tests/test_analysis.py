@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,6 @@ from tcsizer import (
     par,
     seq,
     solve_system,
-    stage_response_time,
     total_utilization,
     with_priorities,
 )
@@ -48,47 +48,64 @@ def single(sid, c, t, d=None, b=0, prio=None):
                     end_to_end_deadline=s.deadline)
 
 
+def bound_below(me, cotenants, cap, platform_blocking=0):
+    """``me``'s bound from solve_system on one core c0, below all of
+    ``cotenants``: ``me`` at priority 1, each cotenant at priority 2, and
+    each stage in an analytic of its own with end-to-end deadline
+    ``cap``, which makes ``cap`` the solve's cap."""
+    ranked = [replace(me, priority=1)]
+    ranked += [replace(z, priority=2) for z in cotenants]
+    system = System(tuple(
+        Analytic(id=s.id, stages=(s,), topology=Leaf(s.id),
+                 end_to_end_deadline=cap)
+        for s in ranked))
+    cluster = Cluster((Core("c0", platform_blocking=platform_blocking),))
+    report = solve_system(system, {s.id: "c0" for s in ranked}, cluster)
+    return report.per_stage[me.id]
+
+
 class TestStageResponseTime:
     def test_no_contention(self):
-        assert stage_response_time(stage("s", 100 * US, SEC), [], SEC) == 100 * US
+        assert bound_below(stage("s", 100 * US, SEC), [], SEC) == 100 * US
 
     def test_two_task_fixed_point(self):
         lp = stage("lp", 3 * MS, 15 * MS)
         hp = stage("hp", 2 * MS, 5 * MS)
-        assert stage_response_time(lp, [hp], SEC) == 5 * MS
+        assert bound_below(lp, [hp], SEC) == 5 * MS
 
     def test_one_shot_cotenant_charged_once(self):
         me = stage("me", HOUR, INFINITE, 2 * HOUR)
         other = stage("other", HOUR, INFINITE, HOUR)
-        assert stage_response_time(me, [other], 2 * HOUR) == 2 * HOUR
+        assert bound_below(me, [other], 2 * HOUR) == 2 * HOUR
 
     def test_blocking_term(self):
         lp = stage("lp", 3 * MS, 15 * MS, b=1 * MS)
         hp = stage("hp", 2 * MS, 5 * MS)
-        assert stage_response_time(lp, [hp], SEC) == 8 * MS
+        assert bound_below(lp, [hp], SEC) == 8 * MS
 
     def test_blocking_override(self):
+        # the core's platform blocking overrides the stage's own 0
         lp = stage("lp", 3 * MS, 15 * MS)
         hp = stage("hp", 2 * MS, 5 * MS)
-        assert stage_response_time(lp, [hp], SEC, blocking=1 * MS) == 8 * MS
+        assert bound_below(lp, [hp], SEC, platform_blocking=1 * MS) == 8 * MS
 
     def test_diverges_past_cap(self):
         lp = stage("lp", 6 * MS, 10 * MS)
         hp = stage("hp", 5 * MS, 5 * MS)  # saturates the core
-        assert stage_response_time(lp, [hp], 100 * MS) is DIVERGED
+        assert bound_below(lp, [hp], 100 * MS) is DIVERGED
 
     def test_full_core_leaves_no_fixed_point_above_zero(self):
         tick = stage("tick", 10 * US, 10 * US)  # U = 1
         batch = stage("batch", 10 * US, INFINITE, HOUR)
-        assert stage_response_time(batch, [tick], 100 * MS) is DIVERGED
+        assert bound_below(batch, [tick], 100 * MS) is DIVERGED
         idle = stage("idle", 0, INFINITE, HOUR)
-        assert stage_response_time(idle, [tick], 100 * MS) == 0
+        assert bound_below(idle, [tick], 100 * MS) == 0
 
     def test_cap_boundary_is_inclusive(self):
         me = stage("me", HOUR, INFINITE, 2 * HOUR)
         other = stage("other", HOUR, INFINITE, HOUR)
-        assert stage_response_time(me, [other], 2 * HOUR) == 2 * HOUR
-        assert stage_response_time(me, [other], 2 * HOUR - 1) is DIVERGED
+        assert bound_below(me, [other], 2 * HOUR) == 2 * HOUR
+        assert bound_below(me, [other], 2 * HOUR - 1) is DIVERGED
 
     @given(st.data())
     @settings(max_examples=300)
@@ -105,7 +122,7 @@ class TestStageResponseTime:
         # small cap: at cotenant utilization ~1 the climb to the cap is
         # one cost-term per period crossing
         cap = 10**5
-        r = stage_response_time(me, cotenants, cap)
+        r = bound_below(me, cotenants, cap)
         if r is DIVERGED:
             return
         # substituting R back into the recurrence reproduces it exactly
@@ -113,20 +130,20 @@ class TestStageResponseTime:
             -(-r // z.inter_arrival) * z.cost for z in cotenants)
         assert rhs == r
         # adding demand never helps
-        bigger = stage_response_time(
+        bigger = bound_below(
             stage("me", me.cost + 1, 10**6, b=me.blocking), cotenants, cap)
         assert bigger is DIVERGED or bigger >= r
-        more_blocking = stage_response_time(me, cotenants, cap,
-                                            blocking=me.blocking + 7)
+        more_blocking = bound_below(
+            stage("me", me.cost, 10**6, b=me.blocking + 7), cotenants, cap)
         assert more_blocking is DIVERGED or more_blocking >= r
         extra = cotenants + [stage("extra", 5, 100)]
-        with_extra = stage_response_time(me, extra, cap)
+        with_extra = bound_below(me, extra, cap)
         assert with_extra is DIVERGED or with_extra >= r
         if cotenants:
             z0 = cotenants[0]
             faster = [stage(z0.id, z0.cost, max(1, z0.inter_arrival // 2))]
             faster += cotenants[1:]
-            r_faster = stage_response_time(me, faster, cap)
+            r_faster = bound_below(me, faster, cap)
             assert r_faster is DIVERGED or r_faster >= r
 
 

@@ -24,9 +24,12 @@ from tcsizer import (
     ScenarioId,
     Stage,
     System,
+    allocate_first_fit,
+    assign_priorities_dm,
     builtin_system,
     homogeneous_cluster,
     retime_system,
+    with_allocation,
     with_priorities,
 )
 from tcsizer.cli import (
@@ -386,6 +389,28 @@ class TestAnalyzeCommand:
         code, _, err = invoke(["analyze"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("make", [
+        lambda: builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1),
+        headline_system,
+    ], ids=["microblog", "headline"])
+    def test_written_first_fit_allocation_changes_nothing(
+            self, tmp_path, command, make):
+        system, cluster = make(), homogeneous_cluster(8)
+        allocation = allocate_first_fit(
+            with_priorities(system, assign_priorities_dm(system)), cluster)
+        bare, placed = tmp_path / "bare.json", tmp_path / "placed.json"
+        bare.write_text(emit_system_spec(system, cluster))
+        placed.write_text(emit_system_spec(
+            with_allocation(system, allocation), cluster))
+        assert placed.read_text() != bare.read_text()
+        argv = ["--seed", "3", "--horizon", "1s"] if command == "simulate" \
+            else []
+        runs = [invoke_with_trace([command, str(spec), *argv], tmp_path)
+                for spec in (bare, placed)]
+        assert runs[0][0] == 0, runs[0][2]
+        assert runs[0] == runs[1]
+
     def test_module_runs_the_command(self, table_vi_gp):
         proc = invoke_child(["analyze", str(table_vi_gp)], timeout=60)
         code, out, _ = invoke(["analyze", str(table_vi_gp)])
@@ -436,6 +461,24 @@ class TestSizeCommand:
         code, out, err = invoke(["size", str(headline), "--freqs", "100"])
         assert (code, out) == (1, "")
         assert "already replicated" in err
+
+    def test_replication_limit(self, microblog):
+        argv = ["size", str(microblog), "--freqs", "4000"]
+        assert invoke([*argv, "--replication-limit", "3"]) == invoke(argv)
+        code, out, err = invoke([*argv, "--replication-limit", "2"])
+        assert (code, out) == (1, "")
+        assert err == ("error: stage 'microblog-split' needs 3 replicas, "
+                       "limit is 2\n")
+
+    @pytest.mark.parametrize("spec", ["microblog", "table_vi_tc"])
+    @pytest.mark.parametrize("text", ["0", "-3", "1_000", "x"])
+    def test_bad_replication_limit(self, request, spec, text):
+        code, out, err = invoke([
+            "size", str(request.getfixturevalue(spec)), "--freqs", "4000",
+            "--replication-limit", text])
+        assert (code, out) == (1, "")
+        assert err == ("error: --replication-limit: replication limit must "
+                       "be a positive integer\n")
 
     def test_bad_freqs(self, microblog):
         code, _, err = invoke(["size", str(microblog), "--freqs", "1,zap"])

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcsizer import (
@@ -17,6 +17,7 @@ from tcsizer import (
     RoundRobin,
     Seq,
     Stage,
+    SweepRow,
     System,
     assign_priorities_dm,
     baseline_comparison,
@@ -30,6 +31,7 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
+from tcsizer.model import replica_count
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import COPRIME_PERIODS
@@ -161,6 +163,68 @@ class TestFrequencySweep:
         for row in frequency_sweep(microblog, [7, 77, 777], u_max=Fraction(3, 4)):
             assert row.min_cores == min_cores(row.total_utilization,
                                               Fraction(3, 4))
+
+
+def frequency_sweep_per_stage(template, frequencies, u_max, *,
+                              replication_limit=4096):
+    """frequency_sweep as it was written before it tested the limit
+    against the costliest stage only: every periodic stage goes through
+    replica_count at every frequency."""
+    periodic = [s for s in template.stages()
+                if s.inter_arrival is not INFINITE]
+    cost = sum(s.cost for s in periodic)
+    rows = []
+    for f in frequencies:
+        freq = Fraction(f)
+        t_in = period_from_frequency(freq)
+        for s in periodic:
+            replica_count(s, t_in, replication_limit)
+        total = Fraction(cost, t_in)
+        rows.append(SweepRow(frequency_hz=freq, total_utilization=total,
+                             min_cores=min_cores(total, u_max)))
+    return rows
+
+
+def sweep_outcome(sweep, *args, **kwargs):
+    """The rows, or what the sweep raised: type, the ReplicationExceeded
+    fields, and the message."""
+    try:
+        return sweep(*args, **kwargs)
+    except ReplicationExceeded as exc:
+        return (type(exc), exc.stage_id, exc.needed, exc.k_max, str(exc))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def sweep_templates(draw):
+    """0-6 single-stage analytics, periodic or one-shot, costs from 0 up
+    to 5 ms (5000 replicas at 1 MHz); zero costs are drawn often, since a
+    limit below 1 must still be refused when every periodic cost is 0."""
+    costs = st.sampled_from([0, 1]) | st.integers(0, 5 * MS)
+    stages = [
+        Stage(id=f"s{i}", cost=draw(costs),
+              inter_arrival=draw(st.sampled_from([MS, INFINITE])),
+              deadline=SEC)
+        for i in range(draw(st.integers(0, 6)))]
+    return System(tuple(
+        Analytic(s.id, (s,), Leaf(s.id), SEC) for s in stages))
+
+
+class TestReplicationLimit:
+    @given(sweep_templates(),
+           st.lists(st.integers(1, 10**6), min_size=1, max_size=3),
+           st.sampled_from([-1, 0, 1, 2, 3, 4, 4096]))
+    # a limit of 0 is refused even when no periodic stage costs anything
+    @example(System((Analytic("idle", (Stage("idle", 0, MS, SEC),),
+                              Leaf("idle"), SEC),)), [1], 0)
+    @settings(max_examples=500, deadline=None)
+    def test_costliest_stage_check_matches_the_per_stage_loop(
+            self, template, frequencies, limit):
+        assert (sweep_outcome(frequency_sweep, template, frequencies, 1,
+                              replication_limit=limit)
+                == sweep_outcome(frequency_sweep_per_stage, template,
+                                 frequencies, 1, replication_limit=limit))
 
 
 class TestDecimationSweep:

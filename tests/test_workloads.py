@@ -14,8 +14,6 @@ from tcsizer import (
     builtin_system,
     leaves,
     period_from_frequency,
-    random_system,
-    total_utilization,
     validate_system,
 )
 
@@ -100,63 +98,3 @@ class TestBuiltinSystems:
         a = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=250)
         b = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=250)
         assert a == b
-
-
-class TestRandomSystem:
-    def test_deterministic_in_seed(self):
-        a = random_system(5, 0.8, (10**6, 10**8), seed=42)
-        b = random_system(5, 0.8, (10**6, 10**8), seed=42)
-        assert a == b
-        c = random_system(5, 0.8, (10**6, 10**8), seed=43)
-        assert c != a
-
-    def test_total_utilization_never_exceeds_target(self):
-        for seed in range(300):
-            system = random_system(5, 0.8, (10**6, 10**8), seed=seed)
-            total = total_utilization(system).total
-            assert Fraction(8, 10) - Fraction(2, 100) <= total <= Fraction(8, 10)
-
-    def test_single_stage(self):
-        system = random_system(1, 0.5, (10**6, 10**6), seed=7)
-        (s,) = system.stages()
-        assert s.inter_arrival == 10**6
-        assert abs(float(s.utilization()) - 0.5) < 1e-5
-
-    def test_structure(self):
-        system = random_system(4, 1.0, (10**5, 10**7), seed=3)
-        assert len(system.analytics) == 1
-        analytic = system.analytics[0]
-        assert list(leaves(analytic.topology)) == [s.id for s in analytic.stages]
-        assert analytic.end_to_end_deadline == sum(
-            s.deadline for s in analytic.stages)
-        for s in analytic.stages:
-            assert s.blocking == 0
-            assert s.deadline == s.inter_arrival
-            assert 10**5 >= 1
-            assert validate_system(system).ok
-
-    def test_periods_within_range(self):
-        for seed in range(50):
-            system = random_system(6, 0.5, (10**4, 10**6), seed=seed)
-            for s in system.stages():
-                assert 1 <= s.inter_arrival <= 10**6
-
-    def test_exchangeable_utilizations(self):
-        # distributional: per-index mean utilization ~ u_target / n
-        n, u_target, runs = 4, 0.8, 10_000
-        sums = [0.0] * n
-        for seed in range(runs):
-            system = random_system(n, u_target, (10**6, 10**6), seed=seed)
-            for i, s in enumerate(system.stages()):
-                sums[i] += float(s.utilization())
-        expected = u_target / n
-        for total in sums:
-            assert abs(total / runs - expected) < 0.05 * expected
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            random_system(0, 0.5, (1, 10), seed=1)
-        with pytest.raises(ValueError):
-            random_system(3, 4.0, (1, 10), seed=1)
-        with pytest.raises(ValueError):
-            random_system(3, 0.5, (10, 1), seed=1)
