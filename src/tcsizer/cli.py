@@ -324,9 +324,8 @@ _CLUSTER_FIELDS = (_records("cores", Core, _CORE_FIELDS, "a core object"),)
 
 
 def _parse_cluster(obj: Any, path: str) -> Cluster:
-    values = _read(obj, path, _CLUSTER_FIELDS, "a cluster object")
-    try:
-        return Cluster(**values)
+    try:  # Core and Cluster check their own invariants
+        return Cluster(**_read(obj, path, _CLUSTER_FIELDS, "a cluster object"))
     except ValueError as exc:
         raise ParseError(f"{path}/cores", str(exc)) from None
 

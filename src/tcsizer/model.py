@@ -230,6 +230,14 @@ class System:
             yield from analytic.stages
 
 
+# characters that would split or quote a field of the trace CSV
+_CSV_SPECIALS = frozenset(',"\r\n')
+
+
+def _csv_unsafe(name: str) -> bool:
+    return not _CSV_SPECIALS.isdisjoint(name)
+
+
 @dataclass(frozen=True)
 class Core:
     """A scheduling unit: normalized capacity plus platform blocking."""
@@ -239,6 +247,9 @@ class Core:
     platform_blocking: Duration = 0
 
     def __post_init__(self):
+        if _csv_unsafe(self.id):
+            raise ValueError(f"core {self.id!r}: id holds a comma, quote "
+                             f"or line break")
         cap = self.capacity
         if not isinstance(cap, Fraction):
             cap = Fraction(cap)
@@ -331,6 +342,9 @@ def validate_system(system: System) -> ValidationReport:
             if stage.id in seen_stages:
                 report.add(f"{spath}/id", f"duplicate stage id {stage.id!r}")
             seen_stages.add(stage.id)
+            if _csv_unsafe(stage.id):
+                report.add(f"{spath}/id", f"stage id {stage.id!r} holds a "
+                           f"comma, quote or line break")
             # INFINITE is legal only as an inter-arrival time
             finite_fields = True
             for field_name in ("cost", "deadline", "blocking"):

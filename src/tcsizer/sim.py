@@ -30,14 +30,19 @@ UNIFORM/JITTERED draws, and simultaneous events are ordered by
 (time, {COMPLETE, BLOCK_END, RELEASE}, stage id, job index), followed by
 the scheduler's PREEMPT/START/RESUME decisions in core-id order.
 
-Each fact of a job has one home. A ready job is the entry (neg_prio,
-release, stage, job, remaining, started); a core's running record
-appends (dispatched_at, token). Heap events are (time, rank, stage, job,
-last): last is the token of a completion, the release time of a blocking
-end. One function, release(), makes every release and holds the
-throttle, the one-shot rule and the horizon test. A completion counts
-down each join target it admits; the sinks' target is the analytic's
-end, where the item's end-to-end response is taken.
+Each fact of a job has one home. Stages and cores are numbered in
+stage-id and core-id order, so integer indices order everything below
+exactly as the ids would. A ready job is the entry (neg_prio, release,
+stage index, job, remaining, started); a core's running record appends
+(dispatched_at, token). Heap events are (time, rank, stage index, job,
+last): last is the token of a completion, the release time of a
+blocking end. Per-stage constants live in lists indexed by stage index.
+One function, release(), makes every release and holds the throttle,
+the one-shot rule and the horizon test. A completion counts down each
+join target it admits; the sinks' target is the analytic's end, where
+the item's end-to-end response is taken. Each event is logged as a
+plain (time, core id, kind, stage id, job) tuple; SimEvents are built
+only when ``SimTrace.events`` is read.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .analysis import DIVERGED, ResponseReport
@@ -95,10 +101,21 @@ class SimEvent(NamedTuple):
 
 @dataclass
 class SimTrace:
-    events: list[SimEvent] = field(default_factory=list)
+    """What one run observed. ``log`` holds every event as a plain
+    (time, core, kind, stage, job) tuple in trace order; ``events`` reads
+    the same log as SimEvents, built on first access. Job responses are
+    keyed (stage id, job index), end-to-end responses (analytic id, item
+    index)."""
+
+    log: list[tuple[Duration, str, str, str, int]] = field(
+        default_factory=list)
     job_responses: dict[tuple[str, int], Duration] = field(default_factory=dict)
     end_to_end_responses: dict[tuple[str, int], Duration] = field(
         default_factory=dict)
+
+    @cached_property
+    def events(self) -> list[SimEvent]:
+        return list(map(SimEvent._make, self.log))
 
 
 class WorstObserved(NamedTuple):
@@ -111,19 +128,6 @@ class Violation(NamedTuple):
     id: str
     observed: Duration
     bound: Duration
-
-
-@dataclass(slots=True)
-class _StageRt:
-    core: str
-    prio: int
-    cost: Duration
-    period: Duration | None  # None for one-shot
-    b_eff: Duration
-    analytic: str
-    is_source: bool
-    k: int  # admits the items n with n % k == lane
-    lane: int
 
 
 # event ranks: completions first, then blocking ends, then releases
@@ -139,140 +143,162 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     Raises HorizonTooShort when not a single item completes end-to-end.
     """
     blocking = effective_blocking(system, allocation, cluster)
-    info: dict[str, _StageRt] = {}
-    # each stage's join targets as (id, k, lane, predecessors that admit
-    # an item the target admits); the sinks' target is the analytic's
-    # end, keyed (analytic id,) so that no stage id equals it
-    routes: dict[str, list[tuple]] = {}
-    for analytic in system.analytics:
+    # stages and cores are numbered in id order, so that integers order
+    # heap and ready entries, and dispatches, exactly as the ids would
+    sids = sorted(s.id for s in system.stages())
+    index = {sid: i for i, sid in enumerate(sids)}
+    n = len(sids)
+    core_ids = sorted({c.id for c in cluster.cores})
+    core_index = {cid: ci for ci, cid in enumerate(core_ids)}
+    host = [0] * n  # core index
+    host_id = [""] * n
+    neg_prio = [0] * n
+    cost = [0] * n
+    period: list[Duration | None] = [None] * n  # None for one-shot
+    b_eff = [0] * n
+    aid = [""] * n
+    is_source = [False] * n
+    k_of = [1] * n  # stage i admits the items m with m % k_of[i] == lane[i]
+    lane = [0] * n
+    # each stage's join targets as (target, k, lane, predecessors that
+    # admit an item the target admits); a target below n is a stage
+    # index, n + a is the end of analytic a, where sinks join
+    routes: list[list[tuple]] = [[] for _ in range(n)]
+    for a, analytic in enumerate(system.analytics):
         flow = item_flow(analytic.topology)
         for s in analytic.stages:
-            period = (None if s.inter_arrival is INFINITE
-                      else s.inter_arrival)
-            k, lane = flow.lanes.get(s.id, (1, 0))
-            info[s.id] = _StageRt(
-                core=allocation[s.id], prio=s.priority, cost=s.cost,
-                period=period, b_eff=blocking[s.id], analytic=analytic.id,
-                is_source=s.id not in flow.preds, k=k, lane=lane)
+            i = index[s.id]
+            host_id[i] = allocation[s.id]
+            host[i] = core_index[host_id[i]]
+            neg_prio[i] = -s.priority
+            cost[i] = s.cost
+            if s.inter_arrival is not INFINITE:
+                period[i] = s.inter_arrival
+            b_eff[i] = blocking[s.id]
+            aid[i] = analytic.id
+            is_source[i] = s.id not in flow.preds
+            k_of[i], lane[i] = flow.lanes.get(s.id, (1, 0))
         # one child of a round-robin node admits each item, so joins
         # leave its children past lane 0 out
-        extra = {sid for sid, (_, lane) in flow.lanes.items() if lane}
-        for target, ups in (*flow.preds.items(),
-                            ((analytic.id,), flow.sinks)):
-            route = (target, *flow.lanes.get(target, (1, 0)),
+        extra = {sid for sid, (_, j) in flow.lanes.items() if j}
+        for target, ups in (*flow.preds.items(), (None, flow.sinks)):
+            route = (n + a if target is None else index[target],
+                     *flow.lanes.get(target, (1, 0)),
                      sum(up not in extra for up in ups))
             for up in ups:
-                routes.setdefault(up, []).append(route)
+                routes[index[up]].append(route)
 
     rng = random.Random(config.seed)
     horizon = config.horizon
     trace = SimTrace()
-    emit = trace.events.append
+    emit = trace.log.append
+    job_responses = trace.job_responses
+    end_to_end = trace.end_to_end_responses
     heap: list[tuple] = []
-    ready: dict[str, list] = {c.id: [] for c in cluster.cores}
-    running: dict[str, tuple | None] = {c.id: None for c in cluster.cores}
+    push, pop = heapq.heappush, heapq.heappop
+    ready: list[list] = [[] for _ in core_ids]
+    running: list[tuple | None] = [None] * len(core_ids)
     token_seq = 0
-    last_release: dict[str, Duration] = {}
-    join_pending: dict[tuple, int] = {}
+    last_release: list[Duration | None] = [None] * n
+    join_pending: dict[tuple[int, int], int] = {}
     item_start: dict[tuple[str, int], Duration] = {}
 
-    def release(sid: str, item: int, at: Duration) -> None:
-        st = info[sid]
-        if st.period is None:
+    def release(i: int, item: int, at: Duration) -> None:
+        p = period[i]
+        if p is None:
             if item:
                 return  # a one-shot stage runs item 0 only
-        elif sid in last_release:  # items may arrive out of order
-            at = max(at, last_release[sid] + st.period)
-        last_release[sid] = at
+        elif last_release[i] is not None:  # items may arrive out of order
+            at = max(at, last_release[i] + p)
+        last_release[i] = at
         if at < horizon:
-            heapq.heappush(heap, (at, _RELEASE, sid, item, 0))
+            push(heap, (at, _RELEASE, i, item, 0))
 
     # first releases of source stages, from one phase per analytic
     phase: dict[str, Duration] = {}
     jittered = config.release_policy is ReleasePolicy.JITTERED
     adversarial = config.blocking_policy is BlockingPolicy.ADVERSARIAL
-    for sid in sorted(info):
-        st = info[sid]
-        if not st.is_source:
+    for i in range(n):
+        if not is_source[i]:
             continue
         offset = 0
-        if st.period is not None:
-            t_in = max(1, st.period // st.k)
-            if st.analytic not in phase:
-                phase[st.analytic] = rng.randrange(t_in) if jittered else 0
-            offset = phase[st.analytic] + st.lane * t_in
-        release(sid, st.lane, offset)
+        if period[i] is not None:
+            t_in = max(1, period[i] // k_of[i])
+            if aid[i] not in phase:
+                phase[aid[i]] = rng.randrange(t_in) if jittered else 0
+            offset = phase[aid[i]] + lane[i] * t_in
+        release(i, lane[i], offset)
 
     while heap and heap[0][0] <= horizon:
         t = heap[0][0]
-        dirty: set[str] = set()
+        dirty: set[int] = set()
         while heap and heap[0][0] == t:
-            _, rank, sid, job, last = heapq.heappop(heap)
-            st = info[sid]
+            _, rank, i, job, last = pop(heap)
             if rank == _COMPLETE:
-                run = running[st.core]
+                ci = host[i]
+                run = running[ci]
                 if run is None or run[7] != last:
                     continue  # stale completion of a preempted dispatch
-                running[st.core] = None
-                dirty.add(st.core)
-                emit(SimEvent(t, st.core, "COMPLETE", sid, job))
-                trace.job_responses[(sid, job)] = t - run[1]
-                for target, k, lane, joins in routes.get(sid, ()):
-                    if job % k != lane:
+                running[ci] = None
+                dirty.add(ci)
+                sid = sids[i]
+                emit((t, host_id[i], "COMPLETE", sid, job))
+                job_responses[(sid, job)] = t - run[1]
+                for target, k, j, joins in routes[i]:
+                    if job % k != j:
                         continue  # another replica of a round-robin node
                     jkey = (target, job)  # join on the admitting preds
                     left = join_pending.pop(jkey, joins) - 1
                     if left:
                         join_pending[jkey] = left
-                    elif isinstance(target, str):
+                    elif target < n:
                         release(target, job, t)
                     else:  # the analytic's end: the item is done
-                        key = (st.analytic, job)
-                        trace.end_to_end_responses[key] = (
-                            t - item_start.pop(key))
+                        key = (aid[i], job)
+                        end_to_end[key] = t - item_start.pop(key)
             elif rank == _READY:
-                emit(SimEvent(t, st.core, "BLOCK_END", sid, job))
-                heapq.heappush(ready[st.core],
-                               (-st.prio, last, sid, job, st.cost, False))
-                dirty.add(st.core)
+                emit((t, host_id[i], "BLOCK_END", sids[i], job))
+                push(ready[host[i]],
+                     (neg_prio[i], last, i, job, cost[i], False))
+                dirty.add(host[i])
             else:  # _RELEASE
-                emit(SimEvent(t, st.core, "RELEASE", sid, job))
-                if st.is_source:
-                    key = (st.analytic, job)
+                emit((t, host_id[i], "RELEASE", sids[i], job))
+                if is_source[i]:
+                    key = (aid[i], job)
                     if key not in item_start or t < item_start[key]:
                         item_start[key] = t
-                    if st.period is not None:
-                        release(sid, job + st.k, t + st.period)
-                delay = st.b_eff
+                    if period[i] is not None:
+                        release(i, job + k_of[i], t + period[i])
+                delay = b_eff[i]
                 if delay and not adversarial:
                     delay = rng.randint(0, delay)
                 if delay == 0:
-                    heapq.heappush(ready[st.core],
-                                   (-st.prio, t, sid, job, st.cost, False))
-                    dirty.add(st.core)
+                    push(ready[host[i]],
+                         (neg_prio[i], t, i, job, cost[i], False))
+                    dirty.add(host[i])
                 elif t + delay <= horizon:
-                    heapq.heappush(heap, (t + delay, _READY, sid, job, t))
+                    push(heap, (t + delay, _READY, i, job, t))
 
-        for cid in sorted(dirty):
-            rq = ready[cid]
+        for ci in sorted(dirty):
+            rq = ready[ci]
             if not rq:
                 continue
-            run = running[cid]
+            run = running[ci]
             if run is not None:
                 if rq[0][0] >= run[0]:
                     continue  # equal priority never preempts (FIFO)
-                neg, rel, rsid, rjob, remaining, _, disp_at, _ = run
-                emit(SimEvent(t, cid, "PREEMPT", rsid, rjob))
-                heapq.heappush(
-                    rq, (neg, rel, rsid, rjob, remaining - (t - disp_at), True))
-            entry = heapq.heappop(rq)
-            _, _, sid, job, remaining, started = entry
-            emit(SimEvent(t, cid, "RESUME" if started else "START", sid, job))
+                neg, rel, ri, rjob, remaining, _, disp_at, _ = run
+                emit((t, core_ids[ci], "PREEMPT", sids[ri], rjob))
+                push(rq, (neg, rel, ri, rjob, remaining - (t - disp_at), True))
+            entry = pop(rq)
+            _, _, i, job, remaining, started = entry
+            emit((t, core_ids[ci], "RESUME" if started else "START", sids[i],
+                  job))
             token_seq += 1
-            running[cid] = (*entry, t, token_seq)
-            heapq.heappush(heap, (t + remaining, _COMPLETE, sid, job, token_seq))
+            running[ci] = (*entry, t, token_seq)
+            push(heap, (t + remaining, _COMPLETE, i, job, token_seq))
 
-    if not trace.end_to_end_responses:
+    if not end_to_end:
         raise HorizonTooShort(
             f"no item completed end-to-end within {config.horizon} ns")
     return trace
@@ -317,7 +343,6 @@ def verify_conservative(report: ResponseReport,
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Export as CSV with the exact header time_ns,core,kind,stage,job."""
-    lines = ["time_ns,core,kind,stage,job"]
-    for ev in trace.events:
-        lines.append(f"{ev.time},{ev.core},{ev.kind},{ev.stage},{ev.job}")
-    return "\n".join(lines) + "\n"
+    return "time_ns,core,kind,stage,job\n" + "".join([
+        f"{t},{core},{kind},{stage},{job}\n"
+        for t, core, kind, stage, job in trace.log])

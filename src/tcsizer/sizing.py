@@ -91,10 +91,11 @@ def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
 def _require_template(template: System) -> None:
     """ValueError for a RoundRobin node, whose replicas would each be
     read as a template stage."""
-    for analytic in template.analytics:
+    for a, analytic in enumerate(template.analytics):
         if any(isinstance(n, RoundRobin) for n in nodes(analytic.topology)):
-            raise ValueError(f"analytic {analytic.id!r} is already "
-                             f"replicated (round-robin node)")
+            raise ValueError(f"/analytics/{a}/topology: analytic "
+                             f"{analytic.id!r} is already replicated "
+                             f"(round-robin node)")
 
 
 def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
@@ -132,11 +133,12 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
 
 
 def _unique_sink(analytic: Analytic) -> str:
+    """The final stage of the only analytic, /analytics/0."""
     sinks = item_flow(analytic.topology).sinks
     if len(sinks) != 1:
         raise ValueError(
-            f"analytic {analytic.id!r}: decimation needs a unique final stage, "
-            f"found {sinks}")
+            f"/analytics/0/topology: analytic {analytic.id!r}: decimation "
+            f"needs a unique final stage, found {sinks}")
     return sinks[0]
 
 
@@ -157,7 +159,8 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
     """
     _require_template(template)
     if len(template.analytics) != 1:
-        raise ValueError("decimation_sweep expects a single-analytic system")
+        raise ValueError(
+            "/analytics: decimation_sweep expects a single-analytic system")
     analytic = template.analytics[0]
     agg_id = _unique_sink(analytic)
     aggregator = next(s for s in analytic.stages if s.id == agg_id)

@@ -28,6 +28,7 @@ from tcsizer import (
     assign_priorities_dm,
     builtin_system,
     homogeneous_cluster,
+    par,
     retime_system,
     with_allocation,
     with_priorities,
@@ -462,6 +463,12 @@ class TestSizeCommand:
         assert (code, out) == (1, "")
         assert "already replicated" in err
 
+    def test_replicated_spec_error_points_at_the_topology(self, headline):
+        code, out, err = invoke(["size", str(headline), "--freqs", "100"])
+        assert (code, out) == (1, "")
+        assert err == ("error: /analytics/0/topology: analytic 'microblog' "
+                       "is already replicated (round-robin node)\n")
+
     def test_replication_limit(self, microblog):
         argv = ["size", str(microblog), "--freqs", "4000"]
         assert invoke([*argv, "--replication-limit", "3"]) == invoke(argv)
@@ -523,6 +530,26 @@ class TestDecimateCommand:
         assert code == 1
         assert out == ""
         assert "--freq" in err
+
+    def test_two_analytics_are_refused_at_a_pointer(self, table_vi_tc):
+        code, out, err = invoke(["decimate", str(table_vi_tc),
+                                 "--factors", "1", "--freq", "10"])
+        assert (code, out) == (1, "")
+        assert err == ("error: /analytics: decimation_sweep expects a "
+                       "single-analytic system\n")
+
+    def test_two_sinks_are_refused_at_a_pointer(self, tmp_path):
+        stages = tuple(Stage(id=sid, cost=MS, inter_arrival=10 * MS,
+                             deadline=10 * MS) for sid in "ab")
+        system = System((Analytic("p", stages, par("a", "b"), 10 * MS),))
+        path = tmp_path / "two-sinks.json"
+        path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
+        code, out, err = invoke(["decimate", str(path),
+                                 "--factors", "1", "--freq", "10"])
+        assert (code, out) == (1, "")
+        assert err == ("error: /analytics/0/topology: analytic 'p': "
+                       "decimation needs a unique final stage, found "
+                       "['a', 'b']\n")
 
     def test_unprintable_row_leaves_stdout_empty(self, microblog):
         # T_in = 10**5009 ns: the row's end-to-end time has too many
@@ -762,6 +789,35 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where,bad,pointer", [
+        ("stage", "a,b", "invalid system: /analytics/0/stages/0/id: "
+                         "stage id 'a,b'"),
+        ("stage", 'a"b', "invalid system: /analytics/0/stages/0/id: "
+                         "stage id 'a\"b'"),
+        ("core", "c\n0", "/cluster/cores: core 'c\\n0': id"),
+        ("core", "c\r0", "/cluster/cores: core 'c\\r0': id"),
+    ])
+    def test_ids_that_would_break_a_trace_row_are_refused(
+            self, tmp_path, where, bad, pointer):
+        doc = json.loads(emit_system_spec(System((Analytic(
+            "a", (Stage(id="a", cost=MS, inter_arrival=10 * MS,
+                        deadline=10 * MS),), Leaf("a"), 10 * MS),)),
+            homogeneous_cluster(1)))
+        if where == "stage":
+            doc["analytics"][0]["stages"][0]["id"] = bad
+            doc["analytics"][0]["topology"] = bad
+        else:
+            doc["cluster"]["cores"][0]["id"] = bad
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        trace_path = tmp_path / "t.csv"
+        code, out, err = invoke(["simulate", str(spec), "--horizon", "1s",
+                                 "--trace", str(trace_path)])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {pointer} holds a comma, quote or line "
+                       f"break\n")
+        assert not trace_path.exists()
 
     def test_short_horizon_leaves_the_trace_file_alone(self, microblog,
                                                        tmp_path):

@@ -94,6 +94,13 @@ class TestValidation:
         assert any("negative blocking" in m
                    for _, m in validate_system(bad).findings)
 
+    @pytest.mark.parametrize("sid", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_stage_ids_must_fit_a_trace_field(self, sid):
+        system = System((single("ok", 1, 10), single(sid, 1, 10)))
+        assert validate_system(system).findings == [(
+            "/analytics/1/stages/0/id",
+            f"stage id {sid!r} holds a comma, quote or line break")]
+
     def test_finding_paths_point_at_fields(self):
         system = System((single("s", 2 * SEC, 10 * SEC, 1 * SEC),))
         (path, _msg), = validate_system(system).findings
@@ -410,6 +417,11 @@ class TestCoreAndCluster:
         with pytest.raises(ValueError):
             Core("c", Fraction(3, 2))
         assert Core("c", Fraction(1)).capacity == 1
+
+    @pytest.mark.parametrize("cid", ["c,0", 'c"0', "c\r0", "c\n0"])
+    def test_core_ids_must_fit_a_trace_field(self, cid):
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            Core(cid)
 
     def test_cluster_invariants(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -635,3 +636,78 @@ class TestObservation:
         assert all(a.time <= b.time
                    for a, b in zip(trace.events, trace.events[1:]))
         assert len(set(trace.events)) == len(trace.events)
+
+
+def trace_digest(traces):
+    """sha256 over each trace's CSV export and its sorted job and
+    end-to-end responses, in order."""
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(trace_to_csv(trace).encode())
+        h.update(repr(sorted(trace.job_responses.items())).encode())
+        h.update(repr(sorted(trace.end_to_end_responses.items())).encode())
+    return h.hexdigest()
+
+
+ALL_POLICIES = [(b, r) for b in BlockingPolicy for r in ReleasePolicy]
+
+
+class TestPinnedTraces:
+    """Traces pinned to the bytes the simulator has always produced; a
+    faster simulator must reproduce them exactly."""
+
+    @pytest.mark.parametrize("blocking,release", ALL_POLICIES)
+    def test_headline(self, blocking, release):
+        # microblog at 4 kHz, deadline-monotonic first-fit on 8 cores
+        system = retime_system(
+            builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1), 4000)
+        system = with_priorities(system, assign_priorities_dm(system))
+        cluster = homogeneous_cluster(8)
+        allocation = allocate_first_fit(system, cluster)
+        trace = run(system, allocation, cluster, horizon=250 * MS, seed=11,
+                    blocking_policy=blocking, release_policy=release)
+        assert trace_digest([trace]) == HEADLINE_DIGESTS[blocking, release]
+
+    def test_pipelined_pool(self):
+        traces = [
+            run(system, allocation, cluster, horizon=3 * hyper, seed=seed,
+                blocking_policy=blocking, release_policy=release)
+            for seed, (system, allocation, cluster, hyper)
+            in accepted_stream(pipelined_system, 0, 40)
+            for blocking, release in ALL_POLICIES]
+        assert trace_digest(traces) == POOL_DIGEST
+
+    def test_tie_break_follows_id_order_not_declaration_order(self):
+        # as strings c10 < c2 and s10 < s2 < s9, against the declared
+        # order c2, c10 and s9, s10, s2
+        system = System((single("s9", 1 * MS, 10 * MS),
+                         single("s10", 1 * MS, 10 * MS),
+                         single("s2", 1 * MS, 10 * MS)))
+        cluster = Cluster((Core("c2"), Core("c10")))
+        trace = run(system, {"s9": "c10", "s10": "c10", "s2": "c2"}, cluster,
+                    horizon=10 * MS)
+        assert [tuple(e) for e in trace.events if e.time <= 1 * MS] == [
+            (0, "c10", "RELEASE", "s10", 0),
+            (0, "c2", "RELEASE", "s2", 0),
+            (0, "c10", "RELEASE", "s9", 0),
+            (0, "c10", "START", "s10", 0),
+            (0, "c2", "START", "s2", 0),
+            (1 * MS, "c10", "COMPLETE", "s10", 0),
+            (1 * MS, "c2", "COMPLETE", "s2", 0),
+            (1 * MS, "c10", "START", "s9", 0),
+        ]
+
+
+# the microblog stages carry no blocking, so UNIFORM draws nothing
+HEADLINE_DIGESTS = {
+    (BlockingPolicy.ADVERSARIAL, ReleasePolicy.SYNCHRONOUS):
+        "38c0f461f53dcc35245d43721c9a1636f9d0fe97ff684a2971a7ea5da1ec94a5",
+    (BlockingPolicy.ADVERSARIAL, ReleasePolicy.JITTERED):
+        "7d7e3c514ca4f93cb34af11c281db4edfd08c49c9f3e60b20643a31cd98c35da",
+    (BlockingPolicy.UNIFORM, ReleasePolicy.SYNCHRONOUS):
+        "38c0f461f53dcc35245d43721c9a1636f9d0fe97ff684a2971a7ea5da1ec94a5",
+    (BlockingPolicy.UNIFORM, ReleasePolicy.JITTERED):
+        "7d7e3c514ca4f93cb34af11c281db4edfd08c49c9f3e60b20643a31cd98c35da",
+}
+POOL_DIGEST = (
+    "f21acd98d497a0957616a59caffe295709a202f4611a786225b4729243ff19ef")
