@@ -21,19 +21,25 @@ A system spec is a strict JSON document:
     }
 
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
-exactly to integer nanoseconds; "inf" is allowed for inter-arrival times
-only. Unknown keys are rejected. Topology nodes are either a stage id
-(leaf) or a one-key object {"seq": [...]} (in sequence), {"par": [...]}
-(every child sees every item) or {"rr": ["s#1", ..., "s#k"]} (stage ids
-of one finite inter-arrival; item n visits child n mod k only), nested
-at most MAX_TOPOLOGY_DEPTH deep.
+exactly to integer nanoseconds, their number at most MAX_DURATION_DIGITS
+digits long; "inf" is allowed for inter-arrival times only. Unknown keys
+are rejected. Every input error is a ParseError at the JSON pointer of
+the bad value; the pointer is assembled on the way out, each container
+prefixing its key or index, so reading a good spec builds none.
+Topology nodes are either a stage id (leaf) or a one-key object
+{"seq": [...]} (in sequence), {"par": [...]} (every child sees every
+item) or {"rr": ["s#1", ..., "s#k"]} (stage ids of one finite
+inter-arrival; item n visits child n mod k only), nested at most
+MAX_TOPOLOGY_DEPTH deep.
 
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
 not, 1 = input or usage error. Each flag that overrides an option is
 read like that option's field, lists split on commas, so an empty value
 is an input error. The seed of simulate is --seed, else the environment
-variable TC_SIZER_SEED, else options.sim.seed, else 0.
+variable TC_SIZER_SEED, else options.sim.seed, else 0. A command
+imports only what it runs: simulate imports the simulator, and size,
+decimate and compare the sweeps, each when it starts.
 """
 
 from __future__ import annotations
@@ -46,24 +52,26 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
-from . import analysis, model, sim, sizing
+from . import analysis, model
 from .model import (
     INFINITE,
     Analytic,
+    BlockingPolicy,
     Cluster,
     Core,
     Expr,
     Leaf,
     Par,
+    ReleasePolicy,
     RoundRobin,
     Seq,
     Stage,
     System,
 )
-from .workloads import period_from_frequency
 
 
 class ParseError(Exception):
@@ -73,6 +81,10 @@ class ParseError(Exception):
         super().__init__(f"{path or '/'}: {message}")
         self.path = path
         self.message = message
+
+    def within(self, prefix: str) -> ParseError:
+        """The same failure, its path below ``prefix``."""
+        return ParseError(prefix + self.path, self.message)
 
 
 _UNITS = {
@@ -87,11 +99,21 @@ _UNITS = {
 
 _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|µs|ms|s|min|h)")
 
+#: Most digits in the number of a duration, and in the period in ns
+#: that a frequency gives: far above any real duration, and far below
+#: the 4300-digit limit that int() puts on a string.
+MAX_DURATION_DIGITS = 30
+
 
 def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
     """'1.5ms' -> 1_500_000; exact or ParseError."""
     if not isinstance(text, str):
         raise ParseError(path, f"expected a duration string, got {text!r}")
+    number = text[:-2]
+    # the "<digits>ns" that format_duration writes needs no regex
+    if (text.endswith("ns") and number.isdigit() and number.isascii()
+            and len(number) <= MAX_DURATION_DIGITS):
+        return int(number)
     if text == "inf":
         if allow_inf:
             return INFINITE
@@ -100,6 +122,9 @@ def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
     if not m:
         raise ParseError(path, f"cannot parse duration {text!r}")
     number, unit = m.groups()
+    if len(number) - ("." in number) > MAX_DURATION_DIGITS:
+        raise ParseError(
+            path, f"duration has more than {MAX_DURATION_DIGITS} digits")
     if "." not in number:
         return int(number) * _UNITS[unit]
     value = Fraction(number) * _UNITS[unit]
@@ -136,9 +161,12 @@ def _json_number(x: Fraction):
 # --- spec codec ---------------------------------------------------------------
 #
 # Every spec record is a table of fields. A field names its key (the
-# record's attribute of the same name), its value parser, called as
-# parse(value, JSON pointer), and its value formatter. Absent optional
-# keys take the record type's default. _read and _write walk a table.
+# record's attribute of the same name), its value parser, called with
+# the value alone, and its value formatter. Absent optional keys take
+# the record type's default. _read and _write walk a table. A parser
+# raises ParseError with the pointer below its value; each container
+# prefixes its key or index as the error passes out, so no pointer is
+# built unless a value is bad.
 
 #: Deepest nesting of seq/par nodes the topology reader accepts; the
 #: composition functions recurse once per level.
@@ -151,26 +179,41 @@ def _same(value):
 
 class _Field(NamedTuple):
     key: str
-    parse: Callable[[Any, str], Any]
+    parse: Callable[[Any], Any]
     format: Callable[[Any], Any] = _same
     required: bool = False
 
 
-def _read(obj: Any, path: str, fields: tuple[_Field, ...],
-          what: str) -> dict[str, Any]:
+class _Table:
+    """The fields of one kind of record, with the keys _read checks
+    computed once: the required ones in field order, and all of them."""
+
+    def __init__(self, what: str, *fields: _Field):
+        self.what = what
+        self.fields = fields
+        self.required = tuple(f.key for f in fields if f.required)
+        self.known = frozenset(f.key for f in fields)
+
+
+def _read(obj: Any, table: _Table) -> dict[str, Any]:
     """Parsed values of the keys ``obj`` holds: missing required keys
     are reported first, then unknown keys, then bad values."""
     if not isinstance(obj, dict):
-        raise ParseError(path, f"expected {what}")
-    for f in fields:
-        if f.required and f.key not in obj:
-            raise ParseError(f"{path}/{f.key}", "missing required key")
-    known = {f.key for f in fields}
-    for key in obj:
-        if key not in known:
-            raise ParseError(f"{path}/{key}", "unknown key")
-    return {f.key: f.parse(obj[f.key], f"{path}/{f.key}")
-            for f in fields if f.key in obj}
+        raise ParseError("", f"expected {table.what}")
+    for key in table.required:
+        if key not in obj:
+            raise ParseError(f"/{key}", "missing required key")
+    if not obj.keys() <= table.known:
+        key = next(key for key in obj if key not in table.known)
+        raise ParseError(f"/{key}", "unknown key")
+    values = {}
+    for key, parse, _, _ in table.fields:
+        if key in obj:
+            try:
+                values[key] = parse(obj[key])
+            except ParseError as exc:
+                raise exc.within(f"/{key}") from None
+    return values
 
 
 def _write(record: Any, fields: tuple[_Field, ...]) -> dict[str, Any]:
@@ -179,117 +222,133 @@ def _write(record: Any, fields: tuple[_Field, ...]) -> dict[str, Any]:
             if (value := getattr(record, f.key)) is not None}
 
 
-def _string(value: Any, path: str) -> str:
+def _string(value: Any) -> str:
     if not isinstance(value, str):
-        raise ParseError(path, "expected a string")
+        raise ParseError("", "expected a string")
     return value
 
 
 def _integer(message: str, least: int | None = None):
-    def parse(value: Any, path: str) -> int:
+    def parse(value: Any) -> int:
         if (isinstance(value, bool) or not isinstance(value, int)
                 or least is not None and value < least):
-            raise ParseError(path, message)
+            raise ParseError("", message)
         return value
     return parse
 
 
-def _duration(value: Any, path: str) -> int:
-    return parse_duration(value, path=path)
+def _inter_arrival(value: Any):
+    return parse_duration(value, allow_inf=True)
 
 
-def _inter_arrival(value: Any, path: str):
-    return parse_duration(value, allow_inf=True, path=path)
-
-
-def _ratio(value: Any, path: str, what: str) -> Fraction:
+def _ratio(value: Any, what: str) -> Fraction:
     if isinstance(value, bool):
-        raise ParseError(path, f"{what} must be a number")
+        raise ParseError("", f"{what} must be a number")
     try:
         if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError(path, f"{what} must be a number or a \"num/den\" string")
+    raise ParseError("", f"{what} must be a number or a \"num/den\" string")
 
 
-def _capacity(value: Any, path: str) -> Fraction:
-    cap = _ratio(value, path, "capacity")
+def _capacity(value: Any) -> Fraction:
+    cap = _ratio(value, "capacity")
     if not 0 < cap <= 1:
-        raise ParseError(path, "capacity must be in (0, 1]")
+        raise ParseError("", "capacity must be in (0, 1]")
     return cap
 
 
-def _frequency(value: Any, path: str) -> Fraction:
-    f = _ratio(value, path, "frequency")
+def _frequency(value: Any) -> Fraction:
+    f = _ratio(value, "frequency")
     try:
-        period_from_frequency(f)
+        period = model.period_from_frequency(f)
     except ValueError as exc:
-        raise ParseError(path, str(exc)) from None
+        raise ParseError("", str(exc)) from None
+    if period >= 10 ** MAX_DURATION_DIGITS:
+        raise ParseError("", f"frequency gives a period of more than "
+                         f"{MAX_DURATION_DIGITS} digits of ns")
     return f
 
 
 def _policy(enum):
-    def parse(value: Any, path: str):
+    def parse(value: Any):
         try:
             return enum(value)
         except ValueError:
-            raise ParseError(path, f"unknown policy {value!r}") from None
+            raise ParseError("", f"unknown policy {value!r}") from None
     return parse
 
 
 def _list_of(parse_item):
-    def parse(value: Any, path: str) -> list:
+    def parse(value: Any) -> list:
         if not isinstance(value, list):
-            raise ParseError(path, "expected a list")
-        return [parse_item(v, f"{path}/{i}") for i, v in enumerate(value)]
+            raise ParseError("", "expected a list")
+        items = []
+        for i, item in enumerate(value):
+            try:
+                items.append(parse_item(item))
+            except ParseError as exc:
+                raise exc.within(f"/{i}") from None
+        return items
     return parse
 
 
 def _map_of(parse_value):
-    def parse(value: Any, path: str) -> dict:
+    def parse(value: Any) -> dict:
         if not isinstance(value, dict):
-            raise ParseError(path, "expected an object")
-        return {k: parse_value(v, f"{path}/{k}") for k, v in value.items()}
+            raise ParseError("", "expected an object")
+        parsed = {}
+        for key, item in value.items():
+            try:
+                parsed[key] = parse_value(item)
+            except ParseError as exc:
+                raise exc.within(f"/{key}") from None
+        return parsed
     return parse
 
 
-def _records(key: str, make, fields: tuple[_Field, ...], what: str) -> _Field:
-    """A required list of records built by ``make`` from ``fields``."""
-    def parse_record(value: Any, path: str):
-        return make(**_read(value, path, fields, what))
+def _records(key: str, make, table: _Table) -> _Field:
+    """A required list of records built by ``make`` from ``table``."""
+    def parse_record(value: Any):
+        return make(**_read(value, table))
     return _Field(key, _list_of(parse_record),
-                  lambda records: [_write(r, fields) for r in records], True)
+                  lambda records: [_write(r, table.fields) for r in records],
+                  True)
 
 
 _NODES = {"seq": Seq, "par": Par, "rr": RoundRobin}
 
 
-def _parse_topology(node: Any, path: str, depth: int = 1) -> Expr:
+def _parse_topology(node: Any, depth: int = 1) -> Expr:
     if isinstance(node, str):
         return Leaf(node)
     if isinstance(node, dict):
         if len(node) != 1:
-            raise ParseError(path, 'topology node must be a stage id or '
+            raise ParseError("", 'topology node must be a stage id or '
                              'a one-key {"seq"|"par"|"rr": [...]} object')
         if depth > MAX_TOPOLOGY_DEPTH:
-            raise ParseError(path, f"topology nested deeper than "
+            raise ParseError("", f"topology nested deeper than "
                              f"{MAX_TOPOLOGY_DEPTH} levels")
         key, children = next(iter(node.items()))
         if key not in _NODES:
-            raise ParseError(f"{path}/{key}", "unknown composition kind")
+            raise ParseError(f"/{key}", "unknown composition kind")
         if not isinstance(children, list):
-            raise ParseError(f"{path}/{key}", "expected a list")
+            raise ParseError(f"/{key}", "expected a list")
         if not children:
-            raise ParseError(f"{path}/{key}", "empty composition")
+            raise ParseError(f"/{key}", "empty composition")
         for i, c in enumerate(children):
             if key == "rr" and not isinstance(c, str):
-                raise ParseError(f"{path}/rr/{i}",
+                raise ParseError(f"/rr/{i}",
                                  "round-robin children must be stage ids")
-        return _NODES[key](tuple(
-            _parse_topology(c, f"{path}/{key}/{i}", depth + 1)
-            for i, c in enumerate(children)))
-    raise ParseError(path, f"bad topology node {node!r}")
+        parsed = []
+        for i, c in enumerate(children):
+            try:
+                parsed.append(_parse_topology(c, depth + 1))
+            except ParseError as exc:
+                raise exc.within(f"/{key}/{i}") from None
+        return _NODES[key](tuple(parsed))
+    raise ParseError("", f"bad topology node {node!r}")
 
 
 def _emit_topology(expr: Expr):
@@ -299,35 +358,38 @@ def _emit_topology(expr: Expr):
     return {key: [_emit_topology(c) for c in expr.children]}
 
 
-_STAGE_FIELDS = (
+_STAGE = _Table(
+    "a stage object",
     _Field("id", _string, required=True),
-    _Field("cost", _duration, format_duration, True),
+    _Field("cost", parse_duration, format_duration, True),
     _Field("inter_arrival", _inter_arrival, format_duration, True),
-    _Field("deadline", _duration, format_duration, True),
-    _Field("blocking", _duration, format_duration),
+    _Field("deadline", parse_duration, format_duration, True),
+    _Field("blocking", parse_duration, format_duration),
 )
 
-_ANALYTIC_FIELDS = (
+_ANALYTIC = _Table(
+    "an analytic object",
     _Field("id", _string, required=True),
-    _records("stages", Stage, _STAGE_FIELDS, "a stage object"),
+    _records("stages", Stage, _STAGE),
     _Field("topology", _parse_topology, _emit_topology, True),
-    _Field("end_to_end_deadline", _duration, format_duration, True),
+    _Field("end_to_end_deadline", parse_duration, format_duration, True),
 )
 
-_CORE_FIELDS = (
+_CORE = _Table(
+    "a core object",
     _Field("id", _string, required=True),
     _Field("capacity", _capacity, _json_number),
-    _Field("platform_blocking", _duration, format_duration),
+    _Field("platform_blocking", parse_duration, format_duration),
 )
 
-_CLUSTER_FIELDS = (_records("cores", Core, _CORE_FIELDS, "a core object"),)
+_CLUSTER = _Table("a cluster object", _records("cores", Core, _CORE))
 
 
-def _parse_cluster(obj: Any, path: str) -> Cluster:
+def _parse_cluster(obj: Any) -> Cluster:
     try:  # Core and Cluster check their own invariants
-        return Cluster(**_read(obj, path, _CLUSTER_FIELDS, "a cluster object"))
+        return Cluster(**_read(obj, _CLUSTER))
     except ValueError as exc:
-        raise ParseError(f"{path}/cores", str(exc)) from None
+        raise ParseError("/cores", str(exc)) from None
 
 
 @dataclass
@@ -338,17 +400,18 @@ class Options:
     input_frequency_hz: Fraction | None = None
     horizon: int | None = None
     seed: int | None = None
-    blocking_policy: sim.BlockingPolicy = sim.BlockingPolicy.ADVERSARIAL
-    release_policy: sim.ReleasePolicy = sim.ReleasePolicy.SYNCHRONOUS
+    blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL
+    release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS
 
 
 # options.sim holds more fields of the same Options record
-_SIM_FIELDS = (
-    _Field("horizon", _duration, format_duration),
+_SIM = _Table(
+    "an object",
+    _Field("horizon", parse_duration, format_duration),
     _Field("seed", _integer("seed must be an integer")),
-    _Field("blocking_policy", _policy(sim.BlockingPolicy),
+    _Field("blocking_policy", _policy(BlockingPolicy),
            lambda policy: policy.value),
-    _Field("release_policy", _policy(sim.ReleasePolicy),
+    _Field("release_policy", _policy(ReleasePolicy),
            lambda policy: policy.value),
 )
 
@@ -362,28 +425,28 @@ _OPTION_FIELDS = (
 )
 
 
-def _parse_sim(obj: Any, path: str) -> dict[str, Any]:
-    return _read(obj, path, _SIM_FIELDS, "an object")
+_OPTIONS = _Table("an options object", *_OPTION_FIELDS,
+                  _Field("sim", lambda obj: _read(obj, _SIM)))
 
 
-def _parse_options(obj: Any, path: str) -> Options:
-    values = _read(obj, path, (*_OPTION_FIELDS, _Field("sim", _parse_sim)),
-                   "an options object")
+def _parse_options(obj: Any) -> Options:
+    values = _read(obj, _OPTIONS)
     sim_values = values.pop("sim", {})
     return Options(**values, **sim_values)
 
 
 def _emit_options(options: Options) -> dict[str, Any]:
     return {**_write(options, _OPTION_FIELDS),
-            "sim": _write(options, _SIM_FIELDS)}
+            "sim": _write(options, _SIM.fields)}
 
 
 # priorities and allocation are keyed by stage id; parse_system_spec
 # checks the ids and applies both maps onto the stages
-_DOC_FIELDS = (
-    _records("analytics", Analytic, _ANALYTIC_FIELDS, "an analytic object"),
+_DOC = _Table(
+    "a JSON object",
+    _records("analytics", Analytic, _ANALYTIC),
     _Field("cluster", _parse_cluster,
-           lambda cluster: _write(cluster, _CLUSTER_FIELDS), True),
+           lambda cluster: _write(cluster, _CLUSTER.fields), True),
     _Field("priorities", _map_of(_integer("priority must be an integer"))),
     _Field("allocation", _map_of(_string)),
     _Field("options", _parse_options, _emit_options),
@@ -395,11 +458,11 @@ def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
     the stages. Raises ParseError with a JSON-pointer path."""
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise ParseError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("", "invalid JSON: nested too deeply") from None
-    values = _read(doc, "", _DOC_FIELDS, "a JSON object")
+    values = _read(doc, _DOC)
     system = System(values["analytics"])
     cluster = values["cluster"]
 
@@ -432,7 +495,7 @@ def emit_system_spec(system: System, cluster: Cluster,
         allocation={s.id: s.core for s in system.stages()
                     if s.core is not None} or None,
         options=options,
-    ), _DOC_FIELDS)
+    ), _DOC.fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -474,9 +537,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default=None)
     p.add_argument("--horizon", default=None, help="duration, e.g. 2s")
     p.add_argument("--trace", default="trace.csv", help="trace CSV path")
-    p.add_argument("--blocking", choices=[b.value for b in sim.BlockingPolicy],
+    p.add_argument("--blocking", choices=[b.value for b in BlockingPolicy],
                    default=None)
-    p.add_argument("--release", choices=[r.value for r in sim.ReleasePolicy],
+    p.add_argument("--release", choices=[r.value for r in ReleasePolicy],
                    default=None)
 
     p = sub.add_parser("compare", help="blocking-model core-count comparison")
@@ -524,7 +587,7 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
         raise _UsageError(f"invalid system: {findings}")
     overrides = {}
-    for f in (*_OPTION_FIELDS, *_SIM_FIELDS):
+    for f in (*_OPTION_FIELDS, *_SIM.fields):
         dest, listed = _OPTION_FLAGS[f.key]
         where, text = f"--{dest}", getattr(args, dest, None)
         if text is None and dest == "seed" and args.command == "simulate":
@@ -532,8 +595,16 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         if text is not None:
             value = ([_flag_value(t) for t in text.split(",")] if listed
                      else _flag_value(text))
-            overrides[f.key] = f.parse(value, where)
+            overrides[f.key] = _parse_flag(where, f.parse, value)
     return system, cluster, replace(options, **overrides)
+
+
+def _parse_flag(where: str, parse, value):
+    """parse(value), a ParseError pointed below the flag ``where``."""
+    try:
+        return parse(value)
+    except ParseError as exc:
+        raise exc.within(where) from None
 
 
 def _prioritize(system: System) -> System:
@@ -563,19 +634,29 @@ def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
     return system, {s.id: s.core for s in system.stages()}
 
 
-def _report_json(report: analysis.ResponseReport) -> str:
-    def rt(value):
-        return "DIVERGED" if value is analysis.DIVERGED else value
+_JSON_BOOL = {True: "true", False: "false"}
 
-    doc = {
-        "per_stage": {sid: rt(v) for sid, v in report.per_stage.items()},
-        "per_analytic": {
-            aid: {"end_to_end": rt(v.end_to_end), "feasible": v.feasible}
-            for aid, v in report.per_analytic.items()
-        },
-        "system_feasible": report.system_feasible,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+def _report_json(report: analysis.ResponseReport) -> str:
+    """The report as json.dumps(indent=2, sort_keys=True) writes the
+    document {"per_analytic": {id: {"end_to_end", "feasible"}},
+    "per_stage": {id: response}, "system_feasible"}, a DIVERGED response
+    as the string "DIVERGED". Written line by line: with an indent, json
+    encodes in pure Python."""
+    def rt(value):
+        return '"DIVERGED"' if value is analysis.DIVERGED else repr(value)
+
+    def obj(members):
+        return "{\n" + ",\n".join(members) + "\n  }" if members else "{}"
+
+    analytics = obj([
+        f'    {_quote(aid)}: {{\n      "end_to_end": {rt(v.end_to_end)},\n'
+        f'      "feasible": {_JSON_BOOL[v.feasible]}\n    }}'
+        for aid, v in sorted(report.per_analytic.items())])
+    stages = obj([f"    {_quote(sid)}: {rt(v)}"
+                  for sid, v in sorted(report.per_stage.items())])
+    return (f'{{\n  "per_analytic": {analytics},\n  "per_stage": {stages},\n'
+            f'  "system_feasible": {_JSON_BOOL[report.system_feasible]}\n}}\n')
 
 
 def _cmd_analyze(args, out) -> int:
@@ -587,11 +668,14 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_size(args, out) -> int:
+    from . import sizing
     system, _cluster, options = _load_spec(args)
     if not options.frequencies_hz:
         raise _UsageError("no frequencies given")
-    limit = _integer("replication limit must be a positive integer", 1)(
-        _flag_value(args.replication_limit), "--replication-limit")
+    limit = _parse_flag(
+        "--replication-limit",
+        _integer("replication limit must be a positive integer", 1),
+        _flag_value(args.replication_limit))
     rows = sizing.frequency_sweep(system, options.frequencies_hz,
                                   options.u_max, replication_limit=limit)
     # every row is formatted before the first write: an error leaves no output
@@ -603,6 +687,7 @@ def _cmd_size(args, out) -> int:
 
 
 def _cmd_decimate(args, out) -> int:
+    from . import sizing
     system, _cluster, options = _load_spec(args)
     if not options.factors:
         raise _UsageError("factors must be positive integers")
@@ -631,6 +716,7 @@ def _unwritable(path: str) -> str | None:
 
 
 def _cmd_simulate(args, out) -> int:
+    from . import sim
     system, cluster, options = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     if options.horizon is None:
@@ -669,6 +755,7 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
+    from . import sizing
     system, _cluster, options = _load_spec(args)
     system = _prioritize(system)
     result = sizing.baseline_comparison(system, options.u_max)

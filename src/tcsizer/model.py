@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -51,6 +52,35 @@ INFINITE = Marker("INFINITE")
 
 Duration = int
 InterArrival = Union[int, Marker]
+
+
+def period_from_frequency(frequency_hz) -> Duration:
+    """Events/second -> integer-ns period, floored (floor is the
+    conservative direction: a smaller period means higher utilization).
+    ValueError above 1 event/ns, without the frequency's text (too long)."""
+    f = Fraction(frequency_hz)
+    if f <= 0:
+        raise ValueError("frequency must be positive")
+    period = (SEC * f.denominator) // f.numerator
+    if period < 1:
+        raise ValueError("frequency exceeds 1 event/ns")
+    return period
+
+
+class BlockingPolicy(Enum):
+    """How long a released job is blocked: the full B, or uniform in
+    [0, B]."""
+
+    ADVERSARIAL = "ADVERSARIAL"
+    UNIFORM = "UNIFORM"
+
+
+class ReleasePolicy(Enum):
+    """When the sources of an analytic release: from t = 0, or from one
+    pseudo-random phase within an input period."""
+
+    SYNCHRONOUS = "SYNCHRONOUS"
+    JITTERED = "JITTERED"
 
 
 class ReplicationExceeded(Exception):
@@ -321,87 +351,92 @@ def validate_system(system: System) -> ValidationReport:
     """Check every structural invariant; never raises.
 
     Deliberately does *not* reject deadline > inter_arrival + blocking:
-    that regime is only refused by the utilization-bound path.
+    that regime is only refused by the utilization-bound path. A
+    finding's path is built only when the finding is added.
     """
     report = ValidationReport()
     seen_analytics: set[str] = set()
     seen_stages: set[str] = set()
 
     for ai, analytic in enumerate(system.analytics):
-        apath = f"/analytics/{ai}"
         if analytic.id in seen_analytics:
-            report.add(f"{apath}/id", f"duplicate analytic id {analytic.id!r}")
+            report.add(f"/analytics/{ai}/id",
+                       f"duplicate analytic id {analytic.id!r}")
         seen_analytics.add(analytic.id)
 
         if analytic.end_to_end_deadline <= 0:
-            report.add(f"{apath}/end_to_end_deadline",
+            report.add(f"/analytics/{ai}/end_to_end_deadline",
                        "end-to-end deadline must be positive")
 
         for si, stage in enumerate(analytic.stages):
-            spath = f"{apath}/stages/{si}"
             if stage.id in seen_stages:
-                report.add(f"{spath}/id", f"duplicate stage id {stage.id!r}")
+                report.add(_stage_path(ai, si, "id"),
+                           f"duplicate stage id {stage.id!r}")
             seen_stages.add(stage.id)
             if _csv_unsafe(stage.id):
-                report.add(f"{spath}/id", f"stage id {stage.id!r} holds a "
-                           f"comma, quote or line break")
+                report.add(_stage_path(ai, si, "id"), f"stage id {stage.id!r} "
+                           f"holds a comma, quote or line break")
             # INFINITE is legal only as an inter-arrival time
             finite_fields = True
             for field_name in ("cost", "deadline", "blocking"):
                 value = getattr(stage, field_name)
                 if not isinstance(value, int):
-                    report.add(f"{spath}/{field_name}",
+                    report.add(_stage_path(ai, si, field_name),
                                f"{field_name} must be integer nanoseconds")
                     finite_fields = False
                 elif value < 0:
-                    report.add(f"{spath}/{field_name}",
+                    report.add(_stage_path(ai, si, field_name),
                                f"negative {field_name}")
             if stage.inter_arrival is not INFINITE:
                 if not isinstance(stage.inter_arrival, int):
-                    report.add(f"{spath}/inter_arrival",
+                    report.add(_stage_path(ai, si, "inter_arrival"),
                                "inter-arrival must be integer ns or INFINITE")
                 elif stage.inter_arrival <= 0:
-                    report.add(f"{spath}/inter_arrival",
+                    report.add(_stage_path(ai, si, "inter_arrival"),
                                "finite inter-arrival must be positive")
             if finite_fields and stage.cost > stage.deadline:
-                report.add(f"{spath}/cost", "cost exceeds deadline")
+                report.add(_stage_path(ai, si, "cost"),
+                           "cost exceeds deadline")
 
-        _check_topology(analytic, apath, report)
+        for message in _topology_problems(analytic):
+            report.add(f"/analytics/{ai}/topology", message)
 
     return report
 
 
-def _check_topology(analytic: Analytic, apath: str,
-                    report: ValidationReport) -> None:
+def _stage_path(ai: int, si: int, key: str) -> str:
+    return f"/analytics/{ai}/stages/{si}/{key}"
+
+
+def _topology_problems(analytic: Analytic) -> Iterator[str]:
+    """What is wrong with the analytic's topology, one message each."""
     declared = {s.id: s for s in analytic.stages}
     covered: set[str] = set()
     try:
         topology = nodes(analytic.topology)
     except TypeError:
-        report.add(f"{apath}/topology", "malformed composition expression")
+        yield "malformed composition expression"
         return
     if any(not isinstance(n, Leaf) and not n.children for n in topology):
-        report.add(f"{apath}/topology", "empty composition node")
+        yield "empty composition node"
     for sid in (n.stage for n in topology if isinstance(n, Leaf)):
         if sid not in declared:
-            report.add(f"{apath}/topology",
-                       f"topology references unknown stage {sid!r}")
+            yield f"topology references unknown stage {sid!r}"
         elif sid in covered:
-            report.add(f"{apath}/topology", f"stage {sid!r} covered twice")
+            yield f"stage {sid!r} covered twice"
         covered.add(sid)
     for sid in sorted(declared.keys() - covered):
-        report.add(f"{apath}/topology", f"stage {sid!r} not covered")
+        yield f"stage {sid!r} not covered"
     for rr in (n for n in topology if isinstance(n, RoundRobin)):
         if not all(isinstance(c, Leaf) for c in rr.children):
-            report.add(f"{apath}/topology",
-                       "round-robin children must be stage ids")
+            yield "round-robin children must be stage ids"
             continue
         periods = {declared[c.stage].inter_arrival for c in rr.children
                    if c.stage in declared}
         if len(periods) > 1 or INFINITE in periods:
             ids = ", ".join(c.stage for c in rr.children)
-            report.add(f"{apath}/topology", f"round-robin replicas {ids} "
-                       f"do not share one finite inter-arrival")
+            yield (f"round-robin replicas {ids} do not share one finite "
+                   f"inter-arrival")
 
 
 # --- priority assignment ------------------------------------------------------

@@ -50,29 +50,20 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .analysis import DIVERGED, ResponseReport
 from .model import (
     INFINITE,
+    BlockingPolicy,
     Cluster,
     Duration,
+    ReleasePolicy,
     System,
     effective_blocking,
     item_flow,
 )
-
-
-class BlockingPolicy(Enum):
-    ADVERSARIAL = "ADVERSARIAL"
-    UNIFORM = "UNIFORM"
-
-
-class ReleasePolicy(Enum):
-    SYNCHRONOUS = "SYNCHRONOUS"
-    JITTERED = "JITTERED"
 
 
 class HorizonTooShort(Exception):

@@ -27,11 +27,11 @@ from .model import (
     System,
     item_flow,
     nodes,
+    period_from_frequency,
     replica_count,
     replicate_for_rate,
     scaled_utilizations,
 )
-from .workloads import period_from_frequency
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Built-in analytics scenarios and the frequency-to-period conversion.
+"""Built-in analytics scenarios.
 
 The online scenarios are three-phase streams (generator -> splitter ->
 counter) with fixed per-stage costs; the offline ones are four-phase
@@ -11,7 +11,6 @@ deadlines that only fit on one core when priorities reflect deadlines.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .model import (
     HOUR,
@@ -26,6 +25,7 @@ from .model import (
     Leaf,
     Stage,
     System,
+    period_from_frequency,
     seq,
 )
 
@@ -48,19 +48,6 @@ _BOOK_COSTS = (1_100 * US, 5 * MS, 800 * US)
 
 _ONLINE_PHASES = ("gen", "split", "count")
 _OFFLINE_PHASES = ("download", "map", "reduce", "sort")
-
-
-def period_from_frequency(frequency_hz) -> Duration:
-    """Events/second -> integer-ns period, floored (floor is the
-    conservative direction: a smaller period means higher utilization).
-    ValueError above 1 event/ns, without the frequency's text (too long)."""
-    f = Fraction(frequency_hz)
-    if f <= 0:
-        raise ValueError("frequency must be positive")
-    period = (SEC * f.denominator) // f.numerator
-    if period < 1:
-        raise ValueError("frequency exceeds 1 event/ns")
-    return period
 
 
 def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,

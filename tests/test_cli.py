@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,16 @@ from hypothesis import strategies as st
 import tcsizer
 from tcsizer import cli
 from tcsizer import (
+    DIVERGED,
     HOUR,
     INFINITE,
     MS,
     SEC,
     US,
     Analytic,
+    AnalyticVerdict,
     Leaf,
+    ResponseReport,
     ScenarioId,
     Stage,
     System,
@@ -34,6 +38,7 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.cli import (
+    MAX_DURATION_DIGITS,
     MAX_TOPOLOGY_DEPTH,
     Options,
     ParseError,
@@ -781,7 +786,7 @@ class TestSimulateCommand:
             raise AssertionError("called for an unwritable trace target")
 
         monkeypatch.setattr(cli.analysis, "solve_system", never)
-        monkeypatch.setattr(cli.sim, "simulate", never)
+        monkeypatch.setattr(tcsizer.sim, "simulate", never)
         path = tmp_path / target
         code, out, err = invoke([
             "simulate", str(microblog), "--horizon", "3s",
@@ -883,3 +888,203 @@ class TestDeterministicOutput:
             digest = hashlib.sha256(
                 f"{code1}\n{out1}\n{artifact1 or ''}".encode()).hexdigest()
             assert digest == self.PINNED[argv[0]], argv[0]
+
+
+class TestOverLongNumbers:
+    """A number past MAX_DURATION_DIGITS is an input error at its pointer,
+    refused before int() or Fraction would read its digits."""
+
+    LONG = "1" + "0" * 5000  # past the 4300 digits int() reads from text
+    TOO_LONG = f"duration has more than {MAX_DURATION_DIGITS} digits"
+
+    def test_spec_duration(self, microblog, tmp_path):
+        doc = json.loads(microblog.read_text())
+        doc["analytics"][0]["stages"][0]["cost"] = f"{self.LONG}ns"
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps(doc))
+        assert invoke(["analyze", str(spec)]) == (
+            1, "", f"error: /analytics/0/stages/0/cost: {self.TOO_LONG}\n")
+
+    def test_horizon_flag(self, microblog, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        assert invoke(["simulate", str(microblog), "--horizon",
+                       f"{self.LONG}ns", "--trace", str(trace_path)]) == (
+            1, "", f"error: --horizon: {self.TOO_LONG}\n")
+        assert not trace_path.exists()
+
+    def test_frequency_flag(self, microblog):
+        assert invoke(["decimate", str(microblog), "--factors", "2",
+                       "--freq", "1e-5000"]) == (
+            1, "", f"error: --freq: frequency gives a period of more than "
+                   f"{MAX_DURATION_DIGITS} digits of ns\n")
+
+    @pytest.mark.parametrize("number", [
+        "9" * MAX_DURATION_DIGITS, "9" * (MAX_DURATION_DIGITS - 1) + ".5"])
+    def test_the_cap_itself_is_accepted(self, number):
+        assert parse_duration(f"{number}s") == int(Fraction(number) * SEC)
+
+    @pytest.mark.parametrize("number", [
+        "1" + "0" * MAX_DURATION_DIGITS, "9" * MAX_DURATION_DIGITS + ".5"])
+    @pytest.mark.parametrize("unit", ["ns", "h"])
+    def test_one_digit_past_the_cap_is_refused(self, number, unit):
+        with pytest.raises(ParseError) as exc:
+            parse_duration(f"{number}{unit}", path="/x")
+        assert (exc.value.path, exc.value.message) == ("/x", self.TOO_LONG)
+
+    def test_period_cap(self, microblog):
+        # 1e-20 Hz is a period of 10**29 ns, 30 digits; 1e-21 Hz one more
+        code, _, err = invoke(["size", str(microblog), "--freqs", "1e-20"])
+        assert (code, err) == (0, "")
+        code, out, err = invoke(["size", str(microblog), "--freqs",
+                                 "1,1e-21"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --freqs/1: frequency gives a period ")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() reads integers of any length")
+    def test_over_long_json_integer(self, microblog, tmp_path):
+        doc = json.loads(microblog.read_text())
+        doc["priorities"] = {"microblog-gen": 7}
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps(doc).replace("7", self.LONG))
+        code, out, err = invoke(["analyze", str(spec)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: /: invalid JSON: ")
+
+
+# ids with what json escapes: quotes, backslashes, control characters
+# and non-ASCII text
+REPORT_IDS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n/'),
+                               st.characters()), max_size=6)
+RESPONSES = st.one_of(st.just(DIVERGED), st.integers(0, 10**20))
+
+
+class TestReportWriter:
+    @given(st.dictionaries(REPORT_IDS, RESPONSES),
+           st.dictionaries(REPORT_IDS, st.tuples(RESPONSES, st.booleans())),
+           st.booleans())
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, per_stage, per_analytic, feasible):
+        report = ResponseReport(
+            per_stage=per_stage,
+            per_analytic={aid: AnalyticVerdict(*v)
+                          for aid, v in per_analytic.items()},
+            system_feasible=feasible)
+
+        def rt(value):
+            return "DIVERGED" if value is DIVERGED else value
+
+        doc = {
+            "per_stage": {sid: rt(v) for sid, v in per_stage.items()},
+            "per_analytic": {
+                aid: {"end_to_end": rt(e2e), "feasible": ok}
+                for aid, (e2e, ok) in per_analytic.items()},
+            "system_feasible": feasible,
+        }
+        assert cli._report_json(report) == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def leaf_pointers(doc, pointer=""):
+    """The JSON pointer of every scalar in ``doc``."""
+    if not isinstance(doc, (dict, list)):
+        yield pointer
+        return
+    for key, value in (doc.items() if isinstance(doc, dict)
+                       else enumerate(doc)):
+        yield from leaf_pointers(value, f"{pointer}/{key}")
+
+
+def with_leaf(doc, pointer, value):
+    """A copy of ``doc`` with the value at ``pointer`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = pointer.split("/")[1:]
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+def pointer_specs():
+    microblog = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
+    microblog = with_priorities(microblog, assign_priorities_dm(microblog))
+    cluster = homogeneous_cluster(2)
+    microblog = with_allocation(microblog,
+                                allocate_first_fit(microblog, cluster))
+    options = Options(
+        u_max=Fraction(9, 10), frequencies_hz=[Fraction(1), Fraction(4000)],
+        factors=[1, 10], input_frequency_hz=Fraction(1000), horizon=SEC,
+        seed=3)
+    table_vi = with_priorities(builtin_system(ScenarioId.TABLE_VI),
+                               {"TC1": 1, "TC2": 2})
+    return {
+        "microblog": json.loads(emit_system_spec(microblog, cluster,
+                                                 options)),
+        "table-vi": json.loads(emit_system_spec(table_vi,
+                                                homogeneous_cluster(1))),
+    }
+
+
+class TestPointers:
+    """A bad value is reported at its own JSON pointer or flag."""
+
+    @pytest.mark.parametrize("name", ["microblog", "table-vi"])
+    def test_every_wrong_typed_leaf(self, name):
+        doc = pointer_specs()[name]
+        pointers = list(leaf_pointers(doc))
+        assert len(pointers) > 20
+        for pointer in pointers:
+            for wrong in (None, True, [], [0]):
+                with pytest.raises(ParseError) as exc:
+                    parse_system_spec(json.dumps(with_leaf(doc, pointer,
+                                                           wrong)))
+                assert exc.value.path == pointer, (pointer, wrong)
+
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pointers") / "spec.json"
+        path.write_text(json.dumps(pointer_specs()["microblog"]))
+        return path
+
+    # wrong for every flag below; each adds values wrong for it alone
+    WRONG = ["null", "true", "[]", "{}", "x"]
+
+    @given(st.lists(st.sampled_from(["1", "1/2", "0.5", "4000"]), min_size=1,
+                    max_size=4), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_freqs_item(self, spec, good, data):
+        i = data.draw(st.integers(0, len(good) - 1))
+        bad = data.draw(st.sampled_from([*self.WRONG, "0", "-1", "1e10"]))
+        freqs = [*good[:i], bad, *good[i + 1:]]
+        code, out, err = invoke(["size", str(spec),
+                                 f"--freqs={','.join(freqs)}"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --freqs/{i}: ")
+
+    @given(st.sampled_from([*WRONG, "1.5", "-1s", "5", ""]))
+    @settings(max_examples=20, deadline=None)
+    def test_horizon(self, spec, tmp_path_factory, bad):
+        trace_path = tmp_path_factory.getbasetemp() / "t.csv"
+        code, out, err = invoke(["simulate", str(spec), f"--horizon={bad}",
+                                 "--trace", str(trace_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --horizon: ")
+
+    @given(st.sampled_from([*WRONG, "1.5", "+3", ""]))
+    @settings(max_examples=20, deadline=None)
+    def test_env_seed(self, spec, tmp_path_factory, bad):
+        trace_path = tmp_path_factory.getbasetemp() / "t.csv"
+        with mock.patch.dict(os.environ, {"TC_SIZER_SEED": bad}):
+            code, out, err = invoke(["simulate", str(spec),
+                                     "--trace", str(trace_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: TC_SIZER_SEED: ")
+
+    @given(st.sampled_from([*WRONG, "0", "-3", "1.5"]))
+    @settings(max_examples=20, deadline=None)
+    def test_replication_limit(self, spec, bad):
+        code, out, err = invoke(["size", str(spec),
+                                 f"--replication-limit={bad}"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --replication-limit: ")

@@ -22,6 +22,7 @@ from tcsizer import (
     Seq,
     Stage,
     System,
+    ValidationReport,
     allocate_first_fit,
     assign_priorities_dm,
     homogeneous_cluster,
@@ -33,10 +34,10 @@ from tcsizer import (
     with_allocation,
     with_priorities,
 )
-from tcsizer.model import item_flow, scaled_utilizations
+from tcsizer.model import item_flow, nodes, scaled_utilizations
 from tcsizer.workloads import ScenarioId, builtin_system
 
-from generators import COPRIME_PERIODS
+from generators import COPRIME_PERIODS, accepted_stream, pipelined_system
 
 
 def stage(sid, c, t, d, **kw):
@@ -634,3 +635,128 @@ class TestItemFlow:
         assert flow.preds == {"b#1": ("a",), "b#2": ("a",), "b#3": ("a",),
                               "c": ("b#1", "b#2", "b#3")}
         assert flow.lanes == {"b#1": (3, 0), "b#2": (3, 1), "b#3": (3, 2)}
+
+
+# Reference copy: validate_system as it read when every finding's path
+# was built up front, before each check ran.
+def validate_system_reference(system):
+    report = ValidationReport()
+    seen_analytics = set()
+    seen_stages = set()
+
+    for ai, analytic in enumerate(system.analytics):
+        apath = f"/analytics/{ai}"
+        if analytic.id in seen_analytics:
+            report.add(f"{apath}/id", f"duplicate analytic id {analytic.id!r}")
+        seen_analytics.add(analytic.id)
+
+        if analytic.end_to_end_deadline <= 0:
+            report.add(f"{apath}/end_to_end_deadline",
+                       "end-to-end deadline must be positive")
+
+        for si, stage in enumerate(analytic.stages):
+            spath = f"{apath}/stages/{si}"
+            if stage.id in seen_stages:
+                report.add(f"{spath}/id", f"duplicate stage id {stage.id!r}")
+            seen_stages.add(stage.id)
+            if not frozenset(',"\r\n').isdisjoint(stage.id):
+                report.add(f"{spath}/id", f"stage id {stage.id!r} holds a "
+                           f"comma, quote or line break")
+            finite_fields = True
+            for field_name in ("cost", "deadline", "blocking"):
+                value = getattr(stage, field_name)
+                if not isinstance(value, int):
+                    report.add(f"{spath}/{field_name}",
+                               f"{field_name} must be integer nanoseconds")
+                    finite_fields = False
+                elif value < 0:
+                    report.add(f"{spath}/{field_name}",
+                               f"negative {field_name}")
+            if stage.inter_arrival is not INFINITE:
+                if not isinstance(stage.inter_arrival, int):
+                    report.add(f"{spath}/inter_arrival",
+                               "inter-arrival must be integer ns or INFINITE")
+                elif stage.inter_arrival <= 0:
+                    report.add(f"{spath}/inter_arrival",
+                               "finite inter-arrival must be positive")
+            if finite_fields and stage.cost > stage.deadline:
+                report.add(f"{spath}/cost", "cost exceeds deadline")
+
+        check_topology_reference(analytic, apath, report)
+
+    return report
+
+
+def check_topology_reference(analytic, apath, report):
+    declared = {s.id: s for s in analytic.stages}
+    covered = set()
+    try:
+        topology = nodes(analytic.topology)
+    except TypeError:
+        report.add(f"{apath}/topology", "malformed composition expression")
+        return
+    if any(not isinstance(n, Leaf) and not n.children for n in topology):
+        report.add(f"{apath}/topology", "empty composition node")
+    for sid in (n.stage for n in topology if isinstance(n, Leaf)):
+        if sid not in declared:
+            report.add(f"{apath}/topology",
+                       f"topology references unknown stage {sid!r}")
+        elif sid in covered:
+            report.add(f"{apath}/topology", f"stage {sid!r} covered twice")
+        covered.add(sid)
+    for sid in sorted(declared.keys() - covered):
+        report.add(f"{apath}/topology", f"stage {sid!r} not covered")
+    for rr in (n for n in topology if isinstance(n, RoundRobin)):
+        if not all(isinstance(c, Leaf) for c in rr.children):
+            report.add(f"{apath}/topology",
+                       "round-robin children must be stage ids")
+            continue
+        periods = {declared[c.stage].inter_arrival for c in rr.children
+                   if c.stage in declared}
+        if len(periods) > 1 or INFINITE in periods:
+            ids = ", ".join(c.stage for c in rr.children)
+            report.add(f"{apath}/topology", f"round-robin replicas {ids} "
+                       f"do not share one finite inter-arrival")
+
+
+# few ids, so duplicates, unknown and uncovered stages are common; values
+# of every kind validate_system tells apart
+VALIDATION_IDS = st.sampled_from(["a", "b", "c", "a,b", 'q"', "x\ny"])
+VALIDATION_TIMES = st.one_of(
+    st.integers(-2, 12),
+    st.sampled_from([INFINITE, Fraction(1, 2), "5", None, True]))
+
+
+VALIDATION_TOPOLOGIES = st.one_of(
+    st.recursive(
+        st.builds(Leaf, VALIDATION_IDS),
+        lambda kids: st.builds(lambda kind, children: kind(tuple(children)),
+                               st.sampled_from([Seq, Par, RoundRobin]),
+                               st.lists(kids, max_size=3)),
+        max_leaves=6),
+    st.sampled_from(["a", 5]))  # not composition nodes: malformed
+VALIDATION_STAGES = st.builds(
+    Stage, id=VALIDATION_IDS, cost=VALIDATION_TIMES,
+    inter_arrival=VALIDATION_TIMES, deadline=VALIDATION_TIMES,
+    blocking=VALIDATION_TIMES)
+VALIDATION_SYSTEMS = st.builds(System, st.lists(st.builds(
+    Analytic, id=VALIDATION_IDS,
+    stages=st.lists(VALIDATION_STAGES, max_size=4).map(tuple),
+    topology=VALIDATION_TOPOLOGIES,
+    end_to_end_deadline=st.integers(-2, 12)), max_size=4).map(tuple))
+
+
+class TestValidationOracle:
+    """validate_system gives the findings of the reference copy, in the
+    same order."""
+
+    @given(VALIDATION_SYSTEMS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_systems(self, system):
+        assert (validate_system(system).findings
+                == validate_system_reference(system).findings)
+
+    def test_generated_pipelines(self):
+        for _, (system, *_) in accepted_stream(pipelined_system, 0, 20):
+            assert validate_system(system).findings == []
+            assert validate_system_reference(system).findings == []
