@@ -29,7 +29,6 @@ priorities. The inequality is strict, which matters at exact boundaries.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
@@ -73,8 +72,7 @@ class AnalyticVerdict(NamedTuple):
     feasible: bool
 
 
-@dataclass
-class ResponseReport:
+class ResponseReport(NamedTuple):
     """Per-stage worst-case response times plus per-analytic verdicts."""
 
     per_stage: dict[str, ResponseTime]
@@ -82,8 +80,7 @@ class ResponseReport:
     system_feasible: bool
 
 
-@dataclass
-class UtilizationSummary:
+class UtilizationSummary(NamedTuple):
     total: Fraction
 
 

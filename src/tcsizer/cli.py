@@ -50,7 +50,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
@@ -105,10 +104,22 @@ _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|µs|ms|s|min|h)")
 MAX_DURATION_DIGITS = 30
 
 
+#: The JSON kind of each type json.loads makes (floats as Fraction),
+#: named in messages in place of a value's repr: a number such as
+#: 1e5000 has too many digits to print.
+_JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean",
+               type(None): "null", int: "a number", Fraction: "a number"}
+
+
+def _kind(value: Any) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
 def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
     """'1.5ms' -> 1_500_000; exact or ParseError."""
     if not isinstance(text, str):
-        raise ParseError(path, f"expected a duration string, got {text!r}")
+        raise ParseError(path,
+                         f"expected a duration string, got {_kind(text)}")
     number = text[:-2]
     # the "<digits>ns" that format_duration writes needs no regex
     if (text.endswith("ns") and number.isdigit() and number.isascii()
@@ -160,10 +171,12 @@ def _json_number(x: Fraction):
 
 # --- spec codec ---------------------------------------------------------------
 #
-# Every spec record is a table of fields. A field names its key (the
-# record's attribute of the same name), its value parser, called with
-# the value alone, and its value formatter. Absent optional keys take
-# the record type's default. _read and _write walk a table. A parser
+# Every spec record is a named tuple (Stage, Analytic, Core, Cluster,
+# Options) read and written through a table of fields. A field names its
+# key (the record's field of the same name), its value parser, called
+# with the value alone, and its value formatter. Absent optional keys
+# take the record type's default, and a list of records is read as the
+# tuple its record holds. _read and _write walk a table. A parser
 # raises ParseError with the pointer below its value; each container
 # prefixes its key or index as the error passes out, so no pointer is
 # built unless a value is bad.
@@ -273,6 +286,8 @@ def _frequency(value: Any) -> Fraction:
 
 def _policy(enum):
     def parse(value: Any):
+        if not isinstance(value, str):
+            raise ParseError("", f"expected a policy name, got {_kind(value)}")
         try:
             return enum(value)
         except ValueError:
@@ -280,8 +295,10 @@ def _policy(enum):
     return parse
 
 
-def _list_of(parse_item):
-    def parse(value: Any) -> list:
+def _list_of(parse_item, into=list):
+    """A parser of a JSON list whose items ``parse_item`` reads, handing
+    them over as an ``into`` (a list, or the tuple a record holds)."""
+    def parse(value: Any):
         if not isinstance(value, list):
             raise ParseError("", "expected a list")
         items = []
@@ -290,7 +307,7 @@ def _list_of(parse_item):
                 items.append(parse_item(item))
             except ParseError as exc:
                 raise exc.within(f"/{i}") from None
-        return items
+        return into(items)
     return parse
 
 
@@ -309,10 +326,11 @@ def _map_of(parse_value):
 
 
 def _records(key: str, make, table: _Table) -> _Field:
-    """A required list of records built by ``make`` from ``table``."""
+    """A required list of records built by ``make`` from ``table``, read
+    as a tuple."""
     def parse_record(value: Any):
         return make(**_read(value, table))
-    return _Field(key, _list_of(parse_record),
+    return _Field(key, _list_of(parse_record, tuple),
                   lambda records: [_write(r, table.fields) for r in records],
                   True)
 
@@ -348,7 +366,7 @@ def _parse_topology(node: Any, depth: int = 1) -> Expr:
             except ParseError as exc:
                 raise exc.within(f"/{key}/{i}") from None
         return _NODES[key](tuple(parsed))
-    raise ParseError("", f"bad topology node {node!r}")
+    raise ParseError("", f"bad topology node: {_kind(node)}")
 
 
 def _emit_topology(expr: Expr):
@@ -392,8 +410,7 @@ def _parse_cluster(obj: Any) -> Cluster:
         raise ParseError("/cores", str(exc)) from None
 
 
-@dataclass
-class Options:
+class Options(NamedTuple):
     u_max: Fraction = Fraction(1)
     frequencies_hz: list[Fraction] | None = None
     factors: list[int] | None = None
@@ -596,7 +613,7 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
             value = ([_flag_value(t) for t in text.split(",")] if listed
                      else _flag_value(text))
             overrides[f.key] = _parse_flag(where, f.parse, value)
-    return system, cluster, replace(options, **overrides)
+    return system, cluster, options._replace(**overrides)
 
 
 def _parse_flag(where: str, parse, value):

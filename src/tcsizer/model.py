@@ -15,7 +15,6 @@ unassigned (for priorities and for host cores).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -106,8 +105,7 @@ class AllocationFailed(Exception):
         self.stage_id = stage_id
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One schedulable segment of an analytic.
 
     ``cost``, ``deadline`` and ``blocking`` are integer nanoseconds;
@@ -131,27 +129,46 @@ class Stage:
 
 
 # --- series-parallel composition expressions ---------------------------------
+#
+# A node compares equal only to a node of its own class, so that Seq(c)
+# and Par(c) differ although both are the one-field tuple (c,).
 
-@dataclass(frozen=True)
-class Leaf:
+def _node_eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other) -> bool:
+    return not _node_eq(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((self.__class__, tuple.__hash__(self)))
+
+
+class Leaf(NamedTuple):
     stage: str
 
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
-@dataclass(frozen=True)
-class Seq:
+
+class Seq(NamedTuple):
     children: tuple["Expr", ...]
 
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
-@dataclass(frozen=True)
-class Par:
+
+class Par(NamedTuple):
     children: tuple["Expr", ...]
 
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
-@dataclass(frozen=True)
-class RoundRobin:
+
+class RoundRobin(NamedTuple):
     """Replicas of one stage: item n goes to child n mod k only."""
 
     children: tuple[Leaf, ...]
+
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
 Expr = Union[Leaf, Seq, Par, RoundRobin]
@@ -235,8 +252,7 @@ def item_flow(expr: Expr) -> Flow:
     return Flow(sources, sinks, preds, lanes)
 
 
-@dataclass(frozen=True)
-class Analytic:
+class Analytic(NamedTuple):
     """A set of stages plus their composition and an end-to-end deadline."""
 
     id: str
@@ -244,16 +260,9 @@ class Analytic:
     topology: Expr
     end_to_end_deadline: Duration
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
 
-
-@dataclass(frozen=True)
-class System:
+class System(NamedTuple):
     analytics: tuple[Analytic, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "analytics", tuple(self.analytics))
 
     def stages(self) -> Iterator[Stage]:
         for analytic in self.analytics:
@@ -268,39 +277,57 @@ def _csv_unsafe(name: str) -> bool:
     return not _CSV_SPECIALS.isdisjoint(name)
 
 
-@dataclass(frozen=True)
-class Core:
-    """A scheduling unit: normalized capacity plus platform blocking."""
+# A record that checks its values is a subclass of a NamedTuple base
+# whose __new__ checks them; _make goes through __new__ as well, so
+# _replace cannot skip the checks.
 
+class _Core(NamedTuple):
     id: str
     capacity: Fraction = Fraction(1)
     platform_blocking: Duration = 0
 
-    def __post_init__(self):
-        if _csv_unsafe(self.id):
-            raise ValueError(f"core {self.id!r}: id holds a comma, quote "
+
+class Core(_Core):
+    """A scheduling unit: normalized capacity plus platform blocking."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, capacity=Fraction(1),
+                platform_blocking: Duration = 0):
+        if _csv_unsafe(id):
+            raise ValueError(f"core {id!r}: id holds a comma, quote "
                              f"or line break")
-        cap = self.capacity
-        if not isinstance(cap, Fraction):
-            cap = Fraction(cap)
-            object.__setattr__(self, "capacity", cap)
-        if not 0 < cap <= 1:
-            raise ValueError(f"core {self.id!r}: capacity must be in (0, 1]")
-        if self.platform_blocking < 0:
-            raise ValueError(f"core {self.id!r}: negative platform blocking")
+        if not isinstance(capacity, Fraction):
+            capacity = Fraction(capacity)
+        if not 0 < capacity <= 1:
+            raise ValueError(f"core {id!r}: capacity must be in (0, 1]")
+        if platform_blocking < 0:
+            raise ValueError(f"core {id!r}: negative platform blocking")
+        return super().__new__(cls, id, capacity, platform_blocking)
+
+    @classmethod
+    def _make(cls, iterable) -> Core:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Cluster:
+class _Cluster(NamedTuple):
     cores: tuple[Core, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cores", tuple(self.cores))
-        if not self.cores:
+
+class Cluster(_Cluster):
+    __slots__ = ()
+
+    def __new__(cls, cores: tuple[Core, ...]):
+        if not cores:
             raise ValueError("cluster must have at least one core")
-        ids = [c.id for c in self.cores]
+        ids = [c.id for c in cores]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate core ids in cluster")
+        return super().__new__(cls, cores)
+
+    @classmethod
+    def _make(cls, iterable) -> Cluster:
+        return cls(*iterable)
 
 
 def homogeneous_cluster(m: int, capacity=Fraction(1),
@@ -333,11 +360,14 @@ def effective_blocking(system: System, allocation: Mapping[str, str],
 
 # --- validation ---------------------------------------------------------------
 
-@dataclass
 class ValidationReport:
     """Findings are (path, message) pairs; ok iff there are none."""
 
-    findings: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self, findings: list[tuple[str, str]] | None = None):
+        self.findings = [] if findings is None else findings
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(findings={self.findings!r})"
 
     @property
     def ok(self) -> bool:
@@ -464,7 +494,7 @@ def with_allocation(system: System, allocation: Mapping[str, str]) -> System:
 def _map_stages(system: System, priorities: Mapping[str, int],
                 cores: Mapping[str, str]) -> System:
     """Copy of the system, each stage's priority and core taken from the
-    mappings that name it (constructor calls: half the cost of replace)."""
+    mappings that name it (constructor calls: cheaper than _replace)."""
     return System(tuple(
         Analytic(a.id, tuple(
             Stage(s.id, s.cost, s.inter_arrival, s.deadline, s.blocking,
@@ -491,8 +521,8 @@ def replicate_for_rate(stage: Stage, k_max: int) -> list[Stage]:
     t_new = k * stage.inter_arrival
     d_new = min(stage.deadline, t_new + stage.blocking)
     return [
-        replace(stage, id=f"{stage.id}#{i}", inter_arrival=t_new,
-                deadline=d_new)
+        stage._replace(id=f"{stage.id}#{i}", inter_arrival=t_new,
+                       deadline=d_new)
         for i in range(1, k + 1)
     ]
 

@@ -43,13 +43,15 @@ join target it admits; the sinks' target is the analytic's end, where
 the item's end-to-end response is taken. Each event is logged as a
 plain (time, core id, kind, stage id, job) tuple; SimEvents are built
 only when ``SimTrace.events`` is read.
+
+SimConfig is an immutable named tuple that checks its horizon when
+built, by _replace too; SimTrace is a plain object that one run fills.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -70,16 +72,29 @@ class HorizonTooShort(Exception):
     """No item completed end-to-end within the horizon."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
     horizon: Duration
     seed: int = 0
     blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL
     release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS
 
-    def __post_init__(self):
-        if self.horizon <= 0:
+
+class SimConfig(_SimConfig):
+    """A run's horizon in ns (positive), its seed and its two policies."""
+
+    __slots__ = ()
+
+    def __new__(cls, horizon: Duration, seed: int = 0,
+                blocking_policy=BlockingPolicy.ADVERSARIAL,
+                release_policy=ReleasePolicy.SYNCHRONOUS):
+        if horizon <= 0:
             raise ValueError("horizon must be positive")
+        return super().__new__(cls, horizon, seed, blocking_policy,
+                               release_policy)
+
+    @classmethod
+    def _make(cls, iterable) -> SimConfig:
+        return cls(*iterable)
 
 
 class SimEvent(NamedTuple):
@@ -90,7 +105,6 @@ class SimEvent(NamedTuple):
     job: int
 
 
-@dataclass
 class SimTrace:
     """What one run observed. ``log`` holds every event as a plain
     (time, core, kind, stage, job) tuple in trace order; ``events`` reads
@@ -98,11 +112,16 @@ class SimTrace:
     keyed (stage id, job index), end-to-end responses (analytic id, item
     index)."""
 
-    log: list[tuple[Duration, str, str, str, int]] = field(
-        default_factory=list)
-    job_responses: dict[tuple[str, int], Duration] = field(default_factory=dict)
-    end_to_end_responses: dict[tuple[str, int], Duration] = field(
-        default_factory=dict)
+    def __init__(self):
+        self.log: list[tuple[Duration, str, str, str, int]] = []
+        self.job_responses: dict[tuple[str, int], Duration] = {}
+        self.end_to_end_responses: dict[tuple[str, int], Duration] = {}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.log, self.job_responses, self.end_to_end_responses) == (
+            other.log, other.job_responses, other.end_to_end_responses)
 
     @cached_property
     def events(self) -> list[SimEvent]:

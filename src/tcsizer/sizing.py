@@ -7,7 +7,6 @@ utilization bound in :mod:`tcsizer.analysis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -34,15 +33,13 @@ from .model import (
 )
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     frequency_hz: Fraction
     total_utilization: Fraction
     min_cores: int
 
 
-@dataclass
-class DecimationRow:
+class DecimationRow(NamedTuple):
     factor: int
     end_to_end: Duration
     aggregator_utilization: Fraction
@@ -67,13 +64,13 @@ def retime_system(template: System, frequency_hz, *,
     analytics = []
     for analytic in template.analytics:
         stage_map = {s.id: [s] if s.inter_arrival is INFINITE else [
-            replace(r, deadline=r.inter_arrival + r.blocking)
-            for r in replicate_for_rate(replace(s, inter_arrival=t_in),
+            r._replace(deadline=r.inter_arrival + r.blocking)
+            for r in replicate_for_rate(s._replace(inter_arrival=t_in),
                                         replication_limit)
         ] for s in analytic.stages}
         topo = _expand_topology(analytic.topology, stage_map)
-        analytics.append(replace(
-            analytic, stages=tuple(r for rs in stage_map.values() for r in rs),
+        analytics.append(analytic._replace(
+            stages=tuple(r for rs in stage_map.values() for r in rs),
             topology=topo))
     return System(tuple(analytics))
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,8 +52,8 @@ def bound_below(me, cotenants, cap, platform_blocking=0):
     ``cotenants``: ``me`` at priority 1, each cotenant at priority 2, and
     each stage in an analytic of its own with end-to-end deadline
     ``cap``, which makes ``cap`` the solve's cap."""
-    ranked = [replace(me, priority=1)]
-    ranked += [replace(z, priority=2) for z in cotenants]
+    ranked = [me._replace(priority=1)]
+    ranked += [z._replace(priority=2) for z in cotenants]
     system = System(tuple(
         Analytic(id=s.id, stages=(s,), topology=Leaf(s.id),
                  end_to_end_deadline=cap)

@@ -24,6 +24,7 @@ from tcsizer import (
     Analytic,
     AnalyticVerdict,
     Leaf,
+    Par,
     ResponseReport,
     ScenarioId,
     Stage,
@@ -170,10 +171,7 @@ class TestSpecRoundTrip:
                                               frequency_hz=1,
                                               blocking=20 * US), 4000)
         cluster = homogeneous_cluster(3, platform_blocking=5 * US)
-        options = Options()
-        options.frequencies_hz = [1, 4000][:]
-        options.horizon = 2 * SEC
-        options.seed = 11
+        options = Options(frequencies_hz=[1, 4000], horizon=2 * SEC, seed=11)
         text = emit_system_spec(system, cluster, options)
         system2, cluster2, options2 = parse_system_spec(text)
         assert system2 == system
@@ -195,6 +193,20 @@ class TestSpecRoundTrip:
         parsed, parsed_cluster, _ = parse_system_spec(
             emit_system_spec(system, cluster))
         assert (parsed, parsed_cluster) == (system, cluster)
+
+    def test_a_seq_read_back_as_par_differs(self):
+        # nodes are one-field tuples: only their class tells Seq from Par
+        system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
+        text = emit_system_spec(system, homogeneous_cluster(1))
+        assert '"seq"' in text
+        swapped, _, _ = parse_system_spec(text.replace('"seq"', '"par"'))
+        assert swapped != system
+        (analytic,), (swapped_analytic,) = (system.analytics,
+                                            swapped.analytics)
+        assert isinstance(swapped_analytic.topology, Par)
+        assert swapped_analytic.topology != analytic.topology
+        assert swapped_analytic._replace(topology=analytic.topology) \
+            == analytic
 
     @pytest.mark.parametrize("children, pointer", [
         (["a", {"seq": ["b"]}], "/analytics/0/topology/rr/1"),
@@ -498,10 +510,8 @@ class TestSizeCommand:
 
     def test_options_fallback(self, tmp_path):
         system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
-        options = Options()
-        options.frequencies_hz = [Fraction(1), Fraction(4000)]
-        options.factors = [1, 10]
-        options.input_frequency_hz = Fraction(1000)
+        options = Options(frequencies_hz=[Fraction(1), Fraction(4000)],
+                          factors=[1, 10], input_frequency_hz=Fraction(1000))
         path = tmp_path / "with-options.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(8),
                                          options))
@@ -950,6 +960,25 @@ class TestOverLongNumbers:
         code, out, err = invoke(["analyze", str(spec)])
         assert (code, out) == (1, "")
         assert err.startswith("error: /: invalid JSON: ")
+
+    # 1e5000 reads as a Fraction whose repr has 5001 digits, past the
+    # 4300 that str() writes of an int: an error message must not repr it
+    @pytest.mark.parametrize("pointer", [
+        "/analytics/0/stages/0/cost",
+        "/options/sim/blocking_policy",
+        "/analytics/0/topology/seq/1",
+    ])
+    def test_huge_number_where_a_string_belongs(self, microblog, tmp_path,
+                                                pointer):
+        doc = json.loads(microblog.read_text())
+        doc["options"] = {"sim": {"blocking_policy": "ADVERSARIAL"}}
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(with_leaf(doc, pointer, "HUGE"))
+                        .replace('"HUGE"', "1e5000"))
+        code, out, err = invoke(["analyze", str(spec)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {pointer}: "), err
+        assert len(err) < 200
 
 
 # ids with what json escapes: quotes, backslashes, control characters

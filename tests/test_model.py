@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +34,7 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.model import item_flow, nodes, scaled_utilizations
+from tcsizer.sim import SimConfig
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import COPRIME_PERIODS, accepted_stream, pipelined_system
@@ -430,6 +430,56 @@ class TestCoreAndCluster:
         with pytest.raises(ValueError):
             Cluster((Core("c"), Core("c")))
 
+    def test_replace_checks_as_the_constructor_does(self):
+        core = Core("c", 1)
+        assert core._replace(capacity=Fraction(1, 2)).capacity == Fraction(1, 2)
+        assert isinstance(core._replace(capacity=1).capacity, Fraction)
+        with pytest.raises(ValueError):
+            core._replace(capacity=2)
+        with pytest.raises(ValueError):
+            Cluster((core,))._replace(cores=(core, core))
+
+
+class TestRecords:
+    NODES = [Leaf, Seq, Par, RoundRobin]
+
+    @pytest.mark.parametrize("a", NODES)
+    @pytest.mark.parametrize("b", NODES)
+    def test_nodes_compare_by_class(self, a, b):
+        children = (Leaf("x"), Leaf("y"))
+        same = a is b
+        assert (a(children) == b(children)) is same
+        assert (a(children) != b(children)) is not same
+        assert len({a(children), b(children)}) == (1 if same else 2)
+
+    def test_a_node_is_not_its_tuple(self):
+        assert Leaf("a") != ("a",)
+        assert ("a",) != Leaf("a")
+        assert not Leaf("a") == ("a",)
+        assert Seq((Leaf("a"),)) != ((Leaf("a"),),)
+
+    def test_nested_nodes_compare_by_class(self):
+        assert seq("a", par("b", "c")) == seq("a", par("b", "c"))
+        assert seq("a", par("b", "c")) != seq("a", seq("b", "c"))
+        assert par("a", seq("b", "c")) != seq("a", seq("b", "c"))
+
+    @pytest.mark.parametrize("record, name", [
+        (Stage("s", 1, 2, 3), "cost"),
+        (Core("c"), "capacity"),
+        (Analytic("a", (), Leaf("s"), 1), "stages"),
+        (SimConfig(horizon=SEC), "horizon"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    def test_repr_names_every_field(self):
+        assert repr(Stage("s", 1, 2, 3)) == (
+            "Stage(id='s', cost=1, inter_arrival=2, deadline=3, blocking=0, "
+            "priority=None, core=None)")
+        assert repr(Core("c")) == (
+            "Core(id='c', capacity=Fraction(1, 1), platform_blocking=0)")
+
 
 def test_with_priorities_returns_new_system():
     system = builtin_system(ScenarioId.TABLE_VI)
@@ -441,25 +491,25 @@ def test_with_priorities_returns_new_system():
     assert after["TC2"].priority is None
 
 
-# Reference copies: the dataclasses.replace code that with_priorities
-# and with_allocation ran before they called the constructors directly.
+# Reference copies: with_priorities and with_allocation by _replace,
+# where they call the constructors directly.
 def map_stages_by_replace(system, fn):
     return System(tuple(
-        replace(a, stages=tuple(fn(s) for s in a.stages))
+        a._replace(stages=tuple(fn(s) for s in a.stages))
         for a in system.analytics))
 
 
 def with_priorities_by_replace(system, priorities):
     return map_stages_by_replace(
         system,
-        lambda s: replace(s, priority=priorities[s.id])
+        lambda s: s._replace(priority=priorities[s.id])
         if s.id in priorities else s)
 
 
 def with_allocation_by_replace(system, allocation):
     return map_stages_by_replace(
         system,
-        lambda s: replace(s, core=allocation[s.id])
+        lambda s: s._replace(core=allocation[s.id])
         if s.id in allocation else s)
 
 
@@ -511,9 +561,11 @@ class TestStageCopies:
         analytic = Analytic("a", (stage,), Leaf("s"), 13)
         # every field differs from its default, so a field added later
         # fails here until it is set above (and copied)
+        no_default = object()
         for record, cls in ((stage, Stage), (analytic, Analytic)):
-            for f in fields(cls):
-                assert getattr(record, f.name) != f.default, f.name
+            for name in cls._fields:
+                assert (getattr(record, name)
+                        != cls._field_defaults.get(name, no_default)), name
         system = System((analytic,))
         copies = [
             (with_priorities(system, {}), {}),
@@ -526,13 +578,13 @@ class TestStageCopies:
         for copied, changed in copies:
             (copied_analytic,) = copied.analytics
             (copied_stage,) = copied_analytic.stages
-            for f in fields(Stage):
-                assert (getattr(copied_stage, f.name)
-                        == changed.get(f.name, getattr(stage, f.name))), f.name
-            for f in fields(Analytic):
-                if f.name != "stages":
-                    assert (getattr(copied_analytic, f.name)
-                            == getattr(analytic, f.name)), f.name
+            for name in Stage._fields:
+                assert (getattr(copied_stage, name)
+                        == changed.get(name, getattr(stage, name))), name
+            for name in Analytic._fields:
+                if name != "stages":
+                    assert (getattr(copied_analytic, name)
+                            == getattr(analytic, name)), name
 
 
 def test_leaves_order():

@@ -40,6 +40,10 @@ PUBLIC_NAMES = [
 NOT_FOR_ANALYZE = ["tcsizer.sim", "tcsizer.sizing", "tcsizer.workloads",
                    "random"]
 
+# modules no command runs: records are named tuples, and dataclasses
+# would pull in inspect (with ast, dis and tokenize) on every start-up
+NOT_FOR_ANY_COMMAND = ["dataclasses", "inspect"]
+
 
 class TestSurface:
     def test_all_is_pinned(self):
@@ -95,11 +99,33 @@ def run_in_child(argv) -> str:
             f"assert run_command({argv!r}) in (0, 2)")
 
 
+# argv after the spec path of each command, and the module it must load
+COMMANDS = {
+    "analyze": ([], "tcsizer.analysis"),
+    "size": (["--freqs", "1,4000"], "tcsizer.sizing"),
+    "decimate": (["--factors", "1,10", "--freq", "1000"], "tcsizer.sizing"),
+    "compare": ([], "tcsizer.sizing"),
+    "simulate": (["--horizon", "1s"], "tcsizer.sim"),
+}
+
+
 class TestImportFootprint:
     def test_cli_import(self):
         loaded = loaded_modules("from tcsizer.cli import main")
         assert "tcsizer.cli" in loaded
         assert loaded.isdisjoint(NOT_FOR_ANALYZE)
+        assert loaded.isdisjoint(NOT_FOR_ANY_COMMAND)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_loads_dataclasses(self, command, microblog,
+                                          tmp_path):
+        flags, runs = COMMANDS[command]
+        if command == "simulate":
+            flags = [*flags, "--trace", str(tmp_path / "trace.csv")]
+        loaded = loaded_modules(run_in_child(
+            [command, str(microblog), *flags]))
+        assert runs in loaded
+        assert loaded.isdisjoint(NOT_FOR_ANY_COMMAND)
 
     def test_analyze(self, microblog):
         loaded = loaded_modules(run_in_child(["analyze", str(microblog)]))
