@@ -24,7 +24,7 @@ _HOMES = {
         "Analytic", "BlockingPolicy", "Cluster", "Core", "InvalidAllocation",
         "Leaf", "Par", "ReleasePolicy", "ReplicationExceeded", "RoundRobin",
         "Seq", "Stage", "System", "ValidationReport", "allocate_first_fit",
-        "assign_priorities_dm", "homogeneous_cluster", "leaves", "par",
+        "assign_priorities_dm", "homogeneous_cluster", "par",
         "period_from_frequency", "replicate_for_rate", "seq",
         "validate_system", "with_allocation", "with_priorities",
     ),

@@ -50,7 +50,7 @@ from .model import (
 )
 
 #: Returned when the response-time iteration climbs past its cap.
-DIVERGED = Marker("DIVERGED")
+DIVERGED = Marker.DIVERGED
 
 ResponseTime = Union[int, Marker]
 
@@ -59,7 +59,7 @@ class MissingStage(Exception):
     """A topology leaf has no response-time entry."""
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(ValueError):
     """The utilization bound's validity regime does not hold."""
 
     def __init__(self, stage_id: str, message: str):
@@ -219,26 +219,21 @@ def require_bound_regime(system: System) -> None:
     stage and assigned priorities are deadline-monotonic."""
     stages = list(system.stages())
     for s in stages:
-        if s.inter_arrival is not INFINITE:
-            if s.inter_arrival + s.blocking != s.deadline:
-                raise PreconditionViolated(
-                    s.id, "inter-arrival + blocking != deadline")
+        if (s.inter_arrival is not INFINITE
+                and s.inter_arrival + s.blocking != s.deadline):
+            raise PreconditionViolated(
+                s.id, "inter-arrival + blocking != deadline")
+    by_deadline: dict[int, list[Stage]] = {}
     for s in stages:
         if s.priority is None:
             raise PreconditionViolated(s.id, "priority unassigned")
-    # group by deadline; shorter deadlines must dominate strictly
-    by_deadline: dict[int, list[int]] = {}
-    rep: dict[int, str] = {}
-    for s in stages:
-        by_deadline.setdefault(s.deadline, []).append(s.priority)
-        rep.setdefault(s.deadline, s.id)
-    prev_min: int | None = None
-    prev_d: int | None = None
+        by_deadline.setdefault(s.deadline, []).append(s)
+    # a shorter deadline's priorities must all be strictly higher
+    prev_min = prev_d = None
     for d in sorted(by_deadline):
-        cur = by_deadline[d]
-        if prev_min is not None and max(cur) >= prev_min:
+        group = [s.priority for s in by_deadline[d]]
+        if prev_min is not None and max(group) >= prev_min:
             raise PreconditionViolated(
-                rep[d],
+                by_deadline[d][0].id,
                 f"priorities not deadline-monotonic (deadline {d} vs {prev_d})")
-        prev_min = min(cur)
-        prev_d = d
+        prev_min, prev_d = min(group), d

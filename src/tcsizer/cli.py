@@ -22,9 +22,12 @@ A system spec is a strict JSON document:
 
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
 exactly to integer nanoseconds, their number at most MAX_DURATION_DIGITS
-digits long; "inf" is allowed for inter-arrival times only. Unknown keys
-are rejected. Every input error is a ParseError at the JSON pointer of
-the bad value; the pointer is assembled on the way out, each container
+digits long; "inf" is allowed for inter-arrival times only. Any other
+number, a JSON literal or a "num/den" string, has at most
+MAX_NUMBER_DIGITS digits and an exponent within MAX_NUMBER_DIGITS, judged
+from its text before int() or Fraction reads it. Unknown keys are
+rejected. Every input error is a ParseError at the JSON pointer of the
+bad value; the pointer is assembled on the way out, each container
 prefixing its key or index, so reading a good spec builds none.
 Topology nodes are either a stage id (leaf) or a one-key object
 {"seq": [...]} (in sequence), {"par": [...]} (every child sees every
@@ -34,11 +37,13 @@ MAX_TOPOLOGY_DEPTH deep.
 
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
-not, 1 = input or usage error. Each flag that overrides an option is
-read like that option's field, lists split on commas, so an empty value
-is an input error. The seed of simulate is --seed, else the environment
-variable TC_SIZER_SEED, else options.sim.seed, else 0. A command
-imports only what it runs: simulate imports the simulator, and size,
+not, 1 = input or usage error, every one of which is a ParseError, a
+usage error or a ValueError of the library. Each flag that overrides an
+option, --blocking and --release too, is read by that option's field
+parser, lists split on commas, so an empty value is an input error. The
+seed of simulate is --seed, else the environment variable
+TC_SIZER_SEED, else options.sim.seed, else 0. A command imports only
+what it runs: simulate imports the simulator, and size,
 decimate and compare the sweeps, each when it starts.
 """
 
@@ -103,23 +108,60 @@ _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|µs|ms|s|min|h)")
 #: the 4300-digit limit that int() puts on a string.
 MAX_DURATION_DIGITS = 30
 
+#: Most digits in a number of a spec, a flag or a "num/den" string, and
+#: the largest |exponent| it may have. Both are read from the text before
+#: int() or Fraction builds the number, and they keep every count and
+#: time printed from such numbers within the 4300 digits str() writes.
+MAX_NUMBER_DIGITS = 1000
 
-#: The JSON kind of each type json.loads makes (floats as Fraction),
-#: named in messages in place of a value's repr: a number such as
-#: 1e5000 has too many digits to print.
+def _too_long(text: str) -> bool:
+    """Whether the text of a number has more than MAX_NUMBER_DIGITS
+    digits or an exponent past MAX_NUMBER_DIGITS (a text that is no
+    number at all is left for its reader to refuse)."""
+    exponent = text.upper().partition("E")[2].strip().lstrip("+-")
+    exponent = exponent.replace("_", "").lstrip("0")
+    return (exponent.isdecimal() and (len(exponent) > MAX_NUMBER_DIGITS
+                                      or int(exponent) > MAX_NUMBER_DIGITS)
+            or len(text) > MAX_NUMBER_DIGITS
+            and len(re.sub(r"\D", "", text)) > MAX_NUMBER_DIGITS)
+
+
+class _LongNumber:
+    """A number literal past MAX_NUMBER_DIGITS as json.loads hands it
+    over, unread: the number parsers refuse it at its pointer, and other
+    messages call it "a number"."""
+
+    message = (f"number has more than {MAX_NUMBER_DIGITS} digits or an "
+               f"exponent past {MAX_NUMBER_DIGITS}")
+
+
+_LONG_NUMBER = _LongNumber()
+
+
+def _literal(read):
+    """A json.loads number hook: ``read(literal)`` within the cap."""
+    return lambda literal: _LONG_NUMBER if _too_long(literal) else read(literal)
+
+
+#: How json.loads reads the numbers of a spec or a flag: floats as exact
+#: Fractions, and either kind past the cap as _LONG_NUMBER.
+_NUMBERS = {"parse_float": _literal(Fraction), "parse_int": _literal(int)}
+
+#: The JSON kind of each type json.loads makes, named in messages in
+#: place of a value's repr, which may be too long to print.
 _JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean",
-               type(None): "null", int: "a number", Fraction: "a number"}
+               type(None): "null", int: "a number", Fraction: "a number",
+               _LongNumber: "a number"}
 
 
 def _kind(value: Any) -> str:
     return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
-def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
+def parse_duration(text: str, *, allow_inf: bool = False):
     """'1.5ms' -> 1_500_000; exact or ParseError."""
     if not isinstance(text, str):
-        raise ParseError(path,
-                         f"expected a duration string, got {_kind(text)}")
+        raise ParseError("", f"expected a duration string, got {_kind(text)}")
     number = text[:-2]
     # the "<digits>ns" that format_duration writes needs no regex
     if (text.endswith("ns") and number.isdigit() and number.isascii()
@@ -128,20 +170,20 @@ def parse_duration(text: str, *, allow_inf: bool = False, path: str = ""):
     if text == "inf":
         if allow_inf:
             return INFINITE
-        raise ParseError(path, '"inf" is only allowed for inter-arrival times')
+        raise ParseError("", '"inf" is only allowed for inter-arrival times')
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
-        raise ParseError(path, f"cannot parse duration {text!r}")
+        raise ParseError("", f"cannot parse duration {text!r}")
     number, unit = m.groups()
     if len(number) - ("." in number) > MAX_DURATION_DIGITS:
         raise ParseError(
-            path, f"duration has more than {MAX_DURATION_DIGITS} digits")
+            "", f"duration has more than {MAX_DURATION_DIGITS} digits")
     if "." not in number:
         return int(number) * _UNITS[unit]
     value = Fraction(number) * _UNITS[unit]
     if value.denominator != 1:
         raise ParseError(
-            path, f"duration {text!r} is not a whole number of nanoseconds")
+            "", f"duration {text!r} is not a whole number of nanoseconds")
     return int(value)
 
 
@@ -243,6 +285,8 @@ def _string(value: Any) -> str:
 
 def _integer(message: str, least: int | None = None):
     def parse(value: Any) -> int:
+        if value is _LONG_NUMBER:
+            raise ParseError("", _LongNumber.message)
         if (isinstance(value, bool) or not isinstance(value, int)
                 or least is not None and value < least):
             raise ParseError("", message)
@@ -254,9 +298,18 @@ def _inter_arrival(value: Any):
     return parse_duration(value, allow_inf=True)
 
 
+def _horizon(value: Any) -> int:
+    horizon = parse_duration(value)
+    if horizon <= 0:
+        raise ParseError("", "horizon must be positive")
+    return horizon
+
+
 def _ratio(value: Any, what: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError("", f"{what} must be a number")
+    if value is _LONG_NUMBER or isinstance(value, str) and _too_long(value):
+        raise ParseError("", _LongNumber.message)
     try:
         if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
@@ -424,7 +477,7 @@ class Options(NamedTuple):
 # options.sim holds more fields of the same Options record
 _SIM = _Table(
     "an object",
-    _Field("horizon", parse_duration, format_duration),
+    _Field("horizon", _horizon, format_duration),
     _Field("seed", _integer("seed must be an integer")),
     _Field("blocking_policy", _policy(BlockingPolicy),
            lambda policy: policy.value),
@@ -474,8 +527,8 @@ def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
     """Parse a spec document; priorities/allocation maps are applied onto
     the stages. Raises ParseError with a JSON-pointer path."""
     try:
-        doc = json.loads(text, parse_float=Fraction)
-    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
+        doc = json.loads(text, **_NUMBERS)
+    except ValueError as exc:  # a JSONDecodeError
         raise ParseError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("", "invalid JSON: nested too deeply") from None
@@ -536,32 +589,30 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("size", help="utilization/min-cores frequency sweep")
     p.add_argument("spec")
-    p.add_argument("--freqs", default=None,
-                   help="comma-separated frequencies in Hz")
-    p.add_argument("--umax", default=None, help="per-core capacity bound")
+    p.add_argument("--freqs", help="comma-separated frequencies in Hz")
+    p.add_argument("--umax", help="per-core capacity bound")
     p.add_argument("--replication-limit", default="4096",
                    help="most replicas per stage, an integer >= 1")
 
     p = sub.add_parser("decimate", help="decimation trade-off sweep")
     p.add_argument("spec")
-    p.add_argument("--factors", default=None,
-                   help="comma-separated decimation factors")
-    p.add_argument("--freq", default=None, help="input frequency in Hz")
-    p.add_argument("--umax", default=None)
+    p.add_argument("--factors", help="comma-separated decimation factors")
+    p.add_argument("--freq", help="input frequency in Hz")
+    p.add_argument("--umax")
 
     p = sub.add_parser("simulate", help="discrete-event simulation")
     p.add_argument("spec")
-    p.add_argument("--seed", default=None)
-    p.add_argument("--horizon", default=None, help="duration, e.g. 2s")
+    p.add_argument("--seed")
+    p.add_argument("--horizon", help="duration, e.g. 2s")
     p.add_argument("--trace", default="trace.csv", help="trace CSV path")
-    p.add_argument("--blocking", choices=[b.value for b in BlockingPolicy],
-                   default=None)
-    p.add_argument("--release", choices=[r.value for r in ReleasePolicy],
-                   default=None)
+    for flag, policy in (("--blocking", BlockingPolicy),
+                         ("--release", ReleasePolicy)):
+        values = ",".join(member.value for member in policy)
+        p.add_argument(flag, metavar=f"{{{values}}}")
 
     p = sub.add_parser("compare", help="blocking-model core-count comparison")
     p.add_argument("spec")
-    p.add_argument("--umax", default=None)
+    p.add_argument("--umax")
     return parser
 
 
@@ -583,7 +634,7 @@ def _flag_value(text: str):
     """A flag token as the spec would hold it: the JSON value when it
     parses as JSON, else the string itself."""
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, **_NUMBERS)
     except (ValueError, RecursionError):
         return text
 
@@ -624,31 +675,30 @@ def _parse_flag(where: str, parse, value):
         raise exc.within(where) from None
 
 
+def _given(system: System, field: str, message: str) -> bool:
+    """Whether the spec file sets ``field`` on every stage (False: on
+    none); setting it on some only is the input error ``message``."""
+    given = [getattr(s, field) is not None for s in system.stages()]
+    if any(given) and not all(given):
+        raise _UsageError(message)
+    return any(given)
+
+
 def _prioritize(system: System) -> System:
-    """Deadline-monotonic priorities when the spec file leaves them out
-    entirely; a partial assignment is an input error."""
-    prio_set = [s.priority is not None for s in system.stages()]
-    if not any(prio_set):
-        return model.with_priorities(system, model.assign_priorities_dm(system))
-    if not all(prio_set):
-        raise _UsageError("priorities must be given for all stages or none")
-    return system
+    """Deadline-monotonic priorities when the spec file leaves them out."""
+    if _given(system, "priority",
+              "priorities must be given for all stages or none"):
+        return system
+    return model.with_priorities(system, model.assign_priorities_dm(system))
 
 
 def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
     """Fill in priorities (_prioritize), and the allocation (first-fit's
-    mapping) when the spec file leaves it out entirely; partial
-    assignments are input errors."""
+    mapping) when the spec file leaves it out."""
     system = _prioritize(system)
-    core_set = [s.core is not None for s in system.stages()]
-    if not any(core_set):
-        try:
-            return system, model.allocate_first_fit(system, cluster)
-        except model.AllocationFailed as exc:
-            raise _UsageError(str(exc)) from None
-    if not all(core_set):
-        raise _UsageError("allocation must cover all stages or none")
-    return system, {s.id: s.core for s in system.stages()}
+    if _given(system, "core", "allocation must cover all stages or none"):
+        return system, {s.id: s.core for s in system.stages()}
+    return system, model.allocate_first_fit(system, cluster)
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -749,10 +799,7 @@ def _cmd_simulate(args, out) -> int:
         release_policy=options.release_policy,
     )
     report = analysis.solve_system(system, allocation, cluster)
-    try:
-        trace = sim.simulate(system, allocation, cluster, config)
-    except sim.HorizonTooShort as exc:
-        raise _UsageError(str(exc)) from None
+    trace = sim.simulate(system, allocation, cluster, config)
     try:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(sim.trace_to_csv(trace))
@@ -799,11 +846,7 @@ def run_command(argv, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except (ParseError, analysis.PreconditionViolated,
-            model.ReplicationExceeded, ValueError) as exc:
+    except (_UsageError, ParseError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

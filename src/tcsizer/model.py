@@ -28,26 +28,25 @@ MINUTE = 60 * SEC
 HOUR = 3_600 * SEC
 
 
-class Marker:
-    """Identity-compared singleton used for INFINITE / DIVERGED values."""
+class Marker(Enum):
+    """Identity-compared sentinels: a one-shot stage's INFINITE
+    inter-arrival and analysis.DIVERGED. Copies and pickles are the
+    member itself."""
 
-    __slots__ = ("_label",)
+    INFINITE = "INFINITE"
+    DIVERGED = "DIVERGED"
 
-    def __init__(self, label: str):
-        self._label = label
+    # Enum hashes in Python; the solve keys its per-period totals on these
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
-        return self._label
+        return self.value
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+    __str__ = __repr__
 
 
 #: Inter-arrival time of a one-shot stage.
-INFINITE = Marker("INFINITE")
+INFINITE = Marker.INFINITE
 
 Duration = int
 InterArrival = Union[int, Marker]
@@ -82,7 +81,7 @@ class ReleasePolicy(Enum):
     JITTERED = "JITTERED"
 
 
-class ReplicationExceeded(Exception):
+class ReplicationExceeded(ValueError):
     """Rate replication would need more replicas than allowed."""
 
     def __init__(self, stage_id: str, needed: int, k_max: int):
@@ -93,11 +92,11 @@ class ReplicationExceeded(Exception):
         self.k_max = k_max
 
 
-class InvalidAllocation(Exception):
+class InvalidAllocation(ValueError):
     """A stage has no host core (or an unknown one)."""
 
 
-class AllocationFailed(Exception):
+class AllocationFailed(ValueError):
     """No core has room for a stage during first-fit placement."""
 
     def __init__(self, stage_id: str):
@@ -202,11 +201,6 @@ def nodes(expr: Expr) -> list[Expr]:
             raise TypeError(f"not a composition expression: {node!r}")
         found.append(node)
     return found
-
-
-def leaves(expr: Expr) -> list[str]:
-    """Stage ids in left-to-right leaf order."""
-    return [node.stage for node in nodes(expr) if isinstance(node, Leaf)]
 
 
 class Flow(NamedTuple):

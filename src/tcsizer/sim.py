@@ -68,7 +68,7 @@ from .model import (
 )
 
 
-class HorizonTooShort(Exception):
+class HorizonTooShort(ValueError):
     """No item completed end-to-end within the horizon."""
 
 
@@ -84,13 +84,10 @@ class SimConfig(_SimConfig):
 
     __slots__ = ()
 
-    def __new__(cls, horizon: Duration, seed: int = 0,
-                blocking_policy=BlockingPolicy.ADVERSARIAL,
-                release_policy=ReleasePolicy.SYNCHRONOUS):
+    def __new__(cls, horizon: Duration, *rest, **fields):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        return super().__new__(cls, horizon, seed, blocking_policy,
-                               release_policy)
+        return super().__new__(cls, horizon, *rest, **fields)
 
     @classmethod
     def _make(cls, iterable) -> SimConfig:
@@ -116,12 +113,6 @@ class SimTrace:
         self.log: list[tuple[Duration, str, str, str, int]] = []
         self.job_responses: dict[tuple[str, int], Duration] = {}
         self.end_to_end_responses: dict[tuple[str, int], Duration] = {}
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.log, self.job_responses, self.end_to_end_responses) == (
-            other.log, other.job_responses, other.end_to_end_responses)
 
     @cached_property
     def events(self) -> list[SimEvent]:

@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .model import (
     INFINITE,
-    Analytic,
     Duration,
     Expr,
     Leaf,
@@ -129,16 +128,6 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     return rows
 
 
-def _unique_sink(analytic: Analytic) -> str:
-    """The final stage of the only analytic, /analytics/0."""
-    sinks = item_flow(analytic.topology).sinks
-    if len(sinks) != 1:
-        raise ValueError(
-            f"/analytics/0/topology: analytic {analytic.id!r}: decimation "
-            f"needs a unique final stage, found {sinks}")
-    return sinks[0]
-
-
 def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
                      u_max) -> list[DecimationRow]:
     """Trade aggregator rate against end-to-end latency.
@@ -159,32 +148,31 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
         raise ValueError(
             "/analytics: decimation_sweep expects a single-analytic system")
     analytic = template.analytics[0]
-    agg_id = _unique_sink(analytic)
+    sinks = item_flow(analytic.topology).sinks
+    if len(sinks) != 1:
+        raise ValueError(
+            f"/analytics/0/topology: analytic {analytic.id!r}: decimation "
+            f"needs a unique final stage, found {sinks}")
+    agg_id = sinks[0]
     aggregator = next(s for s in analytic.stages if s.id == agg_id)
     t_in = period_from_frequency(input_frequency)
-
-    def row(factor: int) -> tuple[Duration, Fraction, int]:
-        if factor < 1:
-            raise ValueError("decimation factors must be >= 1")
-        per_stage_resp: dict[str, Duration] = {}
-        util = Fraction(0)
-        for s in analytic.stages:
-            f = factor if s.id == agg_id else 1
-            util += s.utilization(f * t_in)
-            per_stage_resp[s.id] = s.blocking + (f - 1) * t_in + s.cost
-        e2e = end_to_end_response(analytic.topology, per_stage_resp)
-        return (e2e, aggregator.utilization(factor * t_in),
-                min_cores(util, u_max))
-
-    _, _, cores_undecimated = row(1)
+    # the unique sink ends every path, so a row adds its buffer wait
+    # (F - 1) * T_in once to the end-to-end response of R = B + C stages
+    e2e = end_to_end_response(
+        analytic.topology, {s.id: s.blocking + s.cost for s in analytic.stages})
+    others = sum(s.utilization(t_in) for s in analytic.stages
+                 if s.id != agg_id)
+    undecimated = min_cores(others + aggregator.utilization(t_in), u_max)
     rows = []
     for factor in factors:
-        e2e, agg_util, cores = row(factor)
+        if factor < 1:
+            raise ValueError("decimation factors must be >= 1")
+        agg_util = aggregator.utilization(factor * t_in)
         rows.append(DecimationRow(
             factor=factor,
-            end_to_end=e2e,
+            end_to_end=e2e + (factor - 1) * t_in,
             aggregator_utilization=agg_util,
-            cores_saved=cores_undecimated - cores,
+            cores_saved=undecimated - min_cores(others + agg_util, u_max),
         ))
     return rows
 

@@ -42,12 +42,21 @@ class ScenarioId(Enum):
     TABLE_VI = "table-vi"
 
 
-# worst-case costs of the online phases, ns
-_MICROBLOG_COSTS = (127 * US, 507 * US, 511 * US)
-_BOOK_COSTS = (1_100 * US, 5 * MS, 800 * US)
-
 _ONLINE_PHASES = ("gen", "split", "count")
 _OFFLINE_PHASES = ("download", "map", "reduce", "sort")
+
+# each chain scenario's analytic name, phases, worst-case per-phase costs
+# (None for offline ones: the caller supplies them) and default deadline
+_CHAINS = {
+    ScenarioId.MICROBLOG_ONLINE: ("microblog", _ONLINE_PHASES,
+                                  (127 * US, 507 * US, 511 * US), SEC),
+    ScenarioId.BOOK_ONLINE: ("book", _ONLINE_PHASES,
+                             (1_100 * US, 5 * MS, 800 * US), SEC),
+    ScenarioId.MICROBLOG_OFFLINE:
+        ("microblog-batch", _OFFLINE_PHASES, None, 2 * HOUR),
+    ScenarioId.BOOK_OFFLINE:
+        ("book-batch", _OFFLINE_PHASES, None, 10 * MINUTE),
+}
 
 
 def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
@@ -60,55 +69,31 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
     (one per phase: download, map, reduce, sort). Per-stage deadlines
     default to the end-to-end deadline so that high-rate templates stay
     structurally valid; sweeps re-derive tighter per-stage deadlines
-    themselves.
+    themselves. A chain scenario is one analytic of one stage per phase,
+    run in sequence.
     """
-    if scenario is ScenarioId.MICROBLOG_ONLINE:
-        return _online("microblog", _MICROBLOG_COSTS, frequency_hz,
-                       deadline or SEC, blocking)
-    if scenario is ScenarioId.BOOK_ONLINE:
-        return _online("book", _BOOK_COSTS, frequency_hz,
-                       deadline or SEC, blocking)
-    if scenario is ScenarioId.MICROBLOG_OFFLINE:
-        return _offline("microblog-batch", costs, inter_arrival,
-                        deadline or 2 * HOUR, blocking)
-    if scenario is ScenarioId.BOOK_OFFLINE:
-        return _offline("book-batch", costs, inter_arrival,
-                        deadline or 10 * MINUTE, blocking)
     if scenario is ScenarioId.TABLE_VI:
         return _priority_pair()
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _online(name: str, stage_costs, frequency_hz, e2e_deadline: Duration,
-            blocking: Duration) -> System:
-    if frequency_hz is None:
-        raise MissingParam(f"{name}: online scenarios need frequency_hz")
-    return _chain(name, _ONLINE_PHASES, stage_costs,
-                  period_from_frequency(frequency_hz), e2e_deadline, blocking)
-
-
-def _offline(name: str, costs, inter_arrival: InterArrival,
-             e2e_deadline: Duration, blocking: Duration) -> System:
-    if costs is None:
+    if scenario not in _CHAINS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    name, phases, fixed_costs, default_deadline = _CHAINS[scenario]
+    if fixed_costs is not None:
+        if frequency_hz is None:
+            raise MissingParam(f"{name}: online scenarios need frequency_hz")
+        costs, inter_arrival = fixed_costs, period_from_frequency(frequency_hz)
+    elif costs is None:
         raise MissingParam(
-            f"{name}: offline scenarios need per-phase costs "
-            f"{_OFFLINE_PHASES}")
-    if len(costs) != len(_OFFLINE_PHASES):
+            f"{name}: offline scenarios need per-phase costs {phases}")
+    elif len(costs) != len(phases):
         raise MissingParam(
-            f"{name}: expected {len(_OFFLINE_PHASES)} costs, got {len(costs)}")
-    return _chain(name, _OFFLINE_PHASES, costs, inter_arrival, e2e_deadline,
-                  blocking)
-
-
-def _chain(name: str, phases, costs, inter_arrival: InterArrival,
-           e2e_deadline: Duration, blocking: Duration) -> System:
-    """One analytic of one stage per phase, run in sequence."""
+            f"{name}: expected {len(phases)} costs, got {len(costs)}")
+    e2e_deadline = deadline or default_deadline
     stages = tuple(
         Stage(id=f"{name}-{phase}", cost=cost, inter_arrival=inter_arrival,
               deadline=e2e_deadline, blocking=blocking)
         for phase, cost in zip(phases, costs))
-    topo = seq(*(s.id for s in stages))
-    return System((Analytic(id=name, stages=stages, topology=topo,
+    return System((Analytic(id=name, stages=stages,
+                            topology=seq(*(s.id for s in stages)),
                             end_to_end_deadline=e2e_deadline),))
 
 

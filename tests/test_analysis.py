@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from tcsizer import (
     Leaf,
     MissingStage,
     PreconditionViolated,
+    ResponseReport,
     Stage,
     System,
     assign_priorities_dm,
@@ -32,6 +35,7 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
+from tcsizer.analysis import require_bound_regime
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -459,3 +463,88 @@ class TestUtilizationBound:
         system = System((single("s", 1 * MS, 10 * MS),))
         with pytest.raises(PreconditionViolated):
             check_utilization_bound(system, 1, 1)
+
+
+def regime_problem_per_pass(system):
+    """require_bound_regime as first written, kept as the reference: one
+    pass per rule, then deadline groups as lists of priorities; returns
+    the (stage id, message) it raises, or None."""
+    stages = list(system.stages())
+    for s in stages:
+        if s.inter_arrival is not INFINITE:
+            if s.inter_arrival + s.blocking != s.deadline:
+                return s.id, "inter-arrival + blocking != deadline"
+    for s in stages:
+        if s.priority is None:
+            return s.id, "priority unassigned"
+    by_deadline, rep = {}, {}
+    for s in stages:
+        by_deadline.setdefault(s.deadline, []).append(s.priority)
+        rep.setdefault(s.deadline, s.id)
+    prev_min = prev_d = None
+    for d in sorted(by_deadline):
+        cur = by_deadline[d]
+        if prev_min is not None and max(cur) >= prev_min:
+            return rep[d], (f"priorities not deadline-monotonic "
+                            f"(deadline {d} vs {prev_d})")
+        prev_min, prev_d = min(cur), d
+    return None
+
+
+@st.composite
+def regime_systems(draw):
+    """1-8 one-stage analytics on a few deadlines, mostly in the regime:
+    T + B = D or one-shot, priorities near deadline-monotonic, with an
+    occasional stage off the regime or without a priority."""
+    stages = []
+    for i in range(draw(st.integers(1, 8))):
+        d = draw(st.sampled_from([10 * MS, 20 * MS, 40 * MS]))
+        b = draw(st.sampled_from([0, MS]))
+        t = draw(st.sampled_from([d - b] * 6 + [INFINITE, d]))
+        # adjacent deadlines share a priority now and then
+        rank = {10 * MS: 6, 20 * MS: 4, 40 * MS: 2}[d]
+        prio = draw(st.sampled_from([None] + [rank - 1, rank, rank + 1] * 4))
+        stages.append(Stage(f"s{i}", MS, t, d, b, prio))
+    return System(tuple(Analytic(s.id, (s,), Leaf(s.id), s.deadline)
+                        for s in stages))
+
+
+class TestBoundRegime:
+    @given(regime_systems())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_pass_reference(self, system):
+        try:
+            require_bound_regime(system)
+            got = None
+        except PreconditionViolated as exc:
+            got = exc.stage_id, str(exc).partition(": ")[2]
+        assert got == regime_problem_per_pass(system)
+
+
+class TestSentinels:
+    """INFINITE and DIVERGED keep their identity through copies and
+    pickles, so ``is`` tests on a copied record still hold."""
+
+    CLONES = [copy.copy, copy.deepcopy,
+              lambda value: pickle.loads(pickle.dumps(value))]
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy",
+                                                   "pickle"])
+    def test_one_shot_stage_stays_one_shot(self, clone):
+        stage = clone(Stage("batch", HOUR, INFINITE, 2 * HOUR))
+        assert stage.inter_arrival is INFINITE
+        assert stage.utilization() == 0
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy",
+                                                   "pickle"])
+    def test_diverged_report_stays_diverged(self, clone):
+        report = clone(ResponseReport({"s": DIVERGED},
+                                      {"a": AnalyticVerdict(DIVERGED, False)},
+                                      False))
+        assert report.per_stage["s"] is DIVERGED
+        assert report.per_analytic["a"].end_to_end is DIVERGED
+
+    def test_repr_str_and_hash(self):
+        assert [repr(INFINITE), str(DIVERGED)] == ["INFINITE", "DIVERGED"]
+        # the solve keys dicts on INFINITE: an identity hash, not Enum's
+        assert hash(INFINITE) == object.__hash__(INFINITE)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -21,10 +22,15 @@ from tcsizer import (
     MS,
     SEC,
     US,
+    AllocationFailed,
     Analytic,
     AnalyticVerdict,
+    HorizonTooShort,
+    InvalidAllocation,
     Leaf,
     Par,
+    PreconditionViolated,
+    ReplicationExceeded,
     ResponseReport,
     ScenarioId,
     Stage,
@@ -40,6 +46,7 @@ from tcsizer import (
 )
 from tcsizer.cli import (
     MAX_DURATION_DIGITS,
+    MAX_NUMBER_DIGITS,
     MAX_TOPOLOGY_DEPTH,
     Options,
     ParseError,
@@ -49,6 +56,11 @@ from tcsizer.cli import (
     parse_system_spec,
     run_command,
 )
+
+
+# the message for a number past MAX_NUMBER_DIGITS
+LONG_NUMBER = (f"number has more than {MAX_NUMBER_DIGITS} digits or an "
+               f"exponent past {MAX_NUMBER_DIGITS}")
 
 
 def invoke(argv):
@@ -132,8 +144,8 @@ class TestDurations:
                                      "0.3ns", "1.0000001us"])
     def test_rejects_naming_token(self, bad):
         with pytest.raises(ParseError) as exc:
-            parse_duration(bad, path="/x")
-        assert exc.value.path == "/x"
+            parse_duration(bad)
+        assert exc.value.path == ""
 
     @pytest.mark.parametrize("text, message", [
         ("0.5ns", "duration '0.5ns' is not a whole number of nanoseconds"),
@@ -141,8 +153,8 @@ class TestDurations:
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(ParseError) as exc:
-            parse_duration(text, path="/x")
-        assert (exc.value.path, exc.value.message) == ("/x", message)
+            parse_duration(text)
+        assert (exc.value.path, exc.value.message) == ("", message)
 
     @given(st.integers(0, 10**9), st.sampled_from(
         ["ns", "us", "µs", "ms", "s", "min", "h"]))
@@ -661,10 +673,10 @@ class TestOptionFlags:
         ("simulate", "--seed", "+3", "--seed:"),
         ("simulate", "--seed", "007", "--seed:"),
         ("simulate", "--seed", "1.5", "--seed:"),
-        ("simulate", "--blocking", "", "argument --blocking:"),
-        ("simulate", "--blocking", "SOMETIMES", "argument --blocking:"),
-        ("simulate", "--release", "", "argument --release:"),
-        ("simulate", "--release", "LATE", "argument --release:"),
+        ("simulate", "--blocking", "", "--blocking:"),
+        ("simulate", "--blocking", "SOMETIMES", "--blocking:"),
+        ("simulate", "--release", "", "--release:"),
+        ("simulate", "--release", "LATE", "--release:"),
     ])
     def test_empty_or_malformed_value_is_an_input_error(
             self, tmp_path, command, flag, text, pointer):
@@ -675,20 +687,23 @@ class TestOptionFlags:
         assert out == ""
         assert err.startswith(f"error: {pointer}")
 
-    # above 1 event/ns; 1e5000 also has too many digits to print
-    @pytest.mark.parametrize("text", ["3000000000", "1e5000"])
+    # above 1 event/ns; 1e5000 is past MAX_NUMBER_DIGITS as well
+    @pytest.mark.parametrize("text, message", [
+        ("3000000000", "frequency exceeds 1 event/ns"),
+        ("1e5000", LONG_NUMBER),
+    ])
     @pytest.mark.parametrize("command, flag, key, listed", [
         ("size", "--freqs", "frequencies_hz", True),
         ("decimate", "--freq", "input_frequency_hz", False),
     ])
     def test_over_fast_frequency_is_an_input_error(
-            self, tmp_path, text, command, flag, key, listed):
+            self, tmp_path, text, message, command, flag, key, listed):
         spec = all_options_spec(tmp_path)
         code, out, err = invoke([command, str(spec), flag,
                                  f"1,{text}" if listed else text])
         assert (code, out) == (1, "")
         pointer = f"{flag}/1" if listed else flag
-        assert err == f"error: {pointer}: frequency exceeds 1 event/ns\n"
+        assert err == f"error: {pointer}: {message}\n"
         # the same number in the spec, written as JSON text
         placeholder = 7777
         spec = all_options_spec(tmp_path, "over-fast.json", **{
@@ -697,7 +712,7 @@ class TestOptionFlags:
         code, out, err = invoke([command, str(spec)])
         assert (code, out) == (1, "")
         pointer = f"/options/{key}/1" if listed else f"/options/{key}"
-        assert err == f"error: {pointer}: frequency exceeds 1 event/ns\n"
+        assert err == f"error: {pointer}: {message}\n"
 
     @pytest.mark.parametrize("text", ["", "1_000", "+3", "007", "1.5", "x"])
     def test_malformed_env_seed_is_an_input_error(self, tmp_path,
@@ -924,9 +939,12 @@ class TestOverLongNumbers:
 
     def test_frequency_flag(self, microblog):
         assert invoke(["decimate", str(microblog), "--factors", "2",
-                       "--freq", "1e-5000"]) == (
+                       "--freq", "1e-50"]) == (
             1, "", f"error: --freq: frequency gives a period of more than "
                    f"{MAX_DURATION_DIGITS} digits of ns\n")
+        assert invoke(["decimate", str(microblog), "--factors", "2",
+                       "--freq", "1e-5000"]) == (
+            1, "", f"error: --freq: {LONG_NUMBER}\n")
 
     @pytest.mark.parametrize("number", [
         "9" * MAX_DURATION_DIGITS, "9" * (MAX_DURATION_DIGITS - 1) + ".5"])
@@ -938,8 +956,8 @@ class TestOverLongNumbers:
     @pytest.mark.parametrize("unit", ["ns", "h"])
     def test_one_digit_past_the_cap_is_refused(self, number, unit):
         with pytest.raises(ParseError) as exc:
-            parse_duration(f"{number}{unit}", path="/x")
-        assert (exc.value.path, exc.value.message) == ("/x", self.TOO_LONG)
+            parse_duration(f"{number}{unit}")
+        assert (exc.value.path, exc.value.message) == ("", self.TOO_LONG)
 
     def test_period_cap(self, microblog):
         # 1e-20 Hz is a period of 10**29 ns, 30 digits; 1e-21 Hz one more
@@ -956,10 +974,64 @@ class TestOverLongNumbers:
         doc = json.loads(microblog.read_text())
         doc["priorities"] = {"microblog-gen": 7}
         spec = tmp_path / "long.json"
-        spec.write_text(json.dumps(doc).replace("7", self.LONG))
-        code, out, err = invoke(["analyze", str(spec)])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: /: invalid JSON: ")
+        spec.write_text(json.dumps(doc).replace('"microblog-gen": 7',
+                                                f'"microblog-gen": {self.LONG}'))
+        assert invoke(["analyze", str(spec)]) == (
+            1, "", f"error: /priorities/microblog-gen: {LONG_NUMBER}\n")
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (["size", "--freqs", "1e-10000000"], "--freqs/0"),
+        (["size", "--freqs", "1", "--umax", "1e-5000"], "--umax"),
+        (["compare", "--umax", "1e-5000"], "--umax"),
+        (["compare", "--umax", "1/1" + "0" * MAX_NUMBER_DIGITS], "--umax"),
+        # "num/den" strings as Fraction reads them: underscores, and any
+        # Unicode decimal digits (here Arabic-Indic ones), in the exponent
+        (["compare", "--umax", "1e-1_0000_000"], "--umax"),
+        (["compare", "--umax", "1e-\u0661" + "\u0660" * 7], "--umax"),
+        (["decimate", "--factors", "1," + "1" * (MAX_NUMBER_DIGITS + 1),
+          "--freq", "1"], "--factors/1"),
+        (["simulate", "--seed", "1" * (MAX_NUMBER_DIGITS + 1)], "--seed"),
+    ])
+    def test_flag_past_the_number_cap(self, microblog, argv, pointer):
+        start = time.perf_counter()
+        code, out, err = invoke([argv[0], str(microblog), *argv[1:]])
+        # building the Fraction of 1e-10000000 alone takes seconds
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {pointer}: {LONG_NUMBER}\n")
+
+    @pytest.mark.parametrize("key, literal, pointer", [
+        ("u_max", "1e-5000", "/options/u_max"),
+        ("u_max", '"1e-5000"', "/options/u_max"),
+        ("frequencies_hz", "[1, 1e-10000000]", "/options/frequencies_hz/1"),
+        ("factors", f"[1, 1{'0' * MAX_NUMBER_DIGITS}]", "/options/factors/1"),
+    ])
+    def test_spec_number_past_the_cap(self, microblog, tmp_path, key,
+                                      literal, pointer):
+        doc = json.loads(microblog.read_text())
+        doc["options"] = {key: "PLACEHOLDER"}
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        start = time.perf_counter()
+        result = invoke(["size", str(spec)])
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", f"error: {pointer}: {LONG_NUMBER}\n")
+
+    def test_numbers_at_the_cap_still_print(self, microblog):
+        # the least u_max within the cap, 10**-1995 (1000 digits with the
+        # exponent's), gives a 1996-digit core count
+        umax = "0." + "0" * 994 + "1e-1000"
+        code, out, err = invoke(["size", str(microblog), "--freqs", "4000",
+                                 "--umax", umax])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()[1].rpartition(",")[2]) == 1996
+        code, out, err = invoke(["decimate", str(microblog), "--freq",
+                                 "1e-20", "--factors",
+                                 "1," + "9" * MAX_NUMBER_DIGITS])
+        assert (code, err) == (0, "")
+        for argv in (["compare", "--umax", "1e-1000"],
+                     ["compare", "--umax", "1/" + "9" * 999]):
+            code, _, err = invoke([argv[0], str(microblog), *argv[1:]])
+            assert (code, err) == (0, "")
 
     # 1e5000 reads as a Fraction whose repr has 5001 digits, past the
     # 4300 that str() writes of an int: an error message must not repr it
@@ -979,6 +1051,47 @@ class TestOverLongNumbers:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {pointer}: "), err
         assert len(err) < 200
+
+
+class TestInputErrors:
+    """Every input error is a ValueError, which run_command prints as one
+    line and exits 1 on."""
+
+    @pytest.mark.parametrize("error", [
+        ReplicationExceeded, InvalidAllocation, AllocationFailed,
+        PreconditionViolated, HorizonTooShort])
+    def test_is_a_value_error(self, error):
+        assert issubclass(error, ValueError)
+
+    def test_allocation_failed(self, tmp_path):
+        path = tmp_path / "one-core.json"
+        path.write_text(emit_system_spec(headline_system(),
+                                         homogeneous_cluster(1)))
+        assert invoke(["analyze", str(path)]) == (
+            1, "", "error: no core can host stage 'microblog-count#2'\n")
+
+    def test_horizon_too_short(self, microblog, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        assert invoke(["simulate", str(microblog), "--horizon", "1ns",
+                       "--trace", str(trace_path)]) == (
+            1, "", "error: no item completed end-to-end within 1 ns\n")
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("text", ["0ns", "0s", "0.0h"])
+    def test_non_positive_horizon_at_its_pointer(self, microblog, tmp_path,
+                                                 text):
+        trace_path = tmp_path / "t.csv"
+        message = "horizon must be positive\n"
+        assert invoke(["simulate", str(microblog), "--horizon", text,
+                       "--trace", str(trace_path)]) == (
+            1, "", f"error: --horizon: {message}")
+        doc = json.loads(microblog.read_text())
+        doc["options"] = {"sim": {"horizon": text}}
+        microblog.write_text(json.dumps(doc))
+        assert invoke(["simulate", str(microblog),
+                       "--trace", str(trace_path)]) == (
+            1, "", f"error: /options/sim/horizon: {message}")
+        assert not trace_path.exists()
 
 
 # ids with what json escapes: quotes, backslashes, control characters

@@ -25,7 +25,6 @@ from tcsizer import (
     allocate_first_fit,
     assign_priorities_dm,
     homogeneous_cluster,
-    leaves,
     par,
     replicate_for_rate,
     seq,
@@ -585,11 +584,6 @@ class TestStageCopies:
                 if name != "stages":
                     assert (getattr(copied_analytic, name)
                             == getattr(analytic, name)), name
-
-
-def test_leaves_order():
-    expr = seq("a", par("b", "c"), "d")
-    assert list(leaves(expr)) == ["a", "b", "c", "d"]
 
 
 # Reference walkers: the separate source, sink and edge walks that

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "allocate_first_fit", "analysis", "assign_priorities_dm",
     "baseline_comparison", "builtin_system", "check_utilization_bound",
     "decimation_sweep", "end_to_end_response", "frequency_sweep",
-    "homogeneous_cluster", "leaves", "min_cores", "model", "par",
+    "homogeneous_cluster", "min_cores", "model", "par",
     "period_from_frequency", "replicate_for_rate", "retime_system", "seq",
     "sim", "simulate", "sizing", "solve_system", "total_utilization",
     "trace_to_csv", "validate_system", "verify_conservative",
@@ -47,7 +47,7 @@ NOT_FOR_ANY_COMMAND = ["dataclasses", "inspect"]
 
 class TestSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC_NAMES) == 68
+        assert len(PUBLIC_NAMES) == 67
         assert tcsizer.__all__ == PUBLIC_NAMES
 
     def test_every_name_resolves(self):

@@ -344,7 +344,8 @@ class TestDeterminism:
                    release_policy=release)
         t1 = run(system, allocation, cluster, **cfg)
         t2 = run(system, allocation, cluster, **cfg)
-        assert t1 == t2
+        assert (t1.log, t1.job_responses, t1.end_to_end_responses) == (
+            t2.log, t2.job_responses, t2.end_to_end_responses)
 
     def test_seed_changes_uniform_draws(self):
         system = System((single("s", 1 * MS, 10 * MS, d=15 * MS, b=4 * MS),))

@@ -11,7 +11,9 @@ from tcsizer import (
     SEC,
     US,
     Analytic,
+    DecimationRow,
     Leaf,
+    Par,
     PreconditionViolated,
     ReplicationExceeded,
     RoundRobin,
@@ -22,6 +24,7 @@ from tcsizer import (
     assign_priorities_dm,
     baseline_comparison,
     decimation_sweep,
+    end_to_end_response,
     frequency_sweep,
     homogeneous_cluster,
     min_cores,
@@ -31,7 +34,7 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
-from tcsizer.model import replica_count
+from tcsizer.model import item_flow, replica_count
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import COPRIME_PERIODS
@@ -227,7 +230,79 @@ class TestReplicationLimit:
                                  frequencies, 1, replication_limit=limit))
 
 
+def decimation_sweep_per_stage(template, input_frequency, factors, u_max):
+    """decimation_sweep as first written, kept as the reference for
+    single-analytic templates with a unique sink: every row walks the
+    stages and the topology again, with R = B + (f - 1) * T_in + C and
+    f = F at the aggregator only."""
+    (analytic,) = template.analytics
+    (agg_id,) = item_flow(analytic.topology).sinks
+    aggregator = next(s for s in analytic.stages if s.id == agg_id)
+    t_in = period_from_frequency(input_frequency)
+
+    def row(factor):
+        if factor < 1:
+            raise ValueError("decimation factors must be >= 1")
+        per_stage_resp = {}
+        util = Fraction(0)
+        for s in analytic.stages:
+            f = factor if s.id == agg_id else 1
+            util += s.utilization(f * t_in)
+            per_stage_resp[s.id] = s.blocking + (f - 1) * t_in + s.cost
+        e2e = end_to_end_response(analytic.topology, per_stage_resp)
+        return (e2e, aggregator.utilization(factor * t_in),
+                min_cores(util, u_max))
+
+    _, _, cores_undecimated = row(1)
+    rows = []
+    for factor in factors:
+        e2e, agg_util, cores = row(factor)
+        rows.append(DecimationRow(factor, e2e, agg_util,
+                                  cores_undecimated - cores))
+    return rows
+
+
+@st.composite
+def decimation_templates(draw):
+    """One analytic of 1-7 stages, periodic or one-shot, with costs and
+    blockings up to 5 ms: a random seq/par tree of all stages but the
+    last, then the last, the aggregator; now and then wrapped in a
+    one-child seq or par."""
+    stages = [
+        Stage(id=f"s{i}", cost=draw(st.integers(0, 5 * MS)),
+              inter_arrival=draw(st.sampled_from([MS, INFINITE])),
+              deadline=SEC, blocking=draw(st.sampled_from([0, 1, 5 * MS])))
+        for i in range(draw(st.integers(1, 7)))]
+
+    def tree(ids):
+        if len(ids) == 1:
+            return Leaf(ids[0])
+        cut = draw(st.integers(1, len(ids) - 1))
+        return draw(st.sampled_from([Seq, Par]))(
+            (tree(ids[:cut]), tree(ids[cut:])))
+
+    ids = [s.id for s in stages]
+    topology = Leaf(ids[-1])
+    if len(ids) > 1:
+        topology = Seq((tree(ids[:-1]), topology))
+    for kind in draw(st.lists(st.sampled_from([Seq, Par]), max_size=2)):
+        topology = kind((topology,))
+    return System((Analytic("a", tuple(stages), topology, SEC),))
+
+
 class TestDecimationSweep:
+    @given(decimation_templates(),
+           st.sampled_from([1, 3, 1000, 4000, Fraction(1, 3)]),
+           st.lists(st.integers(0, 2000), min_size=1, max_size=4),
+           st.sampled_from([1, Fraction(1, 2), Fraction(9, 10)]))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_stage_walk(self, template, frequency, factors,
+                                        u_max):
+        assert (sweep_outcome(decimation_sweep, template, frequency, factors,
+                              u_max)
+                == sweep_outcome(decimation_sweep_per_stage, template,
+                                 frequency, factors, u_max))
+
     def test_identity_at_factor_one(self, microblog):
         (row,) = decimation_sweep(microblog, 1000, [1], u_max=1)
         assert row.factor == 1
