@@ -8,6 +8,7 @@ from tcsizer import (
     INFINITE,
     MS,
     SEC,
+    US,
     AllocationFailed,
     Analytic,
     BlockingPolicy,
@@ -347,6 +348,21 @@ class TestDeterminism:
         assert (t1.log, t1.job_responses, t1.end_to_end_responses) == (
             t2.log, t2.job_responses, t2.end_to_end_responses)
 
+    def test_no_draws_without_blocking_or_jitter(self):
+        # with zero blocking everywhere UNIFORM draws nothing, and
+        # SYNCHRONOUS never draws, so the seed cannot matter
+        (_seed, got), = accepted_stream(pipelined_system, 17, 1)
+        system, allocation, cluster, hyper = got
+        system = System(tuple(
+            a._replace(stages=tuple(s._replace(blocking=0) for s in a.stages))
+            for a in system.analytics))
+        cluster = Cluster(tuple(c._replace(platform_blocking=0)
+                                for c in cluster.cores))
+        traces = [run(system, allocation, cluster, horizon=3 * hyper,
+                      seed=seed, blocking_policy=blocking)
+                  for seed in (0, 12345) for blocking in BlockingPolicy]
+        assert len({trace_digest([t]) for t in traces}) == 1
+
     def test_seed_changes_uniform_draws(self):
         system = System((single("s", 1 * MS, 10 * MS, d=15 * MS, b=4 * MS),))
         t1 = run(system, {"s": "c0"}, homogeneous_cluster(1),
@@ -355,7 +371,7 @@ class TestDeterminism:
         t2 = run(system, {"s": "c0"}, homogeneous_cluster(1),
                  horizon=100 * MS, seed=2,
                  blocking_policy=BlockingPolicy.UNIFORM)
-        assert t1 != t2
+        assert t1.log != t2.log
 
 
 def audit_trace(trace, system, allocation, cluster, horizon):
@@ -653,6 +669,42 @@ def trace_digest(traces):
 ALL_POLICIES = [(b, r) for b in BlockingPolicy for r in ReleasePolicy]
 
 
+def every_path_system():
+    """Three cores running four analytics that reach every branch of the
+    event loop: a one-shot analytic and a one-shot downstream stage, a
+    3-replica round-robin node joined with x, a plain two-branch join,
+    stage blocking on x and platform blocking on c1 (so UNIFORM draws),
+    preemptions on every core and dispatches on several cores at one
+    instant."""
+    def stage(sid, cost_us, period_us, prio, blocking_us=0):
+        return Stage(id=sid, cost=cost_us * US,
+                     inter_arrival=(INFINITE if period_us is None
+                                    else period_us * US),
+                     deadline=20 * MS, blocking=blocking_us * US,
+                     priority=prio)
+    replicas = tuple(f"w#{i}" for i in (1, 2, 3))
+    system = System((
+        Analytic("fan", (stage("src", 200, 1000, 9),
+                         *(stage(r, 1200, 3000, 3) for r in replicas),
+                         stage("x", 200, 1000, 8, blocking_us=100),
+                         stage("sink", 100, 1000, 5)),
+                 seq("src", par(RoundRobin(tuple(map(Leaf, replicas))), "x"),
+                     "sink"), 20 * MS),
+        Analytic("join", (stage("j0", 200, 2000, 7), stage("j1", 300, 2000, 6),
+                          stage("j2", 300, 2000, 6), stage("j3", 200, 2000, 4)),
+                 seq("j0", par("j1", "j2"), "j3"), 20 * MS),
+        Analytic("once", (stage("once", 1500, None, 1),), Leaf("once"),
+                 20 * MS),
+        Analytic("tail", (stage("t0", 400, 5000, 2), stage("t1", 500, None, 1)),
+                 seq("t0", "t1"), 20 * MS)))
+    allocation = {"src": "c0", "x": "c0", "j0": "c0", "once": "c0",
+                  "w#3": "c0", "w#1": "c1", "j1": "c1", "sink": "c1",
+                  "t0": "c1", "w#2": "c2", "j2": "c2", "j3": "c2", "t1": "c2"}
+    cluster = Cluster((Core("c0"), Core("c1", platform_blocking=50 * US),
+                       Core("c2")))
+    return system, allocation, cluster
+
+
 class TestPinnedTraces:
     """Traces pinned to the bytes the simulator has always produced; a
     faster simulator must reproduce them exactly."""
@@ -677,6 +729,23 @@ class TestPinnedTraces:
             in accepted_stream(pipelined_system, 0, 40)
             for blocking, release in ALL_POLICIES]
         assert trace_digest(traces) == POOL_DIGEST
+
+    @pytest.mark.parametrize("blocking,release", ALL_POLICIES)
+    def test_every_path(self, blocking, release):
+        system, allocation, cluster = every_path_system()
+        trace = run(system, allocation, cluster, horizon=30 * MS, seed=11,
+                    blocking_policy=blocking, release_policy=release)
+        assert trace_digest([trace]) == EVERY_PATH_DIGESTS[blocking, release]
+        # the paths the digest is meant to cover are reached
+        kinds = Counter(kind for _t, _c, kind, _s, _j in trace.log)
+        assert kinds["PREEMPT"] and kinds["BLOCK_END"]
+        dispatches = Counter(t for t, _c, kind, _s, _j in trace.log
+                             if kind in ("START", "RESUME"))
+        assert max(dispatches.values()) >= 2
+        assert [job for sid, job in trace.job_responses
+                if sid in ("once", "t1")] == [0, 0]
+        assert {aid for aid, _item in trace.end_to_end_responses} == {
+            "fan", "join", "once", "tail"}
 
     def test_tie_break_follows_id_order_not_declaration_order(self):
         # as strings c10 < c2 and s10 < s2 < s9, against the declared
@@ -712,3 +781,13 @@ HEADLINE_DIGESTS = {
 }
 POOL_DIGEST = (
     "f21acd98d497a0957616a59caffe295709a202f4611a786225b4729243ff19ef")
+EVERY_PATH_DIGESTS = {
+    (BlockingPolicy.ADVERSARIAL, ReleasePolicy.SYNCHRONOUS):
+        "b353ae850443e482fc6fd074234064aed7a90a8afbc937a82f27ded8089f6678",
+    (BlockingPolicy.ADVERSARIAL, ReleasePolicy.JITTERED):
+        "c1954b00c3c84068a86cb5adebb2509f234a1c7f1384d02cbf6f7980d728b12a",
+    (BlockingPolicy.UNIFORM, ReleasePolicy.SYNCHRONOUS):
+        "eb36d777e7e95795c57e857f585e7beefb740e81ea1c90e2dee56423607844b0",
+    (BlockingPolicy.UNIFORM, ReleasePolicy.JITTERED):
+        "b2307caebb94ab966002814d51f3a139eb50562c1bf5668f8d0e63d43ca11cd5",
+}
