@@ -28,21 +28,31 @@ Semantics:
 Identical inputs produce bit-identical traces: the seed fully determines
 UNIFORM/JITTERED draws, and simultaneous events are ordered by
 (time, {COMPLETE, BLOCK_END, RELEASE}, stage id, job index), followed by
-the scheduler's PREEMPT/START/RESUME decisions in core-id order.
+the scheduler's PREEMPT/START/RESUME decisions in core-id order. The
+generator is seeded only for a run that can draw: under JITTERED, or
+under UNIFORM when some stage's effective blocking is non-zero; any
+other run reads no random number, so its trace does not depend on the
+seed.
 
 Each fact of a job has one home. Stages and cores are numbered in
 stage-id and core-id order, so integer indices order everything below
 exactly as the ids would. A ready job is the entry (neg_prio, release,
-stage index, job, remaining, started); a core's running record appends
-(dispatched_at, token). Heap events are (time, rank, stage index, job,
-last): last is the token of a completion, the release time of a
-blocking end. Per-stage constants live in lists indexed by stage index.
-One function, release(), makes every release and holds the throttle,
-the one-shot rule and the horizon test. A completion counts down each
-join target it admits; the sinks' target is the analytic's end, where
-the item's end-to-end response is taken. Each event is logged as a
-plain (time, core id, kind, stage id, job) tuple; SimEvents are built
-only when ``SimTrace.events`` is read.
+stage index, job, remaining, started). A core's running job is held in
+three lists indexed by core: its ready entry, when it was dispatched and
+the token of its completion (0 while the core is idle). Heap events are
+(time, rank, stage index, job, last): last is the token of a completion,
+the release time of a blocking end. Per-stage constants live in lists
+indexed by stage index, all filled in one setup pass. The cores to
+dispatch at an instant are the set bits of an int, walked lowest bit
+first. One function, release(), makes every release and holds the
+throttle (the earliest time of each stage's next release), the one-shot
+rule and the horizon test. A completion counts down each join target it
+admits; a target with one admitting predecessor is released at once.
+The sinks' target is the analytic's end, where the item's end-to-end
+response is taken from the item's first source release, kept per
+analytic by item number. Each event is logged as a plain (time, core id,
+kind, stage id, job) tuple; SimEvents are built only when
+``SimTrace.events`` is read.
 
 SimConfig is an immutable named tuple that checks its horizon when
 built, by _replace too; SimTrace is a plain object that one run fills.
@@ -152,12 +162,13 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     core_ids = sorted({c.id for c in cluster.cores})
     core_index = {cid: ci for ci, cid in enumerate(core_ids)}
     host = [0] * n  # core index
+    host_bit = [0] * n  # 1 << host, the host's bit in a dirty mask
     host_id = [""] * n
     neg_prio = [0] * n
     cost = [0] * n
     period: list[Duration | None] = [None] * n  # None for one-shot
     b_eff = [0] * n
-    aid = [""] * n
+    a_of = [0] * n  # analytic index
     is_source = [False] * n
     k_of = [1] * n  # stage i admits the items m with m % k_of[i] == lane[i]
     lane = [0] * n
@@ -165,18 +176,21 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     # admit an item the target admits); a target below n is a stage
     # index, n + a is the end of analytic a, where sinks join
     routes: list[list[tuple]] = [[] for _ in range(n)]
+    aids: list[str] = []  # analytic index -> id
     for a, analytic in enumerate(system.analytics):
+        aids.append(analytic.id)
         flow = item_flow(analytic.topology)
         for s in analytic.stages:
             i = index[s.id]
             host_id[i] = allocation[s.id]
             host[i] = core_index[host_id[i]]
+            host_bit[i] = 1 << host[i]
             neg_prio[i] = -s.priority
             cost[i] = s.cost
             if s.inter_arrival is not INFINITE:
                 period[i] = s.inter_arrival
             b_eff[i] = blocking[s.id]
-            aid[i] = analytic.id
+            a_of[i] = a
             is_source[i] = s.id not in flow.preds
             k_of[i], lane[i] = flow.lanes.get(s.id, (1, 0))
         # one child of a round-robin node admits each item, so joins
@@ -189,114 +203,132 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             for up in ups:
                 routes[index[up]].append(route)
 
-    rng = random.Random(config.seed)
+    jittered = config.release_policy is ReleasePolicy.JITTERED
+    uniform = (config.blocking_policy is BlockingPolicy.UNIFORM
+               and any(b_eff))
+    # a run that can draw nothing builds no generator
+    rng = random.Random(config.seed) if jittered or uniform else None
     horizon = config.horizon
     trace = SimTrace()
     emit = trace.log.append
     job_responses = trace.job_responses
     end_to_end = trace.end_to_end_responses
     heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
     ready: list[list] = [[] for _ in core_ids]
-    running: list[tuple | None] = [None] * len(core_ids)
+    # the running job of each core: its ready entry, when it was
+    # dispatched and the token its completion event carries (0 when idle)
+    run_entry: list[tuple | None] = [None] * len(core_ids)
+    run_at = [0] * len(core_ids)
+    run_token = [0] * len(core_ids)
     token_seq = 0
-    last_release: list[Duration | None] = [None] * n
+    next_release = [0] * n  # the throttle: earliest time of the next one
     join_pending: dict[tuple[int, int], int] = {}
-    item_start: dict[tuple[str, int], Duration] = {}
+    # each analytic's open items: item -> its earliest source release
+    item_start: list[dict[int, Duration]] = [{} for _ in aids]
 
     def release(i: int, item: int, at: Duration) -> None:
         p = period[i]
         if p is None:
             if item:
                 return  # a one-shot stage runs item 0 only
-        elif last_release[i] is not None:  # items may arrive out of order
-            at = max(at, last_release[i] + p)
-        last_release[i] = at
+        else:  # items may arrive out of order
+            if at < next_release[i]:
+                at = next_release[i]
+            next_release[i] = at + p
         if at < horizon:
             push(heap, (at, _RELEASE, i, item, 0))
 
     # first releases of source stages, from one phase per analytic
-    phase: dict[str, Duration] = {}
-    jittered = config.release_policy is ReleasePolicy.JITTERED
-    adversarial = config.blocking_policy is BlockingPolicy.ADVERSARIAL
+    phase: dict[int, Duration] = {}
     for i in range(n):
         if not is_source[i]:
             continue
         offset = 0
         if period[i] is not None:
             t_in = max(1, period[i] // k_of[i])
-            if aid[i] not in phase:
-                phase[aid[i]] = rng.randrange(t_in) if jittered else 0
-            offset = phase[aid[i]] + lane[i] * t_in
+            if a_of[i] not in phase:
+                phase[a_of[i]] = rng.randrange(t_in) if jittered else 0
+            offset = phase[a_of[i]] + lane[i] * t_in
         release(i, lane[i], offset)
 
     while heap and heap[0][0] <= horizon:
         t = heap[0][0]
-        dirty: set[int] = set()
+        dirty = 0  # bit ci set: core ci must dispatch at t
         while heap and heap[0][0] == t:
             _, rank, i, job, last = pop(heap)
             if rank == _COMPLETE:
                 ci = host[i]
-                run = running[ci]
-                if run is None or run[7] != last:
+                if run_token[ci] != last:
                     continue  # stale completion of a preempted dispatch
-                running[ci] = None
-                dirty.add(ci)
+                released_at = run_entry[ci][1]
+                run_entry[ci] = None
+                run_token[ci] = 0
+                dirty |= host_bit[i]
                 sid = sids[i]
                 emit((t, host_id[i], "COMPLETE", sid, job))
-                job_responses[(sid, job)] = t - run[1]
+                job_responses[(sid, job)] = t - released_at
                 for target, k, j, joins in routes[i]:
-                    if job % k != j:
+                    if k != 1 and job % k != j:
                         continue  # another replica of a round-robin node
-                    jkey = (target, job)  # join on the admitting preds
-                    left = join_pending.pop(jkey, joins) - 1
-                    if left:
-                        join_pending[jkey] = left
-                    elif target < n:
+                    if joins != 1:  # join on the admitting preds
+                        jkey = (target, job)
+                        left = join_pending.pop(jkey, joins) - 1
+                        if left:
+                            join_pending[jkey] = left
+                            continue
+                    if target < n:
                         release(target, job, t)
                     else:  # the analytic's end: the item is done
-                        key = (aid[i], job)
-                        end_to_end[key] = t - item_start.pop(key)
+                        end_to_end[(aids[target - n], job)] = (
+                            t - item_start[target - n].pop(job))
             elif rank == _READY:
                 emit((t, host_id[i], "BLOCK_END", sids[i], job))
                 push(ready[host[i]],
                      (neg_prio[i], last, i, job, cost[i], False))
-                dirty.add(host[i])
+                dirty |= host_bit[i]
             else:  # _RELEASE
                 emit((t, host_id[i], "RELEASE", sids[i], job))
                 if is_source[i]:
-                    key = (aid[i], job)
-                    if key not in item_start or t < item_start[key]:
-                        item_start[key] = t
+                    starts = item_start[a_of[i]]
+                    if job not in starts:  # releases pop in time order
+                        starts[job] = t
                     if period[i] is not None:
                         release(i, job + k_of[i], t + period[i])
                 delay = b_eff[i]
-                if delay and not adversarial:
+                if delay and uniform:
                     delay = rng.randint(0, delay)
                 if delay == 0:
                     push(ready[host[i]],
                          (neg_prio[i], t, i, job, cost[i], False))
-                    dirty.add(host[i])
+                    dirty |= host_bit[i]
                 elif t + delay <= horizon:
                     push(heap, (t + delay, _READY, i, job, t))
 
-        for ci in sorted(dirty):
+        while dirty:  # lowest bit first: core-id order
+            bit = dirty & -dirty
+            dirty ^= bit
+            ci = bit.bit_length() - 1
             rq = ready[ci]
             if not rq:
                 continue
-            run = running[ci]
-            if run is not None:
-                if rq[0][0] >= run[0]:
-                    continue  # equal priority never preempts (FIFO)
-                neg, rel, ri, rjob, remaining, _, disp_at, _ = run
+            entry = run_entry[ci]
+            if entry is None:
+                entry = pop(rq)
+            elif rq[0][0] >= entry[0]:
+                continue  # equal priority never preempts (FIFO)
+            else:
+                neg, rel, ri, rjob, remaining, _ = entry
                 emit((t, core_ids[ci], "PREEMPT", sids[ri], rjob))
-                push(rq, (neg, rel, ri, rjob, remaining - (t - disp_at), True))
-            entry = pop(rq)
+                entry = pushpop(rq, (neg, rel, ri, rjob,
+                                     remaining - (t - run_at[ci]), True))
             _, _, i, job, remaining, started = entry
             emit((t, core_ids[ci], "RESUME" if started else "START", sids[i],
                   job))
             token_seq += 1
-            running[ci] = (*entry, t, token_seq)
+            run_entry[ci] = entry
+            run_at[ci] = t
+            run_token[ci] = token_seq
             push(heap, (t + remaining, _COMPLETE, i, job, token_seq))
 
     if not end_to_end:
