@@ -25,10 +25,12 @@ exactly to integer nanoseconds, their number at most MAX_DURATION_DIGITS
 digits long; "inf" is allowed for inter-arrival times only. Any other
 number, a JSON literal or a "num/den" string, has at most
 MAX_NUMBER_DIGITS digits and an exponent within MAX_NUMBER_DIGITS, judged
-from its text before int() or Fraction reads it. Unknown keys are
-rejected. Every input error is a ParseError at the JSON pointer of the
-bad value; the pointer is assembled on the way out, each container
-prefixing its key or index, so reading a good spec builds none.
+from its text before int() or Fraction reads it. The tokens NaN,
+Infinity and -Infinity, which JSON does not have, are refused at their
+pointer, in a flag too. Unknown keys are rejected. Every input error is
+a ParseError at the JSON pointer of the bad value; the pointer is
+assembled on the way out, each container prefixing its key or index, so
+reading a good spec builds none.
 Topology nodes are either a stage id (leaf) or a one-key object
 {"seq": [...]} (in sequence), {"par": [...]} (every child sees every
 item) or {"rr": ["s#1", ..., "s#k"]} (stage ids of one finite
@@ -126,16 +128,24 @@ def _too_long(text: str) -> bool:
             and len(re.sub(r"\D", "", text)) > MAX_NUMBER_DIGITS)
 
 
-class _LongNumber:
-    """A number literal past MAX_NUMBER_DIGITS as json.loads hands it
-    over, unread: the number parsers refuse it at its pointer, and other
-    messages call it "a number"."""
+class _Unread:
+    """A number json.loads hands over unread: a literal past
+    MAX_NUMBER_DIGITS, or one of the tokens NaN, Infinity and -Infinity,
+    which strict JSON does not have. The number parsers refuse it at its
+    pointer with ``message``; other messages call it ``kind``."""
 
-    message = (f"number has more than {MAX_NUMBER_DIGITS} digits or an "
-               f"exponent past {MAX_NUMBER_DIGITS}")
+    __slots__ = ("kind", "message")
+
+    def __init__(self, kind: str, message: str):
+        self.kind = kind
+        self.message = message
 
 
-_LONG_NUMBER = _LongNumber()
+_LONG_NUMBER = _Unread("a number",
+                       f"number has more than {MAX_NUMBER_DIGITS} digits or "
+                       f"an exponent past {MAX_NUMBER_DIGITS}")
+_CONSTANTS = {token: _Unread(token, f"{token} is not a JSON number")
+              for token in ("NaN", "Infinity", "-Infinity")}
 
 
 def _literal(read):
@@ -144,17 +154,20 @@ def _literal(read):
 
 
 #: How json.loads reads the numbers of a spec or a flag: floats as exact
-#: Fractions, and either kind past the cap as _LONG_NUMBER.
-_NUMBERS = {"parse_float": _literal(Fraction), "parse_int": _literal(int)}
+#: Fractions, either kind past the cap as _LONG_NUMBER, and the non-JSON
+#: constants as the _Unread that names them.
+_NUMBERS = {"parse_float": _literal(Fraction), "parse_int": _literal(int),
+            "parse_constant": _CONSTANTS.__getitem__}
 
 #: The JSON kind of each type json.loads makes, named in messages in
 #: place of a value's repr, which may be too long to print.
 _JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean",
-               type(None): "null", int: "a number", Fraction: "a number",
-               _LongNumber: "a number"}
+               type(None): "null", int: "a number", Fraction: "a number"}
 
 
 def _kind(value: Any) -> str:
+    if isinstance(value, _Unread):
+        return value.kind
     return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
@@ -285,8 +298,8 @@ def _string(value: Any) -> str:
 
 def _integer(message: str, least: int | None = None):
     def parse(value: Any) -> int:
-        if value is _LONG_NUMBER:
-            raise ParseError("", _LongNumber.message)
+        if isinstance(value, _Unread):
+            raise ParseError("", value.message)
         if (isinstance(value, bool) or not isinstance(value, int)
                 or least is not None and value < least):
             raise ParseError("", message)
@@ -308,8 +321,10 @@ def _horizon(value: Any) -> int:
 def _ratio(value: Any, what: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError("", f"{what} must be a number")
-    if value is _LONG_NUMBER or isinstance(value, str) and _too_long(value):
-        raise ParseError("", _LongNumber.message)
+    if isinstance(value, _Unread):
+        raise ParseError("", value.message)
+    if isinstance(value, str) and _too_long(value):
+        raise ParseError("", _LONG_NUMBER.message)
     try:
         if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
@@ -318,11 +333,14 @@ def _ratio(value: Any, what: str) -> Fraction:
     raise ParseError("", f"{what} must be a number or a \"num/den\" string")
 
 
-def _capacity(value: Any) -> Fraction:
-    cap = _ratio(value, "capacity")
-    if not 0 < cap <= 1:
-        raise ParseError("", "capacity must be in (0, 1]")
-    return cap
+def _share(what: str):
+    """A parser of a ratio in (0, 1], its messages naming ``what``."""
+    def parse(value: Any) -> Fraction:
+        share = _ratio(value, what)
+        if not 0 < share <= 1:
+            raise ParseError("", f"{what} must be in (0, 1]")
+        return share
+    return parse
 
 
 def _frequency(value: Any) -> Fraction:
@@ -449,7 +467,7 @@ _ANALYTIC = _Table(
 _CORE = _Table(
     "a core object",
     _Field("id", _string, required=True),
-    _Field("capacity", _capacity, _json_number),
+    _Field("capacity", _share("capacity"), _json_number),
     _Field("platform_blocking", parse_duration, format_duration),
 )
 
@@ -486,7 +504,7 @@ _SIM = _Table(
 )
 
 _OPTION_FIELDS = (
-    _Field("u_max", _capacity, _json_number),
+    _Field("u_max", _share("u_max"), _json_number),
     _Field("frequencies_hz", _list_of(_frequency),
            lambda freqs: [_json_number(f) for f in freqs]),
     _Field("factors",

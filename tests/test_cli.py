@@ -1230,3 +1230,139 @@ class TestPointers:
                                  f"--replication-limit={bad}"])
         assert (code, out) == (1, "")
         assert err.startswith("error: --replication-limit: ")
+
+
+class TestUMax:
+    """u_max has its own field parser, whose messages name it."""
+
+    def test_flag_messages(self, microblog):
+        assert invoke(["size", str(microblog), "--freqs", "1000",
+                       "--umax", "2"]) == (
+            1, "", "error: --umax: u_max must be in (0, 1]\n")
+        assert invoke(["compare", str(microblog), "--umax", "x"]) == (
+            1, "", 'error: --umax: u_max must be a number or a "num/den" '
+                   'string\n')
+
+    def test_spec_messages(self, tmp_path):
+        for value, message in [
+                (2, "u_max must be in (0, 1]"),
+                ("0/1", "u_max must be in (0, 1]"),
+                (True, "u_max must be a number"),
+                ("x", 'u_max must be a number or a "num/den" string')]:
+            spec = all_options_spec(tmp_path, u_max=value)
+            assert invoke(["compare", str(spec)]) == (
+                1, "", f"error: /options/u_max: {message}\n")
+
+    def test_core_capacity_keeps_its_own_name(self, microblog, tmp_path):
+        doc = json.loads(microblog.read_text())
+        doc["cluster"]["cores"][0]["capacity"] = 2
+        spec = tmp_path / "capacity.json"
+        spec.write_text(json.dumps(doc))
+        assert invoke(["analyze", str(spec)]) == (
+            1, "", "error: /cluster/cores/0/capacity: capacity must be in "
+                   "(0, 1]\n")
+
+
+class TestNonJsonConstants:
+    """NaN, Infinity and -Infinity are not JSON: each is refused at its
+    pointer or flag, wherever it stands."""
+
+    CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+
+    @pytest.mark.parametrize("token", CONSTANTS)
+    @pytest.mark.parametrize("pointer, message", [
+        ("/analytics/0/stages/0/cost",
+         "expected a duration string, got {}"),
+        ("/analytics/0/topology", "bad topology node: {}"),
+        ("/cluster/cores/0/capacity", "{} is not a JSON number"),
+        ("/priorities/microblog-gen", "{} is not a JSON number"),
+        ("/options/u_max", "{} is not a JSON number"),
+        ("/options/frequencies_hz/1", "{} is not a JSON number"),
+        ("/options/factors/0", "{} is not a JSON number"),
+        ("/options/sim/seed", "{} is not a JSON number"),
+        ("/options/sim/blocking_policy", "expected a policy name, got {}"),
+    ])
+    def test_spec(self, token, pointer, message):
+        doc = pointer_specs()["microblog"]
+        marker = "__CONSTANT__"
+        text = json.dumps(with_leaf(doc, pointer, marker))
+        text = text.replace(json.dumps(marker), token)
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(text)
+        assert (exc.value.path, exc.value.message) == (
+            pointer, message.format(token))
+
+    def test_stage_cost_through_the_cli(self, microblog, tmp_path):
+        doc = json.loads(microblog.read_text())
+        doc["analytics"][0]["stages"][0]["cost"] = "__CONSTANT__"
+        spec = tmp_path / "nan.json"
+        spec.write_text(json.dumps(doc).replace('"__CONSTANT__"', "NaN"))
+        assert invoke(["analyze", str(spec)]) == (
+            1, "", "error: /analytics/0/stages/0/cost: expected a duration "
+                   "string, got NaN\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["compare", "{spec}", "--umax", "NaN"],
+         "--umax: NaN is not a JSON number"),
+        (["size", "{spec}", "--umax=-Infinity"],
+         "--umax: -Infinity is not a JSON number"),
+        (["size", "{spec}", "--freqs", "1,Infinity"],
+         "--freqs/1: Infinity is not a JSON number"),
+        (["decimate", "{spec}", "--factors", "NaN,1"],
+         "--factors/0: NaN is not a JSON number"),
+        (["simulate", "{spec}", "--seed", "NaN"],
+         "--seed: NaN is not a JSON number"),
+        (["simulate", "{spec}", "--horizon", "Infinity"],
+         "--horizon: expected a duration string, got Infinity"),
+        (["simulate", "{spec}", "--blocking", "NaN"],
+         "--blocking: expected a policy name, got NaN"),
+        (["size", "{spec}", "--freqs", "1", "--replication-limit",
+          "Infinity"],
+         "--replication-limit: Infinity is not a JSON number"),
+    ])
+    def test_flags(self, microblog, tmp_path, argv, expected):
+        argv = [a.format(spec=microblog) for a in argv]
+        trace_path = tmp_path / "t.csv"
+        if argv[0] == "simulate":
+            argv += ["--trace", str(trace_path)]
+        assert invoke(argv) == (1, "", f"error: {expected}\n")
+        assert not trace_path.exists()
+
+
+class TestArbitraryFlagText:
+    """Any text given to a number or duration flag ends in a result or in
+    an input error that names the flag, never in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        # one one-shot stage of 1 ns: every horizon the flag accepts
+        # completes its item, and no horizon makes the run long
+        stage = Stage(id="s", cost=1, inter_arrival=INFINITE, deadline=MS)
+        system = System((Analytic("a", (stage,), Leaf("s"), MS),))
+        options = Options(frequencies_hz=[Fraction(1)], horizon=MS)
+        path = tmp_path_factory.mktemp("arbitrary") / "spec.json"
+        path.write_text(emit_system_spec(system, homogeneous_cluster(1),
+                                         options))
+        return path
+
+    FLAGS = [("compare", "--umax"), ("size", "--umax"),
+             ("simulate", "--horizon"), ("simulate", "--seed"),
+             ("size", "--freqs")]
+    TOKENS = ["NaN", "Infinity", "-Infinity", "1e5000", "1/0", "0", "-1",
+              "1/2", "2", "1e-3", "5s", "1ns", "[1]", "{}", "null", "true",
+              "1_0", "٣", ",", "1,", "0.5,NaN"]
+
+    @given(st.sampled_from(FLAGS),
+           st.text(max_size=40) | st.sampled_from(TOKENS))
+    @settings(max_examples=300, deadline=None)
+    def test_exits_cleanly(self, spec, tmp_path_factory, command_flag, text):
+        command, flag = command_flag
+        argv = [command, str(spec), f"{flag}={text}"]
+        if command == "simulate":
+            trace_path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
+            argv += ["--trace", str(trace_path)]
+        code, _out, err = invoke(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith(f"error: {flag}"), err
