@@ -128,17 +128,14 @@ def _too_long(text: str) -> bool:
             and len(re.sub(r"\D", "", text)) > MAX_NUMBER_DIGITS)
 
 
-class _Unread:
+class _Unread(NamedTuple):
     """A number json.loads hands over unread: a literal past
     MAX_NUMBER_DIGITS, or one of the tokens NaN, Infinity and -Infinity,
     which strict JSON does not have. The number parsers refuse it at its
     pointer with ``message``; other messages call it ``kind``."""
 
-    __slots__ = ("kind", "message")
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        self.message = message
+    kind: str
+    message: str
 
 
 _LONG_NUMBER = _Unread("a number",

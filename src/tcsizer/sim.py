@@ -39,7 +39,7 @@ stage-id and core-id order, so integer indices order everything below
 exactly as the ids would. A ready job is the entry (neg_prio, release,
 stage index, job, remaining, started). A core's running job is held in
 three lists indexed by core: its ready entry, when it was dispatched and
-the token of its completion (0 while the core is idle). Heap events are
+the token of its completion, unique to each dispatch. Heap events are
 (time, rank, stage index, job, last): last is the token of a completion,
 the release time of a blocking end. Per-stage constants live in lists
 indexed by stage index, all filled in one setup pass. The cores to
@@ -206,7 +206,6 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     jittered = config.release_policy is ReleasePolicy.JITTERED
     uniform = (config.blocking_policy is BlockingPolicy.UNIFORM
                and any(b_eff))
-    # a run that can draw nothing builds no generator
     rng = random.Random(config.seed) if jittered or uniform else None
     horizon = config.horizon
     trace = SimTrace()
@@ -217,7 +216,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
     ready: list[list] = [[] for _ in core_ids]
     # the running job of each core: its ready entry, when it was
-    # dispatched and the token its completion event carries (0 when idle)
+    # dispatched and the token its completion event carries
     run_entry: list[tuple | None] = [None] * len(core_ids)
     run_at = [0] * len(core_ids)
     run_token = [0] * len(core_ids)
@@ -263,7 +262,6 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
                     continue  # stale completion of a preempted dispatch
                 released_at = run_entry[ci][1]
                 run_entry[ci] = None
-                run_token[ci] = 0
                 dirty |= host_bit[i]
                 sid = sids[i]
                 emit((t, host_id[i], "COMPLETE", sid, job))

@@ -251,6 +251,24 @@ class TestReleasePolicies:
         release = next(e for e in trace.events if e.kind == "RELEASE")
         assert release.time == 0
 
+    def test_end_to_end_runs_from_the_earliest_source_release(self):
+        # the one-shot source releases item 0 at 0, the periodic one at
+        # its jittered phase; out joins both
+        once = Stage(id="once", cost=1 * MS, inter_arrival=INFINITE,
+                     deadline=10 * MS, priority=1)
+        tick, out = (Stage(id=sid, cost=1 * MS, inter_arrival=10 * MS,
+                           deadline=10 * MS, priority=1)
+                     for sid in ("tick", "out"))
+        system = System((Analytic("a", (once, tick, out),
+                                  seq(par("once", "tick"), "out"), 30 * MS),))
+        trace = run(system, {"once": "c0", "tick": "c1", "out": "c2"},
+                    homogeneous_cluster(3), horizon=30 * MS, seed=3,
+                    release_policy=ReleasePolicy.JITTERED)
+        phase = next(e.time for e in trace.events
+                     if e.kind == "RELEASE" and e.stage == "tick")
+        assert phase > 0
+        assert trace.end_to_end_responses == {("a", 0): phase + 2 * MS}
+
 
 class TestPipelining:
     def chain(self, *costs, period=10 * MS, deadline=None):
