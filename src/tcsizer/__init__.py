@@ -25,8 +25,8 @@ _HOMES = {
         "Leaf", "Par", "ReleasePolicy", "ReplicationExceeded", "RoundRobin",
         "Seq", "Stage", "System", "ValidationReport", "allocate_first_fit",
         "assign_priorities_dm", "homogeneous_cluster", "par",
-        "period_from_frequency", "replicate_for_rate", "seq",
-        "validate_system", "with_allocation", "with_priorities",
+        "period_from_frequency", "seq", "validate_system",
+        "with_allocation", "with_priorities",
     ),
     "sim": (
         "HorizonTooShort", "SimConfig", "SimEvent", "SimTrace", "Violation",

@@ -55,8 +55,12 @@ DIVERGED = Marker.DIVERGED
 ResponseTime = Union[int, Marker]
 
 
-class MissingStage(Exception):
-    """A topology leaf has no response-time entry."""
+class MissingStage(ValueError):
+    """A topology leaf names a stage the system does not declare."""
+
+    def __init__(self, stage_id: str):
+        super().__init__(f"topology references unknown stage {stage_id!r}")
+        self.stage_id = stage_id
 
 
 class PreconditionViolated(ValueError):
@@ -201,7 +205,7 @@ def min_cores(total_utilization, u_max) -> int:
 
 
 def check_utilization_bound(system: System, m: int, u_max) -> bool:
-    """True iff total utilization < (m - 1/2) * u_max.
+    """True iff m >= min_cores(total utilization, u_max).
 
     Only valid (and therefore only answered) when every finite-rate
     stage has T + B = D exactly and priorities are deadline-monotonic;
@@ -210,8 +214,7 @@ def check_utilization_bound(system: System, m: int, u_max) -> bool:
     require_bound_regime(system)
     if m < 1:
         raise ValueError("m must be positive")
-    umax = Fraction(u_max)
-    return total_utilization(system).total < (m - Fraction(1, 2)) * umax
+    return m >= min_cores(total_utilization(system).total, u_max)
 
 
 def require_bound_regime(system: System) -> None:

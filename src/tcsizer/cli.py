@@ -103,7 +103,7 @@ _UNITS = {
     "h": model.HOUR,
 }
 
-_DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|µs|ms|s|min|h)")
+_DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(" + "|".join(_UNITS) + ")")
 
 #: Most digits in the number of a duration, and in the period in ns
 #: that a frequency gives: far above any real duration, and far below
@@ -226,9 +226,10 @@ def _json_number(x: Fraction):
 # Every spec record is a named tuple (Stage, Analytic, Core, Cluster,
 # Options) read and written through a table of fields. A field names its
 # key (the record's field of the same name), its value parser, called
-# with the value alone, and its value formatter. Absent optional keys
-# take the record type's default, and a list of records is read as the
-# tuple its record holds. _read and _write walk a table. A parser
+# with the value alone, and its value formatter; an option's field also
+# names the flag that overrides it. Absent optional keys take the record
+# type's default, and a list of records is read as the tuple its record
+# holds. _read and _write walk a table. A parser
 # raises ParseError with the pointer below its value; each container
 # prefixes its key or index as the error passes out, so no pointer is
 # built unless a value is bad.
@@ -247,6 +248,8 @@ class _Field(NamedTuple):
     parse: Callable[[Any], Any]
     format: Callable[[Any], Any] = _same
     required: bool = False
+    flag: str | None = None  # the argparse dest of an option's flag
+    listed: bool = False  # whether the flag holds a comma-separated list
 
 
 class _Table:
@@ -272,12 +275,12 @@ def _read(obj: Any, table: _Table) -> dict[str, Any]:
         key = next(key for key in obj if key not in table.known)
         raise ParseError(f"/{key}", "unknown key")
     values = {}
-    for key, parse, _, _ in table.fields:
-        if key in obj:
+    for f in table.fields:
+        if f.key in obj:
             try:
-                values[key] = parse(obj[key])
+                values[f.key] = f.parse(obj[f.key])
             except ParseError as exc:
-                raise exc.within(f"/{key}") from None
+                raise exc.within(f"/{f.key}") from None
     return values
 
 
@@ -302,10 +305,6 @@ def _integer(message: str, least: int | None = None):
             raise ParseError("", message)
         return value
     return parse
-
-
-def _inter_arrival(value: Any):
-    return parse_duration(value, allow_inf=True)
 
 
 def _horizon(value: Any) -> int:
@@ -448,7 +447,8 @@ _STAGE = _Table(
     "a stage object",
     _Field("id", _string, required=True),
     _Field("cost", parse_duration, format_duration, True),
-    _Field("inter_arrival", _inter_arrival, format_duration, True),
+    _Field("inter_arrival", lambda v: parse_duration(v, allow_inf=True),
+           format_duration, True),
     _Field("deadline", parse_duration, format_duration, True),
     _Field("blocking", parse_duration, format_duration),
 )
@@ -492,21 +492,23 @@ class Options(NamedTuple):
 # options.sim holds more fields of the same Options record
 _SIM = _Table(
     "an object",
-    _Field("horizon", _horizon, format_duration),
-    _Field("seed", _integer("seed must be an integer")),
+    _Field("horizon", _horizon, format_duration, flag="horizon"),
+    _Field("seed", _integer("seed must be an integer"), flag="seed"),
     _Field("blocking_policy", _policy(BlockingPolicy),
-           lambda policy: policy.value),
+           lambda policy: policy.value, flag="blocking"),
     _Field("release_policy", _policy(ReleasePolicy),
-           lambda policy: policy.value),
+           lambda policy: policy.value, flag="release"),
 )
 
 _OPTION_FIELDS = (
-    _Field("u_max", _share("u_max"), _json_number),
+    _Field("u_max", _share("u_max"), _json_number, flag="umax"),
     _Field("frequencies_hz", _list_of(_frequency),
-           lambda freqs: [_json_number(f) for f in freqs]),
+           lambda freqs: [_json_number(f) for f in freqs],
+           flag="freqs", listed=True),
     _Field("factors",
-           _list_of(_integer("factors must be positive integers", 1))),
-    _Field("input_frequency_hz", _frequency, _json_number),
+           _list_of(_integer("factors must be positive integers", 1)),
+           flag="factors", listed=True),
+    _Field("input_frequency_hz", _frequency, _json_number, flag="freq"),
 )
 
 
@@ -606,7 +608,8 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--freqs", help="comma-separated frequencies in Hz")
     p.add_argument("--umax", help="per-core capacity bound")
-    p.add_argument("--replication-limit", default="4096",
+    p.add_argument("--replication-limit",
+                   default=str(model.REPLICATION_LIMIT),
                    help="most replicas per stage, an integer >= 1")
 
     p = sub.add_parser("decimate", help="decimation trade-off sweep")
@@ -631,20 +634,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The flag (argparse dest) that overrides each option, and whether the
-# flag holds a comma-separated list
-_OPTION_FLAGS = {
-    "u_max": ("umax", False),
-    "frequencies_hz": ("freqs", True),
-    "factors": ("factors", True),
-    "input_frequency_hz": ("freq", False),
-    "horizon": ("horizon", False),
-    "seed": ("seed", False),
-    "blocking_policy": ("blocking", False),
-    "release_policy": ("release", False),
-}
-
-
 def _flag_value(text: str):
     """A flag token as the spec would hold it: the JSON value when it
     parses as JSON, else the string itself."""
@@ -655,10 +644,10 @@ def _flag_value(text: str):
 
 
 def _load_spec(args) -> tuple[System, Cluster, Options]:
-    """The spec of ``args.spec``, validated, with each flag ``args``
-    holds read over the option it overrides by that option's parser;
-    list flags are split on commas. The seed is --seed, else TC_SIZER_SEED
-    (read like --seed) for simulate, else options.sim.seed."""
+    """The spec of ``args.spec``, validated, with each option field's
+    ``flag`` that ``args`` holds read over that option by its parser,
+    split on commas when ``listed``. The seed is --seed, else
+    TC_SIZER_SEED (read like --seed) for simulate, else options.sim.seed."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -671,12 +660,11 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         raise _UsageError(f"invalid system: {findings}")
     overrides = {}
     for f in (*_OPTION_FIELDS, *_SIM.fields):
-        dest, listed = _OPTION_FLAGS[f.key]
-        where, text = f"--{dest}", getattr(args, dest, None)
-        if text is None and dest == "seed" and args.command == "simulate":
+        where, text = f"--{f.flag}", getattr(args, f.flag, None)
+        if text is None and f.flag == "seed" and args.command == "simulate":
             where, text = "TC_SIZER_SEED", os.environ.get("TC_SIZER_SEED")
         if text is not None:
-            value = ([_flag_value(t) for t in text.split(",")] if listed
+            value = ([_flag_value(t) for t in text.split(",")] if f.listed
                      else _flag_value(text))
             overrides[f.key] = _parse_flag(where, f.parse, value)
     return system, cluster, options._replace(**overrides)
@@ -753,7 +741,7 @@ def _cmd_size(args, out) -> int:
     from . import sizing
     system, _cluster, options = _load_spec(args)
     if not options.frequencies_hz:
-        raise _UsageError("no frequencies given")
+        raise _UsageError("no frequencies (--freqs or options)")
     limit = _parse_flag(
         "--replication-limit",
         _integer("replication limit must be a positive integer", 1),
@@ -772,7 +760,7 @@ def _cmd_decimate(args, out) -> int:
     from . import sizing
     system, _cluster, options = _load_spec(args)
     if not options.factors:
-        raise _UsageError("factors must be positive integers")
+        raise _UsageError("no factors (--factors or options)")
     if options.input_frequency_hz is None:
         raise _UsageError("no input frequency (--freq or options)")
     rows = sizing.decimation_sweep(system, options.input_frequency_hz,

@@ -120,8 +120,10 @@ class Stage(NamedTuple):
     core: str | None = None
 
     def utilization(self, inter_arrival: Duration | None = None) -> Fraction:
-        """C/T as an exact rational, T re-timed to ``inter_arrival`` when
-        given; a one-shot stage runs once at any rate, so it counts 0."""
+        """C/T as an exact rational, T re-timed to ``inter_arrival`` (which
+        must be positive) when given; a one-shot stage counts 0."""
+        if inter_arrival is not None and inter_arrival <= 0:
+            raise ValueError(f"stage {self.id!r}: non-positive inter-arrival")
         if self.inter_arrival is INFINITE:
             return Fraction(0)
         return Fraction(self.cost, inter_arrival or self.inter_arrival)
@@ -291,8 +293,7 @@ class Core(_Core):
         if _csv_unsafe(id):
             raise ValueError(f"core {id!r}: id holds a comma, quote "
                              f"or line break")
-        if not isinstance(capacity, Fraction):
-            capacity = Fraction(capacity)
+        capacity = Fraction(capacity)
         if not 0 < capacity <= 1:
             raise ValueError(f"core {id!r}: capacity must be in (0, 1]")
         if platform_blocking < 0:
@@ -327,9 +328,8 @@ class Cluster(_Cluster):
 def homogeneous_cluster(m: int, capacity=Fraction(1),
                         platform_blocking: Duration = 0) -> Cluster:
     """m identical cores named c0..c{m-1}."""
-    cap = capacity if isinstance(capacity, Fraction) else Fraction(capacity)
     return Cluster(tuple(
-        Core(f"c{i}", cap, platform_blocking) for i in range(m)))
+        Core(f"c{i}", capacity, platform_blocking) for i in range(m)))
 
 
 def effective_blocking(system: System, allocation: Mapping[str, str],
@@ -499,26 +499,8 @@ def _map_stages(system: System, priorities: Mapping[str, int],
 
 # --- rate-driven replication --------------------------------------------------
 
-def replicate_for_rate(stage: Stage, k_max: int) -> list[Stage]:
-    """Split an over-rate stage (C > T) into k = ceil(C/T) replicas
-    ``<id>#1`` .. ``<id>#k``, the children of a RoundRobin node in order.
-
-    Each replica sees every k-th input item, so its inter-arrival becomes
-    k*T while the cost stays put; the deadline is capped at k*T + B. A
-    stage with C <= T is returned unchanged.
-    """
-    if stage.inter_arrival is INFINITE:
-        raise ValueError(f"stage {stage.id!r}: cannot replicate a one-shot stage")
-    k = replica_count(stage, stage.inter_arrival, k_max)
-    if k <= 1:
-        return [stage]
-    t_new = k * stage.inter_arrival
-    d_new = min(stage.deadline, t_new + stage.blocking)
-    return [
-        stage._replace(id=f"{stage.id}#{i}", inter_arrival=t_new,
-                       deadline=d_new)
-        for i in range(1, k + 1)
-    ]
+#: Most replicas one stage may need unless the caller sets a limit.
+REPLICATION_LIMIT = 4096
 
 
 def replica_count(stage: Stage, inter_arrival: Duration, k_max: int) -> int:

@@ -38,9 +38,10 @@ Each fact of a job has one home. Stages and cores are numbered in
 stage-id and core-id order, so integer indices order everything below
 exactly as the ids would. A ready job is the entry (neg_prio, release,
 stage index, job, remaining, started). A core's running job is held in
-three lists indexed by core: its ready entry, when it was dispatched and
-the token of its completion, unique to each dispatch. Heap events are
-(time, rank, stage index, job, last): last is the token of a completion,
+two lists indexed by core: its ready entry and when it was dispatched.
+Heap events are (time, rank, stage index, job, last): last is the
+dispatched entry of a completion, stale once its core runs another (a
+preempted job goes back as a new entry, so none is dispatched twice),
 the release time of a blocking end. Per-stage constants live in lists
 indexed by stage index, all filled in one setup pass. The cores to
 dispatch at an instant are the set bits of an int, walked lowest bit
@@ -65,7 +66,7 @@ import random
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .analysis import DIVERGED, ResponseReport
+from .analysis import DIVERGED, MissingStage, ResponseReport
 from .model import (
     INFINITE,
     BlockingPolicy,
@@ -150,7 +151,8 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     """Run the system until the horizon and return the trace.
 
     Requires an allocated, prioritized system (priorities and a host
-    core for every stage; see model.effective_blocking for the errors).
+    core for every stage; see model.effective_blocking for the errors)
+    whose topologies name only declared stages (else MissingStage).
     Raises HorizonTooShort when not a single item completes end-to-end.
     """
     blocking = effective_blocking(system, allocation, cluster)
@@ -196,12 +198,15 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
         # one child of a round-robin node admits each item, so joins
         # leave its children past lane 0 out
         extra = {sid for sid, (_, j) in flow.lanes.items() if j}
-        for target, ups in (*flow.preds.items(), (None, flow.sinks)):
-            route = (n + a if target is None else index[target],
-                     *flow.lanes.get(target, (1, 0)),
-                     sum(up not in extra for up in ups))
-            for up in ups:
-                routes[index[up]].append(route)
+        try:
+            for target, ups in (*flow.preds.items(), (None, flow.sinks)):
+                route = (n + a if target is None else index[target],
+                         *flow.lanes.get(target, (1, 0)),
+                         sum(up not in extra for up in ups))
+                for up in ups:
+                    routes[index[up]].append(route)
+        except KeyError as exc:  # every leaf is a sink or a predecessor
+            raise MissingStage(exc.args[0]) from None
 
     jittered = config.release_policy is ReleasePolicy.JITTERED
     uniform = (config.blocking_policy is BlockingPolicy.UNIFORM
@@ -215,12 +220,10 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     heap: list[tuple] = []
     push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
     ready: list[list] = [[] for _ in core_ids]
-    # the running job of each core: its ready entry, when it was
-    # dispatched and the token its completion event carries
+    # the running job of each core: its ready entry, which its
+    # completion event carries, and when it was dispatched
     run_entry: list[tuple | None] = [None] * len(core_ids)
     run_at = [0] * len(core_ids)
-    run_token = [0] * len(core_ids)
-    token_seq = 0
     next_release = [0] * n  # the throttle: earliest time of the next one
     join_pending: dict[tuple[int, int], int] = {}
     # each analytic's open items: item -> its earliest source release
@@ -258,14 +261,13 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             _, rank, i, job, last = pop(heap)
             if rank == _COMPLETE:
                 ci = host[i]
-                if run_token[ci] != last:
+                if run_entry[ci] is not last:
                     continue  # stale completion of a preempted dispatch
-                released_at = run_entry[ci][1]
                 run_entry[ci] = None
                 dirty |= host_bit[i]
                 sid = sids[i]
                 emit((t, host_id[i], "COMPLETE", sid, job))
-                job_responses[(sid, job)] = t - released_at
+                job_responses[(sid, job)] = t - last[1]
                 for target, k, j, joins in routes[i]:
                     if k != 1 and job % k != j:
                         continue  # another replica of a round-robin node
@@ -323,11 +325,9 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             _, _, i, job, remaining, started = entry
             emit((t, core_ids[ci], "RESUME" if started else "START", sids[i],
                   job))
-            token_seq += 1
             run_entry[ci] = entry
             run_at[ci] = t
-            run_token[ci] = token_seq
-            push(heap, (t + remaining, _COMPLETE, i, job, token_seq))
+            push(heap, (t + remaining, _COMPLETE, i, job, entry))
 
     if not end_to_end:
         raise HorizonTooShort(

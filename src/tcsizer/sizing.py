@@ -17,6 +17,7 @@ from .analysis import (
 )
 from .model import (
     INFINITE,
+    REPLICATION_LIMIT,
     Duration,
     Expr,
     Leaf,
@@ -27,7 +28,6 @@ from .model import (
     nodes,
     period_from_frequency,
     replica_count,
-    replicate_for_rate,
     scaled_utilizations,
 )
 
@@ -51,22 +51,28 @@ class ComparisonResult(NamedTuple):
 
 
 def retime_system(template: System, frequency_hz, *,
-                  replication_limit: int = 4096) -> System:
+                  replication_limit: int = REPLICATION_LIMIT) -> System:
     """Re-time a template (costs and blockings are kept) for one input
-    frequency: every periodic stage gets T = floor(1s / f) and D = T + B;
-    one with C > T becomes the k = ceil(C/T) replicas of
-    replicate_for_rate (D = kT + B) under a RoundRobin node, which sends
-    item n to replica n mod k. One-shot stages are kept as they are. A
-    template that already holds a RoundRobin node raises ValueError."""
+    frequency, T_in = floor(1s / f): a periodic stage that needs k =
+    ceil(C/T_in) replicas (``replica_count``) gets T = max(k, 1) * T_in
+    and D = T + B, and with k > 1 becomes ``<id>#1`` .. ``<id>#k`` under
+    a RoundRobin node, which sends item n to replica n mod k. One-shot
+    stages are kept as they are. A template that already holds a
+    RoundRobin node raises ValueError."""
     _require_template(template)
     t_in = period_from_frequency(frequency_hz)
     analytics = []
     for analytic in template.analytics:
-        stage_map = {s.id: [s] if s.inter_arrival is INFINITE else [
-            r._replace(deadline=r.inter_arrival + r.blocking)
-            for r in replicate_for_rate(s._replace(inter_arrival=t_in),
-                                        replication_limit)
-        ] for s in analytic.stages}
+        stage_map = {s.id: [s] for s in analytic.stages}
+        for s in analytic.stages:
+            if s.inter_arrival is not INFINITE:
+                k = replica_count(s, t_in, replication_limit)
+                t = max(k, 1) * t_in
+                ids = ([f"{s.id}#{j}" for j in range(1, k + 1)] if k > 1
+                       else [s.id])
+                stage_map[s.id] = [s._replace(id=sid, inter_arrival=t,
+                                              deadline=t + s.blocking)
+                                   for sid in ids]
         topo = _expand_topology(analytic.topology, stage_map)
         analytics.append(analytic._replace(
             stages=tuple(r for rs in stage_map.values() for r in rs),
@@ -95,15 +101,15 @@ def _require_template(template: System) -> None:
 
 
 def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
-                    replication_limit: int = 4096) -> list[SweepRow]:
+                    replication_limit=REPLICATION_LIMIT) -> list[SweepRow]:
     """One row per input frequency.
 
     The total is one fraction, the summed cost of the periodic stages
     over T_in: the sum of ``Stage.utilization(T_in)`` over the template
     (one-shot stages count 0) and the total of retime_system's result,
-    whose replicas of a stage sum back to exactly C/T_in. Every periodic
-    stage is held to the replication limit as retime_system would hold
-    it (ReplicationExceeded propagates).
+    whose k replicas of a stage, each C/(k T_in), sum back to exactly
+    C/T_in. Every periodic stage is held to the replication limit by
+    ``replica_count``, as in retime_system (ReplicationExceeded propagates).
     """
     _require_template(template)
     periodic = [s for s in template.stages()

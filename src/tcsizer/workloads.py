@@ -21,7 +21,6 @@ from .model import (
     US,
     Analytic,
     Duration,
-    InterArrival,
     Leaf,
     Stage,
     System,
@@ -30,7 +29,7 @@ from .model import (
 )
 
 
-class MissingParam(Exception):
+class MissingParam(ValueError):
     """A scenario parameter the caller must supply is absent."""
 
 
@@ -60,7 +59,6 @@ _CHAINS = {
 
 
 def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
-                   inter_arrival: InterArrival = INFINITE,
                    deadline: Duration | None = None,
                    blocking: Duration = 0) -> System:
     """Instantiate a built-in scenario.
@@ -77,6 +75,7 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
     if scenario not in _CHAINS:
         raise ValueError(f"unknown scenario {scenario!r}")
     name, phases, fixed_costs, default_deadline = _CHAINS[scenario]
+    inter_arrival = INFINITE
     if fixed_costs is not None:
         if frequency_hz is None:
             raise MissingParam(f"{name}: online scenarios need frequency_hz")

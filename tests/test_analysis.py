@@ -168,6 +168,15 @@ class TestEndToEnd:
         with pytest.raises(MissingStage):
             end_to_end_response(seq("a", "b"), {"a": 1})
 
+    def test_missing_stage_is_a_value_error_naming_the_stage(self):
+        system = System((Analytic("x", (stage("a", MS, 10 * MS, prio=1),),
+                                  seq("a", "ghost"), SEC),))
+        with pytest.raises(ValueError) as exc:
+            solve_system(system, {"a": "c0"}, homogeneous_cluster(1))
+        assert type(exc.value) is MissingStage
+        assert exc.value.stage_id == "ghost"
+        assert str(exc.value) == "topology references unknown stage 'ghost'"
+
     @given(st.data())
     @settings(max_examples=200)
     def test_composition_properties(self, data):
@@ -463,6 +472,26 @@ class TestUtilizationBound:
         system = System((single("s", 1 * MS, 10 * MS),))
         with pytest.raises(PreconditionViolated):
             check_utilization_bound(system, 1, 1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_fewer_than_one_core_refused(self, m):
+        system = System((single("s", 1 * MS, 10 * MS, prio=1),))
+        with pytest.raises(ValueError, match="^m must be positive$"):
+            check_utilization_bound(system, m, 1)
+
+    @pytest.mark.parametrize("u_max", [0, Fraction(-1, 2), Fraction(3, 2)])
+    def test_u_max_outside_the_unit_interval_refused(self, u_max):
+        system = System((single("s", 1 * MS, 10 * MS, prio=1),))
+        with pytest.raises(ValueError, match=r"^u_max must be in \(0, 1\]$"):
+            check_utilization_bound(system, 1, u_max)
+
+    @given(m=st.integers(1, 12),
+           u_max=st.fractions(Fraction(1, 100), 1, max_denominator=100))
+    @settings(max_examples=200)
+    def test_matches_the_strict_inequality(self, m, u_max):
+        system = self.microblog_regime()
+        assert check_utilization_bound(system, m, u_max) == (
+            total_utilization(system).total < (m - Fraction(1, 2)) * u_max)
 
 
 def regime_problem_per_pass(system):

@@ -28,6 +28,8 @@ from tcsizer import (
     HorizonTooShort,
     InvalidAllocation,
     Leaf,
+    MissingParam,
+    MissingStage,
     Par,
     PreconditionViolated,
     ReplicationExceeded,
@@ -329,6 +331,62 @@ class TestSpecRoundTrip:
         assert parsed.cores[0].capacity == capacity
 
 
+def microblog_doc():
+    """The microblog template's spec on one core, as a JSON document."""
+    return json.loads(emit_system_spec(
+        builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1),
+        homogeneous_cluster(1)))
+
+
+def with_topology(node):
+    def change(doc):
+        doc["analytics"][0]["topology"] = node
+    return change
+
+
+class TestSpecShapeErrors:
+    """Each malformed shape of a spec is a ParseError at its pointer."""
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda doc: doc["analytics"][0].update(stages=[5]),
+         "/analytics/0/stages/0: expected a stage object"),
+        (lambda doc: doc.update(analytics={}),
+         "/analytics: expected a list"),
+        (lambda doc: doc.update(priorities=[]),
+         "/priorities: expected an object"),
+        (with_topology({"seq": ["microblog-gen"], "par": ["microblog-split"]}),
+         '/analytics/0/topology: topology node must be a stage id or a '
+         'one-key {"seq"|"par"|"rr": [...]} object'),
+        (with_topology({"loop": ["microblog-gen"]}),
+         "/analytics/0/topology/loop: unknown composition kind"),
+        (with_topology({"seq": "microblog-gen"}),
+         "/analytics/0/topology/seq: expected a list"),
+        (with_topology({"par": []}),
+         "/analytics/0/topology/par: empty composition"),
+        (lambda doc: doc.update(allocation={"ghost": "c0"}),
+         "/allocation/ghost: unknown stage"),
+    ])
+    def test_pointer_and_message(self, change, error):
+        doc = microblog_doc()
+        change(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(json.dumps(doc))
+        assert str(exc.value) == error
+
+    def test_invalid_json(self):
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec('{"analytics": ')
+        assert exc.value.path == ""
+        assert str(exc.value).startswith("/: invalid JSON: Expecting value")
+
+    def test_invalid_json_through_the_cli(self, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text("{")
+        code, out, err = invoke(["analyze", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: /: invalid JSON: ")
+
+
 def nested_spec(depth: int) -> str:
     """One stage under ``depth`` nested seq nodes."""
     doc = json.dumps({
@@ -506,6 +564,15 @@ class TestSizeCommand:
         assert err == ("error: stage 'microblog-split' needs 3 replicas, "
                        "limit is 2\n")
 
+    def test_default_replication_limit_is_the_model_s(self, microblog):
+        argv = ["size", str(microblog), "--freqs", "4000"]
+        assert invoke([*argv, "--replication-limit",
+                       str(tcsizer.model.REPLICATION_LIMIT)]) == invoke(argv)
+        with mock.patch.object(tcsizer.model, "REPLICATION_LIMIT", 2):
+            assert invoke(argv) == (
+                1, "", "error: stage 'microblog-split' needs 3 replicas, "
+                "limit is 2\n")
+
     @pytest.mark.parametrize("spec", ["microblog", "table_vi_tc"])
     @pytest.mark.parametrize("text", ["0", "-3", "1_000", "x"])
     def test_bad_replication_limit(self, request, spec, text):
@@ -585,6 +652,41 @@ class TestDecimateCommand:
                                  "--freq", "1e-5000"])
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+
+class TestMissingOptions:
+    """A command without an option it needs says where to give it: the
+    flag, or the spec's options."""
+
+    MESSAGES = {
+        "size": "no frequencies (--freqs or options)",
+        "decimate": "no factors (--factors or options)",
+        "decimate --factors 1": "no input frequency (--freq or options)",
+        "simulate": "no horizon (--horizon or options)",
+    }
+
+    @pytest.mark.parametrize("command, flags", [
+        ("size", []), ("decimate", ["--freq", "1000"]),
+        ("decimate --factors 1", []), ("simulate", [])])
+    def test_absent(self, microblog, tmp_path, command, flags):
+        name, *rest = command.split()
+        trace = tmp_path / "trace.csv"
+        extra = ["--trace", str(trace)] if name == "simulate" else []
+        assert invoke([name, str(microblog), *rest, *flags, *extra]) == (
+            1, "", f"error: {self.MESSAGES[command]}\n")
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command, key, flags", [
+        ("size", "frequencies_hz", []),
+        ("decimate", "factors", ["--freq", "1000"])])
+    def test_empty_list_in_the_spec(self, microblog, tmp_path, command, key,
+                                    flags):
+        doc = json.loads(microblog.read_text())
+        doc["options"] = {key: []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert invoke([command, str(path), *flags]) == (
+            1, "", f"error: {self.MESSAGES[command]}\n")
 
 
 def all_options_spec(tmp_path, name="all-options.json", **changes):
@@ -1059,7 +1161,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("error", [
         ReplicationExceeded, InvalidAllocation, AllocationFailed,
-        PreconditionViolated, HorizonTooShort])
+        PreconditionViolated, HorizonTooShort, MissingStage, MissingParam])
     def test_is_a_value_error(self, error):
         assert issubclass(error, ValueError)
 

@@ -26,7 +26,7 @@ from tcsizer import (
     assign_priorities_dm,
     homogeneous_cluster,
     par,
-    replicate_for_rate,
+    retime_system,
     seq,
     validate_system,
     with_allocation,
@@ -191,14 +191,23 @@ class TestPriorities:
         assert sorted(prios.values()) == list(range(1, 9))
 
 
+def retimed(s, k_max):
+    """The stages retime_system makes of ``s`` at the input rate 1/T of
+    its own inter-arrival T, under the replication limit ``k_max``."""
+    template = System((single(s.id, s.cost, s.inter_arrival, s.deadline),))
+    (analytic,) = retime_system(template, Fraction(SEC, s.inter_arrival),
+                                replication_limit=k_max).analytics
+    return list(analytic.stages)
+
+
 class TestReplication:
     def test_under_rate_unchanged(self):
         s = stage("s", 100 * US, 1 * SEC, 1 * SEC)
-        assert replicate_for_rate(s, 8) == [s]
+        assert retimed(s, 8) == [s]
 
     def test_counter_at_4khz(self):
         s = stage("cnt", 507 * US, 250 * US, 1 * SEC)
-        replicas = replicate_for_rate(s, 8)
+        replicas = retimed(s, 8)
         assert len(replicas) == 3
         assert all(r.inter_arrival == 750 * US for r in replicas)
         assert all(r.cost <= r.inter_arrival for r in replicas)
@@ -206,27 +215,22 @@ class TestReplication:
 
     def test_boundary_cost_equals_new_period(self):
         s = stage("cnt", 5 * MS, 25 * US, 1 * SEC)
-        replicas = replicate_for_rate(s, 200)
+        replicas = retimed(s, 200)
         assert len(replicas) == 200
         assert replicas[0].inter_arrival == 5 * MS  # cost == T'
 
     def test_limit(self):
         s = stage("cnt", 5 * MS, 25 * US, 1 * SEC)
         with pytest.raises(ReplicationExceeded) as exc:
-            replicate_for_rate(s, 100)
+            retimed(s, 100)
         assert exc.value.stage_id == "cnt"
         assert exc.value.needed == 200
-
-    def test_one_shot_rejected(self):
-        s = stage("s", 1, INFINITE, 10)
-        with pytest.raises(ValueError):
-            replicate_for_rate(s, 4)
 
     @given(cost=st.integers(1, 5_000), period=st.integers(100, 10**6))
     @settings(max_examples=200)
     def test_utilization_preserved_exactly(self, cost, period):
         s = stage("s", cost, period, 10**9)
-        replicas = replicate_for_rate(s, 100)
+        replicas = retimed(s, 100)
         total = sum((r.utilization() for r in replicas), Fraction(0))
         assert total == s.utilization()
         assert all(r.cost <= r.inter_arrival for r in replicas)
@@ -423,6 +427,20 @@ class TestCoreAndCluster:
         with pytest.raises(ValueError, match="comma, quote or line break"):
             Core(cid)
 
+    def test_negative_platform_blocking(self):
+        with pytest.raises(ValueError) as exc:
+            Core("c0", 1, -1)
+        assert str(exc.value) == "core 'c0': negative platform blocking"
+
+    @pytest.mark.parametrize("capacity", [0.5, "1/2", Fraction(1, 2)])
+    def test_homogeneous_cluster_leaves_coercion_to_core(self, capacity):
+        cluster = homogeneous_cluster(2, capacity, platform_blocking=7)
+        assert cluster == Cluster((Core("c0", Fraction(1, 2), 7),
+                                   Core("c1", Fraction(1, 2), 7)))
+        assert all(type(c.capacity) is Fraction for c in cluster.cores)
+        with pytest.raises(ValueError, match="capacity must be in"):
+            homogeneous_cluster(2, 2)
+
     def test_cluster_invariants(self):
         with pytest.raises(ValueError):
             Cluster(())
@@ -437,6 +455,21 @@ class TestCoreAndCluster:
             core._replace(capacity=2)
         with pytest.raises(ValueError):
             Cluster((core,))._replace(cores=(core, core))
+
+
+class TestStageUtilization:
+    def test_retimed(self):
+        s = stage("s", 3, 10, 10)
+        assert s.utilization() == Fraction(3, 10)
+        assert s.utilization(30) == Fraction(1, 10)
+        assert stage("once", 3, INFINITE, 10).utilization(30) == 0
+
+    @pytest.mark.parametrize("t", [0, -10])
+    @pytest.mark.parametrize("period", [10, INFINITE])
+    def test_non_positive_inter_arrival_refused(self, t, period):
+        with pytest.raises(ValueError) as exc:
+            stage("s", 1, period, 10).utilization(t)
+        assert str(exc.value) == "stage 's': non-positive inter-arrival"
 
 
 class TestRecords:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from tcsizer import (
+    DIVERGED,
     HOUR,
     INFINITE,
     MS,
@@ -11,18 +12,22 @@ from tcsizer import (
     US,
     AllocationFailed,
     Analytic,
+    AnalyticVerdict,
     BlockingPolicy,
     Cluster,
     Core,
     HorizonTooShort,
     InvalidAllocation,
     Leaf,
+    MissingStage,
     ReleasePolicy,
+    ResponseReport,
     RoundRobin,
     SimConfig,
     SimTrace,
     Stage,
     System,
+    Violation,
     WorstObserved,
     allocate_first_fit,
     assign_priorities_dm,
@@ -647,6 +652,33 @@ class TestObservation:
         observed = worst_observed(trace)
         assert observed.per_stage == {"s": 2 * MS}
         assert observed.per_analytic == {"s": 2 * MS}
+
+    def test_verify_reports_analytic_violations_and_skips_no_bound(self):
+        report = ResponseReport(
+            per_stage={"a": 10, "b": DIVERGED},
+            per_analytic={"x": AnalyticVerdict(20, True),
+                          "y": AnalyticVerdict(DIVERGED, False)},
+            system_feasible=False)
+        observed = WorstObserved(per_stage={"a": 10, "b": 99, "c": 5},
+                                 per_analytic={"x": 21, "y": 99, "z": 1})
+        assert verify_conservative(report, observed) == [
+            Violation("analytic", "x", 21, 20)]
+
+    def test_undeclared_topology_stage_is_missing_stage(self):
+        s = Stage(id="a", cost=MS, inter_arrival=10 * MS, deadline=10 * MS,
+                  priority=1)
+        for topology in (seq("a", "ghost"), seq("ghost", "a"), Leaf("ghost")):
+            system = System((Analytic("x", (s,), topology, SEC),))
+            with pytest.raises(MissingStage) as exc:
+                run(system, {"a": "c0"}, homogeneous_cluster(1), horizon=SEC)
+            assert str(exc.value) == (
+                "topology references unknown stage 'ghost'")
+
+    def test_replace_checks_the_horizon(self):
+        config = SimConfig(horizon=SEC)
+        with pytest.raises(ValueError, match="^horizon must be positive$"):
+            config._replace(horizon=0)
+        assert config._replace(seed=3) == SimConfig(SEC, 3)
 
     def test_empty_trace(self):
         observed = worst_observed(SimTrace())

@@ -34,7 +34,7 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
-from tcsizer.model import item_flow, replica_count
+from tcsizer.model import REPLICATION_LIMIT, item_flow, replica_count
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import COPRIME_PERIODS
@@ -169,7 +169,7 @@ class TestFrequencySweep:
 
 
 def frequency_sweep_per_stage(template, frequencies, u_max, *,
-                              replication_limit=4096):
+                              replication_limit=REPLICATION_LIMIT):
     """frequency_sweep as it was written before it tested the limit
     against the costliest stage only: every periodic stage goes through
     replica_count at every frequency."""
@@ -217,7 +217,7 @@ def sweep_templates(draw):
 class TestReplicationLimit:
     @given(sweep_templates(),
            st.lists(st.integers(1, 10**6), min_size=1, max_size=3),
-           st.sampled_from([-1, 0, 1, 2, 3, 4, 4096]))
+           st.sampled_from([-1, 0, 1, 2, 3, 4, REPLICATION_LIMIT]))
     # a limit of 0 is refused even when no periodic stage costs anything
     @example(System((Analytic("idle", (Stage("idle", 0, MS, SEC),),
                               Leaf("idle"), SEC),)), [1], 0)

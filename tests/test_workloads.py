@@ -76,6 +76,12 @@ class TestBuiltinSystems:
         with pytest.raises(MissingParam):
             builtin_system(ScenarioId.BOOK_OFFLINE)
 
+    def test_offline_with_the_wrong_number_of_costs(self):
+        with pytest.raises(ValueError) as exc:
+            builtin_system(ScenarioId.MICROBLOG_OFFLINE, costs=[MINUTE] * 3)
+        assert type(exc.value) is MissingParam
+        assert str(exc.value) == "microblog-batch: expected 4 costs, got 3"
+
     def test_online_without_frequency(self):
         with pytest.raises(MissingParam):
             builtin_system(ScenarioId.MICROBLOG_ONLINE)
