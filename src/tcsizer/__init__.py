@@ -15,9 +15,8 @@ from importlib import import_module as _import_module
 _HOMES = {
     "analysis": (
         "DIVERGED", "AnalyticVerdict", "MissingStage", "PreconditionViolated",
-        "ResponseReport", "UtilizationSummary", "check_utilization_bound",
-        "end_to_end_response", "min_cores", "solve_system",
-        "total_utilization",
+        "ResponseReport", "UtilizationSummary", "end_to_end_response",
+        "min_cores", "solve_system", "total_utilization",
     ),
     "model": (
         "HOUR", "INFINITE", "MINUTE", "MS", "SEC", "US", "AllocationFailed",

@@ -169,10 +169,14 @@ def solve_system(system: System, allocation: Mapping[str, str],
 
     per_analytic: dict[str, AnalyticVerdict] = {}
     for analytic in system.analytics:
-        if any(per_stage[s.id] is DIVERGED for s in analytic.stages):
+        # a leaf naming another analytic's stage is MissingStage too,
+        # whether or not a stage diverged
+        own = {s.id: per_stage[s.id] for s in analytic.stages}
+        if DIVERGED in own.values():
+            end_to_end_response(analytic.topology, dict.fromkeys(own, 0))
             per_analytic[analytic.id] = AnalyticVerdict(DIVERGED, False)
             continue
-        e2e = end_to_end_response(analytic.topology, per_stage)
+        e2e = end_to_end_response(analytic.topology, own)
         per_analytic[analytic.id] = AnalyticVerdict(
             e2e, e2e <= analytic.end_to_end_deadline)
 
@@ -202,19 +206,6 @@ def min_cores(total_utilization, u_max) -> int:
     q = u / umax + Fraction(1, 2)
     # least integer strictly greater than q
     return q.numerator // q.denominator + 1
-
-
-def check_utilization_bound(system: System, m: int, u_max) -> bool:
-    """True iff m >= min_cores(total utilization, u_max).
-
-    Only valid (and therefore only answered) when every finite-rate
-    stage has T + B = D exactly and priorities are deadline-monotonic;
-    anything else raises PreconditionViolated naming an offending stage.
-    """
-    require_bound_regime(system)
-    if m < 1:
-        raise ValueError("m must be positive")
-    return m >= min_cores(total_utilization(system).total, u_max)
 
 
 def require_bound_regime(system: System) -> None:

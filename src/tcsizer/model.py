@@ -119,14 +119,11 @@ class Stage(NamedTuple):
     priority: int | None = None
     core: str | None = None
 
-    def utilization(self, inter_arrival: Duration | None = None) -> Fraction:
-        """C/T as an exact rational, T re-timed to ``inter_arrival`` (which
-        must be positive) when given; a one-shot stage counts 0."""
-        if inter_arrival is not None and inter_arrival <= 0:
-            raise ValueError(f"stage {self.id!r}: non-positive inter-arrival")
+    def utilization(self) -> Fraction:
+        """C/T as an exact rational; a one-shot stage counts 0."""
         if self.inter_arrival is INFINITE:
             return Fraction(0)
-        return Fraction(self.cost, inter_arrival or self.inter_arrival)
+        return Fraction(self.cost, self.inter_arrival)
 
 
 # --- series-parallel composition expressions ---------------------------------

@@ -182,8 +182,9 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     for a, analytic in enumerate(system.analytics):
         aids.append(analytic.id)
         flow = item_flow(analytic.topology)
+        local = {}  # the analytic's own stages, so a foreign leaf is missing
         for s in analytic.stages:
-            i = index[s.id]
+            i = local[s.id] = index[s.id]
             host_id[i] = allocation[s.id]
             host[i] = core_index[host_id[i]]
             host_bit[i] = 1 << host[i]
@@ -200,11 +201,11 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
         extra = {sid for sid, (_, j) in flow.lanes.items() if j}
         try:
             for target, ups in (*flow.preds.items(), (None, flow.sinks)):
-                route = (n + a if target is None else index[target],
+                route = (n + a if target is None else local[target],
                          *flow.lanes.get(target, (1, 0)),
                          sum(up not in extra for up in ups))
                 for up in ups:
-                    routes[index[up]].append(route)
+                    routes[local[up]].append(route)
         except KeyError as exc:  # every leaf is a sink or a predecessor
             raise MissingStage(exc.args[0]) from None
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .analysis import (
+    MissingStage,
     end_to_end_response,
     min_cores,
     require_bound_regime,
@@ -82,7 +83,10 @@ def retime_system(template: System, frequency_hz, *,
 
 def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
     if isinstance(expr, Leaf):
-        replicas = stage_map[expr.stage]
+        try:
+            replicas = stage_map[expr.stage]
+        except KeyError:
+            raise MissingStage(expr.stage) from None
         if len(replicas) == 1:
             return Leaf(replicas[0].id)
         return RoundRobin(tuple(Leaf(r.id) for r in replicas))
@@ -105,10 +109,10 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     """One row per input frequency.
 
     The total is one fraction, the summed cost of the periodic stages
-    over T_in: the sum of ``Stage.utilization(T_in)`` over the template
-    (one-shot stages count 0) and the total of retime_system's result,
-    whose k replicas of a stage, each C/(k T_in), sum back to exactly
-    C/T_in. Every periodic stage is held to the replication limit by
+    over T_in: the sum of C/T_in over the template (one-shot stages
+    count 0) and the total of retime_system's result, whose k replicas
+    of a stage, each C/(k T_in), sum back to exactly C/T_in. Every
+    periodic stage is held to the replication limit by
     ``replica_count``, as in retime_system (ReplicationExceeded propagates).
     """
     _require_template(template)
@@ -160,20 +164,23 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
             f"/analytics/0/topology: analytic {analytic.id!r}: decimation "
             f"needs a unique final stage, found {sinks}")
     agg_id = sinks[0]
-    aggregator = next(s for s in analytic.stages if s.id == agg_id)
     t_in = period_from_frequency(input_frequency)
     # the unique sink ends every path, so a row adds its buffer wait
-    # (F - 1) * T_in once to the end-to-end response of R = B + C stages
+    # (F - 1) * T_in once to the end-to-end response of R = B + C stages;
+    # a leaf the analytic does not declare raises MissingStage here
     e2e = end_to_end_response(
         analytic.topology, {s.id: s.blocking + s.cost for s in analytic.stages})
-    others = sum(s.utilization(t_in) for s in analytic.stages
-                 if s.id != agg_id)
-    undecimated = min_cores(others + aggregator.utilization(t_in), u_max)
+    # costs over T_in, summed once as in frequency_sweep (one-shot: 0)
+    periodic = {s.id: 0 if s.inter_arrival is INFINITE else s.cost
+                for s in analytic.stages}
+    total, agg_cost = sum(periodic.values()), periodic[agg_id]
+    others = Fraction(total - agg_cost, t_in)
+    undecimated = min_cores(Fraction(total, t_in), u_max)
     rows = []
     for factor in factors:
         if factor < 1:
             raise ValueError("decimation factors must be >= 1")
-        agg_util = aggregator.utilization(factor * t_in)
+        agg_util = Fraction(agg_cost, factor * t_in)
         rows.append(DecimationRow(
             factor=factor,
             end_to_end=e2e + (factor - 1) * t_in,

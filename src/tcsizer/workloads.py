@@ -65,10 +65,10 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
 
     Online scenarios need ``frequency_hz``; offline ones need ``costs``
     (one per phase: download, map, reduce, sort). Per-stage deadlines
-    default to the end-to-end deadline so that high-rate templates stay
-    structurally valid; sweeps re-derive tighter per-stage deadlines
-    themselves. A chain scenario is one analytic of one stage per phase,
-    run in sequence.
+    are the end-to-end deadline (``deadline`` as given, 0 included, else
+    the scenario's) so that high-rate templates stay structurally valid;
+    sweeps re-derive tighter per-stage deadlines themselves. A chain
+    scenario is one analytic of one stage per phase, run in sequence.
     """
     if scenario is ScenarioId.TABLE_VI:
         return _priority_pair()
@@ -86,7 +86,7 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
     elif len(costs) != len(phases):
         raise MissingParam(
             f"{name}: expected {len(phases)} costs, got {len(costs)}")
-    e2e_deadline = deadline or default_deadline
+    e2e_deadline = default_deadline if deadline is None else deadline
     stages = tuple(
         Stage(id=f"{name}-{phase}", cost=cost, inter_arrival=inter_arrival,
               deadline=e2e_deadline, blocking=blocking)

@@ -25,7 +25,6 @@ from tcsizer import (
     assign_priorities_dm,
     baseline_comparison,
     builtin_system,
-    check_utilization_bound,
     decimation_sweep,
     frequency_sweep,
     homogeneous_cluster,
@@ -39,6 +38,7 @@ from tcsizer import (
     with_priorities,
     worst_observed,
 )
+from tcsizer.analysis import require_bound_regime
 from tcsizer.cli import emit_system_spec, run_command
 from tcsizer.sim import SimConfig
 
@@ -129,9 +129,8 @@ def test_criterion_3_utilization_bound_soundness():
     for base_seed, harmonic in batches:
         for i in range(500):
             system, u_max = bound_regime_system(base_seed + i, harmonic)
-            total = total_utilization(system).total
-            m = min_cores(total, u_max)
-            assert check_utilization_bound(system, m, u_max)
+            require_bound_regime(system)  # the regime the bound needs
+            m = min_cores(total_utilization(system).total, u_max)
             cluster = homogeneous_cluster(m, capacity=u_max)
             allocation = allocate_first_fit(system, cluster)  # must not raise
             allocated = with_allocation(system, allocation)

@@ -22,17 +22,21 @@ from tcsizer import (
     MissingStage,
     PreconditionViolated,
     ResponseReport,
+    SimConfig,
     Stage,
     System,
     assign_priorities_dm,
-    check_utilization_bound,
+    decimation_sweep,
     end_to_end_response,
     homogeneous_cluster,
     min_cores,
     par,
+    retime_system,
     seq,
+    simulate,
     solve_system,
     total_utilization,
+    validate_system,
     with_priorities,
 )
 from tcsizer.analysis import require_bound_regime
@@ -197,6 +201,64 @@ class TestEndToEnd:
         # a Seq/Par of one child is that child
         assert end_to_end_response(seq(expr), rts) == value
         assert end_to_end_response(par(expr), rts) == value
+
+
+class TestLeafOutsideItsAnalytic:
+    """A leaf naming a stage its own analytic does not declare raises
+    MissingStage, naming the leaf, in every library entry point that
+    reads leaves: whether no analytic declares it ("ghost") or another
+    one does ("b")."""
+
+    @staticmethod
+    def system(leaf, b_cost=3 * MS):
+        """Analytic A of stage a with topology a -> ``leaf``, and
+        analytic B of stage b alone, b above a on one core."""
+        a = stage("a", 1 * MS, 10 * MS, prio=1)
+        b = stage("b", b_cost, 10 * MS, prio=2)
+        return System((Analytic("A", (a,), seq("a", leaf), SEC),
+                       Analytic("B", (b,), Leaf("b"), SEC)))
+
+    ENTRY_POINTS = {
+        "solve_system": lambda system: solve_system(
+            system, {"a": "c0", "b": "c0"}, homogeneous_cluster(1)),
+        "simulate": lambda system: simulate(
+            system, {"a": "c0", "b": "c0"}, homogeneous_cluster(1),
+            SimConfig(horizon=SEC)),
+        "retime_system": lambda system: retime_system(system, 1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("leaf", ["ghost", "b"])
+    def test_raises_missing_stage(self, entry, leaf):
+        with pytest.raises(MissingStage) as exc:
+            self.ENTRY_POINTS[entry](self.system(leaf))
+        assert exc.value.stage_id == leaf
+        assert str(exc.value) == (
+            f"topology references unknown stage {leaf!r}")
+
+    @pytest.mark.parametrize("leaf", ["ghost", "b"])
+    def test_solve_system_with_a_diverged_stage(self, leaf):
+        # b fills the core, so a diverges; the leaf is still refused
+        with pytest.raises(MissingStage) as exc:
+            self.ENTRY_POINTS["solve_system"](self.system(leaf, 10 * MS))
+        assert exc.value.stage_id == leaf
+
+    def test_the_leaf_is_declared_elsewhere(self):
+        system = self.system("b")
+        assert [f for _, f in validate_system(system).findings] == [
+            "topology references unknown stage 'b'"]
+        assert {s.id for s in system.stages()} == {"a", "b"}
+
+    @pytest.mark.parametrize("topology", [seq("a", "ghost"),
+                                          seq("ghost", "a")])
+    def test_decimation_sweep(self, topology):
+        # decimation_sweep reads one analytic only, so no leaf of it can
+        # be another's; the undeclared leaf is the sink, then a source
+        a = stage("a", 1 * MS, 10 * MS)
+        system = System((Analytic("A", (a,), topology, SEC),))
+        with pytest.raises(MissingStage) as exc:
+            decimation_sweep(system, 100, [1, 2], 1)
+        assert exc.value.stage_id == "ghost"
 
 
 class TestSolveSystem:
@@ -453,45 +515,39 @@ class TestUtilizationBound:
 
     def test_accepts_and_rejects_by_m(self):
         system = self.microblog_regime()
-        assert check_utilization_bound(system, 6, 1) is True
-        assert check_utilization_bound(system, 5, 1) is False
+        require_bound_regime(system)
+        assert min_cores(total_utilization(system).total, 1) == 6
 
     def test_regime_violation_names_stage(self):
         system = System((single("s", 1 * MS, 10 * MS, d=9 * MS, prio=1),))
         with pytest.raises(PreconditionViolated) as exc:
-            check_utilization_bound(system, 1, 1)
+            require_bound_regime(system)
         assert exc.value.stage_id == "s"
 
     def test_non_dm_priorities_rejected(self):
         a = single("a", 1 * MS, 10 * MS, prio=1)   # shorter D, lower prio
         b = single("b", 1 * MS, 20 * MS, prio=2)
         with pytest.raises(PreconditionViolated):
-            check_utilization_bound(System((a, b)), 1, 1)
+            require_bound_regime(System((a, b)))
 
     def test_unassigned_priorities_rejected(self):
         system = System((single("s", 1 * MS, 10 * MS),))
         with pytest.raises(PreconditionViolated):
-            check_utilization_bound(system, 1, 1)
-
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_fewer_than_one_core_refused(self, m):
-        system = System((single("s", 1 * MS, 10 * MS, prio=1),))
-        with pytest.raises(ValueError, match="^m must be positive$"):
-            check_utilization_bound(system, m, 1)
+            require_bound_regime(system)
 
     @pytest.mark.parametrize("u_max", [0, Fraction(-1, 2), Fraction(3, 2)])
     def test_u_max_outside_the_unit_interval_refused(self, u_max):
         system = System((single("s", 1 * MS, 10 * MS, prio=1),))
         with pytest.raises(ValueError, match=r"^u_max must be in \(0, 1\]$"):
-            check_utilization_bound(system, 1, u_max)
+            min_cores(total_utilization(system).total, u_max)
 
     @given(m=st.integers(1, 12),
            u_max=st.fractions(Fraction(1, 100), 1, max_denominator=100))
     @settings(max_examples=200)
     def test_matches_the_strict_inequality(self, m, u_max):
-        system = self.microblog_regime()
-        assert check_utilization_bound(system, m, u_max) == (
-            total_utilization(system).total < (m - Fraction(1, 2)) * u_max)
+        total = total_utilization(self.microblog_regime()).total
+        assert (m >= min_cores(total, u_max)) == (
+            total < (m - Fraction(1, 2)) * u_max)
 
 
 def regime_problem_per_pass(system):

@@ -1468,3 +1468,93 @@ class TestArbitraryFlagText:
         assert "Traceback" not in err
         if code == 1:
             assert err.startswith(f"error: {flag}"), err
+
+
+def node_pointers(doc, pointer=""):
+    """The JSON pointer of every value in ``doc``, the root ("") first."""
+    yield pointer
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from node_pointers(value, f"{pointer}/{key}")
+
+
+def node_at(doc, pointer):
+    for key in pointer.split("/")[1:]:
+        doc = doc[int(key) if isinstance(doc, list) else key]
+    return doc
+
+
+class TestWholeSpecFuzz:
+    """A spec with one value replaced, deleted or inserted anywhere ends,
+    under every command, in a result or in one input error, never in a
+    traceback."""
+
+    VALUES = [None, True, False, 0, -1, "x", [], {}, "1ms", "inf", "0ns",
+              "NaN", "1/2", {"seq": []}, {"loop": ["x"]}]
+    COMMANDS = ["analyze", "size", "decimate", "compare", "simulate"]
+
+    @pytest.fixture(scope="class")
+    def bases(self, tmp_path_factory):
+        # the other two get the microblog spec's options too, so that
+        # every command reads the whole document
+        microblog = json.loads(
+            all_options_spec(tmp_path_factory.mktemp("fuzz")).read_text())
+        table_vi = json.loads(emit_system_spec(
+            builtin_system(ScenarioId.TABLE_VI), homogeneous_cluster(1)))
+        headline = json.loads(emit_system_spec(headline_system(),
+                                               homogeneous_cluster(8)))
+        options = microblog["options"]
+        return [microblog, {**table_vi, "options": options},
+                {**headline, "options": options}]
+
+    def mutated(self, doc, draw):
+        """A copy of ``doc`` with one drawn value put at, or one value
+        deleted from, a drawn pointer; an inserted value goes into a
+        list at a drawn index, or into an object under a key of the
+        document or "x"."""
+        doc = json.loads(json.dumps(doc))
+        pointers = list(node_pointers(doc))
+        value = draw(st.sampled_from(self.VALUES))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "insert":
+            node = node_at(doc, draw(st.sampled_from([
+                p for p in pointers
+                if isinstance(node_at(doc, p), (dict, list))])))
+            if isinstance(node, list):
+                node.insert(draw(st.integers(0, len(node))), value)
+            else:
+                keys = {key for p in pointers
+                        if isinstance(node_at(doc, p), dict)
+                        for key in node_at(doc, p)}
+                node[draw(st.sampled_from(sorted(keys | {"x"})))] = value
+            return doc
+        parent, _, key = draw(st.sampled_from(pointers[1:])).rpartition("/")
+        node = node_at(doc, parent)
+        if isinstance(node, list):
+            key = int(key)
+        if action == "delete":
+            del node[key]
+        else:
+            node[key] = value
+        return doc
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_command_exits_cleanly(self, bases, tmp_path_factory,
+                                         data):
+        doc = self.mutated(data.draw(st.sampled_from(bases)), data.draw)
+        spec = tmp_path_factory.getbasetemp() / "fuzz.json"
+        spec.write_text(json.dumps(doc))
+        trace = tmp_path_factory.getbasetemp() / "fuzz-trace.csv"
+        for command in self.COMMANDS:
+            argv = [command, str(spec)]
+            if command == "simulate":
+                argv += ["--horizon", "10ms", "--trace", str(trace)]
+            code, out, err = invoke(argv)
+            assert code in (0, 1, 2), (command, err)
+            if code == 1:
+                assert err.startswith("error: "), (command, err)
+                assert out == "", command
+            else:
+                assert err == "", (command, err)

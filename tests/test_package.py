@@ -27,13 +27,12 @@ PUBLIC_NAMES = [
     "SimEvent", "SimTrace", "Stage", "SweepRow", "System", "US",
     "UtilizationSummary", "ValidationReport", "Violation", "WorstObserved",
     "allocate_first_fit", "analysis", "assign_priorities_dm",
-    "baseline_comparison", "builtin_system", "check_utilization_bound",
-    "decimation_sweep", "end_to_end_response", "frequency_sweep",
-    "homogeneous_cluster", "min_cores", "model", "par",
-    "period_from_frequency", "retime_system", "seq", "sim", "simulate",
-    "sizing", "solve_system", "total_utilization", "trace_to_csv",
-    "validate_system", "verify_conservative", "with_allocation",
-    "with_priorities", "workloads", "worst_observed",
+    "baseline_comparison", "builtin_system", "decimation_sweep",
+    "end_to_end_response", "frequency_sweep", "homogeneous_cluster",
+    "min_cores", "model", "par", "period_from_frequency", "retime_system",
+    "seq", "sim", "simulate", "sizing", "solve_system", "total_utilization",
+    "trace_to_csv", "validate_system", "verify_conservative",
+    "with_allocation", "with_priorities", "workloads", "worst_observed",
 ]
 
 # modules that analyze never runs
@@ -47,7 +46,7 @@ NOT_FOR_ANY_COMMAND = ["dataclasses", "inspect"]
 
 class TestSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC_NAMES) == 66
+        assert len(PUBLIC_NAMES) == 65
         assert tcsizer.__all__ == PUBLIC_NAMES
 
     def test_every_name_resolves(self):

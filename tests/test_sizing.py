@@ -40,6 +40,14 @@ from tcsizer.workloads import ScenarioId, builtin_system
 from generators import COPRIME_PERIODS
 
 
+def utilization_at(stage, inter_arrival):
+    """C/T with T re-timed to ``inter_arrival``; a one-shot stage counts
+    0."""
+    if stage.inter_arrival is INFINITE:
+        return Fraction(0)
+    return Fraction(stage.cost, inter_arrival)
+
+
 @pytest.fixture
 def microblog():
     return builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
@@ -119,7 +127,8 @@ class TestFrequencySweep:
         assert [s.id for s in microblog.stages()] == [
             "microblog-gen", "microblog-split", "microblog-count"]
         assert row.total_utilization == sum(
-            (s.utilization(t_in) for s in microblog.stages()), Fraction(0))
+            (utilization_at(s, t_in) for s in microblog.stages()),
+            Fraction(0))
 
     def test_monotone_in_frequency(self, microblog):
         rows = frequency_sweep(microblog, [1, 10, 100, 1000, 4000, 16000],
@@ -138,9 +147,10 @@ class TestFrequencySweep:
         rows = frequency_sweep(system, [1, 3, 7, 777, 4000], u_max=u_max)
         for row in rows:
             t_in = period_from_frequency(row.frequency_hz)
-            assert batch.utilization(t_in) == 0
+            assert utilization_at(batch, t_in) == 0
             assert row.total_utilization == sum(
-                (s.utilization(t_in) for s in system.stages()), Fraction(0))
+                (utilization_at(s, t_in) for s in system.stages()),
+                Fraction(0))
             assert row.min_cores == min_cores(row.total_utilization, u_max)
 
     @pytest.mark.parametrize("frequency", [1, 3, 7, 777, 4000])
@@ -247,10 +257,10 @@ def decimation_sweep_per_stage(template, input_frequency, factors, u_max):
         util = Fraction(0)
         for s in analytic.stages:
             f = factor if s.id == agg_id else 1
-            util += s.utilization(f * t_in)
+            util += utilization_at(s, f * t_in)
             per_stage_resp[s.id] = s.blocking + (f - 1) * t_in + s.cost
         e2e = end_to_end_response(analytic.topology, per_stage_resp)
-        return (e2e, aggregator.utilization(factor * t_in),
+        return (e2e, utilization_at(aggregator, factor * t_in),
                 min_cores(util, u_max))
 
     _, _, cores_undecimated = row(1)

@@ -100,6 +100,15 @@ class TestBuiltinSystems:
     def test_all_builtins_validate(self, scenario, params):
         assert validate_system(builtin_system(scenario, **params)).ok
 
+    def test_a_zero_deadline_is_kept_and_refused(self):
+        system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
+                                deadline=0)
+        assert system.analytics[0].end_to_end_deadline == 0
+        assert {s.deadline for s in system.stages()} == {0}
+        assert ("/analytics/0/end_to_end_deadline",
+                "end-to-end deadline must be positive") in (
+                    validate_system(system).findings)
+
     def test_pure_function_of_params(self):
         a = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=250)
         b = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=250)
