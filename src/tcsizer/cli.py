@@ -44,7 +44,9 @@ usage error or a ValueError of the library. Each flag that overrides an
 option, --blocking and --release too, is read by that option's field
 parser, lists split on commas, so an empty value is an input error. The
 seed of simulate is --seed, else the environment variable
-TC_SIZER_SEED, else options.sim.seed, else 0. A command imports only
+TC_SIZER_SEED, else options.sim.seed, else 0. simulate refuses a run
+that could make more than MAX_SIM_RELEASES releases, at --horizon or at
+/options/sim/horizon, whichever set the horizon. A command imports only
 what it runs: simulate imports the simulator, and size,
 decimate and compare the sweeps, each when it starts.
 """
@@ -115,6 +117,13 @@ MAX_DURATION_DIGITS = 30
 #: int() or Fraction builds the number, and they keep every count and
 #: time printed from such numbers within the 4300 digits str() writes.
 MAX_NUMBER_DIGITS = 1000
+
+#: Most releases a simulate run may make: the sum over the periodic
+#: stages of ceil(horizon / T), plus one for each one-shot stage. A job
+#: costs about 6 us and 1 KB with its trace written (the 4 kHz microblog
+#: headline over 10 s and 30 s on CPython 3.11), so a run at the cap
+#: takes about 6 s and 1 GB; it admits 83 s of that headline.
+MAX_SIM_RELEASES = 1_000_000
 
 def _too_long(text: str) -> bool:
     """Whether the text of a number has more than MAX_NUMBER_DIGITS
@@ -791,6 +800,14 @@ def _cmd_simulate(args, out) -> int:
     system, allocation = _prepare(system, cluster)
     if options.horizon is None:
         raise _UsageError("no horizon (--horizon or options)")
+    releases = sum(1 if s.inter_arrival is INFINITE
+                   else -(-options.horizon // s.inter_arrival)
+                   for s in system.stages())
+    if releases > MAX_SIM_RELEASES:
+        raise ParseError(
+            "--horizon" if args.horizon is not None else "/options/sim/horizon",
+            f"the run would make up to {releases} releases, more than "
+            f"{MAX_SIM_RELEASES}")
     # refuse a bad --trace target before any work, but open it only later
     reason = _unwritable(args.trace)
     if reason is not None:

@@ -546,7 +546,13 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
     -1 and never fit) and the max of its children at every inner node.
     Each stage walks down from the root, going left whenever the left
     subtree's max is at least its weight w, so it reaches the first core
-    with ``load + w <= capacity``, the one a linear scan finds.
+    with ``load + w <= capacity``, the one a linear scan finds. The
+    refresh back up sets each ancestor to the larger of the new value and
+    its sibling, and stops at the first ancestor whose max is unchanged:
+    values only decrease, so no max above it can change. A zero-weight
+    stage, or a core whose sibling subtree holds at least as much room,
+    costs one step; only a core that alone held its subtree's max costs
+    more, up to log2(m) steps.
     """
     stages = sorted(system.stages(), key=attrgetter("id"))
     cores = cluster.cores
@@ -572,9 +578,15 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
             i *= 2
             if tree[i] < w:
                 i += 1
-        tree[i] -= w
+        v = tree[i] - w
+        tree[i] = v
         placement[stage.id] = cores[i - size].id
         while i > 1:
+            sibling = tree[i ^ 1]
+            if sibling > v:
+                v = sibling
             i //= 2
-            tree[i] = max(tree[2 * i], tree[2 * i + 1])
+            if tree[i] == v:
+                break
+            tree[i] = v
     return placement

@@ -1195,6 +1195,57 @@ class TestInputErrors:
             1, "", f"error: /options/sim/horizon: {message}")
         assert not trace_path.exists()
 
+    def test_release_cap_at_the_horizon_flag_or_pointer(
+            self, headline, tmp_path, monkeypatch):
+        # 12,000 releases per simulated second: 4000 of the source and
+        # 1333.3 of each of six replicas; refused before any work
+        def never(*args, **kwargs):
+            raise AssertionError("called for a run over the release cap")
+
+        monkeypatch.setattr(cli.analysis, "solve_system", never)
+        monkeypatch.setattr(tcsizer.sim, "simulate", never)
+        trace_path = tmp_path / "t.csv"
+        message = (f"the run would make up to 43200000000 releases, more "
+                   f"than {cli.MAX_SIM_RELEASES}\n")
+        assert invoke(["simulate", str(headline), "--horizon", "1000h",
+                       "--trace", str(trace_path)]) == (
+            1, "", f"error: --horizon: {message}")
+        doc = json.loads(headline.read_text())
+        doc["options"] = {"sim": {"horizon": "1000h"}}
+        headline.write_text(json.dumps(doc))
+        assert invoke(["simulate", str(headline),
+                       "--trace", str(trace_path)]) == (
+            1, "", f"error: /options/sim/horizon: {message}")
+        assert not trace_path.exists()
+
+    def test_release_cap_admits_a_run_that_reaches_it(self, headline,
+                                                      tmp_path):
+        # 1 s of the headline: 4000 + 6 * ceil(1s / 750us) = 12,004
+        trace_path = tmp_path / "t.csv"
+        argv = ["simulate", str(headline), "--horizon", "1s",
+                "--trace", str(trace_path)]
+        with mock.patch.object(cli, "MAX_SIM_RELEASES", 12_003):
+            assert invoke(argv) == (
+                1, "", "error: --horizon: the run would make up to 12004 "
+                "releases, more than 12003\n")
+        assert not trace_path.exists()
+        with mock.patch.object(cli, "MAX_SIM_RELEASES", 12_004):
+            code, _, err = invoke(argv)
+        assert (code, err) == (0, "")
+        rows = trace_path.read_text().splitlines()
+        assert sum(",RELEASE," in row for row in rows) <= 12_004
+
+    def test_release_cap_counts_one_per_one_shot_stage(self, table_vi_tc,
+                                                       tmp_path):
+        argv = ["simulate", str(table_vi_tc), "--horizon", "9h",
+                "--trace", str(tmp_path / "t.csv")]
+        with mock.patch.object(cli, "MAX_SIM_RELEASES", 1):
+            assert invoke(argv) == (
+                1, "", "error: --horizon: the run would make up to 2 "
+                "releases, more than 1\n")
+        with mock.patch.object(cli, "MAX_SIM_RELEASES", 2):
+            assert invoke(argv)[0] == 0
+
 
 # ids with what json escapes: quotes, backslashes, control characters
 # and non-ASCII text

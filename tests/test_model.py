@@ -312,6 +312,11 @@ CAPACITIES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4),
 STAGE_SHAPES = st.tuples(st.integers(1, 12),
                          st.sampled_from((12, 12, 24, 36, 48, INFINITE)))
 
+# heavier (u averages 0.41), so that 200 stages can overfill a cluster of
+# 33 cores and more
+WIDE_SHAPES = st.tuples(st.integers(1, 12), st.sampled_from((12, 12, 12,
+                                                              INFINITE)))
+
 
 # one denominator per capacity (3, 7 or 100) besides 1
 COPRIME_CAPACITIES = (Fraction(1, 3), Fraction(2, 3), Fraction(3, 7),
@@ -340,6 +345,29 @@ class TestFirstFitOracle:
         ids = data.draw(st.permutations(range(len(shapes))))
         system = System(tuple(
             single(f"s{k:02d}", c, t, 10**6 if t is INFINITE else t)
+            for k, (c, t) in zip(ids, shapes)))
+        cluster = Cluster(tuple(Core(f"c{i}", cap)
+                                for i, cap in enumerate(capacities)))
+        assert (placed_or_failed(allocate_first_fit, system, cluster)
+                == placed_or_failed(first_fit_by_scan, system, cluster))
+
+    @given(n_stages=st.integers(1, 200),
+           n_cores=st.integers(33, 300).filter(lambda n: n & (n - 1)),
+           data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_linear_scan_on_wide_clusters(self, n_stages, n_cores,
+                                                  data):
+        # trees of depth 6 to 9 with padding leaves, where the refresh
+        # after a placement can stop many levels below the root; sizes are
+        # drawn first so that hypothesis spreads them over the whole range,
+        # and about a fifth of the draws overfill the smaller clusters
+        shapes = data.draw(st.lists(WIDE_SHAPES, min_size=n_stages,
+                                    max_size=n_stages))
+        capacities = data.draw(st.lists(st.sampled_from(CAPACITIES),
+                                        min_size=n_cores, max_size=n_cores))
+        ids = data.draw(st.permutations(range(n_stages)))
+        system = System(tuple(
+            single(f"s{k:03d}", c, t, 10**6 if t is INFINITE else t)
             for k, (c, t) in zip(ids, shapes)))
         cluster = Cluster(tuple(Core(f"c{i}", cap)
                                 for i, cap in enumerate(capacities)))
