@@ -7,15 +7,30 @@ with a blocking term,
 
 over the same-core cotenants z with higher (or equal - mutual
 interference) priority. A one-shot cotenant contributes its cost exactly
-once, so it joins B + C in the constant term the iteration starts from.
-Cotenants that share a period T share one ceiling, ceil(R / T) times
-their summed cost, so a round costs one term per distinct period.
-``solve_system`` walks each core's priority levels once, from the highest
-down, adding each level to running per-period cost totals and solving
-each of its stages against them less its own cost. All arithmetic is
-exact: times are integer nanoseconds, and utilizations are summed as
-integers over the lcm of the periods (``model.scaled_utilizations``) and
-reported as Fraction.
+once, so it joins B + C in the constant term, the base. Cotenants that
+share a period T share one ceiling, ceil(R / T) times their summed cost,
+so a round costs one term per distinct period. ``solve_system`` walks
+each core's stages once, sorted from the highest priority down, adding
+each level to running totals (summed cost per period, and one sum of
+one-shot costs) and solving each of its stages against them less its
+own cost.
+
+Each fixed point starts from a lower bound taken from the level above
+(the R_above + C start of Sjodin and Hansson, RTSS 1998, with blocking).
+Let stage a of the next-higher level converge to R_a under blocking B_a.
+A stage with base > 0 and B + C >= B_a starts from
+max(base, R_a + B + C - B_a). With f and f_a the right-hand sides of
+the two recurrences: its load holds a and all of a's load, and every
+r >= 1 charges at least one job of a, so
+f(r) >= f_a(r) + B + C - B_a >= f_a(r). Its least fixed point R (>= base
+>= 1) thus has f_a(R) <= R, so R >= R_a, and then
+R = f(R) >= f_a(R_a) + B + C - B_a = R_a + B + C - B_a. From any lower
+bound the iteration reaches the same least fixed point, or DIVERGED, as
+from the base, in fewer rounds.
+
+All arithmetic is exact: times are integer nanoseconds, and
+utilizations are summed as integers over the lcm of the periods
+(``model.scaled_utilizations``) and reported as Fraction.
 
 End-to-end response times compose per the topology: sequential stages
 add; parallel branches and round-robin replicas take the maximum.
@@ -28,8 +43,8 @@ priorities. The inequality is strict, which matters at exact boundaries.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Union
 
 from .model import (
@@ -37,7 +52,6 @@ from .model import (
     Cluster,
     Duration,
     Expr,
-    InterArrival,
     Leaf,
     Marker,
     Par,
@@ -53,6 +67,8 @@ from .model import (
 DIVERGED = Marker.DIVERGED
 
 ResponseTime = Union[int, Marker]
+
+_priority = attrgetter("priority")
 
 
 class MissingStage(ValueError):
@@ -88,12 +104,15 @@ class UtilizationSummary(NamedTuple):
     total: Fraction
 
 
-def _fixed_point(base: Duration, load: list[tuple[int, Duration]],
+def _fixed_point(base: Duration, start: Duration,
+                 load: list[tuple[int, Duration]],
                  cap: Duration) -> ResponseTime:
     """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
     (period T, summed cost C) pairs of ``load``, or DIVERGED as soon as
-    an iterate exceeds ``cap``."""
-    r = base
+    an iterate exceeds ``cap``. The iteration starts from ``start``, with
+    base <= start <= R: every iterate then stays at or below R and climbs
+    to it, so it returns what a start from ``base`` returns."""
+    r = start
     rounds = 0
     while True:
         if r > cap:
@@ -140,32 +159,67 @@ def solve_system(system: System, allocation: Mapping[str, str],
     infeasible) rather than clipped to DIVERGED. A stage without a
     priority raises ValueError; one without a known core raises
     InvalidAllocation.
+
+    Each core's stages are walked once, sorted by priority (stable), one
+    level at a time. A stage with base > 0 and B + C >= B_a starts its
+    fixed point from max(base, R_a + B + C - B_a), where R_a and B_a are
+    the response and effective blocking of the last converged stage of
+    the next-higher level; others start from the base. That start is a
+    lower bound on the answer (see the module docstring), so the reports
+    equal those of a start from the base.
     """
     blocking = effective_blocking(system, allocation, cluster)
     stages = list(system.stages())
     cap = max((a.end_to_end_deadline for a in system.analytics), default=0)
 
-    by_level: dict[str, dict[int, list[Stage]]] = {}
+    by_core: dict[str, list[Stage]] = {}
     for s in stages:
-        levels = by_level.setdefault(allocation[s.id], {})
-        levels.setdefault(s.priority, []).append(s)
+        by_core.setdefault(allocation[s.id], []).append(s)
 
     # keyed in the system's stage order, filled in core by core below
     per_stage: dict[str, ResponseTime] = dict.fromkeys(s.id for s in stages)
-    for levels in by_level.values():
-        # summed cost per period (INFINITE: one-shot) of the stages at or
-        # above the current priority level
-        totals: dict[InterArrival, Duration] = defaultdict(int)
-        for _, level in sorted(levels.items(), reverse=True):
-            for s in level:
-                totals[s.inter_arrival] += s.cost
-            for s in level:
-                totals[s.inter_arrival] -= s.cost
-                load = [(t, c) for t, c in totals.items() if t is not INFINITE]
-                per_stage[s.id] = _fixed_point(
-                    blocking[s.id] + s.cost + totals.get(INFINITE, 0),
-                    load, cap)
-                totals[s.inter_arrival] += s.cost
+    for core in by_core.values():
+        core.sort(key=_priority, reverse=True)
+        # summed cost per period of the periodic stages, and summed cost
+        # of the one-shot stages, at or above the current priority level
+        totals: dict[int, Duration] = {}
+        once = 0
+        # (R, B) of the last converged stage of the level above, if any
+        above = None
+        i = 0
+        while i < len(core):
+            # add the level core[i:j] to the totals, then solve each of
+            # its stages against them less its own cost
+            priority = core[i].priority
+            j = i
+            while j < len(core) and core[j].priority == priority:
+                s = core[j]
+                if s.inter_arrival is INFINITE:
+                    once += s.cost
+                else:
+                    totals[s.inter_arrival] = (
+                        totals.get(s.inter_arrival, 0) + s.cost)
+                j += 1
+            seed, above = above, None
+            while i < j:
+                s = core[i]
+                i += 1
+                b = blocking[s.id]
+                t = s.inter_arrival
+                if t is INFINITE:
+                    base = b + once
+                    load = list(totals.items())
+                else:
+                    base = b + s.cost + once
+                    totals[t] -= s.cost
+                    load = list(totals.items())
+                    totals[t] += s.cost
+                start = base
+                if seed is not None and base > 0 and b + s.cost >= seed[1]:
+                    start = max(base, seed[0] + b + s.cost - seed[1])
+                r = per_stage[s.id] = _fixed_point(base, start, load, cap)
+                if r is not DIVERGED:
+                    above = (r, b)
 
     per_analytic: dict[str, AnalyticVerdict] = {}
     for analytic in system.analytics:

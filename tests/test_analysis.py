@@ -348,6 +348,74 @@ class TestSolveSystem:
         assert report.per_stage == {"tick": 10 * US, "batch": DIVERGED}
         assert report.per_analytic["batch"].end_to_end is DIVERGED
 
+    def solve_on_one_core(self, *analytics):
+        system = System(analytics)
+        allocation = {s.id: "c0" for s in system.stages()}
+        return solve_system(system, allocation, homogeneous_cluster(1))
+
+    def test_zero_base_stage_is_not_seeded(self):
+        # hp converges at 10 > 0, but idle's base B + C is 0, and 0 is
+        # its own fixed point; a start from 10 + 0 - 0 would stop at 10
+        hp = single("hp", 10, 40, prio=2)
+        idle = single("idle", 0, 40, prio=1)
+        report = self.solve_on_one_core(hp, idle)
+        assert report.per_stage == {"hp": 10, "idle": 0}
+
+    def test_less_blocking_than_the_level_above_is_not_seeded(self):
+        # a: 5 + 1 + 5*ceil(R/10) gives 16. j has B + C = 1 < B_a = 5, so
+        # it starts from its base 1: 1 + 5*ceil(R/10) + ceil(R/1000) has
+        # fixed points 7 and 12, and a start from 16 + 1 - 5 = 12 would
+        # stop at the larger one
+        hp = single("hp", 5, 10, prio=3)
+        a = single("a", 1, 1000, b=5, prio=2)
+        j = single("j", 1, 1000, prio=1)
+        report = self.solve_on_one_core(hp, a, j)
+        assert report.per_stage == {"hp": 5, "a": 16, "j": 7}
+
+    @pytest.mark.parametrize("a_cost, a_blocking, j_response", [
+        # a's base 201 is past the cap of 100; j still converges, at
+        # 1 + 5*ceil(R/10) + ceil(R/1000) = 7
+        (1, 200, 7),
+        # a's base 200 is past the cap too, and j carries a's cost, so j
+        # diverges as well; B + C >= B_a holds, so only a's divergence
+        # keeps j from a start at "DIVERGED + 1"
+        (200, 0, DIVERGED),
+    ])
+    def test_a_diverged_level_gives_no_seed(self, a_cost, a_blocking,
+                                            j_response):
+        hp = single("hp", 5, 10, d=100, prio=3)
+        a = single("a", a_cost, 1000, d=100, b=a_blocking, prio=2)
+        j = single("j", 1, 1000, d=100, prio=1)
+        report = self.solve_on_one_core(hp, a, j)
+        assert report.per_stage == {"hp": 5, "a": DIVERGED, "j": j_response}
+
+    def test_one_shot_stages_above_and_below(self):
+        # a: 3 + 2*ceil(R/10) = 5; j: 1 + 1 + 3 + 2*ceil(R/10) = 7 (start
+        # 5 + 2 - 0); k: 3 + 4 + 2*ceil(R/10) + ceil(R/100) = 10 (start
+        # 7 + 4 - 1)
+        hp = single("hp", 2, 10, d=100, prio=4)
+        a = single("a", 3, INFINITE, d=100, prio=3)
+        j = single("j", 1, 100, b=1, prio=2)
+        k = single("k", 4, INFINITE, d=100, prio=1)
+        report = self.solve_on_one_core(hp, a, j, k)
+        assert report.per_stage == {"hp": 2, "a": 5, "j": 7, "k": 10}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tied_levels_seed_the_level_below(self, reverse):
+        # x: 2 + 3*ceil(R/20) = 5; y: 4 + 3 + 2*ceil(R/10) = 9; z (not
+        # seeded, B + C < B_y): 1 + 2*ceil(R/10) + 3*ceil(R/20)
+        # + 2*ceil(R/100) = 8; w (start 9 + 5 - 4 = 10): 3 + 2
+        # + 2*ceil(R/10) + 3*ceil(R/20) + ceil(R/100) = 13. Declaration
+        # order within a level picks the seed, never the answer.
+        analytics = [single("x", 2, 10, prio=2),
+                     single("y", 3, 20, b=4, prio=2),
+                     single("z", 1, 100, prio=1),
+                     single("w", 2, 100, b=3, prio=1)]
+        if reverse:
+            analytics.reverse()
+        report = self.solve_on_one_core(*analytics)
+        assert report.per_stage == {"x": 5, "y": 9, "z": 8, "w": 13}
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_per_interferer_solve(self, data):
@@ -421,9 +489,12 @@ def reference_solve(system, allocation, cluster):
 
 @st.composite
 def placed_systems(draw):
-    """1-3 cores and 1-10 stages with tied priorities, repeated periods,
-    one-shot and zero-cost stages, stage and platform blocking, and caps
-    low enough to diverge (or high enough to meet a full core)."""
+    """1-3 cores and 1-16 stages at priorities 1-8 (tied ones too), with
+    repeated periods, one-shot and zero-cost stages, stage blocking up to
+    30 and platform blocking, and caps low enough to diverge (or high
+    enough to meet a full core). Many levels chain each start from the
+    level above, and blocking above a stage's B + C leaves some
+    unseeded."""
     n_cores = draw(st.integers(1, 3))
     cluster = Cluster(tuple(
         Core(f"c{j}", platform_blocking=draw(st.integers(0, 4)))
@@ -431,8 +502,9 @@ def placed_systems(draw):
     stages = [
         stage(f"s{i}", draw(st.integers(0, 12)),
               draw(st.sampled_from([10, 20, 30, INFINITE])), d=1000,
-              b=draw(st.integers(0, 6)), prio=draw(st.integers(1, 3)))
-        for i in range(draw(st.integers(1, 10)))]
+              b=draw(st.integers(0, 6) | st.integers(0, 30)),
+              prio=draw(st.integers(1, 8)))
+        for i in range(draw(st.integers(1, 16)))]
     analytics = []
     while stages:
         k = draw(st.integers(1, len(stages)))

@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -69,6 +71,26 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_command(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+@contextmanager
+def wall_time_cap(seconds):
+    """Fails the test when the block runs for ``seconds`` of wall time:
+    SIGALRM interrupts a block that hangs, and a block that returns late
+    (say, from one long native call) fails on its measured time."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.1f} s, cap {seconds} s"
 
 
 def invoke_child(argv, timeout):
@@ -1544,6 +1566,9 @@ class TestWholeSpecFuzz:
     VALUES = [None, True, False, 0, -1, "x", [], {}, "1ms", "inf", "0ns",
               "NaN", "1/2", {"seq": []}, {"loop": ["x"]}]
     COMMANDS = ["analyze", "size", "decimate", "compare", "simulate"]
+    # wall-time cap on one command: a hang fails the example instead of
+    # running into the CI job's timeout
+    RUN_SECONDS = 10
 
     @pytest.fixture(scope="class")
     def bases(self, tmp_path_factory):
@@ -1602,7 +1627,8 @@ class TestWholeSpecFuzz:
             argv = [command, str(spec)]
             if command == "simulate":
                 argv += ["--horizon", "10ms", "--trace", str(trace)]
-            code, out, err = invoke(argv)
+            with wall_time_cap(self.RUN_SECONDS):
+                code, out, err = invoke(argv)
             assert code in (0, 1, 2), (command, err)
             if code == 1:
                 assert err.startswith("error: "), (command, err)
