@@ -21,8 +21,8 @@ _HOMES = {
     "model": (
         "HOUR", "INFINITE", "MINUTE", "MS", "SEC", "US", "AllocationFailed",
         "Analytic", "BlockingPolicy", "Cluster", "Core", "InvalidAllocation",
-        "Leaf", "Par", "ReleasePolicy", "ReplicationExceeded", "RoundRobin",
-        "Seq", "Stage", "System", "ValidationReport", "allocate_first_fit",
+        "Leaf", "Par", "ReleasePolicy", "RoundRobin", "Seq", "Stage",
+        "System", "ValidationReport", "allocate_first_fit",
         "assign_priorities_dm", "homogeneous_cluster", "par",
         "period_from_frequency", "seq", "validate_system",
         "with_allocation", "with_priorities",
@@ -33,8 +33,9 @@ _HOMES = {
         "worst_observed",
     ),
     "sizing": (
-        "ComparisonResult", "DecimationRow", "SweepRow", "baseline_comparison",
-        "decimation_sweep", "frequency_sweep", "retime_system",
+        "ComparisonResult", "DecimationRow", "ReplicationExceeded",
+        "SweepRow", "baseline_comparison", "decimation_sweep",
+        "frequency_sweep", "retime_system",
     ),
     "workloads": ("MissingParam", "ScenarioId", "builtin_system"),
 }

@@ -43,12 +43,13 @@ not, 1 = input or usage error, every one of which is a ParseError, a
 usage error or a ValueError of the library. Each flag that overrides an
 option, --blocking and --release too, is read by that option's field
 parser, lists split on commas, so an empty value is an input error. The
-seed of simulate is --seed, else the environment variable
-TC_SIZER_SEED, else options.sim.seed, else 0. simulate refuses a run
-that could make more than MAX_SIM_RELEASES releases, at --horizon or at
-/options/sim/horizon, whichever set the horizon. A command imports only
-what it runs: simulate imports the simulator, and size,
-decimate and compare the sweeps, each when it starts.
+seed of simulate is --seed, else options.sim.seed, else 0. size exits 1
+when a stage would need more than sizing.REPLICATION_LIMIT replicas at
+one of its frequencies. simulate refuses a run that could make more
+than MAX_SIM_RELEASES releases, at --horizon or at /options/sim/horizon,
+whichever set the horizon. A command imports only what it runs:
+simulate imports the simulator, and size, decimate and compare the
+sweeps, each when it starts.
 """
 
 from __future__ import annotations
@@ -617,9 +618,6 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--freqs", help="comma-separated frequencies in Hz")
     p.add_argument("--umax", help="per-core capacity bound")
-    p.add_argument("--replication-limit",
-                   default=str(model.REPLICATION_LIMIT),
-                   help="most replicas per stage, an integer >= 1")
 
     p = sub.add_parser("decimate", help="decimation trade-off sweep")
     p.add_argument("spec")
@@ -655,8 +653,8 @@ def _flag_value(text: str):
 def _load_spec(args) -> tuple[System, Cluster, Options]:
     """The spec of ``args.spec``, validated, with each option field's
     ``flag`` that ``args`` holds read over that option by its parser,
-    split on commas when ``listed``. The seed is --seed, else
-    TC_SIZER_SEED (read like --seed) for simulate, else options.sim.seed."""
+    split on commas when ``listed``, and a ParseError pointed below the
+    flag."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -669,22 +667,15 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         raise _UsageError(f"invalid system: {findings}")
     overrides = {}
     for f in (*_OPTION_FIELDS, *_SIM.fields):
-        where, text = f"--{f.flag}", getattr(args, f.flag, None)
-        if text is None and f.flag == "seed" and args.command == "simulate":
-            where, text = "TC_SIZER_SEED", os.environ.get("TC_SIZER_SEED")
+        text = getattr(args, f.flag, None)
         if text is not None:
             value = ([_flag_value(t) for t in text.split(",")] if f.listed
                      else _flag_value(text))
-            overrides[f.key] = _parse_flag(where, f.parse, value)
+            try:
+                overrides[f.key] = f.parse(value)
+            except ParseError as exc:
+                raise exc.within(f"--{f.flag}") from None
     return system, cluster, options._replace(**overrides)
-
-
-def _parse_flag(where: str, parse, value):
-    """parse(value), a ParseError pointed below the flag ``where``."""
-    try:
-        return parse(value)
-    except ParseError as exc:
-        raise exc.within(where) from None
 
 
 def _given(system: System, field: str, message: str) -> bool:
@@ -751,12 +742,8 @@ def _cmd_size(args, out) -> int:
     system, _cluster, options = _load_spec(args)
     if not options.frequencies_hz:
         raise _UsageError("no frequencies (--freqs or options)")
-    limit = _parse_flag(
-        "--replication-limit",
-        _integer("replication limit must be a positive integer", 1),
-        _flag_value(args.replication_limit))
     rows = sizing.frequency_sweep(system, options.frequencies_hz,
-                                  options.u_max, replication_limit=limit)
+                                  options.u_max)
     # every row is formatted before the first write: an error leaves no output
     lines = [f"{format_fraction(r.frequency_hz)},"
              f"{format_fraction(r.total_utilization)},{r.min_cores}\n"

@@ -36,7 +36,8 @@ class Marker(Enum):
     INFINITE = "INFINITE"
     DIVERGED = "DIVERGED"
 
-    # Enum hashes in Python; the solve keys its per-period totals on these
+    # Enum hashes in Python; scaled_utilizations and _topology_problems
+    # hash INFINITE among their periods
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:
@@ -79,17 +80,6 @@ class ReleasePolicy(Enum):
 
     SYNCHRONOUS = "SYNCHRONOUS"
     JITTERED = "JITTERED"
-
-
-class ReplicationExceeded(ValueError):
-    """Rate replication would need more replicas than allowed."""
-
-    def __init__(self, stage_id: str, needed: int, k_max: int):
-        super().__init__(
-            f"stage {stage_id!r} needs {needed} replicas, limit is {k_max}")
-        self.stage_id = stage_id
-        self.needed = needed
-        self.k_max = k_max
 
 
 class InvalidAllocation(ValueError):
@@ -372,8 +362,10 @@ def validate_system(system: System) -> ValidationReport:
     """Check every structural invariant; never raises.
 
     Deliberately does *not* reject deadline > inter_arrival + blocking:
-    that regime is only refused by the utilization-bound path. A
-    finding's path is built only when the finding is added.
+    that regime is only refused by the utilization-bound path. An
+    analytic's stages are all one-shot or all periodic: a one-shot stage
+    admits item 0 only, so the analytic's later items would never
+    complete. A finding's path is built only when the finding is added.
     """
     report = ValidationReport()
     seen_analytics: set[str] = set()
@@ -389,6 +381,7 @@ def validate_system(system: System) -> ValidationReport:
             report.add(f"/analytics/{ai}/end_to_end_deadline",
                        "end-to-end deadline must be positive")
 
+        one_shot = 0
         for si, stage in enumerate(analytic.stages):
             if stage.id in seen_stages:
                 report.add(_stage_path(ai, si, "id"),
@@ -408,16 +401,20 @@ def validate_system(system: System) -> ValidationReport:
                 elif value < 0:
                     report.add(_stage_path(ai, si, field_name),
                                f"negative {field_name}")
-            if stage.inter_arrival is not INFINITE:
-                if not isinstance(stage.inter_arrival, int):
-                    report.add(_stage_path(ai, si, "inter_arrival"),
-                               "inter-arrival must be integer ns or INFINITE")
-                elif stage.inter_arrival <= 0:
-                    report.add(_stage_path(ai, si, "inter_arrival"),
-                               "finite inter-arrival must be positive")
+            if stage.inter_arrival is INFINITE:
+                one_shot += 1
+            elif not isinstance(stage.inter_arrival, int):
+                report.add(_stage_path(ai, si, "inter_arrival"),
+                           "inter-arrival must be integer ns or INFINITE")
+            elif stage.inter_arrival <= 0:
+                report.add(_stage_path(ai, si, "inter_arrival"),
+                           "finite inter-arrival must be positive")
             if finite_fields and stage.cost > stage.deadline:
                 report.add(_stage_path(ai, si, "cost"),
                            "cost exceeds deadline")
+        if 0 < one_shot < len(analytic.stages):
+            report.add(f"/analytics/{ai}/stages",
+                       "one-shot and periodic stages in one analytic")
 
         for message in _topology_problems(analytic):
             report.add(f"/analytics/{ai}/topology", message)
@@ -492,24 +489,6 @@ def _map_stages(system: System, priorities: Mapping[str, int],
                   priorities.get(s.id, s.priority), cores.get(s.id, s.core))
             for s in a.stages), a.topology, a.end_to_end_deadline)
         for a in system.analytics))
-
-
-# --- rate-driven replication --------------------------------------------------
-
-#: Most replicas one stage may need unless the caller sets a limit.
-REPLICATION_LIMIT = 4096
-
-
-def replica_count(stage: Stage, inter_arrival: Duration, k_max: int) -> int:
-    """k = ceil(C/T) replicas for ``stage`` arriving every
-    ``inter_arrival`` ns (at most 1 when C <= T); raises
-    ReplicationExceeded when k > k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    k = -(-stage.cost // inter_arrival)
-    if k > k_max:
-        raise ReplicationExceeded(stage.id, k, k_max)
-    return k
 
 
 # --- first-fit-decreasing allocation ------------------------------------------

@@ -1,5 +1,6 @@
-"""Capacity-planning sweeps: utilization and minimum cores versus input
-frequency, decimation trade-offs, and the blocking-model comparison.
+"""Rate replication and capacity-planning sweeps: utilization and
+minimum cores versus input frequency, decimation trade-offs, and the
+blocking-model comparison.
 
 All rows are exact rationals; core counts come from the strict
 utilization bound in :mod:`tcsizer.analysis`.
@@ -18,7 +19,6 @@ from .analysis import (
 )
 from .model import (
     INFINITE,
-    REPLICATION_LIMIT,
     Duration,
     Expr,
     Leaf,
@@ -28,9 +28,11 @@ from .model import (
     item_flow,
     nodes,
     period_from_frequency,
-    replica_count,
     scaled_utilizations,
 )
+
+#: Most replicas that rate replication gives one stage.
+REPLICATION_LIMIT = 4096
 
 
 class SweepRow(NamedTuple):
@@ -51,15 +53,34 @@ class ComparisonResult(NamedTuple):
     baseline: int
 
 
-def retime_system(template: System, frequency_hz, *,
-                  replication_limit: int = REPLICATION_LIMIT) -> System:
+class ReplicationExceeded(ValueError):
+    """Rate replication would need more than REPLICATION_LIMIT replicas."""
+
+    def __init__(self, stage_id: str, needed: int):
+        super().__init__(f"stage {stage_id!r} needs {needed} replicas, "
+                         f"limit is {REPLICATION_LIMIT}")
+        self.stage_id = stage_id
+        self.needed = needed
+
+
+def replica_count(stage: Stage, inter_arrival: Duration) -> int:
+    """k = ceil(C/T) replicas for ``stage`` arriving every
+    ``inter_arrival`` ns (at most 1 when C <= T); raises
+    ReplicationExceeded when k > REPLICATION_LIMIT."""
+    k = -(-stage.cost // inter_arrival)
+    if k > REPLICATION_LIMIT:
+        raise ReplicationExceeded(stage.id, k)
+    return k
+
+
+def retime_system(template: System, frequency_hz) -> System:
     """Re-time a template (costs and blockings are kept) for one input
     frequency, T_in = floor(1s / f): a periodic stage that needs k =
-    ceil(C/T_in) replicas (``replica_count``) gets T = max(k, 1) * T_in
-    and D = T + B, and with k > 1 becomes ``<id>#1`` .. ``<id>#k`` under
-    a RoundRobin node, which sends item n to replica n mod k. One-shot
-    stages are kept as they are. A template that already holds a
-    RoundRobin node raises ValueError."""
+    ceil(C/T_in) replicas (``replica_count``, at most REPLICATION_LIMIT)
+    gets T = max(k, 1) * T_in and D = T + B, and with k > 1 becomes
+    ``<id>#1`` .. ``<id>#k`` under a RoundRobin node, which sends item n
+    to replica n mod k. One-shot stages are kept as they are. A template
+    that already holds a RoundRobin node raises ValueError."""
     _require_template(template)
     t_in = period_from_frequency(frequency_hz)
     analytics = []
@@ -67,7 +88,7 @@ def retime_system(template: System, frequency_hz, *,
         stage_map = {s.id: [s] for s in analytic.stages}
         for s in analytic.stages:
             if s.inter_arrival is not INFINITE:
-                k = replica_count(s, t_in, replication_limit)
+                k = replica_count(s, t_in)
                 t = max(k, 1) * t_in
                 ids = ([f"{s.id}#{j}" for j in range(1, k + 1)] if k > 1
                        else [s.id])
@@ -104,16 +125,16 @@ def _require_template(template: System) -> None:
                              f"(round-robin node)")
 
 
-def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
-                    replication_limit=REPLICATION_LIMIT) -> list[SweepRow]:
+def frequency_sweep(template: System, frequencies: Sequence,
+                    u_max) -> list[SweepRow]:
     """One row per input frequency.
 
     The total is one fraction, the summed cost of the periodic stages
     over T_in: the sum of C/T_in over the template (one-shot stages
     count 0) and the total of retime_system's result, whose k replicas
     of a stage, each C/(k T_in), sum back to exactly C/T_in. Every
-    periodic stage is held to the replication limit by
-    ``replica_count``, as in retime_system (ReplicationExceeded propagates).
+    periodic stage is held to REPLICATION_LIMIT by ``replica_count``, as
+    in retime_system (ReplicationExceeded propagates).
     """
     _require_template(template)
     periodic = [s for s in template.stages()
@@ -124,11 +145,11 @@ def frequency_sweep(template: System, frequencies: Sequence, u_max, *,
     for f in frequencies:
         freq = Fraction(f)
         t_in = period_from_frequency(freq)
-        # ceil(C / T_in) grows with C, so only a limit below 1 or one the
-        # costliest stage passes needs the scan for the first offender
-        if replication_limit < 1 or -(-costliest // t_in) > replication_limit:
+        # ceil(C / T_in) grows with C, so only a limit that the costliest
+        # stage passes needs the scan for the first offender
+        if -(-costliest // t_in) > REPLICATION_LIMIT:
             for s in periodic:
-                replica_count(s, t_in, replication_limit)
+                replica_count(s, t_in)
         total = Fraction(cost, t_in)
         rows.append(SweepRow(
             frequency_hz=freq,

@@ -409,6 +409,21 @@ class TestSpecShapeErrors:
         assert err.startswith("error: /: invalid JSON: ")
 
 
+FIVE_COMMANDS = [
+    ["analyze"], ["size", "--freqs", "1"],
+    ["decimate", "--factors", "1", "--freq", "1"], ["compare"],
+    ["simulate", "--horizon", "1s"]]
+
+
+def invoke_command(command, spec, tmp_path):
+    """One of FIVE_COMMANDS on ``spec``; simulate writes its trace under
+    ``tmp_path``."""
+    argv = [command[0], str(spec), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--trace", str(tmp_path / "t.csv")]
+    return invoke(argv)
+
+
 def nested_spec(depth: int) -> str:
     """One stage under ``depth`` nested seq nodes."""
     doc = json.dumps({
@@ -439,20 +454,55 @@ class TestNestingCap:
             "/analytics/0/topology" + "/seq/0" * MAX_TOPOLOGY_DEPTH)
 
     @pytest.mark.parametrize("depth", [450, 800])
-    @pytest.mark.parametrize("command", [
-        ["analyze"], ["size", "--freqs", "1"],
-        ["decimate", "--factors", "1", "--freq", "1"], ["compare"],
-        ["simulate", "--horizon", "1s"]])
+    @pytest.mark.parametrize("command", FIVE_COMMANDS)
     def test_deep_topology_is_an_input_error(self, tmp_path, depth, command):
         path = tmp_path / "deep.json"
         path.write_text(nested_spec(depth))
-        argv = [command[0], str(path), *command[1:]]
-        if command[0] == "simulate":
-            argv += ["--trace", str(tmp_path / "t.csv")]
-        code, out, err = invoke(argv)
+        code, out, err = invoke_command(command, path, tmp_path)
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestMixedAnalytics:
+    """An analytic whose stages are partly one-shot and partly periodic is
+    refused: a one-shot stage admits item 0 only."""
+
+    PERIODS = {"once": "inf", "tick": "10ms", "out": "10ms"}
+
+    @pytest.mark.parametrize("topology, ids", [
+        ({"seq": [{"par": ["once", "tick"]}, "out"]}, ["once", "tick", "out"]),
+        ({"seq": ["tick", "once"]}, ["tick", "once"]),
+        ({"seq": ["once", "tick"]}, ["once", "tick"]),
+    ])
+    @pytest.mark.parametrize("command", FIVE_COMMANDS)
+    def test_refused_by_every_command(self, tmp_path, topology, ids, command):
+        doc = {
+            "analytics": [{
+                "id": "mixed", "end_to_end_deadline": "1s",
+                "stages": [{"id": sid, "cost": "1ms", "deadline": "10ms",
+                            "inter_arrival": self.PERIODS[sid]}
+                           for sid in ids],
+                "topology": topology,
+            }],
+            "cluster": {"cores": [{"id": "c0"}]},
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert invoke_command(command, path, tmp_path) == (
+            1, "", "error: invalid system: /analytics/0/stages: one-shot "
+                   "and periodic stages in one analytic\n")
+
+    @pytest.mark.parametrize("command, code", zip(
+        [*FIVE_COMMANDS[:4], ["simulate", "--horizon", "9h"]],
+        [0, 0, 1, 0, 0]))
+    def test_one_shot_analytics_are_accepted(self, table_vi_tc, tmp_path,
+                                             command, code):
+        # decimate refuses TABLE VI for its two analytics, as before;
+        # its one-shot jobs run for hours
+        result = invoke_command(command, table_vi_tc, tmp_path)
+        assert result[0] == code
+        assert "invalid system" not in result[2]
 
 
 class TestAnalyzeCommand:
@@ -578,32 +628,18 @@ class TestSizeCommand:
         assert err == ("error: /analytics/0/topology: analytic 'microblog' "
                        "is already replicated (round-robin node)\n")
 
-    def test_replication_limit(self, microblog):
-        argv = ["size", str(microblog), "--freqs", "4000"]
-        assert invoke([*argv, "--replication-limit", "3"]) == invoke(argv)
-        code, out, err = invoke([*argv, "--replication-limit", "2"])
+    def test_replication_limit_is_fixed(self, microblog):
+        # the splitter's 507 us needs 4056 replicas at 8 MHz, 5070 at 10 MHz
+        assert invoke(["size", str(microblog), "--freqs", "8000000"]) == (
+            0, "frequency_hz,total_utilization,min_cores\n"
+               "8000000,9160,9161\n", "")
+        assert invoke(["size", str(microblog), "--freqs", "10000000"]) == (
+            1, "", "error: stage 'microblog-split' needs 5070 replicas, "
+                   "limit is 4096\n")
+        code, out, err = invoke(["size", str(microblog), "--freqs", "4000",
+                                 "--replication-limit", "3"])
         assert (code, out) == (1, "")
-        assert err == ("error: stage 'microblog-split' needs 3 replicas, "
-                       "limit is 2\n")
-
-    def test_default_replication_limit_is_the_model_s(self, microblog):
-        argv = ["size", str(microblog), "--freqs", "4000"]
-        assert invoke([*argv, "--replication-limit",
-                       str(tcsizer.model.REPLICATION_LIMIT)]) == invoke(argv)
-        with mock.patch.object(tcsizer.model, "REPLICATION_LIMIT", 2):
-            assert invoke(argv) == (
-                1, "", "error: stage 'microblog-split' needs 3 replicas, "
-                "limit is 2\n")
-
-    @pytest.mark.parametrize("spec", ["microblog", "table_vi_tc"])
-    @pytest.mark.parametrize("text", ["0", "-3", "1_000", "x"])
-    def test_bad_replication_limit(self, request, spec, text):
-        code, out, err = invoke([
-            "size", str(request.getfixturevalue(spec)), "--freqs", "4000",
-            "--replication-limit", text])
-        assert (code, out) == (1, "")
-        assert err == ("error: --replication-limit: replication limit must "
-                       "be a positive integer\n")
+        assert "unrecognized arguments: --replication-limit 3" in err
 
     def test_bad_freqs(self, microblog):
         code, _, err = invoke(["size", str(microblog), "--freqs", "1,zap"])
@@ -838,20 +874,10 @@ class TestOptionFlags:
         pointer = f"/options/{key}/1" if listed else f"/options/{key}"
         assert err == f"error: {pointer}: {message}\n"
 
-    @pytest.mark.parametrize("text", ["", "1_000", "+3", "007", "1.5", "x"])
-    def test_malformed_env_seed_is_an_input_error(self, tmp_path,
-                                                  monkeypatch, text):
-        monkeypatch.setenv("TC_SIZER_SEED", text)
-        code, out, err, _ = invoke_with_trace(
-            ["simulate", str(all_options_spec(tmp_path))], tmp_path)
-        assert (code, out) == (1, "")
-        assert err == "error: TC_SIZER_SEED: seed must be an integer\n"
-
-    def test_seed_order(self, tmp_path, monkeypatch):
-        """--seed, else TC_SIZER_SEED, else options.sim.seed, else 0."""
+    def test_seed_order(self, tmp_path):
+        """--seed, else options.sim.seed, else 0."""
         with_seed = all_options_spec(tmp_path, seed=3)
         without_seed = all_options_spec(tmp_path, "no-seed.json", seed=None)
-        monkeypatch.delenv("TC_SIZER_SEED", raising=False)
 
         def run(spec, *flags):
             return invoke_with_trace(["simulate", str(spec), *flags],
@@ -863,9 +889,6 @@ class TestOptionFlags:
         assert len({r[3] for r in by_seed.values()}) == 4
         assert run(without_seed) == by_seed[0]
         assert run(with_seed) == by_seed[3]
-        monkeypatch.setenv("TC_SIZER_SEED", "7")
-        assert run(with_seed) == by_seed[7]
-        assert run(without_seed) == by_seed[7]
         assert run(with_seed, "--seed", "5") == by_seed[5]
 
 
@@ -892,21 +915,6 @@ class TestSimulateCommand:
         doc = json.loads(out)
         assert doc["conservative"] is True
         assert doc["per_analytic_observed"]["microblog"] <= 1145 * US
-
-    def test_env_seed_overrides_default(self, microblog, tmp_path,
-                                        monkeypatch):
-        monkeypatch.setenv("TC_SIZER_SEED", "123")
-        trace_path = tmp_path / "t.csv"
-        code, out, _ = invoke([
-            "simulate", str(microblog), "--horizon", "3s",
-            "--release", "JITTERED", "--trace", str(trace_path)])
-        assert code == 0
-        baseline = trace_path.read_text()
-        # explicit --seed beats the environment
-        code, _, _ = invoke([
-            "simulate", str(microblog), "--horizon", "3s", "--seed", "123",
-            "--release", "JITTERED", "--trace", str(trace_path)])
-        assert trace_path.read_text() == baseline
 
     def test_infeasible_system_exits_2(self, table_vi_gp, tmp_path):
         code, out, _ = invoke([
@@ -1388,23 +1396,6 @@ class TestPointers:
         assert (code, out) == (1, "")
         assert err.startswith("error: --horizon: ")
 
-    @given(st.sampled_from([*WRONG, "1.5", "+3", ""]))
-    @settings(max_examples=20, deadline=None)
-    def test_env_seed(self, spec, tmp_path_factory, bad):
-        trace_path = tmp_path_factory.getbasetemp() / "t.csv"
-        with mock.patch.dict(os.environ, {"TC_SIZER_SEED": bad}):
-            code, out, err = invoke(["simulate", str(spec),
-                                     "--trace", str(trace_path)])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: TC_SIZER_SEED: ")
-
-    @given(st.sampled_from([*WRONG, "0", "-3", "1.5"]))
-    @settings(max_examples=20, deadline=None)
-    def test_replication_limit(self, spec, bad):
-        code, out, err = invoke(["size", str(spec),
-                                 f"--replication-limit={bad}"])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: --replication-limit: ")
 
 
 class TestUMax:
@@ -1491,9 +1482,6 @@ class TestNonJsonConstants:
          "--horizon: expected a duration string, got Infinity"),
         (["simulate", "{spec}", "--blocking", "NaN"],
          "--blocking: expected a policy name, got NaN"),
-        (["size", "{spec}", "--freqs", "1", "--replication-limit",
-          "Infinity"],
-         "--replication-limit: Infinity is not a JSON number"),
     ])
     def test_flags(self, microblog, tmp_path, argv, expected):
         argv = [a.format(spec=microblog) for a in argv]

@@ -51,6 +51,9 @@ def single(sid, c, t, d=None, **kw):
                     end_to_end_deadline=d)
 
 
+MIXED = "one-shot and periodic stages in one analytic"
+
+
 class TestValidation:
     def test_builtin_microblog_ok(self):
         system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
@@ -131,10 +134,29 @@ class TestValidation:
         for periods in ((10, 20), (INFINITE, INFINITE), (10, INFINITE)):
             findings = validate_system(rr_system(*periods)).findings
             ids = ", ".join(f"r#{i}" for i in range(1, len(periods) + 1))
-            assert findings == [(
+            mixed = ([("/analytics/0/stages", MIXED)]
+                     if periods == (10, INFINITE) else [])
+            assert findings == [*mixed, (
                 "/analytics/0/topology",
                 f"round-robin replicas {ids} do not share one finite "
                 f"inter-arrival")]
+
+    def test_one_shot_and_periodic_stages_in_one_analytic(self):
+        once = stage("once", 1, INFINITE, 10)
+        tick = stage("tick", 1, 10, 10)
+        out = stage("out", 1, 10, 10)
+        for stages, topo in (((once, tick, out), seq(par("once", "tick"),
+                                                      "out")),
+                             ((tick, once), seq("tick", "once")),
+                             ((once, tick), seq("once", "tick"))):
+            system = System((single("ok", 1, 10),
+                             Analytic("a", stages, topo, 10)))
+            assert validate_system(system).findings == [
+                ("/analytics/1/stages", MIXED)]
+        # analytics of either kind may share a system
+        system = System((single("batch", 1, INFINITE, 10),
+                         single("hot", 1, 10)))
+        assert validate_system(system).ok
 
     def test_round_robin_children_must_be_leaves(self):
         stages = (stage("a", 1, 10, 10), stage("b", 1, 10, 10))
@@ -192,23 +214,23 @@ class TestPriorities:
         assert sorted(prios.values()) == list(range(1, 9))
 
 
-def retimed(s, k_max):
+def retimed(s):
     """The stages retime_system makes of ``s`` at the input rate 1/T of
-    its own inter-arrival T, under the replication limit ``k_max``."""
+    its own inter-arrival T."""
     template = System((single(s.id, s.cost, s.inter_arrival, s.deadline),))
-    (analytic,) = retime_system(template, Fraction(SEC, s.inter_arrival),
-                                replication_limit=k_max).analytics
+    (analytic,) = retime_system(template,
+                                Fraction(SEC, s.inter_arrival)).analytics
     return list(analytic.stages)
 
 
 class TestReplication:
     def test_under_rate_unchanged(self):
         s = stage("s", 100 * US, 1 * SEC, 1 * SEC)
-        assert retimed(s, 8) == [s]
+        assert retimed(s) == [s]
 
     def test_counter_at_4khz(self):
         s = stage("cnt", 507 * US, 250 * US, 1 * SEC)
-        replicas = retimed(s, 8)
+        replicas = retimed(s)
         assert len(replicas) == 3
         assert all(r.inter_arrival == 750 * US for r in replicas)
         assert all(r.cost <= r.inter_arrival for r in replicas)
@@ -216,22 +238,22 @@ class TestReplication:
 
     def test_boundary_cost_equals_new_period(self):
         s = stage("cnt", 5 * MS, 25 * US, 1 * SEC)
-        replicas = retimed(s, 200)
+        replicas = retimed(s)
         assert len(replicas) == 200
         assert replicas[0].inter_arrival == 5 * MS  # cost == T'
 
     def test_limit(self):
-        s = stage("cnt", 5 * MS, 25 * US, 1 * SEC)
+        assert len(retimed(stage("cnt", 4096 * US, 1 * US, 1 * SEC))) == 4096
         with pytest.raises(ReplicationExceeded) as exc:
-            retimed(s, 100)
+            retimed(stage("cnt", 4097 * US, 1 * US, 1 * SEC))
         assert exc.value.stage_id == "cnt"
-        assert exc.value.needed == 200
+        assert exc.value.needed == 4097
 
     @given(cost=st.integers(1, 5_000), period=st.integers(100, 10**6))
     @settings(max_examples=200)
     def test_utilization_preserved_exactly(self, cost, period):
         s = stage("s", cost, period, 10**9)
-        replicas = retimed(s, 100)
+        replicas = retimed(s)
         total = sum((r.utilization() for r in replicas), Fraction(0))
         assert total == s.utilization()
         assert all(r.cost <= r.inter_arrival for r in replicas)
@@ -776,6 +798,7 @@ def validate_system_reference(system):
             report.add(f"{apath}/end_to_end_deadline",
                        "end-to-end deadline must be positive")
 
+        kinds = set()
         for si, stage in enumerate(analytic.stages):
             spath = f"{apath}/stages/{si}"
             if stage.id in seen_stages:
@@ -803,6 +826,10 @@ def validate_system_reference(system):
                                "finite inter-arrival must be positive")
             if finite_fields and stage.cost > stage.deadline:
                 report.add(f"{spath}/cost", "cost exceeds deadline")
+            kinds.add(stage.inter_arrival is INFINITE)
+        if len(kinds) > 1:
+            report.add(f"{apath}/stages",
+                       "one-shot and periodic stages in one analytic")
 
         check_topology_reference(analytic, apath, report)
 

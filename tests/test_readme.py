@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import argparse
 import io
 import os
 import re
@@ -10,16 +11,25 @@ from pathlib import Path
 
 import pytest
 
-from tcsizer.cli import parse_system_spec, run_command
+from tcsizer.cli import _build_parser, parse_system_spec, run_command
 
 README_DIR = Path(__file__).resolve().parents[1]
 README = (README_DIR / "README.md").read_text(encoding="utf-8")
 
 
+def section(heading: str) -> str:
+    """The README from the line ``heading`` to the next heading of its
+    level or above."""
+    level = heading.split(" ")[0]
+    text = README[README.index(f"\n{heading}\n") + 1:]
+    end = re.search(rf"\n#{{1,{len(level)}}} ", text)
+    return text if end is None else text[:end.start()]
+
+
 def fenced_block(heading: str, language: str) -> str:
     """The first ``language`` code block after the line ``heading``."""
-    section = README[README.index(f"\n{heading}\n"):]
-    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    match = re.search(rf"```{language}\n(.*?)```", section(heading),
+                      re.DOTALL)
     return match.group(1)
 
 
@@ -64,3 +74,16 @@ def test_cli_line_runs_in_a_fresh_interpreter(tmp_path, line):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_section_names_exactly_the_defined_flags():
+    """Each long option of a subcommand (but --help) is named in the
+    Command-line interface section, and each one named there exists."""
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    defined = {flag for parser in commands.choices.values()
+               for action in parser._actions
+               for flag in action.option_strings if flag.startswith("--")}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                           section("## Command-line interface")))
+    assert named == defined - {"--help"}

@@ -34,7 +34,8 @@ from tcsizer import (
     total_utilization,
     with_priorities,
 )
-from tcsizer.model import REPLICATION_LIMIT, item_flow, replica_count
+from tcsizer.model import item_flow
+from tcsizer.sizing import replica_count
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import COPRIME_PERIODS
@@ -88,15 +89,16 @@ class TestRetime:
         template = builtin_system(ScenarioId.TABLE_VI)
         assert retime_system(template, 100) == template
 
-    def test_propagates_replication_limit(self, microblog):
+    def test_raises_past_the_replication_limit(self, microblog):
+        # 507 us every 100 ns: 5070 replicas, past the limit of 4096
         with pytest.raises(ReplicationExceeded) as retimed:
-            retime_system(microblog, 4000, replication_limit=2)
+            retime_system(microblog, 10**7)
         with pytest.raises(ReplicationExceeded) as swept:
-            frequency_sweep(microblog, [1, 4000], u_max=1,
-                            replication_limit=2)
+            frequency_sweep(microblog, [1, 10**7], u_max=1)
         for exc in (retimed.value, swept.value):
-            assert (exc.stage_id, exc.needed, exc.k_max) == (
-                "microblog-split", 3, 2)
+            assert (exc.stage_id, exc.needed) == ("microblog-split", 5070)
+            assert str(exc) == ("stage 'microblog-split' needs 5070 "
+                                "replicas, limit is 4096")
 
 
 class TestFrequencySweep:
@@ -178,8 +180,7 @@ class TestFrequencySweep:
                                               Fraction(3, 4))
 
 
-def frequency_sweep_per_stage(template, frequencies, u_max, *,
-                              replication_limit=REPLICATION_LIMIT):
+def frequency_sweep_per_stage(template, frequencies, u_max):
     """frequency_sweep as it was written before it tested the limit
     against the costliest stage only: every periodic stage goes through
     replica_count at every frequency."""
@@ -191,7 +192,7 @@ def frequency_sweep_per_stage(template, frequencies, u_max, *,
         freq = Fraction(f)
         t_in = period_from_frequency(freq)
         for s in periodic:
-            replica_count(s, t_in, replication_limit)
+            replica_count(s, t_in)
         total = Fraction(cost, t_in)
         rows.append(SweepRow(frequency_hz=freq, total_utilization=total,
                              min_cores=min_cores(total, u_max)))
@@ -204,7 +205,7 @@ def sweep_outcome(sweep, *args, **kwargs):
     try:
         return sweep(*args, **kwargs)
     except ReplicationExceeded as exc:
-        return (type(exc), exc.stage_id, exc.needed, exc.k_max, str(exc))
+        return (type(exc), exc.stage_id, exc.needed, str(exc))
     except ValueError as exc:
         return (type(exc), str(exc))
 
@@ -212,8 +213,8 @@ def sweep_outcome(sweep, *args, **kwargs):
 @st.composite
 def sweep_templates(draw):
     """0-6 single-stage analytics, periodic or one-shot, costs from 0 up
-    to 5 ms (5000 replicas at 1 MHz); zero costs are drawn often, since a
-    limit below 1 must still be refused when every periodic cost is 0."""
+    to 5 ms (5000 replicas at 1 MHz, past REPLICATION_LIMIT); zero and
+    unit costs are drawn often."""
     costs = st.sampled_from([0, 1]) | st.integers(0, 5 * MS)
     stages = [
         Stage(id=f"s{i}", cost=draw(costs),
@@ -226,18 +227,17 @@ def sweep_templates(draw):
 
 class TestReplicationLimit:
     @given(sweep_templates(),
-           st.lists(st.integers(1, 10**6), min_size=1, max_size=3),
-           st.sampled_from([-1, 0, 1, 2, 3, 4, REPLICATION_LIMIT]))
-    # a limit of 0 is refused even when no periodic stage costs anything
-    @example(System((Analytic("idle", (Stage("idle", 0, MS, SEC),),
-                              Leaf("idle"), SEC),)), [1], 0)
+           st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
+    # at 1 MHz the first stage needs 4096 replicas, the second 4097
+    @example(System(tuple(Analytic(s.id, (s,), Leaf(s.id), SEC) for s in (
+        Stage("s0", 4096 * US, MS, SEC), Stage("s1", 4097 * US, MS, SEC),
+    ))), [1, 10**6])
     @settings(max_examples=500, deadline=None)
     def test_costliest_stage_check_matches_the_per_stage_loop(
-            self, template, frequencies, limit):
-        assert (sweep_outcome(frequency_sweep, template, frequencies, 1,
-                              replication_limit=limit)
+            self, template, frequencies):
+        assert (sweep_outcome(frequency_sweep, template, frequencies, 1)
                 == sweep_outcome(frequency_sweep_per_stage, template,
-                                 frequencies, 1, replication_limit=limit))
+                                 frequencies, 1))
 
 
 def decimation_sweep_per_stage(template, input_frequency, factors, u_max):
