@@ -11,22 +11,17 @@ once, so it joins B + C in the constant term, the base. Cotenants that
 share a period T share one ceiling, ceil(R / T) times their summed cost,
 so a round costs one term per distinct period. ``solve_system`` walks
 each core's stages once, sorted from the highest priority down, adding
-each level to running totals (summed cost per period, and one sum of
-one-shot costs) and solving each of its stages against them less its
+each level to running totals (summed cost per period and in all, and
+one sum of one-shot costs) and solving each of its stages against them less its
 own cost.
 
-Each fixed point starts from a lower bound taken from the level above
-(the R_above + C start of Sjodin and Hansson, RTSS 1998, with blocking).
-Let stage a of the next-higher level converge to R_a under blocking B_a.
-A stage with base > 0 and B + C >= B_a starts from
-max(base, R_a + B + C - B_a). With f and f_a the right-hand sides of
-the two recurrences: its load holds a and all of a's load, and every
-r >= 1 charges at least one job of a, so
-f(r) >= f_a(r) + B + C - B_a >= f_a(r). Its least fixed point R (>= base
->= 1) thus has f_a(R) <= R, so R >= R_a, and then
-R = f(R) >= f_a(R_a) + B + C - B_a = R_a + B + C - B_a. From any lower
+Each fixed point starts from one job of every cotenant in its load,
+base + sum_z C_z (Audsley et al., 1993), or from 0 when the base is 0,
+its own fixed point. With f the right-hand side above, the one premise
+is base >= 1: the least fixed point R >= base then makes every
+ceil(R / T_z) >= 1, so R = f(R) >= base + sum_z C_z. From any lower
 bound the iteration reaches the same least fixed point, or DIVERGED, as
-from the base, in fewer rounds.
+from the base, in no more rounds.
 
 All arithmetic is exact: times are integer nanoseconds, and
 utilizations are summed as integers over the lcm of the periods
@@ -110,8 +105,9 @@ def _fixed_point(base: Duration, start: Duration,
     """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
     (period T, summed cost C) pairs of ``load``, or DIVERGED as soon as
     an iterate exceeds ``cap``. The iteration starts from ``start``, with
-    base <= start <= R: every iterate then stays at or below R and climbs
-    to it, so it returns what a start from ``base`` returns."""
+    base <= start <= R (``solve_system`` passes base + sum C, or 0 when
+    base is 0): every iterate then stays at or below R and climbs to it,
+    so it returns what a start from ``base`` returns."""
     r = start
     rounds = 0
     while True:
@@ -161,12 +157,10 @@ def solve_system(system: System, allocation: Mapping[str, str],
     InvalidAllocation.
 
     Each core's stages are walked once, sorted by priority (stable), one
-    level at a time. A stage with base > 0 and B + C >= B_a starts its
-    fixed point from max(base, R_a + B + C - B_a), where R_a and B_a are
-    the response and effective blocking of the last converged stage of
-    the next-higher level; others start from the base. That start is a
-    lower bound on the answer (see the module docstring), so the reports
-    equal those of a start from the base.
+    level at a time. A stage with base > 0 starts its fixed point from
+    base + sum C over its load, a lower bound on the answer (see the
+    module docstring), so the reports equal those of a start from the
+    base.
     """
     blocking = effective_blocking(system, allocation, cluster)
     stages = list(system.stages())
@@ -180,12 +174,11 @@ def solve_system(system: System, allocation: Mapping[str, str],
     per_stage: dict[str, ResponseTime] = dict.fromkeys(s.id for s in stages)
     for core in by_core.values():
         core.sort(key=_priority, reverse=True)
-        # summed cost per period of the periodic stages, and summed cost
-        # of the one-shot stages, at or above the current priority level
+        # summed cost per period of the periodic stages, their sum, and
+        # summed cost of the one-shot stages, at or above the current
+        # priority level
         totals: dict[int, Duration] = {}
-        once = 0
-        # (R, B) of the last converged stage of the level above, if any
-        above = None
+        level_sum = once = 0
         i = 0
         while i < len(core):
             # add the level core[i:j] to the totals, then solve each of
@@ -199,8 +192,8 @@ def solve_system(system: System, allocation: Mapping[str, str],
                 else:
                     totals[s.inter_arrival] = (
                         totals.get(s.inter_arrival, 0) + s.cost)
+                    level_sum += s.cost
                 j += 1
-            seed, above = above, None
             while i < j:
                 s = core[i]
                 i += 1
@@ -214,12 +207,9 @@ def solve_system(system: System, allocation: Mapping[str, str],
                     totals[t] -= s.cost
                     load = list(totals.items())
                     totals[t] += s.cost
-                start = base
-                if seed is not None and base > 0 and b + s.cost >= seed[1]:
-                    start = max(base, seed[0] + b + s.cost - seed[1])
-                r = per_stage[s.id] = _fixed_point(base, start, load, cap)
-                if r is not DIVERGED:
-                    above = (r, b)
+                # base + sum C over the load, whichever kind s is
+                start = b + once + level_sum if base else 0
+                per_stage[s.id] = _fixed_point(base, start, load, cap)
 
     per_analytic: dict[str, AnalyticVerdict] = {}
     for analytic in system.analytics:

@@ -41,8 +41,9 @@ Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
 not, 1 = input or usage error, every one of which is a ParseError, a
 usage error or a ValueError of the library. Each flag that overrides an
-option, --blocking and --release too, is read by that option's field
-parser, lists split on commas, so an empty value is an input error. The
+option, --blocking and --release too, is declared by that option's field
+and read by its parser, lists split on commas, so an empty value is an
+input error; --trace is the one flag that is not an option. The
 seed of simulate is --seed, else options.sim.seed, else 0. size exits 1
 when a stage would need more than sizing.REPLICATION_LIMIT replicas at
 one of its frequencies. simulate refuses a run that could make more
@@ -237,9 +238,9 @@ def _json_number(x: Fraction):
 # Options) read and written through a table of fields. A field names its
 # key (the record's field of the same name), its value parser, called
 # with the value alone, and its value formatter; an option's field also
-# names the flag that overrides it. Absent optional keys take the record
-# type's default, and a list of records is read as the tuple its record
-# holds. _read and _write walk a table. A parser
+# names the flag that overrides it and that flag's help. Absent optional
+# keys take the record type's default, and a list of records is read as
+# the tuple its record holds. _read and _write walk a table. A parser
 # raises ParseError with the pointer below its value; each container
 # prefixes its key or index as the error passes out, so no pointer is
 # built unless a value is bad.
@@ -260,6 +261,7 @@ class _Field(NamedTuple):
     required: bool = False
     flag: str | None = None  # the argparse dest of an option's flag
     listed: bool = False  # whether the flag holds a comma-separated list
+    help: str | None = None  # the flag's help text
 
 
 class _Table:
@@ -502,28 +504,39 @@ class Options(NamedTuple):
 # options.sim holds more fields of the same Options record
 _SIM = _Table(
     "an object",
-    _Field("horizon", _horizon, format_duration, flag="horizon"),
-    _Field("seed", _integer("seed must be an integer"), flag="seed"),
+    _Field("horizon", _horizon, format_duration, flag="horizon",
+           help="duration, e.g. 2s"),
+    _Field("seed", _integer("seed must be an integer"), flag="seed",
+           help="simulator seed, an integer"),
     _Field("blocking_policy", _policy(BlockingPolicy),
-           lambda policy: policy.value, flag="blocking"),
+           lambda policy: policy.value, flag="blocking",
+           help="ADVERSARIAL or UNIFORM"),
     _Field("release_policy", _policy(ReleasePolicy),
-           lambda policy: policy.value, flag="release"),
+           lambda policy: policy.value, flag="release",
+           help="SYNCHRONOUS or JITTERED"),
 )
 
 _OPTION_FIELDS = (
-    _Field("u_max", _share("u_max"), _json_number, flag="umax"),
+    _Field("u_max", _share("u_max"), _json_number, flag="umax",
+           help="per-core capacity bound"),
     _Field("frequencies_hz", _list_of(_frequency),
            lambda freqs: [_json_number(f) for f in freqs],
-           flag="freqs", listed=True),
+           flag="freqs", listed=True,
+           help="comma-separated frequencies in Hz"),
     _Field("factors",
            _list_of(_integer("factors must be positive integers", 1)),
-           flag="factors", listed=True),
-    _Field("input_frequency_hz", _frequency, _json_number, flag="freq"),
+           flag="factors", listed=True,
+           help="comma-separated decimation factors"),
+    _Field("input_frequency_hz", _frequency, _json_number, flag="freq",
+           help="input frequency in Hz"),
 )
 
 
 _OPTIONS = _Table("an options object", *_OPTION_FIELDS,
                   _Field("sim", lambda obj: _read(obj, _SIM)))
+
+# the option fields by flag; a subcommand names the flags it takes
+_FLAGGED = {f.flag: f for f in (*_OPTION_FIELDS, *_SIM.fields)}
 
 
 def _parse_options(obj: Any) -> Options:
@@ -607,40 +620,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tcsizer", add_help=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="response-time analysis and verdicts")
-    p.add_argument("spec")
-
-    p = sub.add_parser("size", help="utilization/min-cores frequency sweep")
-    p.add_argument("spec")
-    p.add_argument("--freqs", help="comma-separated frequencies in Hz")
-    p.add_argument("--umax", help="per-core capacity bound")
-
-    p = sub.add_parser("decimate", help="decimation trade-off sweep")
-    p.add_argument("spec")
-    p.add_argument("--factors", help="comma-separated decimation factors")
-    p.add_argument("--freq", help="input frequency in Hz")
-    p.add_argument("--umax")
-
-    p = sub.add_parser("simulate", help="discrete-event simulation")
-    p.add_argument("spec")
-    p.add_argument("--seed")
-    p.add_argument("--horizon", help="duration, e.g. 2s")
-    p.add_argument("--trace", default="trace.csv", help="trace CSV path")
-    for flag, policy in (("--blocking", BlockingPolicy),
-                         ("--release", ReleasePolicy)):
-        values = ",".join(member.value for member in policy)
-        p.add_argument(flag, metavar=f"{{{values}}}")
-
-    p = sub.add_parser("compare", help="blocking-model core-count comparison")
-    p.add_argument("spec")
-    p.add_argument("--umax")
-    return parser
-
-
 def _flag_value(text: str):
     """A flag token as the spec would hold it: the JSON value when it
     parses as JSON, else the string itself."""
@@ -666,7 +645,7 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
         raise _UsageError(f"invalid system: {findings}")
     overrides = {}
-    for f in (*_OPTION_FIELDS, *_SIM.fields):
+    for f in _FLAGGED.values():
         text = getattr(args, f.flag, None)
         if text is not None:
             value = ([_flag_value(t) for t in text.split(",")] if f.listed
@@ -770,8 +749,11 @@ def _cmd_decimate(args, out) -> int:
 
 
 def _unwritable(path: str) -> str | None:
-    """The reason open(path, "w") would fail if ``path`` is a directory
-    or its parent is not one, else None; checking creates nothing."""
+    """The reason open(path, "w") would fail if ``path`` is empty, is a
+    directory or its parent is not one, else None; checking creates
+    nothing."""
+    if not path:
+        return os.strerror(errno.ENOENT)
     parent = os.path.dirname(path) or os.curdir
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
@@ -835,13 +817,33 @@ def _cmd_compare(args, out) -> int:
     return 0
 
 
+# each subcommand's function, help and option flags; simulate also
+# takes --trace, the one flag that is not a spec option
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "size": _cmd_size,
-    "decimate": _cmd_decimate,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
+    "analyze": (_cmd_analyze, "response-time analysis and verdicts", ()),
+    "size": (_cmd_size, "utilization/min-cores frequency sweep",
+             ("freqs", "umax")),
+    "decimate": (_cmd_decimate, "decimation trade-off sweep",
+                 ("factors", "freq", "umax")),
+    "simulate": (_cmd_simulate, "discrete-event simulation",
+                 ("seed", "horizon", "blocking", "release")),
+    "compare": (_cmd_compare, "blocking-model core-count comparison",
+                ("umax",)),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="tcsizer", add_help=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec")
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=_FLAGGED[flag].help)
+        if name == "simulate":
+            p.add_argument("--trace", default="trace.csv",
+                           help="trace CSV path")
+    return parser
 
 
 def run_command(argv, out=None, err=None) -> int:
@@ -852,7 +854,7 @@ def run_command(argv, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command][0](args, out)
     except (_UsageError, ParseError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1

@@ -22,6 +22,7 @@ from tcsizer import (
     MissingStage,
     PreconditionViolated,
     ResponseReport,
+    Seq,
     SimConfig,
     Stage,
     System,
@@ -171,6 +172,15 @@ class TestEndToEnd:
     def test_missing_stage(self):
         with pytest.raises(MissingStage):
             end_to_end_response(seq("a", "b"), {"a": 1})
+
+    @pytest.mark.parametrize("node", ["a", ("a",), None])
+    def test_not_a_composition_node(self, node):
+        # at the top and below a Seq, which seq() would coerce "a" out of
+        for expr in (node, Seq((Leaf("a"), node))):
+            with pytest.raises(TypeError) as exc:
+                end_to_end_response(expr, {"a": 1})
+            assert str(exc.value) == (
+                f"not a composition expression: {node!r}")
 
     def test_missing_stage_is_a_value_error_naming_the_stage(self):
         system = System((Analytic("x", (stage("a", MS, 10 * MS, prio=1),),
@@ -354,18 +364,17 @@ class TestSolveSystem:
         return solve_system(system, allocation, homogeneous_cluster(1))
 
     def test_zero_base_stage_is_not_seeded(self):
-        # hp converges at 10 > 0, but idle's base B + C is 0, and 0 is
-        # its own fixed point; a start from 10 + 0 - 0 would stop at 10
+        # idle's base B + C is 0, its own fixed point; a start from
+        # base + sum C = 0 + 10 would stop at 10, a fixed point too
         hp = single("hp", 10, 40, prio=2)
         idle = single("idle", 0, 40, prio=1)
         report = self.solve_on_one_core(hp, idle)
         assert report.per_stage == {"hp": 10, "idle": 0}
 
     def test_less_blocking_than_the_level_above_is_not_seeded(self):
-        # a: 5 + 1 + 5*ceil(R/10) gives 16. j has B + C = 1 < B_a = 5, so
-        # it starts from its base 1: 1 + 5*ceil(R/10) + ceil(R/1000) has
-        # fixed points 7 and 12, and a start from 16 + 1 - 5 = 12 would
-        # stop at the larger one
+        # a: 5 + 1 + 5*ceil(R/10) = 16 (start 6 + 5). j: 1 + 5*ceil(R/10)
+        # + ceil(R/1000) has fixed points 7 and 12; the start 1 + 5 + 1
+        # is the lesser one
         hp = single("hp", 5, 10, prio=3)
         a = single("a", 1, 1000, b=5, prio=2)
         j = single("j", 1, 1000, prio=1)
@@ -376,9 +385,8 @@ class TestSolveSystem:
         # a's base 201 is past the cap of 100; j still converges, at
         # 1 + 5*ceil(R/10) + ceil(R/1000) = 7
         (1, 200, 7),
-        # a's base 200 is past the cap too, and j carries a's cost, so j
-        # diverges as well; B + C >= B_a holds, so only a's divergence
-        # keeps j from a start at "DIVERGED + 1"
+        # a's base 200 is past the cap too, and j carries a's cost, so
+        # j's start 1 + 5 + 200 is past it as well
         (200, 0, DIVERGED),
     ])
     def test_a_diverged_level_gives_no_seed(self, a_cost, a_blocking,
@@ -390,9 +398,9 @@ class TestSolveSystem:
         assert report.per_stage == {"hp": 5, "a": DIVERGED, "j": j_response}
 
     def test_one_shot_stages_above_and_below(self):
-        # a: 3 + 2*ceil(R/10) = 5; j: 1 + 1 + 3 + 2*ceil(R/10) = 7 (start
-        # 5 + 2 - 0); k: 3 + 4 + 2*ceil(R/10) + ceil(R/100) = 10 (start
-        # 7 + 4 - 1)
+        # a: 3 + 2*ceil(R/10) = 5 (start 3 + 2); j: 1 + 1 + 3
+        # + 2*ceil(R/10) = 7 (start 5 + 2); k: 3 + 4 + 2*ceil(R/10)
+        # + ceil(R/100) = 10 (start 7 + 2 + 1)
         hp = single("hp", 2, 10, d=100, prio=4)
         a = single("a", 3, INFINITE, d=100, prio=3)
         j = single("j", 1, 100, b=1, prio=2)
@@ -402,11 +410,10 @@ class TestSolveSystem:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_tied_levels_seed_the_level_below(self, reverse):
-        # x: 2 + 3*ceil(R/20) = 5; y: 4 + 3 + 2*ceil(R/10) = 9; z (not
-        # seeded, B + C < B_y): 1 + 2*ceil(R/10) + 3*ceil(R/20)
-        # + 2*ceil(R/100) = 8; w (start 9 + 5 - 4 = 10): 3 + 2
-        # + 2*ceil(R/10) + 3*ceil(R/20) + ceil(R/100) = 13. Declaration
-        # order within a level picks the seed, never the answer.
+        # x: 2 + 3*ceil(R/20) = 5; y: 4 + 3 + 2*ceil(R/10) = 9; z: 1
+        # + 2*ceil(R/10) + 3*ceil(R/20) + 2*ceil(R/100) = 8; w (start
+        # 5 + 6 = 11): 3 + 2 + 2*ceil(R/10) + 3*ceil(R/20) + ceil(R/100)
+        # = 13, in either declaration order
         analytics = [single("x", 2, 10, prio=2),
                      single("y", 3, 20, b=4, prio=2),
                      single("z", 1, 100, prio=1),
@@ -492,9 +499,8 @@ def placed_systems(draw):
     """1-3 cores and 1-16 stages at priorities 1-8 (tied ones too), with
     repeated periods, one-shot and zero-cost stages, stage blocking up to
     30 and platform blocking, and caps low enough to diverge (or high
-    enough to meet a full core). Many levels chain each start from the
-    level above, and blocking above a stage's B + C leaves some
-    unseeded."""
+    enough to meet a full core). Zero-base stages below busy levels and
+    one-job starts past the cap reach both edges of the solve's start."""
     n_cores = draw(st.integers(1, 3))
     cluster = Cluster(tuple(
         Core(f"c{j}", platform_blocking=draw(st.integers(0, 4)))

@@ -923,10 +923,10 @@ class TestSimulateCommand:
         assert code == 2
         assert json.loads(out)["system_feasible"] is False
 
-    @pytest.mark.parametrize("target", [".", "missing/t.csv"])
+    @pytest.mark.parametrize("target", [".", "missing/t.csv", ""])
     def test_unwritable_trace_is_an_input_error(self, table_vi_tc, tmp_path,
                                                 target):
-        path = tmp_path / target
+        path = tmp_path / target if target else ""
         code, out, err = invoke([
             "simulate", str(table_vi_tc), "--horizon", "9h",
             "--trace", str(path)])
@@ -934,7 +934,8 @@ class TestSimulateCommand:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("target", [".", "missing/t.csv", "f.csv/t.csv"])
+    @pytest.mark.parametrize("target",
+                             [".", "missing/t.csv", "f.csv/t.csv", ""])
     def test_unwritable_trace_is_refused_before_any_work(
             self, microblog, tmp_path, monkeypatch, target):
         (tmp_path / "f.csv").write_text("")
@@ -944,7 +945,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli.analysis, "solve_system", never)
         monkeypatch.setattr(tcsizer.sim, "simulate", never)
-        path = tmp_path / target
+        path = tmp_path / target if target else ""
         code, out, err = invoke([
             "simulate", str(microblog), "--horizon", "3s",
             "--trace", str(path)])

@@ -86,6 +86,13 @@ class TestBuiltinSystems:
         with pytest.raises(MissingParam):
             builtin_system(ScenarioId.MICROBLOG_ONLINE)
 
+    @pytest.mark.parametrize("scenario", ["microblog-online", None, 0])
+    def test_not_a_scenario_id(self, scenario):
+        with pytest.raises(ValueError) as exc:
+            builtin_system(scenario, frequency_hz=1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"unknown scenario {scenario!r}"
+
     @pytest.mark.parametrize("scenario, params", [
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 1}),
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 4000}),
