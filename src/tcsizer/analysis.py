@@ -39,6 +39,7 @@ priorities. The inequality is strict, which matters at exact boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Union
 
@@ -137,9 +138,9 @@ def end_to_end_response(expr: Expr,
         except KeyError:
             raise MissingStage(expr.stage) from None
     if isinstance(expr, Seq):
-        return sum(end_to_end_response(c, per_stage) for c in expr.children)
+        return sum(map(end_to_end_response, expr.children, repeat(per_stage)))
     if isinstance(expr, (Par, RoundRobin)):
-        return max(end_to_end_response(c, per_stage) for c in expr.children)
+        return max(map(end_to_end_response, expr.children, repeat(per_stage)))
     raise TypeError(f"not a composition expression: {expr!r}")
 
 
@@ -256,22 +257,28 @@ def require_bound_regime(system: System) -> None:
     """Raise PreconditionViolated unless T + B = D for every finite-rate
     stage and assigned priorities are deadline-monotonic."""
     stages = list(system.stages())
-    for s in stages:
-        if (s.inter_arrival is not INFINITE
-                and s.inter_arrival + s.blocking != s.deadline):
+    for sid, _, period, deadline, blocking, _, _ in stages:
+        if period is not INFINITE and period + blocking != deadline:
             raise PreconditionViolated(
-                s.id, "inter-arrival + blocking != deadline")
-    by_deadline: dict[int, list[Stage]] = {}
-    for s in stages:
-        if s.priority is None:
-            raise PreconditionViolated(s.id, "priority unassigned")
-        by_deadline.setdefault(s.deadline, []).append(s)
+                sid, "inter-arrival + blocking != deadline")
+    # each deadline's first stage id, least and greatest priority
+    by_deadline: dict[int, list] = {}
+    for sid, _, _, deadline, _, priority, _ in stages:
+        if priority is None:
+            raise PreconditionViolated(sid, "priority unassigned")
+        group = by_deadline.get(deadline)
+        if group is None:
+            by_deadline[deadline] = [sid, priority, priority]
+        elif priority < group[1]:
+            group[1] = priority
+        elif priority > group[2]:
+            group[2] = priority
     # a shorter deadline's priorities must all be strictly higher
     prev_min = prev_d = None
     for d in sorted(by_deadline):
-        group = [s.priority for s in by_deadline[d]]
-        if prev_min is not None and max(group) >= prev_min:
+        first, least, greatest = by_deadline[d]
+        if prev_min is not None and greatest >= prev_min:
             raise PreconditionViolated(
-                by_deadline[d][0].id,
+                first,
                 f"priorities not deadline-monotonic (deadline {d} vs {prev_d})")
-        prev_min, prev_d = min(group), d
+        prev_min, prev_d = least, d

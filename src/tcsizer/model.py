@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -184,11 +185,14 @@ def nodes(expr: Expr) -> list[Expr]:
     found, todo = [], [expr]
     while todo:
         node = todo.pop()
+        found.append(node)
+        # most nodes are leaves: test for them by class first
+        if node.__class__ is Leaf:
+            continue
         if isinstance(node, (Seq, Par, RoundRobin)):
-            todo.extend(reversed(node.children))
+            todo += reversed(node.children)
         elif not isinstance(node, Leaf):
             raise TypeError(f"not a composition expression: {node!r}")
-        found.append(node)
     return found
 
 
@@ -248,16 +252,12 @@ class System(NamedTuple):
     analytics: tuple[Analytic, ...]
 
     def stages(self) -> Iterator[Stage]:
-        for analytic in self.analytics:
-            yield from analytic.stages
+        """Every analytic's stages in order, with no frame per stage."""
+        return chain.from_iterable(map(attrgetter("stages"), self.analytics))
 
 
 # characters that would split or quote a field of the trace CSV
 _CSV_SPECIALS = frozenset(',"\r\n')
-
-
-def _csv_unsafe(name: str) -> bool:
-    return not _CSV_SPECIALS.isdisjoint(name)
 
 
 # A record that checks its values is a subclass of a NamedTuple base
@@ -271,17 +271,20 @@ class _Core(NamedTuple):
 
 
 class Core(_Core):
-    """A scheduling unit: normalized capacity plus platform blocking."""
+    """A scheduling unit: normalized capacity plus platform blocking. The
+    capacity is wrapped in a Fraction only when it is not one, and
+    checked in (0, 1] on its integer numerator and denominator."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, capacity=Fraction(1),
                 platform_blocking: Duration = 0):
-        if _csv_unsafe(id):
+        if not _CSV_SPECIALS.isdisjoint(id):
             raise ValueError(f"core {id!r}: id holds a comma, quote "
                              f"or line break")
-        capacity = Fraction(capacity)
-        if not 0 < capacity <= 1:
+        if capacity.__class__ is not Fraction:
+            capacity = Fraction(capacity)
+        if not 0 < capacity.numerator <= capacity.denominator:
             raise ValueError(f"core {id!r}: capacity must be in (0, 1]")
         if platform_blocking < 0:
             raise ValueError(f"core {id!r}: negative platform blocking")
@@ -326,16 +329,16 @@ def effective_blocking(system: System, allocation: Mapping[str, str],
     InvalidAllocation for one without a known core."""
     platform = {c.id: c.platform_blocking for c in cluster.cores}
     out: dict[str, Duration] = {}
-    for s in system.stages():
-        if s.priority is None:
-            raise ValueError(f"stage {s.id!r} has no priority")
-        if s.id not in allocation:
-            raise InvalidAllocation(f"stage {s.id!r} has no core")
-        core = allocation[s.id]
+    for sid, _, _, _, blocking, priority, _ in system.stages():
+        if priority is None:
+            raise ValueError(f"stage {sid!r} has no priority")
+        if sid not in allocation:
+            raise InvalidAllocation(f"stage {sid!r} has no core")
+        core = allocation[sid]
         if core not in platform:
             raise InvalidAllocation(
-                f"stage {s.id!r} mapped to unknown core {core!r}")
-        out[s.id] = max(s.blocking, platform[core])
+                f"stage {sid!r} mapped to unknown core {core!r}")
+        out[sid] = max(blocking, platform[core])
     return out
 
 
@@ -359,102 +362,144 @@ class ValidationReport:
 
 
 def validate_system(system: System) -> ValidationReport:
-    """Check every structural invariant; never raises.
+    """Check every structural invariant of analytics of Stage records;
+    never raises, whatever their fields hold. A field of the wrong type
+    is a finding at its pointer, and an id that is not a string skips
+    the checks that need it: duplicates, the trace-field check and the
+    topology, where only string ids are declared.
 
     Deliberately does *not* reject deadline > inter_arrival + blocking:
     that regime is only refused by the utilization-bound path. An
     analytic's stages are all one-shot or all periodic: a one-shot stage
     admits item 0 only, so the analytic's later items would never
-    complete. A finding's path is built only when the finding is added.
+    complete. Each record is read by unpacking, and a finding's path is
+    built only when the finding is added.
     """
     report = ValidationReport()
+    add = report.add
     seen_analytics: set[str] = set()
     seen_stages: set[str] = set()
 
-    for ai, analytic in enumerate(system.analytics):
-        if analytic.id in seen_analytics:
-            report.add(f"/analytics/{ai}/id",
-                       f"duplicate analytic id {analytic.id!r}")
-        seen_analytics.add(analytic.id)
+    for ai, (aid, stages, topology, e2e) in enumerate(system.analytics):
+        if not isinstance(aid, str):
+            add(f"/analytics/{ai}/id", "analytic id must be a string")
+        elif aid in seen_analytics:
+            add(f"/analytics/{ai}/id", f"duplicate analytic id {aid!r}")
+        else:
+            seen_analytics.add(aid)
 
-        if analytic.end_to_end_deadline <= 0:
-            report.add(f"/analytics/{ai}/end_to_end_deadline",
-                       "end-to-end deadline must be positive")
+        if not isinstance(e2e, int):
+            add(f"/analytics/{ai}/end_to_end_deadline",
+                "end-to-end deadline must be integer nanoseconds")
+        elif e2e <= 0:
+            add(f"/analytics/{ai}/end_to_end_deadline",
+                "end-to-end deadline must be positive")
 
+        # the inter-arrival of each declared stage id, the last of a
+        # duplicate id winning
+        periods: dict[str, InterArrival] = {}
         one_shot = 0
-        for si, stage in enumerate(analytic.stages):
-            if stage.id in seen_stages:
-                report.add(_stage_path(ai, si, "id"),
-                           f"duplicate stage id {stage.id!r}")
-            seen_stages.add(stage.id)
-            if _csv_unsafe(stage.id):
-                report.add(_stage_path(ai, si, "id"), f"stage id {stage.id!r} "
-                           f"holds a comma, quote or line break")
+        for si, (sid, cost, period, deadline, blocking, _, _) in enumerate(
+                stages):
+            if not isinstance(sid, str):
+                add(_stage_path(ai, si, "id"), "stage id must be a string")
+            else:
+                if sid in seen_stages:
+                    add(_stage_path(ai, si, "id"),
+                        f"duplicate stage id {sid!r}")
+                seen_stages.add(sid)
+                if not _CSV_SPECIALS.isdisjoint(sid):
+                    add(_stage_path(ai, si, "id"), f"stage id {sid!r} "
+                        f"holds a comma, quote or line break")
+                periods[sid] = period
             # INFINITE is legal only as an inter-arrival time
-            finite_fields = True
-            for field_name in ("cost", "deadline", "blocking"):
-                value = getattr(stage, field_name)
-                if not isinstance(value, int):
-                    report.add(_stage_path(ai, si, field_name),
-                               f"{field_name} must be integer nanoseconds")
-                    finite_fields = False
-                elif value < 0:
-                    report.add(_stage_path(ai, si, field_name),
-                               f"negative {field_name}")
-            if stage.inter_arrival is INFINITE:
+            ints = (isinstance(cost, int) and isinstance(deadline, int)
+                    and isinstance(blocking, int))
+            if not ints or cost < 0 or deadline < 0 or blocking < 0:
+                for key, value in zip(("cost", "deadline", "blocking"),
+                                      (cost, deadline, blocking)):
+                    if not isinstance(value, int):
+                        add(_stage_path(ai, si, key),
+                            f"{key} must be integer nanoseconds")
+                    elif value < 0:
+                        add(_stage_path(ai, si, key), f"negative {key}")
+            if period is INFINITE:
                 one_shot += 1
-            elif not isinstance(stage.inter_arrival, int):
-                report.add(_stage_path(ai, si, "inter_arrival"),
-                           "inter-arrival must be integer ns or INFINITE")
-            elif stage.inter_arrival <= 0:
-                report.add(_stage_path(ai, si, "inter_arrival"),
-                           "finite inter-arrival must be positive")
-            if finite_fields and stage.cost > stage.deadline:
-                report.add(_stage_path(ai, si, "cost"),
-                           "cost exceeds deadline")
-        if 0 < one_shot < len(analytic.stages):
-            report.add(f"/analytics/{ai}/stages",
-                       "one-shot and periodic stages in one analytic")
+            elif not isinstance(period, int):
+                add(_stage_path(ai, si, "inter_arrival"),
+                    "inter-arrival must be integer ns or INFINITE")
+            elif period <= 0:
+                add(_stage_path(ai, si, "inter_arrival"),
+                    "finite inter-arrival must be positive")
+            if ints and cost > deadline:
+                add(_stage_path(ai, si, "cost"), "cost exceeds deadline")
+        if 0 < one_shot < len(stages):
+            add(f"/analytics/{ai}/stages",
+                "one-shot and periodic stages in one analytic")
 
-        for message in _topology_problems(analytic):
-            report.add(f"/analytics/{ai}/topology", message)
+        for message in _topology_problems(topology, periods):
+            add(f"/analytics/{ai}/topology", message)
 
     return report
+
+
+_MALFORMED = "malformed composition expression"
 
 
 def _stage_path(ai: int, si: int, key: str) -> str:
     return f"/analytics/{ai}/stages/{si}/{key}"
 
 
-def _topology_problems(analytic: Analytic) -> Iterator[str]:
-    """What is wrong with the analytic's topology, one message each."""
-    declared = {s.id: s for s in analytic.stages}
-    covered: set[str] = set()
+def _topology_problems(topology: Expr,
+                       periods: Mapping[str, InterArrival]) -> list[str]:
+    """What is wrong with a topology, given each declared stage id's
+    inter-arrival: one pass over its nodes checks the leaves and keeps
+    the round-robin nodes, so the messages come as: an empty node, the
+    leaves left to right, the uncovered ids sorted, the round-robin
+    nodes left to right. A non-node, or a leaf whose stage is not a
+    string, gives only the malformed message."""
     try:
-        topology = nodes(analytic.topology)
+        found = nodes(topology)
     except TypeError:
-        yield "malformed composition expression"
-        return
-    if any(not isinstance(n, Leaf) and not n.children for n in topology):
-        yield "empty composition node"
-    for sid in (n.stage for n in topology if isinstance(n, Leaf)):
-        if sid not in declared:
-            yield f"topology references unknown stage {sid!r}"
-        elif sid in covered:
-            yield f"stage {sid!r} covered twice"
-        covered.add(sid)
-    for sid in sorted(declared.keys() - covered):
-        yield f"stage {sid!r} not covered"
-    for rr in (n for n in topology if isinstance(n, RoundRobin)):
-        if not all(isinstance(c, Leaf) for c in rr.children):
-            yield "round-robin children must be stage ids"
-            continue
-        periods = {declared[c.stage].inter_arrival for c in rr.children
-                   if c.stage in declared}
-        if len(periods) > 1 or INFINITE in periods:
-            ids = ", ".join(c.stage for c in rr.children)
-            yield (f"round-robin replicas {ids} do not share one finite "
-                   f"inter-arrival")
+        return [_MALFORMED]
+    problems: list[str] = []
+    covered: set[str] = set()
+    replicated: list[RoundRobin] = []
+    empty = False
+    for node in found:
+        if isinstance(node, Leaf):
+            sid = node.stage
+            if not isinstance(sid, str):
+                return [_MALFORMED]
+            if sid not in periods:
+                problems.append(f"topology references unknown stage {sid!r}")
+            elif sid in covered:
+                problems.append(f"stage {sid!r} covered twice")
+            covered.add(sid)
+        elif not node.children:
+            empty = True
+        elif isinstance(node, RoundRobin):
+            replicated.append(node)
+    if empty:
+        problems.insert(0, "empty composition node")
+    for sid in sorted(periods.keys() - covered):
+        problems.append(f"stage {sid!r} not covered")
+    for rr in replicated:
+        for child in rr.children:
+            if not isinstance(child, Leaf):
+                problems.append("round-robin children must be stage ids")
+                break
+        else:
+            try:
+                shared = {periods[c.stage] for c in rr.children
+                          if c.stage in periods}
+            except TypeError:  # an unhashable inter-arrival is not finite
+                shared = {INFINITE}
+            if len(shared) > 1 or INFINITE in shared:
+                ids = ", ".join(c.stage for c in rr.children)
+                problems.append(f"round-robin replicas {ids} do not share "
+                                f"one finite inter-arrival")
+    return problems
 
 
 # --- priority assignment ------------------------------------------------------
@@ -464,8 +509,9 @@ def assign_priorities_dm(system: System) -> dict[str, int]:
     higher priority; ties broken by stage id (lexicographically smaller id
     wins). Returns dense integers, larger = higher priority.
     """
-    ordered = sorted(system.stages(), key=lambda s: (s.deadline, s.id))
-    return {s.id: len(ordered) - i for i, s in enumerate(ordered)}
+    ordered = sorted(system.stages(), key=attrgetter("deadline", "id"))
+    return dict(zip(map(attrgetter("id"), ordered),
+                    range(len(ordered), 0, -1)))
 
 
 def with_priorities(system: System, priorities: Mapping[str, int]) -> System:
@@ -482,13 +528,20 @@ def with_allocation(system: System, allocation: Mapping[str, str]) -> System:
 def _map_stages(system: System, priorities: Mapping[str, int],
                 cores: Mapping[str, str]) -> System:
     """Copy of the system, each stage's priority and core taken from the
-    mappings that name it (constructor calls: cheaper than _replace)."""
-    return System(tuple(
-        Analytic(a.id, tuple(
-            Stage(s.id, s.cost, s.inter_arrival, s.deadline, s.blocking,
-                  priorities.get(s.id, s.priority), cores.get(s.id, s.core))
-            for s in a.stages), a.topology, a.end_to_end_deadline)
-        for a in system.analytics))
+    mappings that name it (an absent id keeps its value). Each Stage and
+    Analytic is built from its unpacked fields by ``tuple.__new__``,
+    without the Python frame of the generated ``__new__``: safe only
+    because neither record checks its values, so the copy is the tuple
+    of the same class and fields that ``_replace`` builds."""
+    new = tuple.__new__
+    priority_of, core_of = priorities.get, cores.get
+    return System(tuple([
+        new(Analytic, (aid, tuple([
+            new(Stage, (sid, cost, period, deadline, blocking,
+                        priority_of(sid, priority), core_of(sid, core)))
+            for sid, cost, period, deadline, blocking, priority, core
+            in stages]), topology, e2e))
+        for aid, stages, topology, e2e in system.analytics]))
 
 
 # --- first-fit-decreasing allocation ------------------------------------------

@@ -119,7 +119,7 @@ def _require_template(template: System) -> None:
     """ValueError for a RoundRobin node, whose replicas would each be
     read as a template stage."""
     for a, analytic in enumerate(template.analytics):
-        if any(isinstance(n, RoundRobin) for n in nodes(analytic.topology)):
+        if RoundRobin in map(type, nodes(analytic.topology)):
             raise ValueError(f"/analytics/{a}/topology: analytic "
                              f"{analytic.id!r} is already replicated "
                              f"(round-robin node)")
@@ -139,8 +139,8 @@ def frequency_sweep(template: System, frequencies: Sequence,
     _require_template(template)
     periodic = [s for s in template.stages()
                 if s.inter_arrival is not INFINITE]
-    cost = sum(s.cost for s in periodic)
-    costliest = max((s.cost for s in periodic), default=0)
+    costs = [s.cost for s in periodic]
+    cost, costliest = sum(costs), max(costs, default=0)
     rows = []
     for f in frequencies:
         freq = Fraction(f)
@@ -223,8 +223,9 @@ def baseline_comparison(system: System, u_max) -> ComparisonResult:
     stages = list(system.stages())
     lcm, weights = scaled_utilizations(stages)
     ours = sum(weights)
-    blocked = sum(s.blocking * (lcm // s.inter_arrival) for s in stages
-                  if s.inter_arrival is not INFINITE)
+    blocked = sum([blocking * (lcm // period)
+                   for _, _, period, _, blocking, _, _ in stages
+                   if period is not INFINITE])
     return ComparisonResult(
         ours=min_cores(Fraction(ours, lcm), u_max),
         baseline=min_cores(Fraction(ours + blocked, lcm), u_max),

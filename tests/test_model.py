@@ -175,6 +175,92 @@ class TestValidation:
         assert validate_system(system).ok
         assert validate_system(system).ok
 
+    @pytest.mark.parametrize("bad", [5, ["s"], None])
+    def test_a_stage_id_that_is_not_a_string_is_a_finding(self, bad):
+        # no duplicate, trace-field or coverage finding for the bad id:
+        # it is not declared, so the leaf "s" is unknown
+        stages = (stage(bad, 1, 10, 10), stage(bad, 1, 10, 10))
+        system = System((Analytic("a", stages, Leaf("s"), 10),))
+        assert validate_system(system).findings == [
+            ("/analytics/0/stages/0/id", "stage id must be a string"),
+            ("/analytics/0/stages/1/id", "stage id must be a string"),
+            ("/analytics/0/topology", "topology references unknown stage 's'")]
+
+    @pytest.mark.parametrize("bad", [5, ["a"], None])
+    def test_an_analytic_id_that_is_not_a_string_is_a_finding(self, bad):
+        system = System((single("s", 1, 10)._replace(id=bad),
+                         single("t", 1, 10)._replace(id=bad)))
+        assert validate_system(system).findings == [
+            ("/analytics/0/id", "analytic id must be a string"),
+            ("/analytics/1/id", "analytic id must be a string")]
+
+    @pytest.mark.parametrize("bad", [None, INFINITE, "10", Fraction(1, 2)])
+    def test_an_end_to_end_deadline_that_is_not_an_int_is_a_finding(self,
+                                                                    bad):
+        system = System((single("s", 1, 10)._replace(end_to_end_deadline=bad),))
+        assert validate_system(system).findings == [
+            ("/analytics/0/end_to_end_deadline",
+             "end-to-end deadline must be integer nanoseconds")]
+
+    def test_an_unhashable_inter_arrival_is_a_finding(self):
+        stages = (stage("r#1", 1, [10], 10), stage("r#2", 1, [10], 10))
+        topo = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        system = System((Analytic("a", stages, topo, 10),))
+        assert validate_system(system).findings == [
+            (f"/analytics/0/stages/{si}/inter_arrival",
+             "inter-arrival must be integer ns or INFINITE")
+            for si in (0, 1)] + [
+            ("/analytics/0/topology", "round-robin replicas r#1, r#2 do "
+             "not share one finite inter-arrival")]
+
+    @pytest.mark.parametrize("bad", [5, ["s"], None])
+    def test_a_leaf_whose_stage_is_not_a_string_is_malformed(self, bad):
+        stages = (stage("s", 1, 10, 10),)
+        for topo in (Leaf(bad), seq("s", Leaf(bad)),
+                     RoundRobin((Leaf("s"), Leaf(bad)))):
+            system = System((Analytic("a", stages, topo, 10),))
+            assert validate_system(system).findings == [
+                ("/analytics/0/topology", "malformed composition expression")]
+
+    def test_topology_findings_keep_their_order(self):
+        # every topology message at once: the empty node first, then
+        # the leaves left to right, the uncovered ids sorted, and the
+        # round-robin nodes left to right, wherever each node stands
+        stages = (stage("a", 1, 10, 10), stage("b", 1, 10, 10),
+                  stage("r1", 1, 10, 10), stage("r2", 1, 20, 20),
+                  stage("v", 1, 10, 10), stage("u", 1, 10, 10))
+        topo = Seq((
+            RoundRobin((Leaf("r1"), Leaf("r2"))),
+            Leaf("a"),
+            Leaf("zz"),
+            RoundRobin((Seq((Leaf("b"),)),)),
+            Par(()),
+            Leaf("a"),
+            Leaf("yy"),
+        ))
+        system = System((Analytic("x", stages, topo, 100),))
+        expected = [("/analytics/0/topology", message) for message in (
+            "empty composition node",
+            "topology references unknown stage 'zz'",
+            "stage 'a' covered twice",
+            "topology references unknown stage 'yy'",
+            "stage 'u' not covered",
+            "stage 'v' not covered",
+            "round-robin replicas r1, r2 do not share one finite "
+            "inter-arrival",
+            "round-robin children must be stage ids",
+        )]
+        assert validate_system(system).findings == expected
+        assert validate_system_reference(system).findings == expected
+
+    def test_a_deeply_nested_non_node_is_only_malformed(self):
+        stages = (stage("a", 1, 10, 10),)
+        for bad in ("a", 5, None):
+            topo = Seq((Leaf("zz"), Par((Seq((Leaf("a"), bad)),)), Par(())))
+            system = System((Analytic("x", stages, topo, 10),))
+            assert validate_system(system).findings == [
+                ("/analytics/0/topology", "malformed composition expression")]
+
 
 def Seq_of(*ids):
     return seq(*ids)
@@ -483,12 +569,14 @@ class TestCoreAndCluster:
             Core("c0", 1, -1)
         assert str(exc.value) == "core 'c0': negative platform blocking"
 
-    @pytest.mark.parametrize("capacity", [0.5, "1/2", Fraction(1, 2)])
+    @pytest.mark.parametrize("capacity", [1, 0.5, "1/2", Fraction(1, 2)])
     def test_homogeneous_cluster_leaves_coercion_to_core(self, capacity):
         cluster = homogeneous_cluster(2, capacity, platform_blocking=7)
-        assert cluster == Cluster((Core("c0", Fraction(1, 2), 7),
-                                   Core("c1", Fraction(1, 2), 7)))
-        assert all(type(c.capacity) is Fraction for c in cluster.cores)
+        exact = Fraction(capacity)
+        assert cluster == Cluster((Core("c0", exact, 7), Core("c1", exact, 7)))
+        for core in (*cluster.cores, Core("c", capacity)):
+            assert type(core) is Core
+            assert type(core.capacity) is Fraction
         with pytest.raises(ValueError, match="capacity must be in"):
             homogeneous_cluster(2, 2)
 
@@ -621,10 +709,19 @@ class TestStageCopies:
                            st.none() | st.sampled_from(("c0", "c2"))))
     @settings(max_examples=300)
     def test_match_the_replace_copies(self, system, priorities, allocation):
-        assert (with_priorities(system, priorities)
-                == with_priorities_by_replace(system, priorities))
-        assert (with_allocation(system, allocation)
-                == with_allocation_by_replace(system, allocation))
+        copies = [
+            (with_priorities(system, priorities),
+             with_priorities_by_replace(system, priorities)),
+            (with_allocation(system, allocation),
+             with_allocation_by_replace(system, allocation)),
+        ]
+        for copied, expected in copies:
+            assert copied == expected
+            # == holds for a plain tuple of the same fields too
+            assert type(copied) is System
+            for analytic in copied.analytics:
+                assert type(analytic) is Analytic
+                assert all(type(s) is Stage for s in analytic.stages)
 
     def test_empty_system(self):
         assert with_priorities(System(()), {"s": 1}) == System(())
