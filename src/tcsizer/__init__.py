@@ -14,17 +14,15 @@ from importlib import import_module as _import_module
 # the submodule that defines each public name
 _HOMES = {
     "analysis": (
-        "DIVERGED", "AnalyticVerdict", "MissingStage", "PreconditionViolated",
-        "ResponseReport", "UtilizationSummary", "end_to_end_response",
-        "min_cores", "solve_system", "total_utilization",
+        "DIVERGED", "AnalyticVerdict", "ResponseReport", "solve_system",
     ),
     "model": (
         "HOUR", "INFINITE", "MINUTE", "MS", "SEC", "US", "AllocationFailed",
         "Analytic", "BlockingPolicy", "Cluster", "Core", "InvalidAllocation",
-        "Leaf", "Par", "ReleasePolicy", "RoundRobin", "Seq", "Stage",
-        "System", "ValidationReport", "allocate_first_fit",
-        "assign_priorities_dm", "homogeneous_cluster", "par",
-        "period_from_frequency", "seq", "validate_system",
+        "Leaf", "MissingStage", "Par", "ReleasePolicy", "RoundRobin", "Seq",
+        "Stage", "System", "ValidationReport", "allocate_first_fit",
+        "assign_priorities_dm", "end_to_end_response", "homogeneous_cluster",
+        "par", "period_from_frequency", "seq", "validate_system",
         "with_allocation", "with_priorities",
     ),
     "sim": (
@@ -33,9 +31,10 @@ _HOMES = {
         "worst_observed",
     ),
     "sizing": (
-        "ComparisonResult", "DecimationRow", "ReplicationExceeded",
-        "SweepRow", "baseline_comparison", "decimation_sweep",
-        "frequency_sweep", "retime_system",
+        "ComparisonResult", "DecimationRow", "PreconditionViolated",
+        "ReplicationExceeded", "SweepRow", "UtilizationSummary",
+        "baseline_comparison", "decimation_sweep", "frequency_sweep",
+        "min_cores", "retime_system", "total_utilization",
     ),
     "workloads": ("MissingParam", "ScenarioId", "builtin_system"),
 }

@@ -1,4 +1,4 @@
-"""Worst-case response times and utilization-based sizing.
+"""Worst-case response times: the fixed-priority recurrence.
 
 The per-stage bound is the classic fixed-priority preemptive recurrence
 with a blocking term,
@@ -23,23 +23,14 @@ ceil(R / T_z) >= 1, so R = f(R) >= base + sum_z C_z. From any lower
 bound the iteration reaches the same least fixed point, or DIVERGED, as
 from the base, in no more rounds.
 
-All arithmetic is exact: times are integer nanoseconds, and
-utilizations are summed as integers over the lcm of the periods
-(``model.scaled_utilizations``) and reported as Fraction.
-
-End-to-end response times compose per the topology: sequential stages
-add; parallel branches and round-robin replicas take the maximum.
-
-The sizing side is the linear-time utilization bound: a system whose
-total utilization U satisfies U < (m - 1/2) * U_max fits on m cores of
-capacity U_max, valid in the regime T + B = D with deadline-monotonic
-priorities. The inequality is strict, which matters at exact boundaries.
+All arithmetic is exact: times are integer nanoseconds. Each analytic's
+end-to-end response composes its stages' bounds over its topology
+(``model.end_to_end_response``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Union
 
@@ -47,16 +38,11 @@ from .model import (
     INFINITE,
     Cluster,
     Duration,
-    Expr,
-    Leaf,
     Marker,
-    Par,
-    RoundRobin,
-    Seq,
     Stage,
     System,
     effective_blocking,
-    scaled_utilizations,
+    end_to_end_response,
 )
 
 #: Returned when the response-time iteration climbs past its cap.
@@ -65,22 +51,6 @@ DIVERGED = Marker.DIVERGED
 ResponseTime = Union[int, Marker]
 
 _priority = attrgetter("priority")
-
-
-class MissingStage(ValueError):
-    """A topology leaf names a stage the system does not declare."""
-
-    def __init__(self, stage_id: str):
-        super().__init__(f"topology references unknown stage {stage_id!r}")
-        self.stage_id = stage_id
-
-
-class PreconditionViolated(ValueError):
-    """The utilization bound's validity regime does not hold."""
-
-    def __init__(self, stage_id: str, message: str):
-        super().__init__(f"stage {stage_id!r}: {message}")
-        self.stage_id = stage_id
 
 
 class AnalyticVerdict(NamedTuple):
@@ -94,10 +64,6 @@ class ResponseReport(NamedTuple):
     per_stage: dict[str, ResponseTime]
     per_analytic: dict[str, AnalyticVerdict]
     system_feasible: bool
-
-
-class UtilizationSummary(NamedTuple):
-    total: Fraction
 
 
 def _fixed_point(base: Duration, start: Duration,
@@ -126,22 +92,6 @@ def _fixed_point(base: Duration, start: Duration,
         # and the loop would only crawl up to the cap
         if rounds == 64 and sum(Fraction(c, t) for t, c in load) >= 1:
             return DIVERGED
-
-
-def end_to_end_response(expr: Expr,
-                        per_stage: Mapping[str, Duration]) -> Duration:
-    """Compose per-stage response times over the topology: Seq sums,
-    Par and RoundRobin take the maximum."""
-    if isinstance(expr, Leaf):
-        try:
-            return per_stage[expr.stage]
-        except KeyError:
-            raise MissingStage(expr.stage) from None
-    if isinstance(expr, Seq):
-        return sum(map(end_to_end_response, expr.children, repeat(per_stage)))
-    if isinstance(expr, (Par, RoundRobin)):
-        return max(map(end_to_end_response, expr.children, repeat(per_stage)))
-    raise TypeError(f"not a composition expression: {expr!r}")
 
 
 def solve_system(system: System, allocation: Mapping[str, str],
@@ -230,55 +180,3 @@ def solve_system(system: System, allocation: Mapping[str, str],
         per_analytic=per_analytic,
         system_feasible=all(v.feasible for v in per_analytic.values()),
     )
-
-
-def total_utilization(system: System) -> UtilizationSummary:
-    """The exact sum of every stage's ``Stage.utilization()`` (C/T, 0 for
-    a one-shot stage), added as integers over the common denominator of
-    ``scaled_utilizations``."""
-    lcm, weights = scaled_utilizations(list(system.stages()))
-    return UtilizationSummary(total=Fraction(sum(weights), lcm))
-
-
-def min_cores(total_utilization, u_max) -> int:
-    """Least m >= 1 with total_utilization < (m - 1/2) * u_max."""
-    u = Fraction(total_utilization)
-    umax = Fraction(u_max)
-    if not 0 < umax <= 1:
-        raise ValueError("u_max must be in (0, 1]")
-    if u < 0:
-        raise ValueError("utilization must be non-negative")
-    q = u / umax + Fraction(1, 2)
-    # least integer strictly greater than q
-    return q.numerator // q.denominator + 1
-
-
-def require_bound_regime(system: System) -> None:
-    """Raise PreconditionViolated unless T + B = D for every finite-rate
-    stage and assigned priorities are deadline-monotonic."""
-    stages = list(system.stages())
-    for sid, _, period, deadline, blocking, _, _ in stages:
-        if period is not INFINITE and period + blocking != deadline:
-            raise PreconditionViolated(
-                sid, "inter-arrival + blocking != deadline")
-    # each deadline's first stage id, least and greatest priority
-    by_deadline: dict[int, list] = {}
-    for sid, _, _, deadline, _, priority, _ in stages:
-        if priority is None:
-            raise PreconditionViolated(sid, "priority unassigned")
-        group = by_deadline.get(deadline)
-        if group is None:
-            by_deadline[deadline] = [sid, priority, priority]
-        elif priority < group[1]:
-            group[1] = priority
-        elif priority > group[2]:
-            group[2] = priority
-    # a shorter deadline's priorities must all be strictly higher
-    prev_min = prev_d = None
-    for d in sorted(by_deadline):
-        first, least, greatest = by_deadline[d]
-        if prev_min is not None and greatest >= prev_min:
-            raise PreconditionViolated(
-                first,
-                f"priorities not deadline-monotonic (deadline {d} vs {prev_d})")
-        prev_min, prev_d = least, d

@@ -27,8 +27,9 @@ number, a JSON literal or a "num/den" string, has at most
 MAX_NUMBER_DIGITS digits and an exponent within MAX_NUMBER_DIGITS, judged
 from its text before int() or Fraction reads it. The tokens NaN,
 Infinity and -Infinity, which JSON does not have, are refused at their
-pointer, in a flag too. Unknown keys are rejected. Every input error is
-a ParseError at the JSON pointer of the bad value; the pointer is
+pointer, in a flag too. Unknown keys are rejected, and so is a key that
+one object holds twice, at its pointer. Every input error is a
+ParseError at the JSON pointer of the bad value; the pointer is
 assembled on the way out, each container prefixing its key or index, so
 reading a good spec builds none.
 Topology nodes are either a stage id (leaf) or a one-key object
@@ -40,7 +41,9 @@ MAX_TOPOLOGY_DEPTH deep.
 Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 0 = analysis ran and the system is feasible, 2 = analysis ran and it is
 not, 1 = input or usage error, every one of which is a ParseError, a
-usage error or a ValueError of the library. Each flag that overrides an
+usage error or a ValueError of the library; a library error that names
+a stage of the spec by its ``stage_id`` is printed after the stage's
+pointer, /analytics/<i>/stages/<j>. Each flag that overrides an
 option, --blocking and --release too, is declared by that option's field
 and read by its parser, lists split on commas, so an empty value is an
 input error; --trace is the one flag that is not an option. The
@@ -48,9 +51,9 @@ seed of simulate is --seed, else options.sim.seed, else 0. size exits 1
 when a stage would need more than sizing.REPLICATION_LIMIT replicas at
 one of its frequencies. simulate refuses a run that could make more
 than MAX_SIM_RELEASES releases, at --horizon or at /options/sim/horizon,
-whichever set the horizon. A command imports only what it runs:
-simulate imports the simulator, and size, decimate and compare the
-sweeps, each when it starts.
+whichever set the horizon. A command imports only what it runs, when it
+starts: analyze imports the response-time analysis, simulate the
+analysis and the simulator, and size, decimate and compare the sweeps.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
-from . import analysis, model
+from . import model
 from .model import (
     INFINITE,
     Analytic,
@@ -167,10 +170,41 @@ def _literal(read):
 _NUMBERS = {"parse_float": _literal(Fraction), "parse_int": _literal(int),
             "parse_constant": _CONSTANTS.__getitem__}
 
+
+class _Repeated(NamedTuple):
+    """An object of a spec that holds ``key`` more than once, which
+    json.loads would read as its last value. The readers of objects
+    refuse it at the key's pointer; other parsers read it as an object."""
+
+    key: str
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict | _Repeated:
+    """A json.loads object hook: the dict of ``pairs``, or the
+    _Repeated of the first key they hold twice."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return _Repeated(key)
+        seen.add(key)
+
+
+def _refusal(value: Any, message: str) -> ParseError:
+    """The error of a reader of objects handed ``value``, not a dict:
+    ``message``, or the duplicate key of a _Repeated at its pointer."""
+    if isinstance(value, _Repeated):
+        return ParseError(f"/{value.key}", f"duplicate key {value.key!r}")
+    return ParseError("", message)
+
+
 #: The JSON kind of each type json.loads makes, named in messages in
 #: place of a value's repr, which may be too long to print.
-_JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean",
-               type(None): "null", int: "a number", Fraction: "a number"}
+_JSON_KINDS = {dict: "an object", _Repeated: "an object", list: "a list",
+               bool: "a boolean", type(None): "null", int: "a number",
+               Fraction: "a number"}
 
 
 def _kind(value: Any) -> str:
@@ -279,7 +313,7 @@ def _read(obj: Any, table: _Table) -> dict[str, Any]:
     """Parsed values of the keys ``obj`` holds: missing required keys
     are reported first, then unknown keys, then bad values."""
     if not isinstance(obj, dict):
-        raise ParseError("", f"expected {table.what}")
+        raise _refusal(obj, f"expected {table.what}")
     for key in table.required:
         if key not in obj:
             raise ParseError(f"/{key}", "missing required key")
@@ -393,7 +427,7 @@ def _list_of(parse_item, into=list):
 def _map_of(parse_value):
     def parse(value: Any) -> dict:
         if not isinstance(value, dict):
-            raise ParseError("", "expected an object")
+            raise _refusal(value, "expected an object")
         parsed = {}
         for key, item in value.items():
             try:
@@ -445,7 +479,7 @@ def _parse_topology(node: Any, depth: int = 1) -> Expr:
             except ParseError as exc:
                 raise exc.within(f"/{key}/{i}") from None
         return _NODES[key](tuple(parsed))
-    raise ParseError("", f"bad topology node: {_kind(node)}")
+    raise _refusal(node, f"bad topology node: {_kind(node)}")
 
 
 def _emit_topology(expr: Expr):
@@ -567,7 +601,7 @@ def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
     """Parse a spec document; priorities/allocation maps are applied onto
     the stages. Raises ParseError with a JSON-pointer path."""
     try:
-        doc = json.loads(text, **_NUMBERS)
+        doc = json.loads(text, object_pairs_hook=_object, **_NUMBERS)
     except ValueError as exc:  # a JSONDecodeError
         raise ParseError("", f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -633,13 +667,15 @@ def _load_spec(args) -> tuple[System, Cluster, Options]:
     """The spec of ``args.spec``, validated, with each option field's
     ``flag`` that ``args`` holds read over that option by its parser,
     split on commas when ``listed``, and a ParseError pointed below the
-    flag."""
+    flag. The system is also kept as ``args.system``, where run_command
+    finds the stage that a library error names."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.spec}: {exc.strerror}") from None
     system, cluster, options = parse_system_spec(text)
+    args.system = system
     report = model.validate_system(system)
     if not report.ok:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
@@ -686,14 +722,14 @@ def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _report_json(report: analysis.ResponseReport) -> str:
-    """The report as json.dumps(indent=2, sort_keys=True) writes the
-    document {"per_analytic": {id: {"end_to_end", "feasible"}},
+def _report_json(report) -> str:
+    """The analysis.ResponseReport as json.dumps(indent=2, sort_keys=True)
+    writes the document {"per_analytic": {id: {"end_to_end", "feasible"}},
     "per_stage": {id: response}, "system_feasible"}, a DIVERGED response
     as the string "DIVERGED". Written line by line: with an indent, json
     encodes in pure Python."""
     def rt(value):
-        return '"DIVERGED"' if value is analysis.DIVERGED else repr(value)
+        return '"DIVERGED"' if value is model.Marker.DIVERGED else repr(value)
 
     def obj(members):
         return "{\n" + ",\n".join(members) + "\n  }" if members else "{}"
@@ -709,6 +745,7 @@ def _report_json(report: analysis.ResponseReport) -> str:
 
 
 def _cmd_analyze(args, out) -> int:
+    from . import analysis
     system, cluster, _ = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     report = analysis.solve_system(system, allocation, cluster)
@@ -764,7 +801,7 @@ def _unwritable(path: str) -> str | None:
 
 
 def _cmd_simulate(args, out) -> int:
-    from . import sim
+    from . import analysis, sim
     system, cluster, options = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     if options.horizon is None:
@@ -852,12 +889,26 @@ def run_command(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args, out)
     except (_UsageError, ParseError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
+        err.write(f"error: {_stage_pointer(args, exc)}{exc}\n")
         return 1
+
+
+def _stage_pointer(args, exc: Exception) -> str:
+    """"/analytics/<i>/stages/<j>: " for the stage of the loaded spec
+    whose id a library error's ``stage_id`` names, else ""."""
+    system = getattr(args, "system", None)
+    sid = getattr(exc, "stage_id", None)
+    if system is not None and sid is not None:
+        for i, analytic in enumerate(system.analytics):
+            for j, stage in enumerate(analytic.stages):
+                if stage.id == sid:
+                    return f"/analytics/{i}/stages/{j}: "
+    return ""
 
 
 def main() -> None:

@@ -8,6 +8,12 @@ overflow a non-issue. A stage whose inter-arrival is ``INFINITE`` is
 one-shot: it executes exactly once (hour-scale batch jobs are modeled
 this way).
 
+The topology owns both meanings of each composition node: how items
+flow through it (``item_flow``) and how its stages' response times
+compose into an end-to-end one (``end_to_end_response``). Sequential
+stages add; parallel branches and round-robin replicas take the
+maximum.
+
 Priorities are integers, larger value = higher priority. ``None`` means
 unassigned (for priorities and for host cores).
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -237,6 +243,30 @@ def item_flow(expr: Expr) -> Flow:
 
     sources, sinks = walk(expr)
     return Flow(sources, sinks, preds, lanes)
+
+
+class MissingStage(ValueError):
+    """A topology leaf names a stage the system does not declare."""
+
+    def __init__(self, stage_id: str):
+        super().__init__(f"topology references unknown stage {stage_id!r}")
+        self.stage_id = stage_id
+
+
+def end_to_end_response(expr: Expr,
+                        per_stage: Mapping[str, Duration]) -> Duration:
+    """Compose per-stage response times over the topology: Seq sums,
+    Par and RoundRobin take the maximum."""
+    if isinstance(expr, Leaf):
+        try:
+            return per_stage[expr.stage]
+        except KeyError:
+            raise MissingStage(expr.stage) from None
+    if isinstance(expr, Seq):
+        return sum(map(end_to_end_response, expr.children, repeat(per_stage)))
+    if isinstance(expr, (Par, RoundRobin)):
+        return max(map(end_to_end_response, expr.children, repeat(per_stage)))
+    raise TypeError(f"not a composition expression: {expr!r}")
 
 
 class Analytic(NamedTuple):

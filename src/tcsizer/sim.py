@@ -66,12 +66,13 @@ import random
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .analysis import DIVERGED, MissingStage, ResponseReport
+from .analysis import DIVERGED, ResponseReport
 from .model import (
     INFINITE,
     BlockingPolicy,
     Cluster,
     Duration,
+    MissingStage,
     ReleasePolicy,
     System,
     effective_blocking,

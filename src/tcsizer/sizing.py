@@ -2,8 +2,12 @@
 minimum cores versus input frequency, decimation trade-offs, and the
 blocking-model comparison.
 
-All rows are exact rationals; core counts come from the strict
-utilization bound in :mod:`tcsizer.analysis`.
+Core counts come from the linear-time utilization bound: a system whose
+total utilization U satisfies U < (m - 1/2) * U_max fits on m cores of
+capacity U_max, valid in the regime T + B = D with deadline-monotonic
+priorities. The inequality is strict, which matters at exact boundaries.
+All rows are exact rationals: utilizations are summed as integers over
+the lcm of the periods (``model.scaled_utilizations``).
 """
 
 from __future__ import annotations
@@ -11,20 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .analysis import (
-    MissingStage,
-    end_to_end_response,
-    min_cores,
-    require_bound_regime,
-)
 from .model import (
     INFINITE,
     Duration,
     Expr,
     Leaf,
+    MissingStage,
     RoundRobin,
     Stage,
     System,
+    end_to_end_response,
     item_flow,
     nodes,
     period_from_frequency,
@@ -53,6 +53,18 @@ class ComparisonResult(NamedTuple):
     baseline: int
 
 
+class UtilizationSummary(NamedTuple):
+    total: Fraction
+
+
+class PreconditionViolated(ValueError):
+    """The utilization bound's validity regime does not hold."""
+
+    def __init__(self, stage_id: str, message: str):
+        super().__init__(f"stage {stage_id!r}: {message}")
+        self.stage_id = stage_id
+
+
 class ReplicationExceeded(ValueError):
     """Rate replication would need more than REPLICATION_LIMIT replicas."""
 
@@ -61,6 +73,58 @@ class ReplicationExceeded(ValueError):
                          f"limit is {REPLICATION_LIMIT}")
         self.stage_id = stage_id
         self.needed = needed
+
+
+def total_utilization(system: System) -> UtilizationSummary:
+    """The exact sum of every stage's ``Stage.utilization()`` (C/T, 0 for
+    a one-shot stage), added as integers over the common denominator of
+    ``scaled_utilizations``."""
+    lcm, weights = scaled_utilizations(list(system.stages()))
+    return UtilizationSummary(total=Fraction(sum(weights), lcm))
+
+
+def min_cores(total_utilization, u_max) -> int:
+    """Least m >= 1 with total_utilization < (m - 1/2) * u_max."""
+    u = Fraction(total_utilization)
+    umax = Fraction(u_max)
+    if not 0 < umax <= 1:
+        raise ValueError("u_max must be in (0, 1]")
+    if u < 0:
+        raise ValueError("utilization must be non-negative")
+    q = u / umax + Fraction(1, 2)
+    # least integer strictly greater than q
+    return q.numerator // q.denominator + 1
+
+
+def require_bound_regime(system: System) -> None:
+    """Raise PreconditionViolated unless T + B = D for every finite-rate
+    stage and assigned priorities are deadline-monotonic."""
+    stages = list(system.stages())
+    for sid, _, period, deadline, blocking, _, _ in stages:
+        if period is not INFINITE and period + blocking != deadline:
+            raise PreconditionViolated(
+                sid, "inter-arrival + blocking != deadline")
+    # each deadline's first stage id, least and greatest priority
+    by_deadline: dict[int, list] = {}
+    for sid, _, _, deadline, _, priority, _ in stages:
+        if priority is None:
+            raise PreconditionViolated(sid, "priority unassigned")
+        group = by_deadline.get(deadline)
+        if group is None:
+            by_deadline[deadline] = [sid, priority, priority]
+        elif priority < group[1]:
+            group[1] = priority
+        elif priority > group[2]:
+            group[2] = priority
+    # a shorter deadline's priorities must all be strictly higher
+    prev_min = prev_d = None
+    for d in sorted(by_deadline):
+        first, least, greatest = by_deadline[d]
+        if prev_min is not None and greatest >= prev_min:
+            raise PreconditionViolated(
+                first,
+                f"priorities not deadline-monotonic (deadline {d} vs {prev_d})")
+        prev_min, prev_d = least, d
 
 
 def replica_count(stage: Stage, inter_arrival: Duration) -> int:

@@ -38,7 +38,7 @@ from tcsizer import (
     with_priorities,
     worst_observed,
 )
-from tcsizer.analysis import require_bound_regime
+from tcsizer.sizing import require_bound_regime
 from tcsizer.cli import emit_system_spec, run_command
 from tcsizer.sim import SimConfig
 

@@ -40,7 +40,7 @@ from tcsizer import (
     validate_system,
     with_priorities,
 )
-from tcsizer.analysis import require_bound_regime
+from tcsizer.sizing import require_bound_regime
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -409,6 +410,57 @@ class TestSpecShapeErrors:
         assert err.startswith("error: /: invalid JSON: ")
 
 
+def with_duplicate(place, key, value=None):
+    """The microblog spec's JSON text whose object ``place(doc)`` holds
+    ``key`` twice, the second time with ``value`` (default: its own)."""
+    doc = microblog_doc()
+    obj = place(doc)
+    obj["\0"] = None  # written last, then renamed
+    if value is None:
+        value = obj[key]
+    return json.dumps(doc).replace(
+        '"\\u0000": null', f"{json.dumps(key)}: {json.dumps(value)}")
+
+
+class TestDuplicateKeys:
+    """A key an object holds twice is refused at the key's pointer, not
+    read as its last value."""
+
+    @pytest.mark.parametrize("place, key, error", [
+        (lambda doc: doc["analytics"][0]["stages"][0], "cost",
+         "/analytics/0/stages/0/cost: duplicate key 'cost'"),
+        (lambda doc: doc, "cluster", "/cluster: duplicate key 'cluster'"),
+        (lambda doc: doc.setdefault("priorities", {"microblog-gen": 1}),
+         "microblog-gen",
+         "/priorities/microblog-gen: duplicate key 'microblog-gen'"),
+        (lambda doc: doc["analytics"][0]["topology"], "seq",
+         "/analytics/0/topology/seq: duplicate key 'seq'"),
+        (lambda doc: doc.setdefault("options", {"sim": {"seed": 1}})["sim"],
+         "seed", "/options/sim/seed: duplicate key 'seed'"),
+    ])
+    def test_pointer_and_message(self, place, key, error):
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(with_duplicate(place, key))
+        assert str(exc.value) == error
+
+    def test_last_value_is_not_read(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(with_duplicate(
+            lambda doc: doc["analytics"][0]["stages"][0], "cost", "9ms"))
+        assert invoke(["analyze", str(path)]) == (
+            1, "", "error: /analytics/0/stages/0/cost: duplicate key "
+                   "'cost'\n")
+
+    def test_where_no_object_belongs_it_is_an_object(self):
+        doc = microblog_doc()
+        doc["analytics"][0]["stages"][0]["cost"] = {"a": 1}
+        with pytest.raises(ParseError) as exc:
+            parse_system_spec(json.dumps(doc).replace(
+                '{"a": 1}', '{"a": 1, "a": 2}'))
+        assert str(exc.value) == ("/analytics/0/stages/0/cost: expected a "
+                                  "duration string, got an object")
+
+
 FIVE_COMMANDS = [
     ["analyze"], ["size", "--freqs", "1"],
     ["decimate", "--factors", "1", "--freq", "1"], ["compare"],
@@ -634,8 +686,8 @@ class TestSizeCommand:
             0, "frequency_hz,total_utilization,min_cores\n"
                "8000000,9160,9161\n", "")
         assert invoke(["size", str(microblog), "--freqs", "10000000"]) == (
-            1, "", "error: stage 'microblog-split' needs 5070 replicas, "
-                   "limit is 4096\n")
+            1, "", "error: /analytics/0/stages/1: stage 'microblog-split' "
+                   "needs 5070 replicas, limit is 4096\n")
         code, out, err = invoke(["size", str(microblog), "--freqs", "4000",
                                  "--replication-limit", "3"])
         assert (code, out) == (1, "")
@@ -943,7 +995,7 @@ class TestSimulateCommand:
         def never(*args, **kwargs):
             raise AssertionError("called for an unwritable trace target")
 
-        monkeypatch.setattr(cli.analysis, "solve_system", never)
+        monkeypatch.setattr(tcsizer.analysis, "solve_system", never)
         monkeypatch.setattr(tcsizer.sim, "simulate", never)
         path = tmp_path / target if target else ""
         code, out, err = invoke([
@@ -982,6 +1034,16 @@ class TestSimulateCommand:
                        f"break\n")
         assert not trace_path.exists()
 
+    def test_trace_write_that_fails_after_the_run(self, microblog, tmp_path):
+        # a file name past NAME_MAX in a directory passes the check made
+        # before any work, and only the final open refuses it
+        path = tmp_path / ("a" * 300 + ".csv")
+        assert invoke(["simulate", str(microblog), "--horizon", "1s",
+                       "--trace", str(path)]) == (
+            1, "", f"error: cannot write {path}: "
+                   f"{os.strerror(errno.ENAMETOOLONG)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["microblog.json"]
+
     def test_short_horizon_leaves_the_trace_file_alone(self, microblog,
                                                        tmp_path):
         trace_path = tmp_path / "t.csv"
@@ -1006,8 +1068,9 @@ class TestCompareCommand:
         system = System((Analytic("s", (s,), Leaf("s"), 9 * MS),))
         path = tmp_path / "bad.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
-        code, _, err = invoke(["compare", str(path)])
-        assert code == 1
+        assert invoke(["compare", str(path)]) == (
+            1, "", "error: /analytics/0/stages/0: stage 's': inter-arrival "
+                   "+ blocking != deadline\n")
 
 
 class TestDeterministicOutput:
@@ -1201,7 +1264,17 @@ class TestInputErrors:
         path.write_text(emit_system_spec(headline_system(),
                                          homogeneous_cluster(1)))
         assert invoke(["analyze", str(path)]) == (
-            1, "", "error: no core can host stage 'microblog-count#2'\n")
+            1, "", "error: /analytics/0/stages/5: no core can host stage "
+                   "'microblog-count#2'\n")
+
+    def test_a_stage_the_spec_does_not_hold_keeps_its_message(
+            self, microblog, monkeypatch):
+        def fail(system, cluster):
+            raise AllocationFailed("ghost")
+
+        monkeypatch.setattr(tcsizer.model, "allocate_first_fit", fail)
+        assert invoke(["analyze", str(microblog)]) == (
+            1, "", "error: no core can host stage 'ghost'\n")
 
     def test_horizon_too_short(self, microblog, tmp_path):
         trace_path = tmp_path / "t.csv"
@@ -1233,7 +1306,7 @@ class TestInputErrors:
         def never(*args, **kwargs):
             raise AssertionError("called for a run over the release cap")
 
-        monkeypatch.setattr(cli.analysis, "solve_system", never)
+        monkeypatch.setattr(tcsizer.analysis, "solve_system", never)
         monkeypatch.setattr(tcsizer.sim, "simulate", never)
         trace_path = tmp_path / "t.csv"
         message = (f"the run would make up to 43200000000 releases, more "

@@ -71,17 +71,22 @@ class TestSurface:
         assert tcsizer.BlockingPolicy is tcsizer.model.BlockingPolicy
 
 
-def loaded_modules(body: str) -> set[str]:
-    """The modules in sys.modules after ``body`` runs in a fresh
-    interpreter. -S keeps out what site imports of its own (a .pth file
-    may load random, among others)."""
-    code = (f"import json, sys\n{body}\n"
-            "print(json.dumps(sorted(sys.modules)))")
+def in_child(body: str, result: str):
+    """The JSON value of the expression ``result`` after ``body`` runs in
+    a fresh interpreter. -S keeps out what site imports of its own (a
+    .pth file may load random, among others)."""
+    code = f"import json, sys\n{body}\nprint(json.dumps({result}))"
     proc = subprocess.run(
         [sys.executable, "-B", "-S", "-c", code], capture_output=True,
         text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_modules(body: str) -> set[str]:
+    """The modules in sys.modules after ``body`` runs in a fresh
+    interpreter."""
+    return set(in_child(body, "sorted(sys.modules)"))
 
 
 @pytest.fixture
@@ -112,6 +117,7 @@ class TestImportFootprint:
     def test_cli_import(self):
         loaded = loaded_modules("from tcsizer.cli import main")
         assert "tcsizer.cli" in loaded
+        assert "tcsizer.analysis" not in loaded
         assert loaded.isdisjoint(NOT_FOR_ANALYZE)
         assert loaded.isdisjoint(NOT_FOR_ANY_COMMAND)
 
@@ -137,6 +143,28 @@ class TestImportFootprint:
         assert "tcsizer.sizing" in loaded
         assert "tcsizer.sim" not in loaded
 
+    @pytest.mark.parametrize("command", ["size", "decimate", "compare"])
+    def test_sweeps_load_no_analysis(self, command, microblog):
+        flags, _ = COMMANDS[command]
+        loaded = loaded_modules(run_in_child(
+            [command, str(microblog), *flags]))
+        assert "tcsizer.sizing" in loaded
+        assert "tcsizer.analysis" not in loaded
+
     def test_package_import_loads_no_submodule(self):
         loaded = loaded_modules("import tcsizer")
         assert not any(m.startswith("tcsizer.") for m in loaded)
+
+
+class TestLazyPaths:
+    """The package's module __getattr__ and __dir__, each in a fresh
+    interpreter, where no submodule is loaded before."""
+
+    def test_a_submodule_loads_when_first_read(self):
+        loaded = loaded_modules("import tcsizer\ntcsizer.sim")
+        assert "tcsizer.sim" in loaded
+        assert "tcsizer.sizing" not in loaded
+
+    def test_dir_lists_every_public_name(self):
+        names = in_child("import tcsizer", "dir(tcsizer)")
+        assert set(PUBLIC_NAMES) <= set(names)
