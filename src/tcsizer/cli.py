@@ -12,12 +12,7 @@ A system spec is a strict JSON document:
       "cluster": {"cores": [{"id": "c0", "capacity": 1.0,
                              "platform_blocking": "0ns"}]},
       "allocation": {"stage-id": "core-id"},          # optional
-      "priorities": {"stage-id": 5},                  # optional
-      "options": {"u_max": 1.0, "frequencies_hz": [1, 4000],
-                  "factors": [1, 10], "input_frequency_hz": 1000,
-                  "sim": {"horizon": "1s", "seed": 0,
-                          "blocking_policy": "ADVERSARIAL",
-                          "release_policy": "SYNCHRONOUS"}}   # optional
+      "priorities": {"stage-id": 5}                   # optional
     }
 
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
@@ -43,17 +38,18 @@ Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 not, 1 = input or usage error, every one of which is a ParseError, a
 usage error or a ValueError of the library; a library error that names
 a stage of the spec by its ``stage_id`` is printed after the stage's
-pointer, /analytics/<i>/stages/<j>. Each flag that overrides an
-option, --blocking and --release too, is declared by that option's field
-and read by its parser, lists split on commas, so an empty value is an
-input error; --trace is the one flag that is not an option. The
-seed of simulate is --seed, else options.sim.seed, else 0. size exits 1
-when a stage would need more than sizing.REPLICATION_LIMIT replicas at
-one of its frequencies. simulate refuses a run that could make more
-than MAX_SIM_RELEASES releases, at --horizon or at /options/sim/horizon,
-whichever set the horizon. A command imports only what it runs, when it
-starts: analyze imports the response-time analysis, simulate the
-analysis and the simulator, and size, decimate and compare the sweeps.
+pointer, /analytics/<i>/stages/<j>. The spec describes the system
+only; what a command asks of it (a frequency, a factor, u_max, a
+horizon, a seed, a policy) is given by flags. Each such flag is declared
+by one row of a table that names its parser, its help and its default;
+a flag without a default is required. Its value is read as the JSON
+value it spells, lists split on commas, so an empty value is an input
+error at the flag. size exits 1 when a stage would need more than
+sizing.REPLICATION_LIMIT replicas at one of its frequencies. simulate
+refuses a run that could make more than MAX_SIM_RELEASES releases, at
+--horizon. A command imports only what it runs, when it starts: analyze
+imports the response-time analysis, simulate the analysis and the
+simulator, and size, decimate and compare the sweeps.
 """
 
 from __future__ import annotations
@@ -268,13 +264,12 @@ def _json_number(x: Fraction):
 
 # --- spec codec ---------------------------------------------------------------
 #
-# Every spec record is a named tuple (Stage, Analytic, Core, Cluster,
-# Options) read and written through a table of fields. A field names its
-# key (the record's field of the same name), its value parser, called
-# with the value alone, and its value formatter; an option's field also
-# names the flag that overrides it and that flag's help. Absent optional
-# keys take the record type's default, and a list of records is read as
-# the tuple its record holds. _read and _write walk a table. A parser
+# Every spec record is a named tuple (Stage, Analytic, Core, Cluster)
+# read and written through a table of fields. A field names its key (the
+# record's field of the same name), its value parser, called with the
+# value alone, and its value formatter. Absent optional keys take the
+# record type's default, and a list of records is read as the tuple its
+# record holds. _read and _write walk a table. A parser
 # raises ParseError with the pointer below its value; each container
 # prefixes its key or index as the error passes out, so no pointer is
 # built unless a value is bad.
@@ -293,9 +288,6 @@ class _Field(NamedTuple):
     parse: Callable[[Any], Any]
     format: Callable[[Any], Any] = _same
     required: bool = False
-    flag: str | None = None  # the argparse dest of an option's flag
-    listed: bool = False  # whether the flag holds a comma-separated list
-    help: str | None = None  # the flag's help text
 
 
 class _Table:
@@ -524,66 +516,6 @@ def _parse_cluster(obj: Any) -> Cluster:
         raise ParseError("/cores", str(exc)) from None
 
 
-class Options(NamedTuple):
-    u_max: Fraction = Fraction(1)
-    frequencies_hz: list[Fraction] | None = None
-    factors: list[int] | None = None
-    input_frequency_hz: Fraction | None = None
-    horizon: int | None = None
-    seed: int | None = None
-    blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL
-    release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS
-
-
-# options.sim holds more fields of the same Options record
-_SIM = _Table(
-    "an object",
-    _Field("horizon", _horizon, format_duration, flag="horizon",
-           help="duration, e.g. 2s"),
-    _Field("seed", _integer("seed must be an integer"), flag="seed",
-           help="simulator seed, an integer"),
-    _Field("blocking_policy", _policy(BlockingPolicy),
-           lambda policy: policy.value, flag="blocking",
-           help="ADVERSARIAL or UNIFORM"),
-    _Field("release_policy", _policy(ReleasePolicy),
-           lambda policy: policy.value, flag="release",
-           help="SYNCHRONOUS or JITTERED"),
-)
-
-_OPTION_FIELDS = (
-    _Field("u_max", _share("u_max"), _json_number, flag="umax",
-           help="per-core capacity bound"),
-    _Field("frequencies_hz", _list_of(_frequency),
-           lambda freqs: [_json_number(f) for f in freqs],
-           flag="freqs", listed=True,
-           help="comma-separated frequencies in Hz"),
-    _Field("factors",
-           _list_of(_integer("factors must be positive integers", 1)),
-           flag="factors", listed=True,
-           help="comma-separated decimation factors"),
-    _Field("input_frequency_hz", _frequency, _json_number, flag="freq",
-           help="input frequency in Hz"),
-)
-
-
-_OPTIONS = _Table("an options object", *_OPTION_FIELDS,
-                  _Field("sim", lambda obj: _read(obj, _SIM)))
-
-# the option fields by flag; a subcommand names the flags it takes
-_FLAGGED = {f.flag: f for f in (*_OPTION_FIELDS, *_SIM.fields)}
-
-
-def _parse_options(obj: Any) -> Options:
-    values = _read(obj, _OPTIONS)
-    sim_values = values.pop("sim", {})
-    return Options(**values, **sim_values)
-
-
-def _emit_options(options: Options) -> dict[str, Any]:
-    return {**_write(options, _OPTION_FIELDS),
-            "sim": _write(options, _SIM.fields)}
-
-
 # priorities and allocation are keyed by stage id; parse_system_spec
 # checks the ids and applies both maps onto the stages
 _DOC = _Table(
@@ -593,11 +525,10 @@ _DOC = _Table(
            lambda cluster: _write(cluster, _CLUSTER.fields), True),
     _Field("priorities", _map_of(_integer("priority must be an integer"))),
     _Field("allocation", _map_of(_string)),
-    _Field("options", _parse_options, _emit_options),
 )
 
 
-def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
+def parse_system_spec(text: str) -> tuple[System, Cluster]:
     """Parse a spec document; priorities/allocation maps are applied onto
     the stages. Raises ParseError with a JSON-pointer path."""
     try:
@@ -625,11 +556,10 @@ def parse_system_spec(text: str) -> tuple[System, Cluster, Options]:
                 raise ParseError(f"/allocation/{sid}",
                                  f"unknown core {cid!r}")
         system = model.with_allocation(system, values["allocation"])
-    return system, cluster, values.get("options", Options())
+    return system, cluster
 
 
-def emit_system_spec(system: System, cluster: Cluster,
-                     options: Options | None = None) -> str:
+def emit_system_spec(system: System, cluster: Cluster) -> str:
     """Inverse of parse_system_spec: parse(emit(x)) == x."""
     doc = _write(SimpleNamespace(
         analytics=system.analytics,
@@ -638,7 +568,6 @@ def emit_system_spec(system: System, cluster: Cluster,
                     if s.priority is not None} or None,
         allocation={s.id: s.core for s in system.stages()
                     if s.core is not None} or None,
-        options=options,
     ), _DOC.fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -649,48 +578,85 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """--help, raised with the help text in place of printing it."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):
+        raise _Help(self.format_help())  # run_command writes it to out
+
+
+class _Flag(NamedTuple):
+    """A flag of what a command asks: its value parser, its help, whether
+    it holds a comma-separated list, and its value when absent (None: the
+    flag is required)."""
+
+    parse: Callable[[Any], Any]
+    help: str
+    listed: bool = False
+    default: Any = None
+
+
+# each flag by name; _load_spec reads them in this order and reports the
+# first bad one
+_FLAGS = {
+    "umax": _Flag(_share("u_max"), "per-core capacity bound",
+                  default=Fraction(1)),
+    "freqs": _Flag(_list_of(_frequency), "comma-separated frequencies in Hz",
+                   listed=True),
+    "factors": _Flag(_list_of(_integer("factors must be positive integers", 1)),
+                     "comma-separated decimation factors", listed=True),
+    "freq": _Flag(_frequency, "input frequency in Hz"),
+    "horizon": _Flag(_horizon, "duration, e.g. 2s"),
+    "seed": _Flag(_integer("seed must be an integer"),
+                  "simulator seed, an integer", default=0),
+    "blocking": _Flag(_policy(BlockingPolicy), "ADVERSARIAL or UNIFORM",
+                      default=BlockingPolicy.ADVERSARIAL),
+    "release": _Flag(_policy(ReleasePolicy), "SYNCHRONOUS or JITTERED",
+                     default=ReleasePolicy.SYNCHRONOUS),
+}
+
 
 def _flag_value(text: str):
-    """A flag token as the spec would hold it: the JSON value when it
-    parses as JSON, else the string itself."""
+    """A flag token as JSON would hold it: the JSON value when it parses
+    as JSON, else the string itself."""
     try:
         return json.loads(text, **_NUMBERS)
     except (ValueError, RecursionError):
         return text
 
 
-def _load_spec(args) -> tuple[System, Cluster, Options]:
-    """The spec of ``args.spec``, validated, with each option field's
-    ``flag`` that ``args`` holds read over that option by its parser,
-    split on commas when ``listed``, and a ParseError pointed below the
-    flag. The system is also kept as ``args.system``, where run_command
-    finds the stage that a library error names."""
+def _load_spec(args) -> tuple[System, Cluster]:
+    """The spec of ``args.spec``, validated; then each flag that
+    ``args`` holds as text is read over it by its parser, split on commas
+    when ``listed``, a ParseError pointed below the flag. The system is
+    also kept as ``args.system``, where run_command finds the stage that
+    a library error names."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.spec}: {exc.strerror}") from None
-    system, cluster, options = parse_system_spec(text)
+    system, cluster = parse_system_spec(text)
     args.system = system
     report = model.validate_system(system)
     if not report.ok:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
         raise _UsageError(f"invalid system: {findings}")
-    overrides = {}
-    for f in _FLAGGED.values():
-        text = getattr(args, f.flag, None)
-        if text is not None:
-            value = ([_flag_value(t) for t in text.split(",")] if f.listed
+    for name, flag in _FLAGS.items():
+        text = getattr(args, name, None)
+        if isinstance(text, str):  # given; an absent flag holds its default
+            value = ([_flag_value(t) for t in text.split(",")] if flag.listed
                      else _flag_value(text))
             try:
-                overrides[f.key] = f.parse(value)
+                setattr(args, name, flag.parse(value))
             except ParseError as exc:
-                raise exc.within(f"--{f.flag}") from None
-    return system, cluster, options._replace(**overrides)
+                raise exc.within(f"--{name}") from None
+    return system, cluster
 
 
 def _given(system: System, field: str, message: str) -> bool:
@@ -746,7 +712,7 @@ def _report_json(report) -> str:
 
 def _cmd_analyze(args, out) -> int:
     from . import analysis
-    system, cluster, _ = _load_spec(args)
+    system, cluster = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     report = analysis.solve_system(system, allocation, cluster)
     out.write(_report_json(report))
@@ -755,11 +721,8 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_size(args, out) -> int:
     from . import sizing
-    system, _cluster, options = _load_spec(args)
-    if not options.frequencies_hz:
-        raise _UsageError("no frequencies (--freqs or options)")
-    rows = sizing.frequency_sweep(system, options.frequencies_hz,
-                                  options.u_max)
+    system, _cluster = _load_spec(args)
+    rows = sizing.frequency_sweep(system, args.freqs, args.umax)
     # every row is formatted before the first write: an error leaves no output
     lines = [f"{format_fraction(r.frequency_hz)},"
              f"{format_fraction(r.total_utilization)},{r.min_cores}\n"
@@ -770,13 +733,8 @@ def _cmd_size(args, out) -> int:
 
 def _cmd_decimate(args, out) -> int:
     from . import sizing
-    system, _cluster, options = _load_spec(args)
-    if not options.factors:
-        raise _UsageError("no factors (--factors or options)")
-    if options.input_frequency_hz is None:
-        raise _UsageError("no input frequency (--freq or options)")
-    rows = sizing.decimation_sweep(system, options.input_frequency_hz,
-                                   options.factors, options.u_max)
+    system, _cluster = _load_spec(args)
+    rows = sizing.decimation_sweep(system, args.freq, args.factors, args.umax)
     lines = [f"{r.factor},{r.end_to_end},"
              f"{format_fraction(r.aggregator_utilization)},"
              f"{r.cores_saved}\n" for r in rows]  # formatted first, as in size
@@ -802,28 +760,22 @@ def _unwritable(path: str) -> str | None:
 
 def _cmd_simulate(args, out) -> int:
     from . import analysis, sim
-    system, cluster, options = _load_spec(args)
+    system, cluster = _load_spec(args)
     system, allocation = _prepare(system, cluster)
-    if options.horizon is None:
-        raise _UsageError("no horizon (--horizon or options)")
     releases = sum(1 if s.inter_arrival is INFINITE
-                   else -(-options.horizon // s.inter_arrival)
+                   else -(-args.horizon // s.inter_arrival)
                    for s in system.stages())
     if releases > MAX_SIM_RELEASES:
-        raise ParseError(
-            "--horizon" if args.horizon is not None else "/options/sim/horizon",
-            f"the run would make up to {releases} releases, more than "
-            f"{MAX_SIM_RELEASES}")
+        raise ParseError("--horizon",
+                         f"the run would make up to {releases} releases, "
+                         f"more than {MAX_SIM_RELEASES}")
     # refuse a bad --trace target before any work, but open it only later
     reason = _unwritable(args.trace)
     if reason is not None:
         raise _UsageError(f"cannot write {args.trace}: {reason}")
-    config = sim.SimConfig(
-        horizon=options.horizon,
-        seed=0 if options.seed is None else options.seed,
-        blocking_policy=options.blocking_policy,
-        release_policy=options.release_policy,
-    )
+    config = sim.SimConfig(horizon=args.horizon, seed=args.seed,
+                           blocking_policy=args.blocking,
+                           release_policy=args.release)
     report = analysis.solve_system(system, allocation, cluster)
     trace = sim.simulate(system, allocation, cluster, config)
     try:
@@ -846,16 +798,16 @@ def _cmd_simulate(args, out) -> int:
 
 def _cmd_compare(args, out) -> int:
     from . import sizing
-    system, _cluster, options = _load_spec(args)
+    system, _cluster = _load_spec(args)
     system = _prioritize(system)
-    result = sizing.baseline_comparison(system, options.u_max)
+    result = sizing.baseline_comparison(system, args.umax)
     doc = {"ours": result.ours, "baseline": result.baseline}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-# each subcommand's function, help and option flags; simulate also
-# takes --trace, the one flag that is not a spec option
+# each subcommand's function, help and flags of _FLAGS; simulate also
+# takes --trace, where it writes the trace
 _COMMANDS = {
     "analyze": (_cmd_analyze, "response-time analysis and verdicts", ()),
     "size": (_cmd_size, "utilization/min-cores frequency sweep",
@@ -876,7 +828,9 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec")
         for flag in flags:
-            p.add_argument(f"--{flag}", help=_FLAGGED[flag].help)
+            default = _FLAGS[flag].default
+            p.add_argument(f"--{flag}", help=_FLAGS[flag].help,
+                           default=default, required=default is None)
         if name == "simulate":
             p.add_argument("--trace", default="trace.csv",
                            help="trace CSV path")
@@ -885,7 +839,8 @@ def _build_parser() -> _Parser:
 
 def run_command(argv, out=None, err=None) -> int:
     """Dispatch one command; returns the exit code (0 feasible,
-    2 infeasible, 1 input/usage error)."""
+    2 infeasible, 1 input/usage error). --help writes its text to
+    ``out`` and returns 0."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -893,6 +848,9 @@ def run_command(argv, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args, out)
+    except _Help as help_text:
+        out.write(str(help_text))
+        return 0
     except (_UsageError, ParseError, ValueError) as exc:
         err.write(f"error: {_stage_pointer(args, exc)}{exc}\n")
         return 1

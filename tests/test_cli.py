@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -53,7 +54,6 @@ from tcsizer.cli import (
     MAX_DURATION_DIGITS,
     MAX_NUMBER_DIGITS,
     MAX_TOPOLOGY_DEPTH,
-    Options,
     ParseError,
     emit_system_spec,
     format_duration,
@@ -199,25 +199,19 @@ class TestSpecRoundTrip:
                                  {"TC1": 3, "TC2": 7})
         cluster = homogeneous_cluster(2)
         text = emit_system_spec(system, cluster)
-        parsed_system, parsed_cluster, _ = parse_system_spec(text)
-        assert parsed_system == system
-        assert parsed_cluster == cluster
+        assert parse_system_spec(text) == (system, cluster)
 
     def test_round_trip_with_everything(self):
         system = retime_system(builtin_system(ScenarioId.MICROBLOG_ONLINE,
                                               frequency_hz=1,
                                               blocking=20 * US), 4000)
         cluster = homogeneous_cluster(3, platform_blocking=5 * US)
-        options = Options(frequencies_hz=[1, 4000], horizon=2 * SEC, seed=11)
-        text = emit_system_spec(system, cluster, options)
-        system2, cluster2, options2 = parse_system_spec(text)
+        text = emit_system_spec(system, cluster)
+        system2, cluster2 = parse_system_spec(text)
         assert system2 == system
         assert cluster2 == cluster
-        assert options2.frequencies_hz == [1, 4000]
-        assert options2.horizon == 2 * SEC
-        assert options2.seed == 11
         # emit is stable under a second round trip
-        assert emit_system_spec(system2, cluster2, options2) == text
+        assert emit_system_spec(system2, cluster2) == text
         assert json.loads(text)["analytics"][0]["topology"] == {"seq": [
             "microblog-gen",
             {"rr": ["microblog-split#1", "microblog-split#2",
@@ -227,16 +221,15 @@ class TestSpecRoundTrip:
 
     def test_headline_round_trip(self):
         system, cluster = headline_system(), homogeneous_cluster(8)
-        parsed, parsed_cluster, _ = parse_system_spec(
-            emit_system_spec(system, cluster))
-        assert (parsed, parsed_cluster) == (system, cluster)
+        assert parse_system_spec(emit_system_spec(system, cluster)) == (
+            system, cluster)
 
     def test_a_seq_read_back_as_par_differs(self):
         # nodes are one-field tuples: only their class tells Seq from Par
         system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
         text = emit_system_spec(system, homogeneous_cluster(1))
         assert '"seq"' in text
-        swapped, _, _ = parse_system_spec(text.replace('"seq"', '"par"'))
+        swapped, _ = parse_system_spec(text.replace('"seq"', '"par"'))
         assert swapped != system
         (analytic,), (swapped_analytic,) = (system.analytics,
                                             swapped.analytics)
@@ -341,7 +334,7 @@ class TestSpecRoundTrip:
             "analytics": [],
             "cluster": {"cores": [{"id": "c0", "capacity": 0.69}]},
         }
-        _, cluster, _ = parse_system_spec(json.dumps(doc))
+        _, cluster = parse_system_spec(json.dumps(doc))
         assert cluster.cores[0].capacity == Fraction(69, 100)
 
     @pytest.mark.parametrize("capacity", [
@@ -350,7 +343,7 @@ class TestSpecRoundTrip:
         from tcsizer import Cluster, Core
         cluster = Cluster((Core("c0", capacity),))
         text = emit_system_spec(System(()), cluster)
-        _, parsed, _ = parse_system_spec(text)
+        _, parsed = parse_system_spec(text)
         assert parsed.cores[0].capacity == capacity
 
 
@@ -435,8 +428,8 @@ class TestDuplicateKeys:
          "/priorities/microblog-gen: duplicate key 'microblog-gen'"),
         (lambda doc: doc["analytics"][0]["topology"], "seq",
          "/analytics/0/topology/seq: duplicate key 'seq'"),
-        (lambda doc: doc.setdefault("options", {"sim": {"seed": 1}})["sim"],
-         "seed", "/options/sim/seed: duplicate key 'seed'"),
+        (lambda doc: doc["cluster"]["cores"][0], "id",
+         "/cluster/cores/0/id: duplicate key 'id'"),
     ])
     def test_pointer_and_message(self, place, key, error):
         with pytest.raises(ParseError) as exc:
@@ -514,6 +507,21 @@ class TestNestingCap:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestNoOptionsObject:
+    """The spec describes the system only; what a command asks of it is
+    given by flags, and an "options" key is refused as any unknown key."""
+
+    @pytest.mark.parametrize("command", FIVE_COMMANDS)
+    def test_refused_by_every_command(self, tmp_path, command):
+        doc = microblog_doc()
+        doc["options"] = {"u_max": 1, "sim": {"horizon": "1s", "seed": 0}}
+        path = tmp_path / "with-options.json"
+        path.write_text(json.dumps(doc))
+        assert invoke_command(command, path, tmp_path) == (
+            1, "", "error: /options: unknown key\n")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestMixedAnalytics:
@@ -697,20 +705,6 @@ class TestSizeCommand:
         code, _, err = invoke(["size", str(microblog), "--freqs", "1,zap"])
         assert code == 1
 
-    def test_options_fallback(self, tmp_path):
-        system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1)
-        options = Options(frequencies_hz=[Fraction(1), Fraction(4000)],
-                          factors=[1, 10], input_frequency_hz=Fraction(1000))
-        path = tmp_path / "with-options.json"
-        path.write_text(emit_system_spec(system, homogeneous_cluster(8),
-                                         options))
-        code, out, _ = invoke(["size", str(path)])
-        assert code == 0
-        assert out.splitlines()[2] == "4000,4.58,6"
-        code, out, _ = invoke(["decimate", str(path)])
-        assert code == 0
-        assert out.splitlines()[1].startswith("1,1145000,")
-
 
 class TestDecimateCommand:
     def test_csv_output(self, microblog):
@@ -722,11 +716,6 @@ class TestDecimateCommand:
         assert lines[0] == "factor,end_to_end_ns,aggregator_utilization,cores_saved"
         assert lines[1] == "1,1145000,0.511,0"
         assert lines[4].startswith("1000,1000145000,0.000511,")
-
-    def test_requires_frequency(self, microblog):
-        code, _, err = invoke(["decimate", str(microblog), "--factors", "1"])
-        assert code == 1
-        assert "frequency" in err
 
     def test_freq_takes_one_frequency(self, microblog):
         code, out, err = invoke(["decimate", str(microblog), "--factors", "1",
@@ -765,64 +754,81 @@ class TestDecimateCommand:
 
 
 class TestMissingOptions:
-    """A command without an option it needs says where to give it: the
-    flag, or the spec's options."""
+    """A command without a flag that has no default exits 1 with
+    argparse's message, which names the flag."""
 
-    MESSAGES = {
-        "size": "no frequencies (--freqs or options)",
-        "decimate": "no factors (--factors or options)",
-        "decimate --factors 1": "no input frequency (--freq or options)",
-        "simulate": "no horizon (--horizon or options)",
-    }
-
-    @pytest.mark.parametrize("command, flags", [
-        ("size", []), ("decimate", ["--freq", "1000"]),
-        ("decimate --factors 1", []), ("simulate", [])])
-    def test_absent(self, microblog, tmp_path, command, flags):
-        name, *rest = command.split()
+    @pytest.mark.parametrize("argv, missing", [
+        (["size"], "--freqs"),
+        (["size", "--umax", "1"], "--freqs"),
+        (["decimate", "--freq", "1000"], "--factors"),
+        (["decimate", "--factors", "1"], "--freq"),
+        (["decimate"], "--factors, --freq"),
+        (["simulate", "--seed", "1"], "--horizon")])
+    def test_absent(self, microblog, tmp_path, argv, missing):
         trace = tmp_path / "trace.csv"
-        extra = ["--trace", str(trace)] if name == "simulate" else []
-        assert invoke([name, str(microblog), *rest, *flags, *extra]) == (
-            1, "", f"error: {self.MESSAGES[command]}\n")
+        extra = ["--trace", str(trace)] if argv[0] == "simulate" else []
+        assert invoke([argv[0], str(microblog), *argv[1:], *extra]) == (
+            1, "", f"error: the following arguments are required: "
+                   f"{missing}\n")
         assert not trace.exists()
 
-    @pytest.mark.parametrize("command, key, flags", [
-        ("size", "frequencies_hz", []),
-        ("decimate", "factors", ["--freq", "1000"])])
-    def test_empty_list_in_the_spec(self, microblog, tmp_path, command, key,
-                                    flags):
-        doc = json.loads(microblog.read_text())
-        doc["options"] = {key: []}
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(doc))
-        assert invoke([command, str(path), *flags]) == (
-            1, "", f"error: {self.MESSAGES[command]}\n")
+
+class TestHelp:
+    """--help writes its text to run_command's out and returns 0."""
+
+    # the flags each subcommand's help names, --help aside
+    FLAGS = {
+        "analyze": set(),
+        "size": {"--freqs", "--umax"},
+        "decimate": {"--factors", "--freq", "--umax"},
+        "simulate": {"--seed", "--horizon", "--blocking", "--release",
+                     "--trace"},
+        "compare": {"--umax"},
+    }
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level(self, capsys, flag):
+        code, out, err = invoke([flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: tcsizer ")
+        for command in self.FLAGS:
+            assert command in out
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_subcommand(self, capsys, command):
+        code, out, err = invoke([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: tcsizer {command} ")
+        named = set(re.findall(r"(?<![\w-])--[a-z]+", out)) - {"--help"}
+        assert named == self.FLAGS[command]
+        # each flag of the table shows its help, and is optional in the
+        # usage line exactly when it has a default
+        text = " ".join(out.split())
+        for name in cli._COMMANDS[command][2]:
+            flag = cli._FLAGS[name]
+            assert flag.help in text
+            assert (f"[--{name} " in text) == (flag.default is not None)
+        assert capsys.readouterr() == ("", "")
 
 
-def all_options_spec(tmp_path, name="all-options.json", **changes):
-    """Microblog at 1 Hz with blocking and D = T + B on 8 cores, with a
-    spec that sets every option; ``changes`` replace options (sim
-    options by their own key)."""
+def blocking_spec(tmp_path, name="blocking.json"):
+    """Microblog at 1 Hz with blocking and D = T + B on 8 cores."""
     system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
                             deadline=SEC + 20 * US, blocking=20 * US)
-    doc = json.loads(emit_system_spec(system, homogeneous_cluster(8)))
-    doc["options"] = {
-        "u_max": "9/10", "frequencies_hz": [1, 4000], "factors": [1, 10],
-        "input_frequency_hz": 1000,
-        "sim": {"horizon": "2s", "seed": 3, "blocking_policy": "UNIFORM",
-                "release_policy": "JITTERED"},
-    }
-    for key, value in changes.items():
-        options = doc["options"]
-        if key in options["sim"]:
-            options = options["sim"]
-        if value is None:
-            del options[key]
-        else:
-            options[key] = value
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(emit_system_spec(system, homogeneous_cluster(8)))
     return path
+
+
+# the flags without a default that each command needs
+REQUIRED_FLAGS = {
+    "analyze": [],
+    "size": ["--freqs", "1,4000"],
+    "decimate": ["--factors", "1,10", "--freq", "1000"],
+    "compare": [],
+    "simulate": ["--horizon", "2s"],
+}
 
 
 def invoke_with_trace(argv, tmp_path):
@@ -839,33 +845,25 @@ def invoke_with_trace(argv, tmp_path):
 
 
 class TestOptionFlags:
-    """Every flag that overrides an option is read like that option."""
+    """Each flag is read by the parser of its row of the flag table, and
+    a flag left out takes that row's default. --seed's default is tested
+    in test_seed_order: an ADVERSARIAL SYNCHRONOUS run draws nothing."""
 
-    @pytest.mark.parametrize("command, flag, text, key, value", [
-        ("size", "--freqs", "100,4000", "frequencies_hz", [100, 4000]),
-        ("size", "--umax", "1/2", "u_max", "1/2"),
-        ("decimate", "--factors", "1,100", "factors", [1, 100]),
-        ("decimate", "--freq", "500", "input_frequency_hz", 500),
-        ("decimate", "--umax", "0.2", "u_max", 0.2),
-        ("compare", "--umax", "1/1000", "u_max", "1/1000"),
-        ("simulate", "--horizon", "4s", "horizon", "4s"),
-        ("simulate", "--seed", "5", "seed", 5),
-        ("simulate", "--blocking", "ADVERSARIAL", "blocking_policy",
-         "ADVERSARIAL"),
-        ("simulate", "--release", "SYNCHRONOUS", "release_policy",
-         "SYNCHRONOUS"),
+    @pytest.mark.parametrize("command, flag, default, other", [
+        ("size", "--umax", "1", "1/2"),
+        ("decimate", "--umax", "1", "0.2"),
+        ("compare", "--umax", "1", "1/1000"),
+        ("simulate", "--blocking", "ADVERSARIAL", "UNIFORM"),
+        ("simulate", "--release", "SYNCHRONOUS", "JITTERED"),
     ])
-    def test_flag_beats_the_spec(self, tmp_path, command, flag, text, key,
-                                 value):
-        spec = all_options_spec(tmp_path)
-        with_flag = invoke_with_trace([command, str(spec), flag, text],
-                                      tmp_path)
-        assert with_flag[0] == 0, with_flag[2]
-        as_option = all_options_spec(tmp_path, "as-option.json",
-                                     **{key: value})
-        assert with_flag == invoke_with_trace([command, str(as_option)],
-                                              tmp_path)
-        assert with_flag != invoke_with_trace([command, str(spec)], tmp_path)
+    def test_absent_flag_takes_its_default(self, tmp_path, command, flag,
+                                           default, other):
+        spec = blocking_spec(tmp_path)
+        argv = [command, str(spec), *REQUIRED_FLAGS[command]]
+        absent = invoke_with_trace(argv, tmp_path)
+        assert absent[0] == 0, absent[2]
+        assert invoke_with_trace([*argv, flag, default], tmp_path) == absent
+        assert invoke_with_trace([*argv, flag, other], tmp_path) != absent
 
     @pytest.mark.parametrize("command, flag, text, pointer", [
         ("size", "--freqs", "", "--freqs/0:"),
@@ -892,9 +890,10 @@ class TestOptionFlags:
     ])
     def test_empty_or_malformed_value_is_an_input_error(
             self, tmp_path, command, flag, text, pointer):
-        spec = all_options_spec(tmp_path)
-        code, out, err, _ = invoke_with_trace([command, str(spec), flag, text],
-                                              tmp_path)
+        # the flag under test comes last, and argparse keeps the last value
+        argv = [command, str(blocking_spec(tmp_path)),
+                *REQUIRED_FLAGS[command], flag, text]
+        code, out, err, _ = invoke_with_trace(argv, tmp_path)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {pointer}")
@@ -904,44 +903,32 @@ class TestOptionFlags:
         ("3000000000", "frequency exceeds 1 event/ns"),
         ("1e5000", LONG_NUMBER),
     ])
-    @pytest.mark.parametrize("command, flag, key, listed", [
-        ("size", "--freqs", "frequencies_hz", True),
-        ("decimate", "--freq", "input_frequency_hz", False),
+    @pytest.mark.parametrize("command, flag, listed", [
+        ("size", "--freqs", True),
+        ("decimate", "--freq", False),
     ])
     def test_over_fast_frequency_is_an_input_error(
-            self, tmp_path, text, message, command, flag, key, listed):
-        spec = all_options_spec(tmp_path)
-        code, out, err = invoke([command, str(spec), flag,
+            self, tmp_path, text, message, command, flag, listed):
+        code, out, err = invoke([command, str(blocking_spec(tmp_path)),
+                                 *REQUIRED_FLAGS[command], flag,
                                  f"1,{text}" if listed else text])
         assert (code, out) == (1, "")
         pointer = f"{flag}/1" if listed else flag
         assert err == f"error: {pointer}: {message}\n"
-        # the same number in the spec, written as JSON text
-        placeholder = 7777
-        spec = all_options_spec(tmp_path, "over-fast.json", **{
-            key: [1, placeholder] if listed else placeholder})
-        spec.write_text(spec.read_text().replace(str(placeholder), text))
-        code, out, err = invoke([command, str(spec)])
-        assert (code, out) == (1, "")
-        pointer = f"/options/{key}/1" if listed else f"/options/{key}"
-        assert err == f"error: {pointer}: {message}\n"
 
     def test_seed_order(self, tmp_path):
-        """--seed, else options.sim.seed, else 0."""
-        with_seed = all_options_spec(tmp_path, seed=3)
-        without_seed = all_options_spec(tmp_path, "no-seed.json", seed=None)
+        """--seed, else 0."""
+        spec = blocking_spec(tmp_path)
 
-        def run(spec, *flags):
-            return invoke_with_trace(["simulate", str(spec), *flags],
-                                     tmp_path)
+        def run(*flags):
+            return invoke_with_trace(
+                ["simulate", str(spec), "--horizon", "2s", "--blocking",
+                 "UNIFORM", "--release", "JITTERED", *flags], tmp_path)
 
-        by_seed = {n: run(without_seed, "--seed", str(n))
-                   for n in (0, 3, 5, 7)}
+        by_seed = {n: run("--seed", str(n)) for n in (0, 3, 5, 7)}
         assert all(r[0] == 0 for r in by_seed.values())
         assert len({r[3] for r in by_seed.values()}) == 4
-        assert run(without_seed) == by_seed[0]
-        assert run(with_seed) == by_seed[3]
-        assert run(with_seed, "--seed", "5") == by_seed[5]
+        assert run() == by_seed[0]
 
 
 class TestSimulateCommand:
@@ -1186,7 +1173,8 @@ class TestOverLongNumbers:
         (["compare", "--umax", "1e-\u0661" + "\u0660" * 7], "--umax"),
         (["decimate", "--factors", "1," + "1" * (MAX_NUMBER_DIGITS + 1),
           "--freq", "1"], "--factors/1"),
-        (["simulate", "--seed", "1" * (MAX_NUMBER_DIGITS + 1)], "--seed"),
+        (["simulate", "--horizon", "1s", "--seed",
+          "1" * (MAX_NUMBER_DIGITS + 1)], "--seed"),
     ])
     def test_flag_past_the_number_cap(self, microblog, argv, pointer):
         start = time.perf_counter()
@@ -1194,23 +1182,6 @@ class TestOverLongNumbers:
         # building the Fraction of 1e-10000000 alone takes seconds
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (1, "", f"error: {pointer}: {LONG_NUMBER}\n")
-
-    @pytest.mark.parametrize("key, literal, pointer", [
-        ("u_max", "1e-5000", "/options/u_max"),
-        ("u_max", '"1e-5000"', "/options/u_max"),
-        ("frequencies_hz", "[1, 1e-10000000]", "/options/frequencies_hz/1"),
-        ("factors", f"[1, 1{'0' * MAX_NUMBER_DIGITS}]", "/options/factors/1"),
-    ])
-    def test_spec_number_past_the_cap(self, microblog, tmp_path, key,
-                                      literal, pointer):
-        doc = json.loads(microblog.read_text())
-        doc["options"] = {key: "PLACEHOLDER"}
-        spec = tmp_path / "long.json"
-        spec.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
-        start = time.perf_counter()
-        result = invoke(["size", str(spec)])
-        assert time.perf_counter() - start < 1
-        assert result == (1, "", f"error: {pointer}: {LONG_NUMBER}\n")
 
     def test_numbers_at_the_cap_still_print(self, microblog):
         # the least u_max within the cap, 10**-1995 (1000 digits with the
@@ -1233,13 +1204,12 @@ class TestOverLongNumbers:
     # 4300 that str() writes of an int: an error message must not repr it
     @pytest.mark.parametrize("pointer", [
         "/analytics/0/stages/0/cost",
-        "/options/sim/blocking_policy",
+        "/cluster/cores/0/id",
         "/analytics/0/topology/seq/1",
     ])
     def test_huge_number_where_a_string_belongs(self, microblog, tmp_path,
                                                 pointer):
         doc = json.loads(microblog.read_text())
-        doc["options"] = {"sim": {"blocking_policy": "ADVERSARIAL"}}
         spec = tmp_path / "huge.json"
         spec.write_text(json.dumps(with_leaf(doc, pointer, "HUGE"))
                         .replace('"HUGE"', "1e5000"))
@@ -1291,15 +1261,9 @@ class TestInputErrors:
         assert invoke(["simulate", str(microblog), "--horizon", text,
                        "--trace", str(trace_path)]) == (
             1, "", f"error: --horizon: {message}")
-        doc = json.loads(microblog.read_text())
-        doc["options"] = {"sim": {"horizon": text}}
-        microblog.write_text(json.dumps(doc))
-        assert invoke(["simulate", str(microblog),
-                       "--trace", str(trace_path)]) == (
-            1, "", f"error: /options/sim/horizon: {message}")
         assert not trace_path.exists()
 
-    def test_release_cap_at_the_horizon_flag_or_pointer(
+    def test_release_cap_at_the_horizon_flag(
             self, headline, tmp_path, monkeypatch):
         # 12,000 releases per simulated second: 4000 of the source and
         # 1333.3 of each of six replicas; refused before any work
@@ -1314,12 +1278,6 @@ class TestInputErrors:
         assert invoke(["simulate", str(headline), "--horizon", "1000h",
                        "--trace", str(trace_path)]) == (
             1, "", f"error: --horizon: {message}")
-        doc = json.loads(headline.read_text())
-        doc["options"] = {"sim": {"horizon": "1000h"}}
-        headline.write_text(json.dumps(doc))
-        assert invoke(["simulate", str(headline),
-                       "--trace", str(trace_path)]) == (
-            1, "", f"error: /options/sim/horizon: {message}")
         assert not trace_path.exists()
 
     def test_release_cap_admits_a_run_that_reaches_it(self, headline,
@@ -1411,15 +1369,10 @@ def pointer_specs():
     cluster = homogeneous_cluster(2)
     microblog = with_allocation(microblog,
                                 allocate_first_fit(microblog, cluster))
-    options = Options(
-        u_max=Fraction(9, 10), frequencies_hz=[Fraction(1), Fraction(4000)],
-        factors=[1, 10], input_frequency_hz=Fraction(1000), horizon=SEC,
-        seed=3)
     table_vi = with_priorities(builtin_system(ScenarioId.TABLE_VI),
                                {"TC1": 1, "TC2": 2})
     return {
-        "microblog": json.loads(emit_system_spec(microblog, cluster,
-                                                 options)),
+        "microblog": json.loads(emit_system_spec(microblog, cluster)),
         "table-vi": json.loads(emit_system_spec(table_vi,
                                                 homogeneous_cluster(1))),
     }
@@ -1475,23 +1428,17 @@ class TestPointers:
 class TestUMax:
     """u_max has its own field parser, whose messages name it."""
 
-    def test_flag_messages(self, microblog):
-        assert invoke(["size", str(microblog), "--freqs", "1000",
-                       "--umax", "2"]) == (
-            1, "", "error: --umax: u_max must be in (0, 1]\n")
-        assert invoke(["compare", str(microblog), "--umax", "x"]) == (
-            1, "", 'error: --umax: u_max must be a number or a "num/den" '
-                   'string\n')
-
-    def test_spec_messages(self, tmp_path):
-        for value, message in [
-                (2, "u_max must be in (0, 1]"),
-                ("0/1", "u_max must be in (0, 1]"),
-                (True, "u_max must be a number"),
-                ("x", 'u_max must be a number or a "num/den" string')]:
-            spec = all_options_spec(tmp_path, u_max=value)
-            assert invoke(["compare", str(spec)]) == (
-                1, "", f"error: /options/u_max: {message}\n")
+    @pytest.mark.parametrize("text, message", [
+        ("2", "u_max must be in (0, 1]"),
+        ("0/1", "u_max must be in (0, 1]"),
+        ("true", "u_max must be a number"),
+        ("x", 'u_max must be a number or a "num/den" string')])
+    @pytest.mark.parametrize("command", [["size", "--freqs", "1000"],
+                                         ["compare"]])
+    def test_flag_messages(self, microblog, command, text, message):
+        assert invoke([command[0], str(microblog), *command[1:],
+                       "--umax", text]) == (
+            1, "", f"error: --umax: {message}\n")
 
     def test_core_capacity_keeps_its_own_name(self, microblog, tmp_path):
         doc = json.loads(microblog.read_text())
@@ -1516,11 +1463,6 @@ class TestNonJsonConstants:
         ("/analytics/0/topology", "bad topology node: {}"),
         ("/cluster/cores/0/capacity", "{} is not a JSON number"),
         ("/priorities/microblog-gen", "{} is not a JSON number"),
-        ("/options/u_max", "{} is not a JSON number"),
-        ("/options/frequencies_hz/1", "{} is not a JSON number"),
-        ("/options/factors/0", "{} is not a JSON number"),
-        ("/options/sim/seed", "{} is not a JSON number"),
-        ("/options/sim/blocking_policy", "expected a policy name, got {}"),
     ])
     def test_spec(self, token, pointer, message):
         doc = pointer_specs()["microblog"]
@@ -1541,28 +1483,31 @@ class TestNonJsonConstants:
             1, "", "error: /analytics/0/stages/0/cost: expected a duration "
                    "string, got NaN\n")
 
+    # each flag of the flag table, after the flags its command needs;
+    # "{}" is the token, given as --flag=token since it may start with "-"
+    @pytest.mark.parametrize("token", CONSTANTS)
     @pytest.mark.parametrize("argv, expected", [
-        (["compare", "{spec}", "--umax", "NaN"],
-         "--umax: NaN is not a JSON number"),
-        (["size", "{spec}", "--umax=-Infinity"],
-         "--umax: -Infinity is not a JSON number"),
-        (["size", "{spec}", "--freqs", "1,Infinity"],
-         "--freqs/1: Infinity is not a JSON number"),
-        (["decimate", "{spec}", "--factors", "NaN,1"],
-         "--factors/0: NaN is not a JSON number"),
-        (["simulate", "{spec}", "--seed", "NaN"],
-         "--seed: NaN is not a JSON number"),
-        (["simulate", "{spec}", "--horizon", "Infinity"],
-         "--horizon: expected a duration string, got Infinity"),
-        (["simulate", "{spec}", "--blocking", "NaN"],
-         "--blocking: expected a policy name, got NaN"),
+        (["compare", "--umax={}"], "--umax: {} is not a JSON number"),
+        (["size", "--freqs=1,{}"], "--freqs/1: {} is not a JSON number"),
+        (["decimate", "--freq", "1", "--factors={},1"],
+         "--factors/0: {} is not a JSON number"),
+        (["decimate", "--factors", "1", "--freq={}"],
+         "--freq: {} is not a JSON number"),
+        (["simulate", "--horizon={}"],
+         "--horizon: expected a duration string, got {}"),
+        (["simulate", "--horizon", "1s", "--seed={}"],
+         "--seed: {} is not a JSON number"),
+        (["simulate", "--horizon", "1s", "--blocking={}"],
+         "--blocking: expected a policy name, got {}"),
+        (["simulate", "--horizon", "1s", "--release={}"],
+         "--release: expected a policy name, got {}"),
     ])
-    def test_flags(self, microblog, tmp_path, argv, expected):
-        argv = [a.format(spec=microblog) for a in argv]
+    def test_flags(self, microblog, tmp_path, token, argv, expected):
+        argv = [argv[0], str(microblog), *(a.format(token) for a in argv[1:])]
         trace_path = tmp_path / "t.csv"
         if argv[0] == "simulate":
             argv += ["--trace", str(trace_path)]
-        assert invoke(argv) == (1, "", f"error: {expected}\n")
+        assert invoke(argv) == (1, "", f"error: {expected.format(token)}\n")
         assert not trace_path.exists()
 
 
@@ -1576,15 +1521,17 @@ class TestArbitraryFlagText:
         # completes its item, and no horizon makes the run long
         stage = Stage(id="s", cost=1, inter_arrival=INFINITE, deadline=MS)
         system = System((Analytic("a", (stage,), Leaf("s"), MS),))
-        options = Options(frequencies_hz=[Fraction(1)], horizon=MS)
         path = tmp_path_factory.mktemp("arbitrary") / "spec.json"
-        path.write_text(emit_system_spec(system, homogeneous_cluster(1),
-                                         options))
+        path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
         return path
 
     FLAGS = [("compare", "--umax"), ("size", "--umax"),
              ("simulate", "--horizon"), ("simulate", "--seed"),
              ("size", "--freqs")]
+    # the flags each command needs; the flag under test, given after
+    # them, is the value argparse keeps
+    NEEDED = {"compare": [], "size": ["--freqs", "1"],
+              "simulate": ["--horizon", "1ms"]}
     TOKENS = ["NaN", "Infinity", "-Infinity", "1e5000", "1/0", "0", "-1",
               "1/2", "2", "1e-3", "5s", "1ns", "[1]", "{}", "null", "true",
               "1_0", "٣", ",", "1,", "0.5,NaN"]
@@ -1594,7 +1541,7 @@ class TestArbitraryFlagText:
     @settings(max_examples=300, deadline=None)
     def test_exits_cleanly(self, spec, tmp_path_factory, command_flag, text):
         command, flag = command_flag
-        argv = [command, str(spec), f"{flag}={text}"]
+        argv = [command, str(spec), *self.NEEDED[command], f"{flag}={text}"]
         if command == "simulate":
             trace_path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
             argv += ["--trace", str(trace_path)]
@@ -1627,24 +1574,30 @@ class TestWholeSpecFuzz:
 
     VALUES = [None, True, False, 0, -1, "x", [], {}, "1ms", "inf", "0ns",
               "NaN", "1/2", {"seq": []}, {"loop": ["x"]}]
-    COMMANDS = ["analyze", "size", "decimate", "compare", "simulate"]
     # wall-time cap on one command: a hang fails the example instead of
     # running into the CI job's timeout
     RUN_SECONDS = 10
 
+    # every flag of each command, so that each one reads the whole
+    # document and runs to its end
+    FLAGS = {
+        "analyze": [],
+        "size": ["--freqs", "1,4000", "--umax", "9/10"],
+        "decimate": ["--factors", "1,10", "--freq", "1000", "--umax", "9/10"],
+        "compare": ["--umax", "9/10"],
+        "simulate": ["--horizon", "10ms", "--seed", "3", "--blocking",
+                     "UNIFORM", "--release", "JITTERED"],
+    }
+
     @pytest.fixture(scope="class")
     def bases(self, tmp_path_factory):
-        # the other two get the microblog spec's options too, so that
-        # every command reads the whole document
         microblog = json.loads(
-            all_options_spec(tmp_path_factory.mktemp("fuzz")).read_text())
+            blocking_spec(tmp_path_factory.mktemp("fuzz")).read_text())
         table_vi = json.loads(emit_system_spec(
             builtin_system(ScenarioId.TABLE_VI), homogeneous_cluster(1)))
         headline = json.loads(emit_system_spec(headline_system(),
                                                homogeneous_cluster(8)))
-        options = microblog["options"]
-        return [microblog, {**table_vi, "options": options},
-                {**headline, "options": options}]
+        return [microblog, table_vi, headline]
 
     def mutated(self, doc, draw):
         """A copy of ``doc`` with one drawn value put at, or one value
@@ -1685,10 +1638,10 @@ class TestWholeSpecFuzz:
         spec = tmp_path_factory.getbasetemp() / "fuzz.json"
         spec.write_text(json.dumps(doc))
         trace = tmp_path_factory.getbasetemp() / "fuzz-trace.csv"
-        for command in self.COMMANDS:
-            argv = [command, str(spec)]
+        for command, flags in self.FLAGS.items():
+            argv = [command, str(spec), *flags]
             if command == "simulate":
-                argv += ["--horizon", "10ms", "--trace", str(trace)]
+                argv += ["--trace", str(trace)]
             with wall_time_cap(self.RUN_SECONDS):
                 code, out, err = invoke(argv)
             assert code in (0, 1, 2), (command, err)

@@ -1,5 +1,6 @@
 """The package's public names, and the modules each entry point loads."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -69,6 +70,17 @@ class TestSurface:
         assert (tcsizer.workloads.period_from_frequency
                 is tcsizer.model.period_from_frequency)
         assert tcsizer.BlockingPolicy is tcsizer.model.BlockingPolicy
+        # which other module binds which of them, as the README states
+        names = ("BlockingPolicy", "ReleasePolicy", "period_from_frequency")
+        bound = {module: [n for n in names if hasattr(
+                     importlib.import_module(f"tcsizer.{module}"), n)]
+                 for module in ("analysis", "cli", "sim", "sizing",
+                                "workloads")}
+        assert bound == {
+            "analysis": [], "cli": ["BlockingPolicy", "ReleasePolicy"],
+            "sim": ["BlockingPolicy", "ReleasePolicy"],
+            "sizing": ["period_from_frequency"],
+            "workloads": ["period_from_frequency"]}
 
 
 def in_child(body: str, result: str):

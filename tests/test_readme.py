@@ -40,7 +40,7 @@ def test_library_quick_tour_prints_no_violations(capsys):
 
 def test_spec_example_parses_and_is_feasible(tmp_path):
     text = fenced_block("### Spec format", "json")
-    system, cluster, _ = parse_system_spec(text)
+    system, cluster = parse_system_spec(text)
     assert [s.id for s in system.stages()] == ["gen", "split", "count"]
     spec = tmp_path / "spec.json"
     spec.write_text(text, encoding="utf-8")
