@@ -9,19 +9,23 @@ over the same-core cotenants z with higher (or equal - mutual
 interference) priority. A one-shot cotenant contributes its cost exactly
 once, so it joins B + C in the constant term, the base. Cotenants that
 share a period T share one ceiling, ceil(R / T) times their summed cost,
-so a round costs one term per distinct period. ``solve_system`` walks
-each core's stages once, sorted from the highest priority down, adding
-each level to running totals (summed cost per period and in all, and
-one sum of one-shot costs) and solving each of its stages against them less its
+so a round costs one term per distinct period. ``solve_system`` reads
+each stage once into a plain record on its core's list, then walks each
+core's records once, sorted from the highest priority down, adding each
+level to running totals (summed cost per period and in all, and one sum
+of one-shot costs) and solving each of its stages against them less its
 own cost.
 
 Each fixed point starts from one job of every cotenant in its load,
-base + sum_z C_z (Audsley et al., 1993), or from 0 when the base is 0,
-its own fixed point. With f the right-hand side above, the one premise
-is base >= 1: the least fixed point R >= base then makes every
-ceil(R / T_z) >= 1, so R = f(R) >= base + sum_z C_z. From any lower
-bound the iteration reaches the same least fixed point, or DIVERGED, as
-from the base, in no more rounds.
+top = base + sum_z C_z (Audsley et al., 1993), or from 0 when the base
+is 0, its own fixed point. With f the right-hand side above, the one
+premise is base >= 1: the least fixed point R >= base then makes every
+ceil(R / T_z) >= 1, so R = f(R) >= top. From any lower bound the
+iteration reaches the same least fixed point, or DIVERGED, as from the
+base, in no more rounds. Since ceil(R / T) = floor((R - 1) / T) + 1 for
+every integer R and T >= 1, a round evaluates f(R) as
+top + sum_z floor((R - 1) / T_z) * C_z: one division and one product
+per distinct period.
 
 All arithmetic is exact: times are integer nanoseconds. Each analytic's
 end-to-end response composes its stages' bounds over its topology
@@ -31,15 +35,14 @@ end-to-end response composes its stages' bounds over its topology
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
-from typing import Mapping, NamedTuple, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .model import (
     INFINITE,
     Cluster,
     Duration,
     Marker,
-    Stage,
     System,
     effective_blocking,
     end_to_end_response,
@@ -50,7 +53,8 @@ DIVERGED = Marker.DIVERGED
 
 ResponseTime = Union[int, Marker]
 
-_priority = attrgetter("priority")
+_priority = itemgetter(0)
+_deadline = attrgetter("end_to_end_deadline")
 
 
 class AnalyticVerdict(NamedTuple):
@@ -66,23 +70,23 @@ class ResponseReport(NamedTuple):
     system_feasible: bool
 
 
-def _fixed_point(base: Duration, start: Duration,
-                 load: list[tuple[int, Duration]],
+def _fixed_point(base: Duration, top: Duration,
+                 load: Iterable[tuple[int, Duration]],
                  cap: Duration) -> ResponseTime:
     """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
     (period T, summed cost C) pairs of ``load``, or DIVERGED as soon as
-    an iterate exceeds ``cap``. The iteration starts from ``start``, with
-    base <= start <= R (``solve_system`` passes base + sum C, or 0 when
-    base is 0): every iterate then stays at or below R and climbs to it,
-    so it returns what a start from ``base`` returns."""
-    r = start
+    an iterate exceeds ``cap``. ``top`` is base + sum C, where the
+    iteration starts (at 0 when base is 0), each round evaluating
+    top + sum floor((R - 1) / T) * C (see the module docstring)."""
+    r = top if base else 0
     rounds = 0
     while True:
         if r > cap:
             return DIVERGED
-        nxt = base
+        nxt = top
+        below = r - 1
         for t, c in load:
-            nxt += -(-r // t) * c
+            nxt += below // t * c
         if nxt == r:
             return r
         r = nxt
@@ -105,78 +109,63 @@ def solve_system(system: System, allocation: Mapping[str, str],
     its own analytic's deadline is still reported (and judged
     infeasible) rather than clipped to DIVERGED. A stage without a
     priority raises ValueError; one without a known core raises
-    InvalidAllocation.
+    InvalidAllocation (both from ``model.effective_blocking``).
 
-    Each core's stages are walked once, sorted by priority (stable), one
-    level at a time. A stage with base > 0 starts its fixed point from
-    base + sum C over its load, a lower bound on the answer (see the
-    module docstring), so the reports equal those of a start from the
-    base.
+    One pass reads each stage once, unpacked, into a record (priority,
+    id, cost, period, effective blocking) on its core's list. Each
+    core's records are sorted by priority (stable) and walked once: each
+    record first adds every record at or above its level to the totals,
+    then solves against them less its own cost, from one job of each
+    cotenant (see the module docstring).
     """
     blocking = effective_blocking(system, allocation, cluster)
-    stages = list(system.stages())
-    cap = max((a.end_to_end_deadline for a in system.analytics), default=0)
+    cap = max(map(_deadline, system.analytics), default=0)
 
-    by_core: dict[str, list[Stage]] = {}
-    for s in stages:
-        by_core.setdefault(allocation[s.id], []).append(s)
+    by_core: dict[str, list[tuple]] = {}
+    for sid, cost, period, _, _, priority, _ in system.stages():
+        by_core.setdefault(allocation[sid], []).append(
+            (priority, sid, cost, period, blocking[sid]))
 
     # keyed in the system's stage order, filled in core by core below
-    per_stage: dict[str, ResponseTime] = dict.fromkeys(s.id for s in stages)
+    per_stage: dict[str, ResponseTime] = dict.fromkeys(blocking)
     for core in by_core.values():
         core.sort(key=_priority, reverse=True)
-        # summed cost per period of the periodic stages, their sum, and
-        # summed cost of the one-shot stages, at or above the current
-        # priority level
+        n = len(core)
+        # summed cost per period of the periodic records, their sum, and
+        # summed cost of the one-shot records, at or above the current
+        # level; the fixed point reads the totals through a live view
         totals: dict[int, Duration] = {}
-        level_sum = once = 0
-        i = 0
-        while i < len(core):
-            # add the level core[i:j] to the totals, then solve each of
-            # its stages against them less its own cost
-            priority = core[i].priority
-            j = i
-            while j < len(core) and core[j].priority == priority:
-                s = core[j]
-                if s.inter_arrival is INFINITE:
-                    once += s.cost
+        load = totals.items()
+        level_sum = once = added = 0
+        for priority, sid, c, t, b in core:
+            while added < n and core[added][0] >= priority:
+                _, _, cost, period, _ = core[added]
+                added += 1
+                if period is INFINITE:
+                    once += cost
                 else:
-                    totals[s.inter_arrival] = (
-                        totals.get(s.inter_arrival, 0) + s.cost)
-                    level_sum += s.cost
-                j += 1
-            while i < j:
-                s = core[i]
-                i += 1
-                b = blocking[s.id]
-                t = s.inter_arrival
-                if t is INFINITE:
-                    base = b + once
-                    load = list(totals.items())
-                else:
-                    base = b + s.cost + once
-                    totals[t] -= s.cost
-                    load = list(totals.items())
-                    totals[t] += s.cost
-                # base + sum C over the load, whichever kind s is
-                start = b + once + level_sum if base else 0
-                per_stage[s.id] = _fixed_point(base, start, load, cap)
+                    totals[period] = totals.get(period, 0) + cost
+                    level_sum += cost
+            top = b + once + level_sum
+            if t is INFINITE:
+                per_stage[sid] = _fixed_point(b + once, top, load, cap)
+            else:
+                totals[t] -= c
+                per_stage[sid] = _fixed_point(b + c + once, top, load, cap)
+                totals[t] += c
 
     per_analytic: dict[str, AnalyticVerdict] = {}
-    for analytic in system.analytics:
+    feasible = True
+    for aid, stages, topology, deadline in system.analytics:
         # a leaf naming another analytic's stage is MissingStage too,
         # whether or not a stage diverged
-        own = {s.id: per_stage[s.id] for s in analytic.stages}
+        own = {s.id: per_stage[s.id] for s in stages}
         if DIVERGED in own.values():
-            end_to_end_response(analytic.topology, dict.fromkeys(own, 0))
-            per_analytic[analytic.id] = AnalyticVerdict(DIVERGED, False)
-            continue
-        e2e = end_to_end_response(analytic.topology, own)
-        per_analytic[analytic.id] = AnalyticVerdict(
-            e2e, e2e <= analytic.end_to_end_deadline)
-
-    return ResponseReport(
-        per_stage=per_stage,
-        per_analytic=per_analytic,
-        system_feasible=all(v.feasible for v in per_analytic.values()),
-    )
+            end_to_end_response(topology, dict.fromkeys(own, 0))
+            e2e, ok = DIVERGED, False
+        else:
+            e2e = end_to_end_response(topology, own)
+            ok = e2e <= deadline
+        per_analytic[aid] = AnalyticVerdict(e2e, ok)
+        feasible = feasible and ok
+    return ResponseReport(per_stage, per_analytic, feasible)

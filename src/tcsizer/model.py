@@ -167,6 +167,7 @@ class RoundRobin(NamedTuple):
 
 
 Expr = Union[Leaf, Seq, Par, RoundRobin]
+_NODE_CLASSES = frozenset((Leaf, Seq, Par, RoundRobin))
 
 
 def _coerce(node: "Expr | str") -> Expr:
@@ -185,21 +186,12 @@ def par(*children: "Expr | str") -> Expr:
     return items[0] if len(items) == 1 else Par(items)
 
 
-def nodes(expr: Expr) -> list[Expr]:
-    """Every node of a topology, each before its children, left to
-    right; TypeError on anything that is not a composition node."""
-    found, todo = [], [expr]
-    while todo:
-        node = todo.pop()
-        found.append(node)
-        # most nodes are leaves: test for them by class first
-        if node.__class__ is Leaf:
-            continue
-        if isinstance(node, (Seq, Par, RoundRobin)):
-            todo += reversed(node.children)
-        elif not isinstance(node, Leaf):
-            raise TypeError(f"not a composition expression: {node!r}")
-    return found
+def node_kind(node) -> type:
+    """The node class of a node of a subclass; TypeError for a non-node."""
+    for kind in (Leaf, Seq, Par, RoundRobin):
+        if isinstance(node, kind):
+            return kind
+    raise TypeError(f"not a composition expression: {node!r}")
 
 
 class Flow(NamedTuple):
@@ -256,17 +248,19 @@ class MissingStage(ValueError):
 def end_to_end_response(expr: Expr,
                         per_stage: Mapping[str, Duration]) -> Duration:
     """Compose per-stage response times over the topology: Seq sums,
-    Par and RoundRobin take the maximum."""
-    if isinstance(expr, Leaf):
+    Par and RoundRobin take the maximum, each node told by its class (a
+    subclass's node is read as the node of its ``node_kind``)."""
+    cls = expr.__class__
+    if cls is Leaf:
         try:
             return per_stage[expr.stage]
         except KeyError:
             raise MissingStage(expr.stage) from None
-    if isinstance(expr, Seq):
-        return sum(map(end_to_end_response, expr.children, repeat(per_stage)))
-    if isinstance(expr, (Par, RoundRobin)):
-        return max(map(end_to_end_response, expr.children, repeat(per_stage)))
-    raise TypeError(f"not a composition expression: {expr!r}")
+    if cls is not Seq and cls is not Par and cls is not RoundRobin:
+        return end_to_end_response(tuple.__new__(node_kind(expr), expr),
+                                   per_stage)
+    children = map(end_to_end_response, expr.children, repeat(per_stage))
+    return sum(children) if cls is Seq else max(children)
 
 
 class Analytic(NamedTuple):
@@ -355,20 +349,20 @@ def homogeneous_cluster(m: int, capacity=Fraction(1),
 def effective_blocking(system: System, allocation: Mapping[str, str],
                        cluster: Cluster) -> dict[str, Duration]:
     """Each stage's blocking on its host core, max(stage blocking, core
-    platform blocking). Raises ValueError for a stage without a priority,
-    InvalidAllocation for one without a known core."""
+    platform blocking). The first bad stage raises: ValueError without a
+    priority, InvalidAllocation without a known core."""
     platform = {c.id: c.platform_blocking for c in cluster.cores}
+    core_of, floor_of = allocation.get, platform.get
     out: dict[str, Duration] = {}
     for sid, _, _, _, blocking, priority, _ in system.stages():
         if priority is None:
             raise ValueError(f"stage {sid!r} has no priority")
-        if sid not in allocation:
-            raise InvalidAllocation(f"stage {sid!r} has no core")
-        core = allocation[sid]
-        if core not in platform:
+        floor = floor_of(core_of(sid))
+        if floor is None:
             raise InvalidAllocation(
-                f"stage {sid!r} mapped to unknown core {core!r}")
-        out[sid] = max(blocking, platform[core])
+                f"stage {sid!r} mapped to unknown core {allocation[sid]!r}"
+                if sid in allocation else f"stage {sid!r} has no core")
+        out[sid] = floor if floor > blocking else blocking
     return out
 
 
@@ -483,21 +477,29 @@ def _stage_path(ai: int, si: int, key: str) -> str:
 def _topology_problems(topology: Expr,
                        periods: Mapping[str, InterArrival]) -> list[str]:
     """What is wrong with a topology, given each declared stage id's
-    inter-arrival: one pass over its nodes checks the leaves and keeps
-    the round-robin nodes, so the messages come as: an empty node, the
-    leaves left to right, the uncovered ids sorted, the round-robin
-    nodes left to right. A non-node, or a leaf whose stage is not a
-    string, gives only the malformed message."""
-    try:
-        found = nodes(topology)
-    except TypeError:
-        return [_MALFORMED]
+    inter-arrival: one walk over its nodes, each before its children,
+    checks the leaves and keeps the round-robin nodes, so the messages
+    come as: an empty node, the leaves left to right, the uncovered ids
+    sorted, the round-robin nodes left to right. A non-node, children
+    that are no sequence, or a leaf whose stage is not a string, gives
+    only the malformed message."""
     problems: list[str] = []
     covered: set[str] = set()
     replicated: list[RoundRobin] = []
-    empty = False
-    for node in found:
-        if isinstance(node, Leaf):
+    empty, todo = False, [topology]
+    try:
+        while todo:
+            node = todo.pop()
+            cls = node.__class__
+            if cls not in _NODE_CLASSES:
+                cls = node_kind(node)
+            if cls is not Leaf:
+                todo += reversed(node.children)
+                if not node.children:
+                    empty = True
+                elif cls is RoundRobin:
+                    replicated.append(node)
+                continue
             sid = node.stage
             if not isinstance(sid, str):
                 return [_MALFORMED]
@@ -506,10 +508,8 @@ def _topology_problems(topology: Expr,
             elif sid in covered:
                 problems.append(f"stage {sid!r} covered twice")
             covered.add(sid)
-        elif not node.children:
-            empty = True
-        elif isinstance(node, RoundRobin):
-            replicated.append(node)
+    except TypeError:
+        return [_MALFORMED]
     if empty:
         problems.insert(0, "empty composition node")
     for sid in sorted(periods.keys() - covered):

@@ -21,12 +21,14 @@ from .model import (
     Expr,
     Leaf,
     MissingStage,
+    Par,
     RoundRobin,
+    Seq,
     Stage,
     System,
     end_to_end_response,
     item_flow,
-    nodes,
+    node_kind,
     period_from_frequency,
     scaled_utilizations,
 )
@@ -181,12 +183,23 @@ def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
 
 def _require_template(template: System) -> None:
     """ValueError for a RoundRobin node, whose replicas would each be
-    read as a template stage."""
-    for a, analytic in enumerate(template.analytics):
-        if RoundRobin in map(type, nodes(analytic.topology)):
-            raise ValueError(f"/analytics/{a}/topology: analytic "
-                             f"{analytic.id!r} is already replicated "
-                             f"(round-robin node)")
+    read as a template stage, once one walk over the topology finds no
+    non-node (TypeError, from ``node_kind``)."""
+    for a, (aid, _, topology, _) in enumerate(template.analytics):
+        todo, replicated = [topology], False
+        while todo:
+            node = todo.pop()
+            cls = node.__class__
+            if cls is Leaf:
+                continue
+            if cls is RoundRobin:
+                replicated = True
+            elif cls is not Seq and cls is not Par and node_kind(node) is Leaf:
+                continue
+            todo += reversed(node.children)
+        if replicated:
+            raise ValueError(f"/analytics/{a}/topology: analytic {aid!r} "
+                             f"is already replicated (round-robin node)")
 
 
 def frequency_sweep(template: System, frequencies: Sequence,

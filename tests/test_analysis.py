@@ -445,6 +445,60 @@ class TestSolveSystem:
         assert not report.system_feasible
 
 
+# what is wrong with a stage, and the error it raises when it is the first
+# bad stage: (class, message with the stage id in place of {})
+BAD_STAGES = {
+    "no priority": (ValueError, "stage {!r} has no priority"),
+    "no core": (InvalidAllocation, "stage {!r} has no core"),
+    "unknown core": (InvalidAllocation,
+                     "stage {!r} mapped to unknown core 'nope'"),
+    # the priority is checked first
+    "no priority, no core": (ValueError, "stage {!r} has no priority"),
+}
+
+
+class TestBadStages:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_stages_raise_as_effective_blocking(self, data):
+        # two or more bad stages among good ones, in any order, spread
+        # over one to three analytics
+        bad = data.draw(st.lists(st.sampled_from(sorted(BAD_STAGES)),
+                                 min_size=2, max_size=5))
+        kinds = data.draw(st.permutations(
+            bad + ["good"] * data.draw(st.integers(0, 4))))
+        stages, allocation = [], {}
+        for i, kind in enumerate(kinds):
+            sid = f"s{i}"
+            stages.append(stage(sid, 1, 10, prio=(
+                None if kind.startswith("no priority") else i + 1)))
+            if kind == "unknown core":
+                allocation[sid] = "nope"
+            elif not kind.endswith("no core"):
+                allocation[sid] = "c0"
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(stages) - 1),
+                                        max_size=2)))
+        parts = [stages[i:j] for i, j in zip([0, *cuts], [*cuts, None])]
+        system = System(tuple(
+            Analytic(f"a{k}", tuple(part), seq(*(s.id for s in part)), 100)
+            for k, part in enumerate(parts)))
+        cluster = homogeneous_cluster(1)
+        first = next(i for i, kind in enumerate(kinds) if kind != "good")
+        cls, message = BAD_STAGES[kinds[first]]
+        message = message.format(f"s{first}")
+        calls = [
+            lambda: effective_blocking(system, allocation, cluster),
+            lambda: solve_system(system, allocation, cluster),
+            lambda: simulate(system, allocation, cluster,
+                             SimConfig(horizon=100)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert type(raised.value) is cls
+            assert str(raised.value) == message
+
+
 def reference_response_time(stage, interferers, cap, blocking):
     """The recurrence charged one ceiling per interferer per round."""
     base = blocking + stage.cost

@@ -33,7 +33,7 @@ from tcsizer import (
     with_allocation,
     with_priorities,
 )
-from tcsizer.model import item_flow, nodes, scaled_utilizations
+from tcsizer.model import item_flow, scaled_utilizations
 from tcsizer.sim import SimConfig
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -931,6 +931,20 @@ def validate_system_reference(system):
         check_topology_reference(analytic, apath, report)
 
     return report
+
+
+def nodes(expr):
+    """Every node of a topology, each before its children, left to
+    right; TypeError on anything that is not a composition node."""
+    found, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        if isinstance(node, (Seq, Par, RoundRobin)):
+            todo += reversed(node.children)
+        elif not isinstance(node, Leaf):
+            raise TypeError(f"not a composition expression: {node!r}")
+    return found
 
 
 def check_topology_reference(analytic, apath, report):

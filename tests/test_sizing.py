@@ -101,6 +101,68 @@ class TestRetime:
                                 "replicas, limit is 4096")
 
 
+class TestTemplateWalk:
+    """Each sweep walks every template topology once before it reads
+    it, refusing a round-robin node at any depth and a non-node."""
+
+    SWEEPS = {
+        "retime_system": lambda t: retime_system(t, 1000),
+        "frequency_sweep": lambda t: frequency_sweep(t, [1000], u_max=1),
+        "decimation_sweep": lambda t: decimation_sweep(t, 1000, [1], 1),
+    }
+
+    @staticmethod
+    def template(deep, *extra):
+        """Analytic p0 is plain; in p1, ``deep`` sits three levels down,
+        under Seq, Par and Seq nodes, beside leaves ``extra``."""
+        def periodic(*ids):
+            return tuple(Stage(sid, 1 * MS, 10 * MS, 10 * MS) for sid in ids)
+
+        plain = Analytic("p0", periodic("a", "b"), Seq((Leaf("a"), Leaf("b"))),
+                         SEC)
+        topology = Seq((Leaf("x"), Par((Leaf("y"), Seq((Leaf("z"), deep))))))
+        return plain, Analytic("p1", periodic("x", "y", "z", *extra),
+                               topology, SEC)
+
+    def each_sweep(self, deep, *extra):
+        """(name, sweep, template, index of p1) for every sweep:
+        decimation reads only a one-analytic template, p1 alone."""
+        plain, deep_one = self.template(deep, *extra)
+        for name, sweep in self.SWEEPS.items():
+            if name == "decimation_sweep":
+                yield name, sweep, System((deep_one,)), 0
+            else:
+                yield name, sweep, System((plain, deep_one)), 1
+
+    def test_a_deep_round_robin_node_is_refused(self):
+        rr = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        for name, sweep, template, index in self.each_sweep(
+                rr, "r#1", "r#2"):
+            with pytest.raises(ValueError) as raised:
+                sweep(template)
+            assert str(raised.value) == (
+                f"/analytics/{index}/topology: analytic 'p1' is already "
+                f"replicated (round-robin node)"), name
+
+    @pytest.mark.parametrize("non_node", ["w", 42, ("w",)])
+    def test_a_non_node_below_a_seq_is_a_type_error(self, non_node):
+        for name, sweep, template, _ in self.each_sweep(non_node):
+            with pytest.raises(TypeError) as raised:
+                sweep(template)
+            assert str(raised.value) == (
+                f"not a composition expression: {non_node!r}"), name
+
+    def test_the_walk_reads_past_a_round_robin_node(self):
+        # a non-node after the round-robin node is still found
+        rr = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        deep = Par((rr, 42))
+        for name, sweep, template, _ in self.each_sweep(deep, "r#1", "r#2"):
+            with pytest.raises(TypeError) as raised:
+                sweep(template)
+            assert str(raised.value) == (
+                "not a composition expression: 42"), name
+
+
 class TestFrequencySweep:
     def test_microblog_rows(self, microblog):
         rows = frequency_sweep(microblog, [1, 4000], u_max=1)
