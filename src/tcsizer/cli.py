@@ -6,13 +6,12 @@ A system spec is a strict JSON document:
       "analytics": [
         {"id": "...", "end_to_end_deadline": "1s",
          "stages": [{"id": "...", "cost": "127us", "inter_arrival": "1ms",
-                     "deadline": "1s", "blocking": "0ns"}],
+                     "deadline": "1s", "blocking": "0ns",
+                     "priority": 5, "core": "c0"}],
          "topology": {"seq": ["a", {"par": ["b", "c"]}, "d"]}}
       ],
       "cluster": {"cores": [{"id": "c0", "capacity": 1.0,
-                             "platform_blocking": "0ns"}]},
-      "allocation": {"stage-id": "core-id"},          # optional
-      "priorities": {"stage-id": 5}                   # optional
+                             "platform_blocking": "0ns"}]}
     }
 
 Durations are strings with a unit suffix (ns, us, ms, s, min, h) parsed
@@ -38,7 +37,10 @@ Subcommands: analyze, size, decimate, simulate, compare. Exit codes:
 not, 1 = input or usage error, every one of which is a ParseError, a
 usage error or a ValueError of the library; a library error that names
 a stage of the spec by its ``stage_id`` is printed after the stage's
-pointer, /analytics/<i>/stages/<j>. The spec describes the system
+pointer, /analytics/<i>/stages/<j>. A stage's "priority" (larger =
+higher) and "core" are optional, and a command that reads them takes
+them from every stage or from none; a "core" that names no core of the
+cluster is a ParseError at its pointer. The spec describes the system
 only; what a command asks of it (a frequency, a factor, u_max, a
 horizon, a seed, a policy) is given by flags. Each such flag is declared
 by one row of a table that names its parser, its help and its default;
@@ -416,20 +418,6 @@ def _list_of(parse_item, into=list):
     return parse
 
 
-def _map_of(parse_value):
-    def parse(value: Any) -> dict:
-        if not isinstance(value, dict):
-            raise _refusal(value, "expected an object")
-        parsed = {}
-        for key, item in value.items():
-            try:
-                parsed[key] = parse_value(item)
-            except ParseError as exc:
-                raise exc.within(f"/{key}") from None
-        return parsed
-    return parse
-
-
 def _records(key: str, make, table: _Table) -> _Field:
     """A required list of records built by ``make`` from ``table``, read
     as a tuple."""
@@ -489,6 +477,8 @@ _STAGE = _Table(
            format_duration, True),
     _Field("deadline", parse_duration, format_duration, True),
     _Field("blocking", parse_duration, format_duration),
+    _Field("priority", _integer("priority must be an integer")),
+    _Field("core", _string),
 )
 
 _ANALYTIC = _Table(
@@ -516,21 +506,18 @@ def _parse_cluster(obj: Any) -> Cluster:
         raise ParseError("/cores", str(exc)) from None
 
 
-# priorities and allocation are keyed by stage id; parse_system_spec
-# checks the ids and applies both maps onto the stages
 _DOC = _Table(
     "a JSON object",
     _records("analytics", Analytic, _ANALYTIC),
     _Field("cluster", _parse_cluster,
            lambda cluster: _write(cluster, _CLUSTER.fields), True),
-    _Field("priorities", _map_of(_integer("priority must be an integer"))),
-    _Field("allocation", _map_of(_string)),
 )
 
 
 def parse_system_spec(text: str) -> tuple[System, Cluster]:
-    """Parse a spec document; priorities/allocation maps are applied onto
-    the stages. Raises ParseError with a JSON-pointer path."""
+    """Parse a spec document. A stage's "core" that names no core of the
+    cluster is refused at its pointer. Raises ParseError with a
+    JSON-pointer path."""
     try:
         doc = json.loads(text, object_pairs_hook=_object, **_NUMBERS)
     except ValueError as exc:  # a JSONDecodeError
@@ -540,35 +527,19 @@ def parse_system_spec(text: str) -> tuple[System, Cluster]:
     values = _read(doc, _DOC)
     system = System(values["analytics"])
     cluster = values["cluster"]
-
-    stage_ids = {s.id for s in system.stages()}
-    if "priorities" in values:
-        for sid in values["priorities"]:
-            if sid not in stage_ids:
-                raise ParseError(f"/priorities/{sid}", "unknown stage")
-        system = model.with_priorities(system, values["priorities"])
-    if "allocation" in values:
-        core_ids = {c.id for c in cluster.cores}
-        for sid, cid in values["allocation"].items():
-            if sid not in stage_ids:
-                raise ParseError(f"/allocation/{sid}", "unknown stage")
-            if cid not in core_ids:
-                raise ParseError(f"/allocation/{sid}",
-                                 f"unknown core {cid!r}")
-        system = model.with_allocation(system, values["allocation"])
+    core_ids = {c.id for c in cluster.cores}
+    for i, analytic in enumerate(system.analytics):
+        for j, stage in enumerate(analytic.stages):
+            if stage.core is not None and stage.core not in core_ids:
+                raise ParseError(f"/analytics/{i}/stages/{j}/core",
+                                 f"unknown core {stage.core!r}")
     return system, cluster
 
 
 def emit_system_spec(system: System, cluster: Cluster) -> str:
     """Inverse of parse_system_spec: parse(emit(x)) == x."""
-    doc = _write(SimpleNamespace(
-        analytics=system.analytics,
-        cluster=cluster,
-        priorities={s.id: s.priority for s in system.stages()
-                    if s.priority is not None} or None,
-        allocation={s.id: s.core for s in system.stages()
-                    if s.core is not None} or None,
-    ), _DOC.fields)
+    doc = _write(SimpleNamespace(analytics=system.analytics, cluster=cluster),
+                 _DOC.fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -671,7 +642,7 @@ def _given(system: System, field: str, message: str) -> bool:
 def _prioritize(system: System) -> System:
     """Deadline-monotonic priorities when the spec file leaves them out."""
     if _given(system, "priority",
-              "priorities must be given for all stages or none"):
+              "priority must be given on every stage or on none"):
         return system
     return model.with_priorities(system, model.assign_priorities_dm(system))
 
@@ -680,7 +651,7 @@ def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
     """Fill in priorities (_prioritize), and the allocation (first-fit's
     mapping) when the spec file leaves it out."""
     system = _prioritize(system)
-    if _given(system, "core", "allocation must cover all stages or none"):
+    if _given(system, "core", "core must be given on every stage or on none"):
         return system, {s.id: s.core for s in system.stages()}
     return system, model.allocate_first_fit(system, cluster)
 

@@ -186,12 +186,10 @@ def par(*children: "Expr | str") -> Expr:
     return items[0] if len(items) == 1 else Par(items)
 
 
-def node_kind(node) -> type:
-    """The node class of a node of a subclass; TypeError for a non-node."""
-    for kind in (Leaf, Seq, Par, RoundRobin):
-        if isinstance(node, kind):
-            return kind
-    raise TypeError(f"not a composition expression: {node!r}")
+def not_a_node(value) -> TypeError:
+    """The error of a topology walk that meets ``value``, whose class is
+    none of the four node classes."""
+    return TypeError(f"not a composition expression: {value!r}")
 
 
 class Flow(NamedTuple):
@@ -213,9 +211,10 @@ def item_flow(expr: Expr) -> Flow:
     lanes: dict[str, tuple[int, int]] = {}
 
     def walk(node: Expr) -> tuple[list[str], list[str]]:
-        if isinstance(node, Leaf):
+        cls = node.__class__
+        if cls is Leaf:
             return [node.stage], [node.stage]
-        if isinstance(node, Seq):
+        if cls is Seq:
             sources, sinks = walk(node.children[0])
             for child in node.children[1:]:
                 upstream = tuple(sorted(sinks))
@@ -223,12 +222,14 @@ def item_flow(expr: Expr) -> Flow:
                 for sid in child_sources:
                     preds[sid] = upstream
             return sources, sinks
+        if cls is not Par and cls is not RoundRobin:
+            raise not_a_node(node)
         sources, sinks = [], []
         for child in node.children:
             child_sources, child_sinks = walk(child)
             sources += child_sources
             sinks += child_sinks
-        if isinstance(node, RoundRobin):
+        if cls is RoundRobin:
             for j, sid in enumerate(sources):
                 lanes[sid] = (len(sources), j)
         return sources, sinks
@@ -248,8 +249,7 @@ class MissingStage(ValueError):
 def end_to_end_response(expr: Expr,
                         per_stage: Mapping[str, Duration]) -> Duration:
     """Compose per-stage response times over the topology: Seq sums,
-    Par and RoundRobin take the maximum, each node told by its class (a
-    subclass's node is read as the node of its ``node_kind``)."""
+    Par and RoundRobin take the maximum, each node told by its class."""
     cls = expr.__class__
     if cls is Leaf:
         try:
@@ -257,8 +257,7 @@ def end_to_end_response(expr: Expr,
         except KeyError:
             raise MissingStage(expr.stage) from None
     if cls is not Seq and cls is not Par and cls is not RoundRobin:
-        return end_to_end_response(tuple.__new__(node_kind(expr), expr),
-                                   per_stage)
+        raise not_a_node(expr)
     children = map(end_to_end_response, expr.children, repeat(per_stage))
     return sum(children) if cls is Seq else max(children)
 
@@ -492,7 +491,7 @@ def _topology_problems(topology: Expr,
             node = todo.pop()
             cls = node.__class__
             if cls not in _NODE_CLASSES:
-                cls = node_kind(node)
+                return [_MALFORMED]
             if cls is not Leaf:
                 todo += reversed(node.children)
                 if not node.children:

@@ -28,7 +28,7 @@ from .model import (
     System,
     end_to_end_response,
     item_flow,
-    node_kind,
+    not_a_node,
     period_from_frequency,
     scaled_utilizations,
 )
@@ -184,7 +184,7 @@ def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
 def _require_template(template: System) -> None:
     """ValueError for a RoundRobin node, whose replicas would each be
     read as a template stage, once one walk over the topology finds no
-    non-node (TypeError, from ``node_kind``)."""
+    non-node (TypeError, from ``not_a_node``)."""
     for a, (aid, _, topology, _) in enumerate(template.analytics):
         todo, replicated = [topology], False
         while todo:
@@ -194,8 +194,8 @@ def _require_template(template: System) -> None:
                 continue
             if cls is RoundRobin:
                 replicated = True
-            elif cls is not Seq and cls is not Par and node_kind(node) is Leaf:
-                continue
+            elif cls is not Seq and cls is not Par:
+                raise not_a_node(node)
             todo += reversed(node.children)
         if replicated:
             raise ValueError(f"/analytics/{a}/topology: analytic {aid!r} "

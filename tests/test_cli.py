@@ -316,18 +316,38 @@ class TestSpecRoundTrip:
         assert "1 parsec" in str(exc.value)
         assert exc.value.path == "/analytics/0/stages/0/cost"
 
-    def test_priorities_and_allocation_validated(self):
+    def test_stage_priority_and_core_validated(self):
         system = builtin_system(ScenarioId.TABLE_VI)
         text = emit_system_spec(system, homogeneous_cluster(1))
         doc = json.loads(text)
-        doc["priorities"] = {"nope": 1}
+        doc["analytics"][0]["stages"][0]["priority"] = "1"
         with pytest.raises(ParseError) as exc:
             parse_system_spec(json.dumps(doc))
-        assert exc.value.path == "/priorities/nope"
+        assert str(exc.value) == (
+            "/analytics/0/stages/0/priority: priority must be an integer")
         doc = json.loads(text)
-        doc["allocation"] = {"TC1": "ghost"}
-        with pytest.raises(ParseError):
+        doc["analytics"][1]["stages"][0]["core"] = "ghost"
+        with pytest.raises(ParseError) as exc:
             parse_system_spec(json.dumps(doc))
+        assert str(exc.value) == (
+            "/analytics/1/stages/0/core: unknown core 'ghost'")
+
+    def test_prioritized_placed_system_round_trips(self):
+        # each stage object holds its own priority and core; the top
+        # level holds only the analytics and the cluster
+        system = headline_system()
+        cluster = homogeneous_cluster(8)
+        system = with_priorities(system, assign_priorities_dm(system))
+        system = with_allocation(system, allocate_first_fit(system, cluster))
+        text = emit_system_spec(system, cluster)
+        assert parse_system_spec(text) == (system, cluster)
+        doc = json.loads(text)
+        assert sorted(doc) == ["analytics", "cluster"]
+        stages = [stage for analytic in doc["analytics"]
+                  for stage in analytic["stages"]]
+        assert len(stages) == 7
+        assert [(s["priority"], s["core"]) for s in stages] == [
+            (s.priority, s.core) for s in system.stages()]
 
     def test_capacity_as_decimal_is_exact(self):
         doc = {
@@ -368,8 +388,8 @@ class TestSpecShapeErrors:
          "/analytics/0/stages/0: expected a stage object"),
         (lambda doc: doc.update(analytics={}),
          "/analytics: expected a list"),
-        (lambda doc: doc.update(priorities=[]),
-         "/priorities: expected an object"),
+        (lambda doc: doc["analytics"][0]["stages"][0].update(priority=[]),
+         "/analytics/0/stages/0/priority: priority must be an integer"),
         (with_topology({"seq": ["microblog-gen"], "par": ["microblog-split"]}),
          '/analytics/0/topology: topology node must be a stage id or a '
          'one-key {"seq"|"par"|"rr": [...]} object'),
@@ -379,8 +399,8 @@ class TestSpecShapeErrors:
          "/analytics/0/topology/seq: expected a list"),
         (with_topology({"par": []}),
          "/analytics/0/topology/par: empty composition"),
-        (lambda doc: doc.update(allocation={"ghost": "c0"}),
-         "/allocation/ghost: unknown stage"),
+        (lambda doc: doc["analytics"][0]["stages"][2].update(core="c1"),
+         "/analytics/0/stages/2/core: unknown core 'c1'"),
     ])
     def test_pointer_and_message(self, change, error):
         doc = microblog_doc()
@@ -415,6 +435,13 @@ def with_duplicate(place, key, value=None):
         '"\\u0000": null', f"{json.dumps(key)}: {json.dumps(value)}")
 
 
+def prioritized_first_stage(doc):
+    """The first stage object of ``doc``, given a priority."""
+    stage = doc["analytics"][0]["stages"][0]
+    stage["priority"] = 1
+    return stage
+
+
 class TestDuplicateKeys:
     """A key an object holds twice is refused at the key's pointer, not
     read as its last value."""
@@ -423,9 +450,8 @@ class TestDuplicateKeys:
         (lambda doc: doc["analytics"][0]["stages"][0], "cost",
          "/analytics/0/stages/0/cost: duplicate key 'cost'"),
         (lambda doc: doc, "cluster", "/cluster: duplicate key 'cluster'"),
-        (lambda doc: doc.setdefault("priorities", {"microblog-gen": 1}),
-         "microblog-gen",
-         "/priorities/microblog-gen: duplicate key 'microblog-gen'"),
+        (prioritized_first_stage, "priority",
+         "/analytics/0/stages/0/priority: duplicate key 'priority'"),
         (lambda doc: doc["analytics"][0]["topology"], "seq",
          "/analytics/0/topology/seq: duplicate key 'seq'"),
         (lambda doc: doc["cluster"]["cores"][0], "id",
@@ -524,6 +550,58 @@ class TestNoOptionsObject:
         assert not (tmp_path / "t.csv").exists()
 
 
+class TestStagePlacementKeys:
+    """A stage carries its own "priority" and "core": the old top-level
+    maps are refused as any unknown key, a core the cluster lacks is an
+    input error at the stage's "core", and each key is given on every
+    stage or on none."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("priorities", {"microblog-gen": 1}),
+        ("allocation", {"microblog-gen": "c0"})])
+    @pytest.mark.parametrize("command", FIVE_COMMANDS)
+    def test_old_maps_refused_by_every_command(self, tmp_path, command, key,
+                                               value):
+        doc = microblog_doc()
+        doc[key] = value
+        path = tmp_path / "with-map.json"
+        path.write_text(json.dumps(doc))
+        assert invoke_command(command, path, tmp_path) == (
+            1, "", f"error: /{key}: unknown key\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("command", FIVE_COMMANDS)
+    def test_unknown_core_refused_by_every_command(self, tmp_path, command,
+                                                   j):
+        doc = microblog_doc()
+        for stage in doc["analytics"][0]["stages"]:
+            stage["core"] = "c0"
+        doc["analytics"][0]["stages"][j]["core"] = "c9"
+        path = tmp_path / "ghost-core.json"
+        path.write_text(json.dumps(doc))
+        assert invoke_command(command, path, tmp_path) == (
+            1, "", f"error: /analytics/0/stages/{j}/core: unknown core "
+                   f"'c9'\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("key, value, commands", [
+        ("priority", 1, ["analyze", "simulate", "compare"]),
+        ("core", "c0", ["analyze", "simulate"])])
+    def test_a_key_on_one_stage_only_is_refused(self, tmp_path, key, value,
+                                                commands):
+        doc = microblog_doc()
+        doc["analytics"][0]["stages"][1][key] = value
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        for command in FIVE_COMMANDS:
+            if command[0] in commands:
+                assert invoke_command(command, path, tmp_path) == (
+                    1, "", f"error: {key} must be given on every stage or "
+                           f"on none\n"), command
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestMixedAnalytics:
     """An analytic whose stages are partly one-shot and partly periodic is
     refused: a one-shot stage admits item 0 only."""
@@ -601,9 +679,9 @@ class TestAnalyzeCommand:
                                  {"TC1": 1})
         path = tmp_path / "partial.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
-        code, _, err = invoke(["analyze", str(path)])
-        assert code == 1
-        assert "priorities" in err
+        assert invoke(["analyze", str(path)]) == (
+            1, "", "error: priority must be given on every stage or on "
+                   "none\n")
 
     def test_usage_error_is_exit_1_not_2(self):
         code, _, err = invoke(["analyze"])
@@ -1155,12 +1233,12 @@ class TestOverLongNumbers:
                         reason="int() reads integers of any length")
     def test_over_long_json_integer(self, microblog, tmp_path):
         doc = json.loads(microblog.read_text())
-        doc["priorities"] = {"microblog-gen": 7}
+        doc["analytics"][0]["stages"][0]["priority"] = 7
         spec = tmp_path / "long.json"
-        spec.write_text(json.dumps(doc).replace('"microblog-gen": 7',
-                                                f'"microblog-gen": {self.LONG}'))
+        spec.write_text(json.dumps(doc).replace('"priority": 7',
+                                                f'"priority": {self.LONG}'))
         assert invoke(["analyze", str(spec)]) == (
-            1, "", f"error: /priorities/microblog-gen: {LONG_NUMBER}\n")
+            1, "", f"error: /analytics/0/stages/0/priority: {LONG_NUMBER}\n")
 
     @pytest.mark.parametrize("argv, pointer", [
         (["size", "--freqs", "1e-10000000"], "--freqs/0"),
@@ -1462,7 +1540,7 @@ class TestNonJsonConstants:
          "expected a duration string, got {}"),
         ("/analytics/0/topology", "bad topology node: {}"),
         ("/cluster/cores/0/capacity", "{} is not a JSON number"),
-        ("/priorities/microblog-gen", "{} is not a JSON number"),
+        ("/analytics/0/stages/0/priority", "{} is not a JSON number"),
     ])
     def test_spec(self, token, pointer, message):
         doc = pointer_specs()["microblog"]
@@ -1597,7 +1675,9 @@ class TestWholeSpecFuzz:
             builtin_system(ScenarioId.TABLE_VI), homogeneous_cluster(1)))
         headline = json.loads(emit_system_spec(headline_system(),
                                                homogeneous_cluster(8)))
-        return [microblog, table_vi, headline]
+        # every stage carries "priority" and "core"
+        placed = pointer_specs()["microblog"]
+        return [microblog, table_vi, headline, placed]
 
     def mutated(self, doc, draw):
         """A copy of ``doc`` with one drawn value put at, or one value

@@ -253,6 +253,26 @@ class TestValidation:
         assert validate_system(system).findings == expected
         assert validate_system_reference(system).findings == expected
 
+    def test_a_node_subclass_is_not_a_node(self):
+        class Chain(Seq):
+            __slots__ = ()
+
+        node = Chain((Leaf("a"),))
+        stages = (stage("a", 1, 10, 10),)
+        for topo in (node, Par((Leaf("b"), node))):
+            system = System((Analytic("x", stages, topo, 10),))
+            expected = [
+                ("/analytics/0/topology", "malformed composition expression")]
+            assert validate_system(system).findings == expected
+            assert validate_system_reference(system).findings == expected
+            # the simulator reads the topology through item_flow
+            for walk in (lambda: end_to_end_response(topo, {"a": 1, "b": 1}),
+                         lambda: item_flow(topo)):
+                with pytest.raises(TypeError) as exc:
+                    walk()
+                assert str(exc.value) == (
+                    f"not a composition expression: {node!r}")
+
     def test_a_deeply_nested_non_node_is_only_malformed(self):
         stages = (stage("a", 1, 10, 10),)
         for bad in ("a", 5, None):
@@ -940,9 +960,9 @@ def nodes(expr):
     while todo:
         node = todo.pop()
         found.append(node)
-        if isinstance(node, (Seq, Par, RoundRobin)):
+        if node.__class__ in (Seq, Par, RoundRobin):
             todo += reversed(node.children)
-        elif not isinstance(node, Leaf):
+        elif node.__class__ is not Leaf:
             raise TypeError(f"not a composition expression: {node!r}")
     return found
 
