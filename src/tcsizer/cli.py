@@ -46,12 +46,14 @@ horizon, a seed, a policy) is given by flags. Each such flag is declared
 by one row of a table that names its parser, its help and its default;
 a flag without a default is required. Its value is read as the JSON
 value it spells, lists split on commas, so an empty value is an input
-error at the flag. size exits 1 when a stage would need more than
-sizing.REPLICATION_LIMIT replicas at one of its frequencies. simulate
-refuses a run that could make more than MAX_SIM_RELEASES releases, at
---horizon. A command imports only what it runs, when it starts: analyze
-imports the response-time analysis, simulate the analysis and the
-simulator, and size, decimate and compare the sweeps.
+error at the flag. run_command reads each spec once. size and decimate
+exit 1 when a stage would need more than sizing.REPLICATION_LIMIT
+replicas. simulate refuses a run that could make more than
+MAX_SIM_RELEASES releases, at --horizon. emit_system_spec refuses, with
+a TypeError, a topology not made of the four node classes. A command
+imports only what it runs, when it starts: analyze imports the
+response-time analysis, simulate the analysis and the simulator, and
+size, decimate and compare the sweeps.
 """
 
 from __future__ import annotations
@@ -428,7 +430,9 @@ def _records(key: str, make, table: _Table) -> _Field:
                   True)
 
 
+# each key's node class; _KEYS, its inverse, writes what _NODES reads
 _NODES = {"seq": Seq, "par": Par, "rr": RoundRobin}
+_KEYS = {kind: key for key, kind in _NODES.items()}
 
 
 def _parse_topology(node: Any, depth: int = 1) -> Expr:
@@ -448,13 +452,12 @@ def _parse_topology(node: Any, depth: int = 1) -> Expr:
             raise ParseError(f"/{key}", "expected a list")
         if not children:
             raise ParseError(f"/{key}", "empty composition")
-        for i, c in enumerate(children):
-            if key == "rr" and not isinstance(c, str):
-                raise ParseError(f"/rr/{i}",
-                                 "round-robin children must be stage ids")
         parsed = []
         for i, c in enumerate(children):
             try:
+                if key == "rr" and not isinstance(c, str):
+                    raise ParseError("",
+                                     "round-robin children must be stage ids")
                 parsed.append(_parse_topology(c, depth + 1))
             except ParseError as exc:
                 raise exc.within(f"/{key}/{i}") from None
@@ -463,9 +466,12 @@ def _parse_topology(node: Any, depth: int = 1) -> Expr:
 
 
 def _emit_topology(expr: Expr):
-    if isinstance(expr, Leaf):
+    cls = expr.__class__
+    if cls is Leaf:
         return expr.stage
-    key = next(k for k, kind in _NODES.items() if isinstance(expr, kind))
+    key = _KEYS.get(cls)
+    if key is None:
+        raise model.not_a_node(expr)
     return {key: [_emit_topology(c) for c in expr.children]}
 
 
@@ -537,7 +543,8 @@ def parse_system_spec(text: str) -> tuple[System, Cluster]:
 
 
 def emit_system_spec(system: System, cluster: Cluster) -> str:
-    """Inverse of parse_system_spec: parse(emit(x)) == x."""
+    """Inverse of parse_system_spec: parse(emit(x)) == x. A topology
+    that is not made of the four node classes raises TypeError."""
     doc = _write(SimpleNamespace(analytics=system.analytics, cluster=cluster),
                  _DOC.fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -604,16 +611,13 @@ def _flag_value(text: str):
 def _load_spec(args) -> tuple[System, Cluster]:
     """The spec of ``args.spec``, validated; then each flag that
     ``args`` holds as text is read over it by its parser, split on commas
-    when ``listed``, a ParseError pointed below the flag. The system is
-    also kept as ``args.system``, where run_command finds the stage that
-    a library error names."""
+    when ``listed``, a ParseError pointed below the flag."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.spec}: {exc.strerror}") from None
     system, cluster = parse_system_spec(text)
-    args.system = system
     report = model.validate_system(system)
     if not report.ok:
         findings = "; ".join(f"{p}: {m}" for p, m in report.findings)
@@ -630,19 +634,18 @@ def _load_spec(args) -> tuple[System, Cluster]:
     return system, cluster
 
 
-def _given(system: System, field: str, message: str) -> bool:
+def _given(system: System, field: str) -> bool:
     """Whether the spec file sets ``field`` on every stage (False: on
-    none); setting it on some only is the input error ``message``."""
+    none); setting it on some only is an input error."""
     given = [getattr(s, field) is not None for s in system.stages()]
     if any(given) and not all(given):
-        raise _UsageError(message)
+        raise _UsageError(f"{field} must be given on every stage or on none")
     return any(given)
 
 
 def _prioritize(system: System) -> System:
     """Deadline-monotonic priorities when the spec file leaves them out."""
-    if _given(system, "priority",
-              "priority must be given on every stage or on none"):
+    if _given(system, "priority"):
         return system
     return model.with_priorities(system, model.assign_priorities_dm(system))
 
@@ -651,7 +654,7 @@ def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
     """Fill in priorities (_prioritize), and the allocation (first-fit's
     mapping) when the spec file leaves it out."""
     system = _prioritize(system)
-    if _given(system, "core", "core must be given on every stage or on none"):
+    if _given(system, "core"):
         return system, {s.id: s.core for s in system.stages()}
     return system, model.allocate_first_fit(system, cluster)
 
@@ -681,18 +684,16 @@ def _report_json(report) -> str:
             f'  "system_feasible": {_JSON_BOOL[report.system_feasible]}\n}}\n')
 
 
-def _cmd_analyze(args, out) -> int:
+def _cmd_analyze(args, system, cluster, out) -> int:
     from . import analysis
-    system, cluster = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     report = analysis.solve_system(system, allocation, cluster)
     out.write(_report_json(report))
     return 0 if report.system_feasible else 2
 
 
-def _cmd_size(args, out) -> int:
+def _cmd_size(args, system, cluster, out) -> int:
     from . import sizing
-    system, _cluster = _load_spec(args)
     rows = sizing.frequency_sweep(system, args.freqs, args.umax)
     # every row is formatted before the first write: an error leaves no output
     lines = [f"{format_fraction(r.frequency_hz)},"
@@ -702,9 +703,8 @@ def _cmd_size(args, out) -> int:
     return 0
 
 
-def _cmd_decimate(args, out) -> int:
+def _cmd_decimate(args, system, cluster, out) -> int:
     from . import sizing
-    system, _cluster = _load_spec(args)
     rows = sizing.decimation_sweep(system, args.freq, args.factors, args.umax)
     lines = [f"{r.factor},{r.end_to_end},"
              f"{format_fraction(r.aggregator_utilization)},"
@@ -729,9 +729,8 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args, system, cluster, out) -> int:
     from . import analysis, sim
-    system, cluster = _load_spec(args)
     system, allocation = _prepare(system, cluster)
     releases = sum(1 if s.inter_arrival is INFINITE
                    else -(-args.horizon // s.inter_arrival)
@@ -767,9 +766,8 @@ def _cmd_simulate(args, out) -> int:
     return 0 if report.system_feasible else 2
 
 
-def _cmd_compare(args, out) -> int:
+def _cmd_compare(args, system, cluster, out) -> int:
     from . import sizing
-    system, _cluster = _load_spec(args)
     system = _prioritize(system)
     result = sizing.baseline_comparison(system, args.umax)
     doc = {"ours": result.ours, "baseline": result.baseline}
@@ -815,22 +813,22 @@ def run_command(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
-    args = None
+    system = None  # the loaded spec's, where a library error's stage is found
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][0](args, out)
+        system, cluster = _load_spec(args)
+        return _COMMANDS[args.command][0](args, system, cluster, out)
     except _Help as help_text:
         out.write(str(help_text))
         return 0
     except (_UsageError, ParseError, ValueError) as exc:
-        err.write(f"error: {_stage_pointer(args, exc)}{exc}\n")
+        err.write(f"error: {_stage_pointer(system, exc)}{exc}\n")
         return 1
 
 
-def _stage_pointer(args, exc: Exception) -> str:
+def _stage_pointer(system: System | None, exc: Exception) -> str:
     """"/analytics/<i>/stages/<j>: " for the stage of the loaded spec
-    whose id a library error's ``stage_id`` names, else ""."""
-    system = getattr(args, "system", None)
+    ``system`` whose id a library error's ``stage_id`` names, else ""."""
     sid = getattr(exc, "stage_id", None)
     if system is not None and sid is not None:
         for i, analytic in enumerate(system.analytics):

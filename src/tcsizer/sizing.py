@@ -249,7 +249,8 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
     Responses use the isolated-stage model (R = B + C, no interference):
     the sweep sizes each phase onto its own cores, so cross-stage
     interference is a deployment concern, not a sizing one. One-shot
-    stages count 0 utilization, as in frequency_sweep.
+    stages count 0 utilization, as in frequency_sweep, whose row is the
+    F = 1 core count, REPLICATION_LIMIT included.
     """
     _require_template(template)
     if len(template.analytics) != 1:
@@ -271,9 +272,9 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
     # costs over T_in, summed once as in frequency_sweep (one-shot: 0)
     periodic = {s.id: 0 if s.inter_arrival is INFINITE else s.cost
                 for s in analytic.stages}
-    total, agg_cost = sum(periodic.values()), periodic[agg_id]
-    others = Fraction(total - agg_cost, t_in)
-    undecimated = min_cores(Fraction(total, t_in), u_max)
+    agg_cost = periodic[agg_id]
+    others = Fraction(sum(periodic.values()) - agg_cost, t_in)
+    (base,) = frequency_sweep(template, [input_frequency], u_max)
     rows = []
     for factor in factors:
         if factor < 1:
@@ -283,7 +284,7 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
             factor=factor,
             end_to_end=e2e + (factor - 1) * t_in,
             aggregator_utilization=agg_util,
-            cores_saved=undecimated - min_cores(others + agg_util, u_max),
+            cores_saved=base.min_cores - min_cores(others + agg_util, u_max),
         ))
     return rows
 

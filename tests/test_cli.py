@@ -39,6 +39,7 @@ from tcsizer import (
     ReplicationExceeded,
     ResponseReport,
     ScenarioId,
+    Seq,
     Stage,
     System,
     allocate_first_fit,
@@ -61,6 +62,8 @@ from tcsizer.cli import (
     parse_system_spec,
     run_command,
 )
+
+from generators import accepted_stream, pipelined_system
 
 
 # the message for a number past MAX_NUMBER_DIGITS
@@ -349,6 +352,34 @@ class TestSpecRoundTrip:
         assert [(s["priority"], s["core"]) for s in stages] == [
             (s.priority, s.core) for s in system.stages()]
 
+    def test_generated_placed_systems_round_trip(self):
+        # DM priorities and first-fit cores on 2-3 cores, with stage and
+        # platform blockings, over every shape the generator draws
+        def shape(node):
+            if node.__class__ is Leaf:
+                return "leaf"
+            return (node.__class__.__name__, *map(shape, node.children))
+
+        shapes, blockings = set(), set()
+        for seed, (system, _, cluster, _) in accepted_stream(
+                lambda seed: pipelined_system(seed, blocking_scale=2), 0, 20):
+            assert all(s.priority is not None and s.core is not None
+                       for s in system.stages()), seed
+            text = emit_system_spec(system, cluster)
+            parsed = parse_system_spec(text)
+            assert parsed == (system, cluster), seed
+            assert emit_system_spec(*parsed) == text, seed
+            shapes |= {shape(a.topology) for a in system.analytics}
+            blockings |= {s.blocking > 0 for s in system.stages()}
+            blockings |= {("platform", c.platform_blocking > 0)
+                          for c in cluster.cores}
+        assert shapes == {
+            "leaf", ("Seq", "leaf", "leaf"), ("Seq", "leaf", "leaf", "leaf"),
+            ("Seq", "leaf", ("Par", "leaf", "leaf")),
+            ("Seq", ("Par", "leaf", "leaf"), "leaf")}
+        assert blockings == {False, True, ("platform", False),
+                             ("platform", True)}
+
     def test_capacity_as_decimal_is_exact(self):
         doc = {
             "analytics": [],
@@ -365,6 +396,33 @@ class TestSpecRoundTrip:
         text = emit_system_spec(System(()), cluster)
         _, parsed = parse_system_spec(text)
         assert parsed.cores[0].capacity == capacity
+
+
+class SubSeq(Seq):
+    __slots__ = ()
+
+
+class SubLeaf(Leaf):
+    __slots__ = ()
+
+
+class TestEmitRefusesNonNodes:
+    """emit_system_spec writes a node only of the four node classes, told
+    by class identity as the model's walkers tell it: a subclassed node
+    is not written as its base kind, and a bare value is no leaf."""
+
+    @pytest.mark.parametrize("topology, bad", [
+        (SubSeq((Leaf("a"), Leaf("b"))), SubSeq((Leaf("a"), Leaf("b")))),
+        (Par((Leaf("a"), SubLeaf("b"))), SubLeaf("b")),
+        ("a", "a"),
+        (7, 7),
+    ], ids=["seq-subclass", "leaf-subclass-below-par", "string", "int"])
+    def test_type_error(self, topology, bad):
+        stages = tuple(Stage(sid, MS, 10 * MS, 10 * MS) for sid in "ab")
+        system = System((Analytic("x", stages, topology, SEC),))
+        with pytest.raises(TypeError) as exc:
+            emit_system_spec(system, homogeneous_cluster(1))
+        assert str(exc.value) == f"not a composition expression: {bad!r}"
 
 
 def microblog_doc():
@@ -821,6 +879,16 @@ class TestDecimateCommand:
         assert err == ("error: /analytics/0/topology: analytic 'p': "
                        "decimation needs a unique final stage, found "
                        "['a', 'b']\n")
+
+    def test_replication_limit_as_in_size(self, microblog):
+        # the F = 1 row is size's row, so the splitter's 5070 replicas at
+        # 10 MHz refuse decimate with size's message and stage pointer
+        size = invoke(["size", str(microblog), "--freqs", "10000000"])
+        decimate = invoke(["decimate", str(microblog), "--freq", "10000000",
+                           "--factors", "1,10"])
+        assert decimate == size == (
+            1, "", "error: /analytics/0/stages/1: stage 'microblog-split' "
+                   "needs 5070 replicas, limit is 4096\n")
 
     def test_unprintable_row_leaves_stdout_empty(self, microblog):
         # T_in = 10**5009 ns: the row's end-to-end time has too many

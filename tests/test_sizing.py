@@ -424,6 +424,13 @@ class TestDecimationSweep:
         assert [r.cores_saved for r in rows] == [0, 0]
         assert [r.end_to_end for r in rows] == [1145 * US, 1145 * US + 9 * MS]
 
+    def test_replication_limit_as_in_frequency_sweep(self, microblog):
+        # the undecimated count is frequency_sweep's row, limit included
+        with pytest.raises(ReplicationExceeded) as exc:
+            decimation_sweep(microblog, 10_000_000, [1, 10], 1)
+        assert (exc.value.stage_id, exc.value.needed) == ("microblog-split",
+                                                          5070)
+
     def test_needs_unique_aggregator(self):
         a = Stage(id="a", cost=MS, inter_arrival=10 * MS, deadline=10 * MS)
         b = Stage(id="b", cost=MS, inter_arrival=10 * MS, deadline=10 * MS)
