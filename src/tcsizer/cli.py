@@ -25,7 +25,10 @@ pointer, in a flag too. Unknown keys are rejected, and so is a key that
 one object holds twice, at its pointer. Every input error is a
 ParseError at the JSON pointer of the bad value; the pointer is
 assembled on the way out, each container prefixing its key or index, so
-reading a good spec builds none.
+reading a good spec builds none. Each record is read in its field order
+and built from its values by position, and each distinct duration text
+of a spec is parsed once. A core id that holds a comma, a quote or a
+line break is refused at its pointer.
 Topology nodes are either a stage id (leaf) or a one-key object
 {"seq": [...]} (in sequence), {"par": [...]} (every child sees every
 item) or {"rr": ["s#1", ..., "s#k"]} (stage ids of one finite
@@ -269,14 +272,16 @@ def _json_number(x: Fraction):
 # --- spec codec ---------------------------------------------------------------
 #
 # Every spec record is a named tuple (Stage, Analytic, Core, Cluster)
-# read and written through a table of fields. A field names its key (the
-# record's field of the same name), its value parser, called with the
-# value alone, and its value formatter. Absent optional keys take the
-# record type's default, and a list of records is read as the tuple its
-# record holds. _read and _write walk a table. A parser
-# raises ParseError with the pointer below its value; each container
-# prefixes its key or index as the error passes out, so no pointer is
-# built unless a value is bad.
+# read and written through a table of fields in the record's field order.
+# A field names its key (the record's field of the same name), its value
+# parser, called with the value alone, and its value formatter. _read
+# walks a table once and hands the values, in field order, to the
+# record's _make, an absent optional key as the record's default; a list
+# of records is read as the tuple its record holds. _write walks it back.
+# A parser raises ParseError with the pointer below its value; each
+# container prefixes its key or index as the error passes out, so no
+# pointer is built unless a value is bad. A spec's durations are read
+# once per distinct text in each parse_system_spec call (_durations).
 
 #: Deepest nesting of seq/par nodes the topology reader accepts; the
 #: composition functions recurse once per level.
@@ -295,19 +300,26 @@ class _Field(NamedTuple):
 
 
 class _Table:
-    """The fields of one kind of record, with the keys _read checks
-    computed once: the required ones in field order, and all of them."""
+    """The fields of one kind of record, in the order of the fields of
+    ``record`` (a named tuple class, or tuple), with what _read needs
+    computed once: each field's (key, parser, default) step, the
+    required keys in field order, and all the keys."""
 
-    def __init__(self, what: str, *fields: _Field):
+    def __init__(self, what: str, record: type, *fields: _Field):
         self.what = what
+        self.make = getattr(record, "_make", record)
+        defaults = getattr(record, "_field_defaults", {})
         self.fields = fields
+        self.steps = tuple((f.key, f.parse, defaults.get(f.key))
+                           for f in fields)
         self.required = tuple(f.key for f in fields if f.required)
         self.known = frozenset(f.key for f in fields)
 
 
-def _read(obj: Any, table: _Table) -> dict[str, Any]:
-    """Parsed values of the keys ``obj`` holds: missing required keys
-    are reported first, then unknown keys, then bad values."""
+def _read(obj: Any, table: _Table):
+    """The record of ``table`` that ``obj`` holds: missing required keys
+    are reported first, then unknown keys, then bad values in field
+    order."""
     if not isinstance(obj, dict):
         raise _refusal(obj, f"expected {table.what}")
     for key in table.required:
@@ -316,14 +328,16 @@ def _read(obj: Any, table: _Table) -> dict[str, Any]:
     if not obj.keys() <= table.known:
         key = next(key for key in obj if key not in table.known)
         raise ParseError(f"/{key}", "unknown key")
-    values = {}
-    for f in table.fields:
-        if f.key in obj:
+    values = []
+    for key, parse, default in table.steps:
+        if key in obj:
             try:
-                values[f.key] = f.parse(obj[f.key])
+                values.append(parse(obj[key]))
             except ParseError as exc:
-                raise exc.within(f"/{f.key}") from None
-    return values
+                raise exc.within(f"/{key}") from None
+        else:
+            values.append(default)
+    return table.make(values)
 
 
 def _write(record: Any, fields: tuple[_Field, ...]) -> dict[str, Any]:
@@ -420,12 +434,9 @@ def _list_of(parse_item, into=list):
     return parse
 
 
-def _records(key: str, make, table: _Table) -> _Field:
-    """A required list of records built by ``make`` from ``table``, read
-    as a tuple."""
-    def parse_record(value: Any):
-        return make(**_read(value, table))
-    return _Field(key, _list_of(parse_record, tuple),
+def _records(key: str, table: _Table) -> _Field:
+    """A required list of the records of ``table``, read as a tuple."""
+    return _Field(key, _list_of(lambda value: _read(value, table), tuple),
                   lambda records: [_write(r, table.fields) for r in records],
                   True)
 
@@ -475,46 +486,77 @@ def _emit_topology(expr: Expr):
     return {key: [_emit_topology(c) for c in expr.children]}
 
 
+#: parse_duration's value of each duration text other than "inf" read
+#: so far by the parse_system_spec call under way, which empties it when
+#: it returns or raises. A value depends on its text alone, so calls in
+#: other threads may share it.
+_DURATIONS: dict[str, int] = {}
+
+
+def _durations(allow_inf: bool = False):
+    """A parser of a spec's durations: parse_duration, each text read
+    once per parse_system_spec call, "inf" judged at every field."""
+    def parse(text: Any):
+        if text.__class__ is not str or text == "inf":
+            return parse_duration(text, allow_inf=allow_inf)
+        value = _DURATIONS.get(text)
+        if value is None:  # parse_duration returns no None
+            value = _DURATIONS[text] = parse_duration(text)
+        return value
+    return parse
+
+
+_duration = _durations()
+
+
+def _core_id(value: Any) -> str:
+    """A core id that Core accepts, refused at its own pointer."""
+    try:
+        return Core(_string(value)).id
+    except ValueError as exc:
+        raise ParseError("", str(exc)) from None
+
+
 _STAGE = _Table(
-    "a stage object",
+    "a stage object", Stage,
     _Field("id", _string, required=True),
-    _Field("cost", parse_duration, format_duration, True),
-    _Field("inter_arrival", lambda v: parse_duration(v, allow_inf=True),
-           format_duration, True),
-    _Field("deadline", parse_duration, format_duration, True),
-    _Field("blocking", parse_duration, format_duration),
+    _Field("cost", _duration, format_duration, True),
+    _Field("inter_arrival", _durations(allow_inf=True), format_duration, True),
+    _Field("deadline", _duration, format_duration, True),
+    _Field("blocking", _duration, format_duration),
     _Field("priority", _integer("priority must be an integer")),
     _Field("core", _string),
 )
 
 _ANALYTIC = _Table(
-    "an analytic object",
+    "an analytic object", Analytic,
     _Field("id", _string, required=True),
-    _records("stages", Stage, _STAGE),
+    _records("stages", _STAGE),
     _Field("topology", _parse_topology, _emit_topology, True),
-    _Field("end_to_end_deadline", parse_duration, format_duration, True),
+    _Field("end_to_end_deadline", _duration, format_duration, True),
 )
 
 _CORE = _Table(
-    "a core object",
-    _Field("id", _string, required=True),
+    "a core object", Core,
+    _Field("id", _core_id, required=True),
     _Field("capacity", _share("capacity"), _json_number),
-    _Field("platform_blocking", parse_duration, format_duration),
+    _Field("platform_blocking", _duration, format_duration),
 )
 
-_CLUSTER = _Table("a cluster object", _records("cores", Core, _CORE))
+_CLUSTER = _Table("a cluster object", Cluster, _records("cores", _CORE))
 
 
 def _parse_cluster(obj: Any) -> Cluster:
-    try:  # Core and Cluster check their own invariants
-        return Cluster(**_read(obj, _CLUSTER))
+    try:  # Cluster checks that it has cores, with distinct ids
+        return _read(obj, _CLUSTER)
     except ValueError as exc:
         raise ParseError("/cores", str(exc)) from None
 
 
+# the document reads to the pair (analytics, cluster)
 _DOC = _Table(
-    "a JSON object",
-    _records("analytics", Analytic, _ANALYTIC),
+    "a JSON object", tuple,
+    _records("analytics", _ANALYTIC),
     _Field("cluster", _parse_cluster,
            lambda cluster: _write(cluster, _CLUSTER.fields), True),
 )
@@ -530,9 +572,11 @@ def parse_system_spec(text: str) -> tuple[System, Cluster]:
         raise ParseError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("", "invalid JSON: nested too deeply") from None
-    values = _read(doc, _DOC)
-    system = System(values["analytics"])
-    cluster = values["cluster"]
+    try:
+        analytics, cluster = _read(doc, _DOC)
+    finally:
+        _DURATIONS.clear()
+    system = System(analytics)
     core_ids = {c.id for c in cluster.cores}
     for i, analytic in enumerate(system.analytics):
         for j, stage in enumerate(analytic.stages):
