@@ -31,10 +31,10 @@ _HOMES = {
         "worst_observed",
     ),
     "sizing": (
-        "ComparisonResult", "DecimationRow", "PreconditionViolated",
-        "ReplicationExceeded", "SweepRow", "UtilizationSummary",
-        "baseline_comparison", "decimation_sweep", "frequency_sweep",
-        "min_cores", "retime_system", "total_utilization",
+        "ComparisonResult", "DecimationRow", "ReplicationExceeded",
+        "SweepRow", "UtilizationSummary", "baseline_comparison",
+        "decimation_sweep", "frequency_sweep", "min_cores", "retime_system",
+        "total_utilization",
     ),
     "workloads": ("MissingParam", "ScenarioId", "builtin_system"),
 }

@@ -41,9 +41,11 @@ not, 1 = input or usage error, every one of which is a ParseError, a
 usage error or a ValueError of the library; a library error that names
 a stage of the spec by its ``stage_id`` is printed after the stage's
 pointer, /analytics/<i>/stages/<j>. A stage's "priority" (larger =
-higher) and "core" are optional, and a command that reads them takes
-them from every stage or from none; a "core" that names no core of the
-cluster is a ParseError at its pointer. The spec describes the system
+higher) and "core" are optional, and analyze and simulate take them from
+every stage or from none; a "core" that names no core of the cluster is
+a ParseError at its pointer. size, decimate and compare read only each
+stage's cost, inter-arrival and blocking, and size under D = T + B with
+deadline-monotonic priorities. The spec describes the system
 only; what a command asks of it (a frequency, a factor, u_max, a
 horizon, a seed, a policy) is given by flags. Each such flag is declared
 by one row of a table that names its parser, its help and its default;
@@ -687,17 +689,12 @@ def _given(system: System, field: str) -> bool:
     return any(given)
 
 
-def _prioritize(system: System) -> System:
-    """Deadline-monotonic priorities when the spec file leaves them out."""
-    if _given(system, "priority"):
-        return system
-    return model.with_priorities(system, model.assign_priorities_dm(system))
-
-
 def _prepare(system: System, cluster: Cluster) -> tuple[System, dict[str, str]]:
-    """Fill in priorities (_prioritize), and the allocation (first-fit's
-    mapping) when the spec file leaves it out."""
-    system = _prioritize(system)
+    """Fill in deadline-monotonic priorities, and the allocation
+    (first-fit's mapping), where the spec file leaves them out."""
+    if not _given(system, "priority"):
+        system = model.with_priorities(system,
+                                       model.assign_priorities_dm(system))
     if _given(system, "core"):
         return system, {s.id: s.core for s in system.stages()}
     return system, model.allocate_first_fit(system, cluster)
@@ -812,7 +809,6 @@ def _cmd_simulate(args, system, cluster, out) -> int:
 
 def _cmd_compare(args, system, cluster, out) -> int:
     from . import sizing
-    system = _prioritize(system)
     result = sizing.baseline_comparison(system, args.umax)
     doc = {"ours": result.ours, "baseline": result.baseline}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -829,7 +825,7 @@ _COMMANDS = {
                  ("factors", "freq", "umax")),
     "simulate": (_cmd_simulate, "discrete-event simulation",
                  ("seed", "horizon", "blocking", "release")),
-    "compare": (_cmd_compare, "blocking-model core-count comparison",
+    "compare": (_cmd_compare, "blocking-model core counts from C, T and B",
                 ("umax",)),
 }
 

@@ -392,7 +392,7 @@ def validate_system(system: System) -> ValidationReport:
     topology, where only string ids are declared.
 
     Deliberately does *not* reject deadline > inter_arrival + blocking:
-    that regime is only refused by the utilization-bound path. An
+    the sizing functions read no deadline at all. An
     analytic's stages are all one-shot or all periodic: a one-shot stage
     admits item 0 only, so the analytic's later items would never
     complete. Each record is read by unpacking, and a finding's path is

@@ -5,7 +5,9 @@ blocking-model comparison.
 Core counts come from the linear-time utilization bound: a system whose
 total utilization U satisfies U < (m - 1/2) * U_max fits on m cores of
 capacity U_max, valid in the regime T + B = D with deadline-monotonic
-priorities. The inequality is strict, which matters at exact boundaries.
+priorities. Every count here reads only each stage's C, T and B, so it is
+the count of that regime whatever deadlines and priorities the system
+holds. The inequality is strict, which matters at exact boundaries.
 All rows are exact rationals: utilizations are summed as integers over
 the lcm of the periods (``model.scaled_utilizations``).
 """
@@ -59,14 +61,6 @@ class UtilizationSummary(NamedTuple):
     total: Fraction
 
 
-class PreconditionViolated(ValueError):
-    """The utilization bound's validity regime does not hold."""
-
-    def __init__(self, stage_id: str, message: str):
-        super().__init__(f"stage {stage_id!r}: {message}")
-        self.stage_id = stage_id
-
-
 class ReplicationExceeded(ValueError):
     """Rate replication would need more than REPLICATION_LIMIT replicas."""
 
@@ -96,37 +90,6 @@ def min_cores(total_utilization, u_max) -> int:
     q = u / umax + Fraction(1, 2)
     # least integer strictly greater than q
     return q.numerator // q.denominator + 1
-
-
-def require_bound_regime(system: System) -> None:
-    """Raise PreconditionViolated unless T + B = D for every finite-rate
-    stage and assigned priorities are deadline-monotonic."""
-    stages = list(system.stages())
-    for sid, _, period, deadline, blocking, _, _ in stages:
-        if period is not INFINITE and period + blocking != deadline:
-            raise PreconditionViolated(
-                sid, "inter-arrival + blocking != deadline")
-    # each deadline's first stage id, least and greatest priority
-    by_deadline: dict[int, list] = {}
-    for sid, _, _, deadline, _, priority, _ in stages:
-        if priority is None:
-            raise PreconditionViolated(sid, "priority unassigned")
-        group = by_deadline.get(deadline)
-        if group is None:
-            by_deadline[deadline] = [sid, priority, priority]
-        elif priority < group[1]:
-            group[1] = priority
-        elif priority > group[2]:
-            group[2] = priority
-    # a shorter deadline's priorities must all be strictly higher
-    prev_min = prev_d = None
-    for d in sorted(by_deadline):
-        first, least, greatest = by_deadline[d]
-        if prev_min is not None and greatest >= prev_min:
-            raise PreconditionViolated(
-                first,
-                f"priorities not deadline-monotonic (deadline {d} vs {prev_d})")
-        prev_min, prev_d = least, d
 
 
 def replica_count(stage: Stage, inter_arrival: Duration) -> int:
@@ -294,10 +257,10 @@ def baseline_comparison(system: System, u_max) -> ComparisonResult:
     blocking term and must charge B as execution demand.
 
     Ours sizes with C/T (blocking only widens deadlines, T + B = D);
-    the baseline sizes with (C + B)/T. baseline >= ours always, equal
-    when every B is zero.
+    the baseline sizes with (C + B)/T. Both read only C, T and B, so they
+    size under the bound's regime whatever deadlines and priorities
+    ``system`` holds. baseline >= ours always, equal when every B is zero.
     """
-    require_bound_regime(system)
     stages = list(system.stages())
     lcm, weights = scaled_utilizations(stages)
     ours = sum(weights)

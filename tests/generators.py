@@ -11,7 +11,8 @@ Each generator targets the regime its property is a theorem in:
   utilizations capped at u_max / (2 (m_cap + 1)) (first-fit can then
   never fail below the bound), with either harmonic periods at u_max = 1
   or arbitrary periods at u_max = 0.69 (under ln 2, so any per-core
-  packing is schedulable). B = 0 keeps T + B = D with D = T.
+  packing is schedulable). B = 0 keeps T + B = D with D = T, which
+  regime_problem_per_pass checks.
 * pipelined_system: multi-core, multi-analytic systems with one period
   per analytic (rate-consistent pipelines), ADVERSARIAL-style blocking
   terms and series-parallel shapes, for conservativeness runs.
@@ -120,6 +121,33 @@ def bound_regime_system(seed: int, harmonic: bool):
             f"t{i:03d}", max(1, math.floor(u * t)), t))
     system = System(tuple(analytics))
     return with_priorities(system, assign_priorities_dm(system)), u_max
+
+
+def regime_problem_per_pass(system):
+    """The first stage that breaks the utilization bound's regime, as
+    (stage id, message), or None: one pass per rule (T + B = D for every
+    finite-rate stage, every priority assigned), then deadline groups as
+    lists of priorities, each strictly above the next longer deadline's."""
+    stages = list(system.stages())
+    for s in stages:
+        if s.inter_arrival is not INFINITE:
+            if s.inter_arrival + s.blocking != s.deadline:
+                return s.id, "inter-arrival + blocking != deadline"
+    for s in stages:
+        if s.priority is None:
+            return s.id, "priority unassigned"
+    by_deadline, rep = {}, {}
+    for s in stages:
+        by_deadline.setdefault(s.deadline, []).append(s.priority)
+        rep.setdefault(s.deadline, s.id)
+    prev_min = prev_d = None
+    for d in sorted(by_deadline):
+        cur = by_deadline[d]
+        if prev_min is not None and max(cur) >= prev_min:
+            return rep[d], (f"priorities not deadline-monotonic "
+                            f"(deadline {d} vs {prev_d})")
+        prev_min, prev_d = min(cur), d
+    return None
 
 
 _SHAPES = ("single", "chain2", "chain3", "fork", "join")

@@ -38,7 +38,6 @@ from tcsizer import (
     with_priorities,
     worst_observed,
 )
-from tcsizer.sizing import require_bound_regime
 from tcsizer.cli import emit_system_spec, run_command
 from tcsizer.sim import SimConfig
 
@@ -47,6 +46,7 @@ from generators import (
     bound_regime_system,
     independent_taskset,
     pipelined_system,
+    regime_problem_per_pass,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +129,8 @@ def test_criterion_3_utilization_bound_soundness():
     for base_seed, harmonic in batches:
         for i in range(500):
             system, u_max = bound_regime_system(base_seed + i, harmonic)
-            require_bound_regime(system)  # the regime the bound needs
+            # the regime the bound needs
+            assert regime_problem_per_pass(system) is None
             m = min_cores(total_utilization(system).total, u_max)
             cluster = homogeneous_cluster(m, capacity=u_max)
             allocation = allocate_first_fit(system, cluster)  # must not raise

@@ -20,7 +20,6 @@ from tcsizer import (
     InvalidAllocation,
     Leaf,
     MissingStage,
-    PreconditionViolated,
     ResponseReport,
     Seq,
     SimConfig,
@@ -40,9 +39,10 @@ from tcsizer import (
     validate_system,
     with_priorities,
 )
-from tcsizer.sizing import require_bound_regime
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
+
+from generators import regime_problem_per_pass
 
 
 def stage(sid, c, t, d=None, b=0, prio=None):
@@ -647,25 +647,8 @@ class TestUtilizationBound:
 
     def test_accepts_and_rejects_by_m(self):
         system = self.microblog_regime()
-        require_bound_regime(system)
+        assert regime_problem_per_pass(system) is None
         assert min_cores(total_utilization(system).total, 1) == 6
-
-    def test_regime_violation_names_stage(self):
-        system = System((single("s", 1 * MS, 10 * MS, d=9 * MS, prio=1),))
-        with pytest.raises(PreconditionViolated) as exc:
-            require_bound_regime(system)
-        assert exc.value.stage_id == "s"
-
-    def test_non_dm_priorities_rejected(self):
-        a = single("a", 1 * MS, 10 * MS, prio=1)   # shorter D, lower prio
-        b = single("b", 1 * MS, 20 * MS, prio=2)
-        with pytest.raises(PreconditionViolated):
-            require_bound_regime(System((a, b)))
-
-    def test_unassigned_priorities_rejected(self):
-        system = System((single("s", 1 * MS, 10 * MS),))
-        with pytest.raises(PreconditionViolated):
-            require_bound_regime(system)
 
     @pytest.mark.parametrize("u_max", [0, Fraction(-1, 2), Fraction(3, 2)])
     def test_u_max_outside_the_unit_interval_refused(self, u_max):
@@ -680,62 +663,6 @@ class TestUtilizationBound:
         total = total_utilization(self.microblog_regime()).total
         assert (m >= min_cores(total, u_max)) == (
             total < (m - Fraction(1, 2)) * u_max)
-
-
-def regime_problem_per_pass(system):
-    """require_bound_regime as first written, kept as the reference: one
-    pass per rule, then deadline groups as lists of priorities; returns
-    the (stage id, message) it raises, or None."""
-    stages = list(system.stages())
-    for s in stages:
-        if s.inter_arrival is not INFINITE:
-            if s.inter_arrival + s.blocking != s.deadline:
-                return s.id, "inter-arrival + blocking != deadline"
-    for s in stages:
-        if s.priority is None:
-            return s.id, "priority unassigned"
-    by_deadline, rep = {}, {}
-    for s in stages:
-        by_deadline.setdefault(s.deadline, []).append(s.priority)
-        rep.setdefault(s.deadline, s.id)
-    prev_min = prev_d = None
-    for d in sorted(by_deadline):
-        cur = by_deadline[d]
-        if prev_min is not None and max(cur) >= prev_min:
-            return rep[d], (f"priorities not deadline-monotonic "
-                            f"(deadline {d} vs {prev_d})")
-        prev_min, prev_d = min(cur), d
-    return None
-
-
-@st.composite
-def regime_systems(draw):
-    """1-8 one-stage analytics on a few deadlines, mostly in the regime:
-    T + B = D or one-shot, priorities near deadline-monotonic, with an
-    occasional stage off the regime or without a priority."""
-    stages = []
-    for i in range(draw(st.integers(1, 8))):
-        d = draw(st.sampled_from([10 * MS, 20 * MS, 40 * MS]))
-        b = draw(st.sampled_from([0, MS]))
-        t = draw(st.sampled_from([d - b] * 6 + [INFINITE, d]))
-        # adjacent deadlines share a priority now and then
-        rank = {10 * MS: 6, 20 * MS: 4, 40 * MS: 2}[d]
-        prio = draw(st.sampled_from([None] + [rank - 1, rank, rank + 1] * 4))
-        stages.append(Stage(f"s{i}", MS, t, d, b, prio))
-    return System(tuple(Analytic(s.id, (s,), Leaf(s.id), s.deadline)
-                        for s in stages))
-
-
-class TestBoundRegime:
-    @given(regime_systems())
-    @settings(max_examples=500, deadline=None)
-    def test_matches_the_per_pass_reference(self, system):
-        try:
-            require_bound_regime(system)
-            got = None
-        except PreconditionViolated as exc:
-            got = exc.stage_id, str(exc).partition(": ")[2]
-        assert got == regime_problem_per_pass(system)
 
 
 class TestSentinels:

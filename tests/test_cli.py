@@ -37,7 +37,6 @@ from tcsizer import (
     MissingParam,
     MissingStage,
     Par,
-    PreconditionViolated,
     ReplicationExceeded,
     ResponseReport,
     ScenarioId,
@@ -785,21 +784,21 @@ class TestStagePlacementKeys:
                    f"'c9'\n")
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("key, value, commands", [
-        ("priority", 1, ["analyze", "simulate", "compare"]),
-        ("core", "c0", ["analyze", "simulate"])])
-    def test_a_key_on_one_stage_only_is_refused(self, tmp_path, key, value,
-                                                commands):
+    @pytest.mark.parametrize("key, value", [("priority", 1), ("core", "c0")])
+    def test_a_key_on_one_stage_only_is_refused(self, tmp_path, key, value):
         doc = microblog_doc()
         doc["analytics"][0]["stages"][1][key] = value
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(doc))
         for command in FIVE_COMMANDS:
-            if command[0] in commands:
+            if command[0] in ("analyze", "simulate"):
                 assert invoke_command(command, path, tmp_path) == (
                     1, "", f"error: {key} must be given on every stage or "
                            f"on none\n"), command
         assert not (tmp_path / "t.csv").exists()
+        # compare reads no priority, so it answers
+        assert invoke_command(["compare"], path, tmp_path) == (
+            0, '{\n  "baseline": 1,\n  "ours": 1\n}\n', "")
 
 
 class TestMixedAnalytics:
@@ -1337,15 +1336,52 @@ class TestCompareCommand:
         assert code == 0
         assert json.loads(out) == {"ours": 1, "baseline": 1}
 
-    def test_regime_violation_is_input_error(self, tmp_path):
+    def test_deadline_off_the_regime_is_answered(self, tmp_path):
         s = Stage(id="s", cost=MS, inter_arrival=10 * MS, deadline=9 * MS,
                   priority=1)
         system = System((Analytic("s", (s,), Leaf("s"), 9 * MS),))
-        path = tmp_path / "bad.json"
+        path = tmp_path / "off-regime.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
-        assert invoke(["compare", str(path)]) == (
-            1, "", "error: /analytics/0/stages/0: stage 's': inter-arrival "
-                   "+ blocking != deadline\n")
+        code, out, err = invoke(["compare", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"ours": 1, "baseline": 1}
+
+    # two rows pinned by value: (C + 3B)/T against C/T
+    BLOCKED_MICROBLOG = {
+        (ScenarioId.MICROBLOG_ONLINE, 4000, 500 * US):
+            {"baseline": 12, "ours": 6},
+        (ScenarioId.MICROBLOG_ONLINE, 8000, 500 * US):
+            {"baseline": 22, "ours": 10},
+    }
+
+    @pytest.mark.parametrize("blocking", [0, 50 * US, 500 * US])
+    @pytest.mark.parametrize("frequency", [1, 100, 1000, 4000, 8000])
+    @pytest.mark.parametrize("scenario", [ScenarioId.MICROBLOG_ONLINE,
+                                          ScenarioId.BOOK_ONLINE])
+    def test_builtin_online_scenarios(self, tmp_path, scenario, frequency,
+                                      blocking):
+        # builtin_system keeps every stage's deadline at the end-to-end
+        # one, so D != T + B except at 1 Hz with no blocking; ours is
+        # still size's count at that rate
+        system = builtin_system(scenario, frequency_hz=frequency,
+                                blocking=blocking)
+        path = tmp_path / "online.json"
+        path.write_text(emit_system_spec(system, homogeneous_cluster(8)))
+        code, out, err = invoke(["compare", str(path)])
+        assert (code, err) == (0, "")
+        counts = json.loads(out)
+        assert counts["baseline"] >= counts["ours"]
+        if blocking == 0:
+            assert counts["baseline"] == counts["ours"]
+        template = tmp_path / "template.json"
+        template.write_text(emit_system_spec(
+            builtin_system(scenario, frequency_hz=1), homogeneous_cluster(8)))
+        code, out, _ = invoke(["size", str(template), "--freqs",
+                               str(frequency)])
+        assert code == 0
+        assert counts["ours"] == int(out.splitlines()[1].split(",")[2])
+        assert counts == self.BLOCKED_MICROBLOG.get(
+            (scenario, frequency, blocking), counts)
 
 
 class TestDeterministicOutput:
@@ -1513,7 +1549,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("error", [
         ReplicationExceeded, InvalidAllocation, AllocationFailed,
-        PreconditionViolated, HorizonTooShort, MissingStage, MissingParam])
+        HorizonTooShort, MissingStage, MissingParam])
     def test_is_a_value_error(self, error):
         assert issubclass(error, ValueError)
 

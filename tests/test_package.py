@@ -22,10 +22,10 @@ PUBLIC_NAMES = [
     "AllocationFailed", "Analytic", "AnalyticVerdict", "BlockingPolicy",
     "Cluster", "ComparisonResult", "Core", "DIVERGED", "DecimationRow",
     "HOUR", "HorizonTooShort", "INFINITE", "InvalidAllocation", "Leaf",
-    "MINUTE", "MS", "MissingParam", "MissingStage", "Par",
-    "PreconditionViolated", "ReleasePolicy", "ReplicationExceeded",
-    "ResponseReport", "RoundRobin", "SEC", "ScenarioId", "Seq", "SimConfig",
-    "SimEvent", "SimTrace", "Stage", "SweepRow", "System", "US",
+    "MINUTE", "MS", "MissingParam", "MissingStage", "Par", "ReleasePolicy",
+    "ReplicationExceeded", "ResponseReport", "RoundRobin", "SEC",
+    "ScenarioId", "Seq", "SimConfig", "SimEvent", "SimTrace", "Stage",
+    "SweepRow", "System", "US",
     "UtilizationSummary", "ValidationReport", "Violation", "WorstObserved",
     "allocate_first_fit", "analysis", "assign_priorities_dm",
     "baseline_comparison", "builtin_system", "decimation_sweep",
@@ -47,7 +47,7 @@ NOT_FOR_ANY_COMMAND = ["dataclasses", "inspect"]
 
 class TestSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC_NAMES) == 65
+        assert len(PUBLIC_NAMES) == 64
         assert tcsizer.__all__ == PUBLIC_NAMES
 
     def test_every_name_resolves(self):

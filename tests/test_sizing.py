@@ -14,7 +14,6 @@ from tcsizer import (
     DecimationRow,
     Leaf,
     Par,
-    PreconditionViolated,
     ReplicationExceeded,
     RoundRobin,
     Seq,
@@ -464,12 +463,11 @@ class TestBaselineComparison:
         system = System((Analytic("s", (s,), Leaf("s"), 11 * MS),))
         assert baseline_comparison(system, u_max=1) == (1, 1)
 
-    def test_regime_enforced(self):
+    def test_deadline_off_the_regime_is_answered(self):
         s = Stage(id="s", cost=1 * MS, inter_arrival=10 * MS,
                   deadline=9 * MS, priority=1)
         system = System((Analytic("s", (s,), Leaf("s"), 9 * MS),))
-        with pytest.raises(PreconditionViolated):
-            baseline_comparison(system, u_max=1)
+        assert baseline_comparison(system, u_max=1) == (1, 1)
 
     def test_direction_over_random_systems(self):
         rng = random.Random(2024)
@@ -506,27 +504,27 @@ def baseline_by_fractions(system, u_max):
 
 
 @st.composite
-def coprime_regime_systems(draw):
-    """One-stage analytics in the T + B = D regime with deadline-monotonic
-    priorities, periods from COPRIME_PERIODS (one-shot stages included)."""
+def coprime_systems(draw):
+    """One-stage analytics with periods from COPRIME_PERIODS (one-shot
+    stages included), any deadline >= C, and any priority or none: the
+    counts read only C, T and B."""
     stages = []
     for i, t in enumerate(draw(st.lists(st.sampled_from(COPRIME_PERIODS),
                                         max_size=30))):
         if t is INFINITE:
             c, b = draw(st.integers(0, 10**12)), draw(st.integers(0, 10**6))
-            d = c + b
         else:
             c, b = draw(st.integers(0, t)), draw(st.integers(0, t))
-            d = t + b
+        d = draw(st.integers(c, c + 2 * 10**9))
         stages.append(Stage(id=f"s{i:02d}", cost=c, inter_arrival=t,
-                            deadline=d, blocking=b))
-    system = System(tuple(
+                            deadline=d, blocking=b,
+                            priority=draw(st.none() | st.integers())))
+    return System(tuple(
         Analytic(s.id, (s,), Leaf(s.id), max(1, s.deadline)) for s in stages))
-    return with_priorities(system, assign_priorities_dm(system))
 
 
 class TestScaledSums:
-    @given(coprime_regime_systems())
+    @given(coprime_systems())
     @settings(max_examples=200, deadline=None)
     def test_match_the_per_stage_fraction_sums(self, system):
         summary = total_utilization(system)
