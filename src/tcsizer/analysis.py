@@ -8,24 +8,26 @@ with a blocking term,
 over the same-core cotenants z with higher (or equal - mutual
 interference) priority. A one-shot cotenant contributes its cost exactly
 once, so it joins B + C in the constant term, the base. Cotenants that
-share a period T share one ceiling, ceil(R / T) times their summed cost,
-so a round costs one term per distinct period. ``solve_system`` reads
-each stage once into a plain record on its core's list, then walks each
-core's records once, sorted from the highest priority down, adding each
-level to running totals (summed cost per period and in all, and one sum
-of one-shot costs) and solving each of its stages against them less its
-own cost.
+share a period T share one ceiling, ceil(R / T) times their summed cost.
+
+One rule, in integers, decides DIVERGED before any iteration. A
+periodic stage weighs C * (L // T), L the lcm of its core's finite
+periods (``model.period_scales``), and a one-shot stage weighs 0. A
+level (a stage and its cotenants) that weighs more than L has no finite
+busy period (Lehoczky, 1990; Tindell, Burns and Wellings, 1994); one
+that weighs L while the stage weighs 0 leaves a load that fills the
+core, so R >= base + R, which no R meets when base > 0. Any other
+recurrence has a least fixed point, which reads DIVERGED past the cap.
 
 Each fixed point starts from one job of every cotenant in its load,
 top = base + sum_z C_z (Audsley et al., 1993), or from 0 when the base
 is 0, its own fixed point. With f the right-hand side above, the one
 premise is base >= 1: the least fixed point R >= base then makes every
 ceil(R / T_z) >= 1, so R = f(R) >= top. From any lower bound the
-iteration reaches the same least fixed point, or DIVERGED, as from the
-base, in no more rounds. Since ceil(R / T) = floor((R - 1) / T) + 1 for
-every integer R and T >= 1, a round evaluates f(R) as
-top + sum_z floor((R - 1) / T_z) * C_z: one division and one product
-per distinct period.
+iteration reaches the same least fixed point as from the base, in no
+more rounds. Since ceil(R / T) = floor((R - 1) / T) + 1 for all integer
+R and T >= 1, each round evaluates f(R) in one division and one product
+per distinct period, as top + sum_z floor((R - 1) / T_z) * C_z.
 
 All arithmetic is exact: times are integer nanoseconds. Each analytic's
 end-to-end response composes its stages' bounds over its topology
@@ -34,7 +36,6 @@ end-to-end response composes its stages' bounds over its topology
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -46,9 +47,10 @@ from .model import (
     System,
     effective_blocking,
     end_to_end_response,
+    period_scales,
 )
 
-#: Returned when the response-time iteration climbs past its cap.
+#: A stage whose level overloads its core, or whose bound passes the cap.
 DIVERGED = Marker.DIVERGED
 
 ResponseTime = Union[int, Marker]
@@ -74,15 +76,12 @@ def _fixed_point(base: Duration, top: Duration,
                  load: Iterable[tuple[int, Duration]],
                  cap: Duration) -> ResponseTime:
     """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
-    (period T, summed cost C) pairs of ``load``, or DIVERGED as soon as
-    an iterate exceeds ``cap``. ``top`` is base + sum C, where the
-    iteration starts (at 0 when base is 0), each round evaluating
-    top + sum floor((R - 1) / T) * C (see the module docstring)."""
+    (period T, summed cost C) pairs of ``load``, which has one (see the
+    module docstring), or DIVERGED once an iterate exceeds ``cap``.
+    ``top`` is base + sum C, where it starts (at 0 when base is 0), each
+    round evaluating top + sum floor((R - 1) / T) * C."""
     r = top if base else 0
-    rounds = 0
-    while True:
-        if r > cap:
-            return DIVERGED
+    while r <= cap:
         nxt = top
         below = r - 1
         for t, c in load:
@@ -90,12 +89,7 @@ def _fixed_point(base: Duration, top: Duration,
         if nxt == r:
             return r
         r = nxt
-        rounds += 1
-        # base > 0 now (0 is its own fixed point); once the periodic load
-        # fills the core (U >= 1), R >= base + U*R > R has no fixed point
-        # and the loop would only crawl up to the cap
-        if rounds == 64 and sum(Fraction(c, t) for t, c in load) >= 1:
-            return DIVERGED
+    return DIVERGED
 
 
 def solve_system(system: System, allocation: Mapping[str, str],
@@ -115,8 +109,8 @@ def solve_system(system: System, allocation: Mapping[str, str],
     id, cost, period, effective blocking) on its core's list. Each
     core's records are sorted by priority (stable) and walked once: each
     record first adds every record at or above its level to the totals,
-    then solves against them less its own cost, from one job of each
-    cotenant (see the module docstring).
+    then is DIVERGED by their weight or solves against them less its own
+    cost (see the module docstring).
     """
     blocking = effective_blocking(system, allocation, cluster)
     cap = max(map(_deadline, system.analytics), default=0)
@@ -129,14 +123,15 @@ def solve_system(system: System, allocation: Mapping[str, str],
     # keyed in the system's stage order, filled in core by core below
     per_stage: dict[str, ResponseTime] = dict.fromkeys(blocking)
     for core in by_core.values():
+        lcm, scale = period_scales({r[3] for r in core})
         core.sort(key=_priority, reverse=True)
         n = len(core)
-        # summed cost per period of the periodic records, their sum, and
-        # summed cost of the one-shot records, at or above the current
-        # level; the fixed point reads the totals through a live view
+        # at or above the current level: the periodic records' cost per
+        # period, in all and in weight, and the one-shot records' cost;
+        # the fixed point reads the totals through a live view
         totals: dict[int, Duration] = {}
         load = totals.items()
-        level_sum = once = added = 0
+        level_sum = level_weight = once = added = 0
         for priority, sid, c, t, b in core:
             while added < n and core[added][0] >= priority:
                 _, _, cost, period, _ = core[added]
@@ -146,8 +141,13 @@ def solve_system(system: System, allocation: Mapping[str, str],
                 else:
                     totals[period] = totals.get(period, 0) + cost
                     level_sum += cost
+                    level_weight += cost * scale[period]
             top = b + once + level_sum
-            if t is INFINITE:
+            # the DIVERGED rule; a stage of weight 0 has base b + once
+            if level_weight >= lcm and (level_weight > lcm
+                                        or b + once and not c * scale[t]):
+                per_stage[sid] = DIVERGED
+            elif t is INFINITE:
                 per_stage[sid] = _fixed_point(b + once, top, load, cap)
             else:
                 totals[t] -= c

@@ -834,7 +834,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tcsizer", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("spec")
         for flag in flags:
             default = _FLAGS[flag].default

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 # Duration helpers (integer nanoseconds).
 US = 1_000
@@ -43,8 +43,8 @@ class Marker(Enum):
     INFINITE = "INFINITE"
     DIVERGED = "DIVERGED"
 
-    # Enum hashes in Python; scaled_utilizations and _topology_problems
-    # hash INFINITE among their periods
+    # Enum hashes in Python; period_scales and _topology_problems hash
+    # INFINITE among their periods
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:
@@ -575,20 +575,32 @@ def _map_stages(system: System, priorities: Mapping[str, int],
 
 # --- first-fit-decreasing allocation ------------------------------------------
 
+def period_scales(periods: Iterable[InterArrival],
+                  denominators=()) -> tuple[int, dict[InterArrival, int]]:
+    """One common denominator L for utilizations over ``periods``:
+    ``(L, {T: L // T for each distinct T})``, INFINITE scaled by 0, so
+    C/T is C * scale[T] over L. L is the lcm of the distinct finite
+    periods and of ``denominators``, so a fraction p/q with q among them
+    is p * (L // q) over L."""
+    finite = set(periods) - {INFINITE}
+    lcms = [*finite, *denominators]
+    # pairwise rounds while many operands remain, so each lcm joins
+    # operands of like size; one lcm over the last few is cheaper
+    while len(lcms) > 64:
+        lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
+    lcm = math.lcm(*lcms)
+    scale = {t: lcm // t for t in finite}
+    scale[INFINITE] = 0
+    return lcm, scale
+
+
 def scaled_utilizations(stages: list[Stage],
                         denominators=()) -> tuple[int, list[int]]:
-    """Each stage's utilization as an exact integer over one common
-    denominator L: ``(L, [C * (L // T) for each stage])``, 0 for a
-    one-shot stage. L is the lcm of the distinct finite periods and of
-    ``denominators``, so a fraction p/q with q among them is p * (L // q)."""
-    periods = {s.inter_arrival for s in stages} - {INFINITE}
-    # pairwise rounds, so each lcm joins operands of like size
-    lcms = [*periods, *denominators] or [1]
-    while len(lcms) > 1:
-        lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
-    lcm = lcms[0]
-    scale = {t: lcm // t for t in periods}
-    scale[INFINITE] = 0
+    """Each stage's utilization as an exact integer over the common
+    denominator L of ``period_scales``: ``(L, [C * (L // T) for each
+    stage])``, 0 for a one-shot stage."""
+    lcm, scale = period_scales({s.inter_arrival for s in stages},
+                               denominators)
     return lcm, [s.cost * scale[s.inter_arrival] for s in stages]
 
 

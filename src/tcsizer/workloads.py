@@ -66,9 +66,10 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
     Online scenarios need ``frequency_hz``; offline ones need ``costs``
     (one per phase: download, map, reduce, sort). Per-stage deadlines
     are the end-to-end deadline (``deadline`` as given, 0 included, else
-    the scenario's) so that high-rate templates stay structurally valid;
-    sweeps re-derive tighter per-stage deadlines themselves. A chain
-    scenario is one analytic of one stage per phase, run in sequence.
+    the scenario's) so that high-rate templates stay structurally valid.
+    No sweep reads them; only ``sizing.retime_system`` writes new ones,
+    D = T + B. A chain scenario is one analytic of one stage per phase,
+    run in sequence.
     """
     if scenario is ScenarioId.TABLE_VI:
         return _priority_pair()

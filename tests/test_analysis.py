@@ -20,6 +20,7 @@ from tcsizer import (
     InvalidAllocation,
     Leaf,
     MissingStage,
+    ReleasePolicy,
     ResponseReport,
     Seq,
     SimConfig,
@@ -37,7 +38,9 @@ from tcsizer import (
     solve_system,
     total_utilization,
     validate_system,
+    verify_conservative,
     with_priorities,
+    worst_observed,
 )
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
@@ -445,6 +448,48 @@ class TestSolveSystem:
         assert not report.system_feasible
 
 
+class TestOverloadedLevels:
+    """A level whose utilization exceeds 1, the stage's own included, has
+    no finite busy period: its stage is DIVERGED whatever the cap."""
+
+    @staticmethod
+    def solve_on_c0(*analytics):
+        system = System(analytics)
+        allocation = {s.id: "c0" for s in system.stages()}
+        cluster = homogeneous_cluster(1)
+        return system, allocation, cluster, solve_system(
+            system, allocation, cluster)
+
+    @pytest.mark.parametrize("cap", [20 * MS, HOUR])
+    def test_two_stages_of_60_percent(self, cap):
+        # b's recurrence 6 + 6 * ceil(R / 10) meets 18 ms, but b's own
+        # jobs pile up behind a's without end
+        _, _, _, report = self.solve_on_c0(
+            single("a", 6 * MS, 10 * MS, d=cap, prio=2),
+            single("b", 6 * MS, 10 * MS, d=cap, prio=1))
+        assert report.per_stage == {"a": 6 * MS, "b": DIVERGED}
+        assert report.per_analytic == {
+            "a": AnalyticVerdict(6 * MS, True),
+            "b": AnalyticVerdict(DIVERGED, False)}
+
+    def test_a_lone_stage_longer_than_its_period(self):
+        _, _, _, report = self.solve_on_c0(single("s0", 11, 10, d=HOUR,
+                                                  prio=1))
+        assert report.per_stage == {"s0": DIVERGED}
+
+    @pytest.mark.parametrize("release", list(ReleasePolicy))
+    def test_a_full_core_keeps_its_bound(self, release):
+        # U = 1 exactly is no overload: b waits one job of a
+        system, allocation, cluster, report = self.solve_on_c0(
+            single("a", 5 * MS, 10 * MS, prio=2),
+            single("b", 5 * MS, 10 * MS, prio=1))
+        assert report.per_stage == {"a": 5 * MS, "b": 10 * MS}
+        assert report.system_feasible
+        trace = simulate(system, allocation, cluster,
+                         SimConfig(horizon=SEC, release_policy=release))
+        assert verify_conservative(report, worst_observed(trace)) == []
+
+
 # what is wrong with a stage, and the error it raises when it is the first
 # bad stage: (class, message with the stage id in place of {})
 BAD_STAGES = {
@@ -500,7 +545,11 @@ class TestBadStages:
 
 
 def reference_response_time(stage, interferers, cap, blocking):
-    """The recurrence charged one ceiling per interferer per round."""
+    """The recurrence charged one ceiling per interferer per round, or
+    DIVERGED when the stage and its interferers together need more than
+    the core: no busy period at that level ends."""
+    if stage.utilization() + sum(z.utilization() for z in interferers) > 1:
+        return DIVERGED
     base = blocking + stage.cost
     r = base
     rounds = 0

@@ -133,6 +133,21 @@ def microblog(tmp_path):
     return path
 
 
+@pytest.fixture
+def overload(tmp_path):
+    """Two (6 ms, 10 ms) stages pinned to c0, 120 % of the core, each its
+    own analytic with a 20 ms deadline."""
+    def analytic(sid):
+        s = Stage(id=sid, cost=6 * MS, inter_arrival=10 * MS,
+                  deadline=20 * MS, core="c0")
+        return Analytic(sid, (s,), Leaf(sid), 20 * MS)
+
+    path = tmp_path / "overload.json"
+    path.write_text(emit_system_spec(System((analytic("a"), analytic("b"))),
+                                     homogeneous_cluster(1)))
+    return path
+
+
 def headline_system():
     """The microblog scenario re-timed to 4 kHz: round-robin replicas of
     the splitter and the counter."""
@@ -914,6 +929,14 @@ class TestAnalyzeCommand:
         assert code == 2
         assert (proc.returncode, proc.stdout) == (code, out)
 
+    def test_an_overloaded_core_diverges(self, overload):
+        code, out, err = invoke(["analyze", str(overload)])
+        assert (code, err) == (2, "")
+        assert '"b": "DIVERGED"' in out
+        doc = json.loads(out)
+        assert doc["per_stage"] == {"a": 6 * MS, "b": "DIVERGED"}
+        assert doc["system_feasible"] is False
+
     def test_full_core_diverges_at_once(self, tmp_path):
         # tick fills the core (C = T), so the one-shot batch below it has
         # no fixed point; the iterate must not climb 10 us a round to 2 h
@@ -1082,6 +1105,21 @@ class TestHelp:
             assert command in out
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("command, says", [
+        ("analyze", "response-time analysis and verdicts"),
+        ("size", "utilization/min-cores frequency sweep"),
+        ("decimate", "decimation trade-off sweep"),
+        ("simulate", "discrete-event simulation"),
+        ("compare", "blocking-model core counts from C, T and B"),
+    ])
+    def test_subcommand_says_what_it_computes(self, command, says):
+        # the paragraph after the usage line, in the words of the
+        # top-level command list
+        code, out, err = invoke([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.split("\n\n")[1] == says
+        assert says in invoke(["--help"])[1]
+
     @pytest.mark.parametrize("command", FLAGS)
     def test_subcommand(self, capsys, command):
         code, out, err = invoke([command, "--help"])
@@ -1241,6 +1279,17 @@ class TestSimulateCommand:
         doc = json.loads(out)
         assert doc["conservative"] is True
         assert doc["per_analytic_observed"]["microblog"] <= 1145 * US
+
+    def test_an_overloaded_core_is_conservative(self, overload, tmp_path):
+        # b is observed at 340 ms after 1 s, and its bound is DIVERGED
+        code, out, err = invoke([
+            "simulate", str(overload), "--horizon", "1s",
+            "--trace", str(tmp_path / "t.csv")])
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["conservative"] is True
+        assert doc["violations"] == []
+        assert doc["per_stage_observed"]["b"] > 20 * MS
 
     def test_infeasible_system_exits_2(self, table_vi_gp, tmp_path):
         code, out, _ = invoke([

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ from tcsizer import (
     with_allocation,
     with_priorities,
 )
-from tcsizer.model import item_flow, scaled_utilizations
+from tcsizer.model import (item_flow, period_scales,
+                           scaled_utilizations)
 from tcsizer.sim import SimConfig
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -272,6 +274,18 @@ class TestValidation:
                     walk()
                 assert str(exc.value) == (
                     f"not a composition expression: {node!r}")
+
+    def test_children_that_are_no_sequence_are_only_malformed(self):
+        # the walk cannot reverse such children: whatever it found
+        # before (an unknown leaf, an empty node) gives way to the one
+        # finding
+        stages = (stage("a", 1, 10, 10),)
+        for bad in (Seq(5), Par(None), RoundRobin(3)):
+            for topo in (bad, Seq((Leaf("zz"), Par(()), bad))):
+                system = System((Analytic("x", stages, topo, 10),))
+                assert validate_system(system).findings == [
+                    ("/analytics/0/topology",
+                     "malformed composition expression")]
 
     def test_a_deeply_nested_non_node_is_only_malformed(self):
         stages = (stage("a", 1, 10, 10),)
@@ -550,6 +564,15 @@ class TestFirstFitOracle:
                            Core("c1", Fraction(69, 100))))
         assert list(allocate_first_fit(system, cluster).items()) == [
             ("x", "c0"), ("y", "c0")]
+
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 300])
+    def test_period_scales_take_one_exact_lcm(self, count):
+        # past 64 operands the lcm is taken in pairwise rounds
+        periods = [1000 + 7 * k for k in range(count)]
+        lcm, scale = period_scales([*periods, INFINITE, *periods[:3]],
+                                   [3, 100])
+        assert lcm == math.lcm(*periods, 3, 100)
+        assert scale == {INFINITE: 0, **{t: lcm // t for t in periods}}
 
     def test_zero_utilization_after_full_cores_goes_to_first_core(self):
         system = System((single("a", 10, 10), single("b", 10, 10),
