@@ -583,12 +583,11 @@ def period_scales(periods: Iterable[InterArrival],
     periods and of ``denominators``, so a fraction p/q with q among them
     is p * (L // q) over L."""
     finite = set(periods) - {INFINITE}
-    lcms = [*finite, *denominators]
-    # pairwise rounds while many operands remain, so each lcm joins
-    # operands of like size; one lcm over the last few is cheaper
-    while len(lcms) > 64:
+    # pairwise rounds, so each lcm joins operands of like size
+    lcms = [*finite, *denominators] or [1]
+    while len(lcms) > 1:
         lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
-    lcm = math.lcm(*lcms)
+    lcm = lcms[0]
     scale = {t: lcm // t for t in finite}
     scale[INFINITE] = 0
     return lcm, scale
