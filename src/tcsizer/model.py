@@ -294,9 +294,11 @@ class _Core(NamedTuple):
 
 
 class Core(_Core):
-    """A scheduling unit: normalized capacity plus platform blocking. The
-    capacity is wrapped in a Fraction only when it is not one, and
-    checked in (0, 1] on its integer numerator and denominator."""
+    """A scheduling unit: a capacity plus platform blocking. The capacity
+    is first-fit's bound on the utilization placed on the core; the
+    solve and the simulator run every core at full speed. It is wrapped
+    in a Fraction only when it is not one, and checked in (0, 1] on its
+    integer numerator and denominator."""
 
     __slots__ = ()
 
@@ -367,21 +369,14 @@ def effective_blocking(system: System, allocation: Mapping[str, str],
 
 # --- validation ---------------------------------------------------------------
 
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Findings are (path, message) pairs; ok iff there are none."""
 
-    def __init__(self, findings: list[tuple[str, str]] | None = None):
-        self.findings = [] if findings is None else findings
-
-    def __repr__(self) -> str:
-        return f"ValidationReport(findings={self.findings!r})"
+    findings: list[tuple[str, str]]
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def add(self, path: str, message: str) -> None:
-        self.findings.append((path, message))
 
 
 def validate_system(system: System) -> ValidationReport:
@@ -398,8 +393,11 @@ def validate_system(system: System) -> ValidationReport:
     complete. Each record is read by unpacking, and a finding's path is
     built only when the finding is added.
     """
-    report = ValidationReport()
-    add = report.add
+    findings: list[tuple[str, str]] = []
+
+    def add(path: str, message: str) -> None:
+        findings.append((path, message))
+
     seen_analytics: set[str] = set()
     seen_stages: set[str] = set()
 
@@ -463,7 +461,7 @@ def validate_system(system: System) -> ValidationReport:
         for message in _topology_problems(topology, periods):
             add(f"/analytics/{ai}/topology", message)
 
-    return report
+    return ValidationReport(findings)
 
 
 _MALFORMED = "malformed composition expression"
@@ -575,32 +573,22 @@ def _map_stages(system: System, priorities: Mapping[str, int],
 
 # --- first-fit-decreasing allocation ------------------------------------------
 
-def period_scales(periods: Iterable[InterArrival],
-                  denominators=()) -> tuple[int, dict[InterArrival, int]]:
-    """One common denominator L for utilizations over ``periods``:
-    ``(L, {T: L // T for each distinct T})``, INFINITE scaled by 0, so
-    C/T is C * scale[T] over L. L is the lcm of the distinct finite
-    periods and of ``denominators``, so a fraction p/q with q among them
-    is p * (L // q) over L."""
-    finite = set(periods) - {INFINITE}
+def period_scales(
+        values: Iterable[InterArrival]) -> tuple[int, dict[InterArrival, int]]:
+    """One common denominator L for exact utilizations: ``(L, {x: L // x
+    for each distinct x in values})``, INFINITE scaled by 0. L is the lcm
+    of the distinct finite values, so with every period among them C/T
+    is C * scale[T] over L, and with a denominator q among them (a core
+    capacity's, say) a fraction p/q is p * scale[q] over L."""
+    finite = set(values) - {INFINITE}
     # pairwise rounds, so each lcm joins operands of like size
-    lcms = [*finite, *denominators] or [1]
+    lcms = [*finite] or [1]
     while len(lcms) > 1:
         lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
     lcm = lcms[0]
-    scale = {t: lcm // t for t in finite}
+    scale = {x: lcm // x for x in finite}
     scale[INFINITE] = 0
     return lcm, scale
-
-
-def scaled_utilizations(stages: list[Stage],
-                        denominators=()) -> tuple[int, list[int]]:
-    """Each stage's utilization as an exact integer over the common
-    denominator L of ``period_scales``: ``(L, [C * (L // T) for each
-    stage])``, 0 for a one-shot stage."""
-    lcm, scale = period_scales({s.inter_arrival for s in stages},
-                               denominators)
-    return lcm, [s.cost * scale[s.inter_arrival] for s in stages]
 
 
 def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
@@ -611,9 +599,9 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
 
     Cost: O(n log n) to sort the n stages, then O(log m) integer
     operations per stage on m cores: utilizations and capacities are
-    scaled by L, the lcm of the distinct periods and the capacity
-    denominators (``scaled_utilizations``), so every compare is exact,
-    and the integers grow with that lcm. A tournament tree holds each core's
+    scaled by L, the lcm of the distinct periods and of each capacity's
+    denominator (``period_scales``), so every compare is exact, and the
+    integers grow with that lcm. A tournament tree holds each core's
     remaining capacity ``capacity - load`` at a leaf (padding leaves hold
     -1 and never fit) and the max of its children at every inner node.
     Each stage walks down from the root, going left whenever the left
@@ -628,17 +616,19 @@ def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:
     """
     stages = sorted(system.stages(), key=attrgetter("id"))
     cores = cluster.cores
-    lcm, weights = scaled_utilizations(
-        stages, [c.capacity.denominator for c in cores])
+    capacities = [c.capacity for c in cores]
+    _, scale = period_scales(chain(
+        [s.inter_arrival for s in stages],
+        [q.denominator for q in capacities]))
     # sorted by id, then stably by weight: the order of the key (-w, id)
-    weighted = sorted(zip(weights, stages), key=itemgetter(0), reverse=True)
+    weighted = sorted([(s.cost * scale[s.inter_arrival], s) for s in stages],
+                      key=itemgetter(0), reverse=True)
     size = 1
     while size < len(cores):
         size *= 2
     tree: list[int] = [-1] * (2 * size)
-    scale = {q: lcm // q for q in {c.capacity.denominator for c in cores}}
     tree[size:size + len(cores)] = [
-        c.capacity.numerator * scale[c.capacity.denominator] for c in cores]
+        q.numerator * scale[q.denominator] for q in capacities]
     for i in range(size - 1, 0, -1):
         tree[i] = max(tree[2 * i], tree[2 * i + 1])
     placement: dict[str, str] = {}

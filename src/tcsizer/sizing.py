@@ -9,7 +9,7 @@ priorities. Every count here reads only each stage's C, T and B, so it is
 the count of that regime whatever deadlines and priorities the system
 holds. The inequality is strict, which matters at exact boundaries.
 All rows are exact rationals: utilizations are summed as integers over
-the lcm of the periods (``model.scaled_utilizations``).
+the lcm of the periods (``model.period_scales``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import (
     item_flow,
     not_a_node,
     period_from_frequency,
-    scaled_utilizations,
+    period_scales,
 )
 
 #: Most replicas that rate replication gives one stage.
@@ -73,10 +73,12 @@ class ReplicationExceeded(ValueError):
 
 def total_utilization(system: System) -> UtilizationSummary:
     """The exact sum of every stage's ``Stage.utilization()`` (C/T, 0 for
-    a one-shot stage), added as integers over the common denominator of
-    ``scaled_utilizations``."""
-    lcm, weights = scaled_utilizations(list(system.stages()))
-    return UtilizationSummary(total=Fraction(sum(weights), lcm))
+    a one-shot stage), added as integers C * (L // T) over the common
+    denominator L of ``period_scales``."""
+    stages = list(system.stages())
+    lcm, scale = period_scales([s.inter_arrival for s in stages])
+    return UtilizationSummary(total=Fraction(
+        sum([s.cost * scale[s.inter_arrival] for s in stages]), lcm))
 
 
 def min_cores(total_utilization, u_max) -> int:
@@ -262,11 +264,9 @@ def baseline_comparison(system: System, u_max) -> ComparisonResult:
     ``system`` holds. baseline >= ours always, equal when every B is zero.
     """
     stages = list(system.stages())
-    lcm, weights = scaled_utilizations(stages)
-    ours = sum(weights)
-    blocked = sum([blocking * (lcm // period)
-                   for _, _, period, _, blocking, _, _ in stages
-                   if period is not INFINITE])
+    lcm, scale = period_scales([s.inter_arrival for s in stages])
+    ours = sum([s.cost * scale[s.inter_arrival] for s in stages])
+    blocked = sum([s.blocking * scale[s.inter_arrival] for s in stages])
     return ComparisonResult(
         ours=min_cores(Fraction(ours, lcm), u_max),
         baseline=min_cores(Fraction(ours + blocked, lcm), u_max),

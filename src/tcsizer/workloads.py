@@ -45,7 +45,7 @@ _ONLINE_PHASES = ("gen", "split", "count")
 _OFFLINE_PHASES = ("download", "map", "reduce", "sort")
 
 # each chain scenario's analytic name, phases, worst-case per-phase costs
-# (None for offline ones: the caller supplies them) and default deadline
+# (None for offline ones: the caller supplies them) and deadline
 _CHAINS = {
     ScenarioId.MICROBLOG_ONLINE: ("microblog", _ONLINE_PHASES,
                                   (127 * US, 507 * US, 511 * US), SEC),
@@ -59,23 +59,21 @@ _CHAINS = {
 
 
 def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
-                   deadline: Duration | None = None,
                    blocking: Duration = 0) -> System:
     """Instantiate a built-in scenario.
 
     Online scenarios need ``frequency_hz``; offline ones need ``costs``
     (one per phase: download, map, reduce, sort). Per-stage deadlines
-    are the end-to-end deadline (``deadline`` as given, 0 included, else
-    the scenario's) so that high-rate templates stay structurally valid.
-    No sweep reads them; only ``sizing.retime_system`` writes new ones,
-    D = T + B. A chain scenario is one analytic of one stage per phase,
-    run in sequence.
+    are the scenario's end-to-end deadline, so that high-rate templates
+    stay structurally valid. No sweep reads them; only
+    ``sizing.retime_system`` writes new ones, D = T + B. A chain
+    scenario is one analytic of one stage per phase, run in sequence.
     """
     if scenario is ScenarioId.TABLE_VI:
         return _priority_pair()
     if scenario not in _CHAINS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    name, phases, fixed_costs, default_deadline = _CHAINS[scenario]
+    name, phases, fixed_costs, deadline = _CHAINS[scenario]
     inter_arrival = INFINITE
     if fixed_costs is not None:
         if frequency_hz is None:
@@ -87,14 +85,13 @@ def builtin_system(scenario: ScenarioId, *, frequency_hz=None, costs=None,
     elif len(costs) != len(phases):
         raise MissingParam(
             f"{name}: expected {len(phases)} costs, got {len(costs)}")
-    e2e_deadline = default_deadline if deadline is None else deadline
     stages = tuple(
         Stage(id=f"{name}-{phase}", cost=cost, inter_arrival=inter_arrival,
-              deadline=e2e_deadline, blocking=blocking)
+              deadline=deadline, blocking=blocking)
         for phase, cost in zip(phases, costs))
     return System((Analytic(id=name, stages=stages,
                             topology=seq(*(s.id for s in stages)),
-                            end_to_end_deadline=e2e_deadline),))
+                            end_to_end_deadline=deadline),))
 
 
 def _priority_pair() -> System:

@@ -1139,8 +1139,12 @@ class TestHelp:
 
 def blocking_spec(tmp_path, name="blocking.json"):
     """Microblog at 1 Hz with blocking and D = T + B on 8 cores."""
-    system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
-                            deadline=SEC + 20 * US, blocking=20 * US)
+    (analytic,) = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
+                                 blocking=20 * US).analytics
+    d = SEC + 20 * US
+    system = System((analytic._replace(
+        stages=tuple(s._replace(deadline=d) for s in analytic.stages),
+        end_to_end_deadline=d),))
     path = tmp_path / name
     path.write_text(emit_system_spec(system, homogeneous_cluster(8)))
     return path

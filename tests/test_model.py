@@ -34,8 +34,7 @@ from tcsizer import (
     with_allocation,
     with_priorities,
 )
-from tcsizer.model import (item_flow, period_scales,
-                           scaled_utilizations)
+from tcsizer.model import item_flow, period_scales
 from tcsizer.sim import SimConfig
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -523,7 +522,7 @@ class TestFirstFitOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_linear_scan_on_coprime_periods(self, shapes, capacities,
                                                     data):
-        # the lcm of the periods and capacity denominators is the product
+        # the lcm of every period and capacity denominator is the product
         # of those present, past 2**64 once both large primes are
         ids = data.draw(st.permutations(range(len(shapes))))
         system = System(tuple(
@@ -545,8 +544,9 @@ class TestFirstFitOracle:
                            Core("c2", Fraction(1, 3)),
                            Core("c3", Fraction(1, 100))))
         system = System(stages)
-        denominators = [c.capacity.denominator for c in cluster.cores]
-        lcm, _ = scaled_utilizations(list(system.stages()), denominators)
+        lcm, _ = period_scales(
+            [*(s.inter_arrival for s in system.stages()),
+             *(c.capacity.denominator for c in cluster.cores)])
         assert lcm > 2**64
         assert list(allocate_first_fit(system, cluster).items()) == [
             ("c", "c1"), ("a", "c0"), ("b", "c0"), ("e", "c2"), ("f", "c2"),
@@ -558,20 +558,40 @@ class TestFirstFitOracle:
     def test_all_one_shot_system_takes_its_scale_from_the_capacities(self):
         stages = (single("x", 5, INFINITE, 10), single("y", 3, INFINITE, 10))
         system = System(stages)
-        assert scaled_utilizations(list(system.stages()), [3, 100]) == (
-            300, [0, 0])
+        assert period_scales(
+            [*(s.inter_arrival for s in system.stages()), 3, 100]) == (
+                300, {3: 100, 100: 3, INFINITE: 0})
         cluster = Cluster((Core("c0", Fraction(1, 3)),
                            Core("c1", Fraction(69, 100))))
         assert list(allocate_first_fit(system, cluster).items()) == [
             ("x", "c0"), ("y", "c0")]
 
+    def test_a_denominator_that_is_also_a_period_scales_both(self):
+        # the capacity denominator 3 is a stage period too, and 100
+        # repeats across cores: one scale serves weights and capacities
+        stages = (single("a", 1, 3), single("b", 69, 100),
+                  single("c", 1, 3), single("d", 30, 100),
+                  single("e", 5, INFINITE, 10), single("f", 5, 100))
+        system = System(stages)
+        cluster = Cluster((Core("c0", Fraction(1, 3)),
+                           Core("c1", Fraction(69, 100)),
+                           Core("c2", Fraction(69, 100))))
+        placement = placed_or_failed(allocate_first_fit, system, cluster)
+        assert placement == placed_or_failed(first_fit_by_scan, system,
+                                              cluster)
+        assert placement == [("b", "c1"), ("a", "c0"), ("c", "c2"),
+                             ("d", "c2"), ("f", "c2"), ("e", "c0")]
+
     @pytest.mark.parametrize("count", [0, 1, 5, 300])
     def test_period_scales_take_one_exact_lcm(self, count):
+        # periods, INFINITE and each capacity's denominator in one
+        # iterable, with repeats
         periods = [1000 + 7 * k for k in range(count)]
-        lcm, scale = period_scales([*periods, INFINITE, *periods[:3]],
-                                   [3, 100])
+        lcm, scale = period_scales(
+            [*periods, INFINITE, *periods[:3], 3, 100, 3, 100])
         assert lcm == math.lcm(*periods, 3, 100)
-        assert scale == {INFINITE: 0, **{t: lcm // t for t in periods}}
+        assert scale == {INFINITE: 0, 3: lcm // 3, 100: lcm // 100,
+                         **{t: lcm // t for t in periods}}
 
     def test_zero_utilization_after_full_cores_goes_to_first_core(self):
         system = System((single("a", 10, 10), single("b", 10, 10),
@@ -923,56 +943,59 @@ class TestItemFlow:
 # Reference copy: validate_system as it read when every finding's path
 # was built up front, before each check ran.
 def validate_system_reference(system):
-    report = ValidationReport()
+    findings = []
     seen_analytics = set()
     seen_stages = set()
 
     for ai, analytic in enumerate(system.analytics):
         apath = f"/analytics/{ai}"
         if analytic.id in seen_analytics:
-            report.add(f"{apath}/id", f"duplicate analytic id {analytic.id!r}")
+            findings.append((f"{apath}/id",
+                             f"duplicate analytic id {analytic.id!r}"))
         seen_analytics.add(analytic.id)
 
         if analytic.end_to_end_deadline <= 0:
-            report.add(f"{apath}/end_to_end_deadline",
-                       "end-to-end deadline must be positive")
+            findings.append((f"{apath}/end_to_end_deadline",
+                             "end-to-end deadline must be positive"))
 
         kinds = set()
         for si, stage in enumerate(analytic.stages):
             spath = f"{apath}/stages/{si}"
             if stage.id in seen_stages:
-                report.add(f"{spath}/id", f"duplicate stage id {stage.id!r}")
+                findings.append((f"{spath}/id",
+                                 f"duplicate stage id {stage.id!r}"))
             seen_stages.add(stage.id)
             if not frozenset(',"\r\n').isdisjoint(stage.id):
-                report.add(f"{spath}/id", f"stage id {stage.id!r} holds a "
-                           f"comma, quote or line break")
+                findings.append((f"{spath}/id", f"stage id {stage.id!r} "
+                                 f"holds a comma, quote or line break"))
             finite_fields = True
             for field_name in ("cost", "deadline", "blocking"):
                 value = getattr(stage, field_name)
                 if not isinstance(value, int):
-                    report.add(f"{spath}/{field_name}",
-                               f"{field_name} must be integer nanoseconds")
+                    findings.append((f"{spath}/{field_name}", f"{field_name} "
+                                     f"must be integer nanoseconds"))
                     finite_fields = False
                 elif value < 0:
-                    report.add(f"{spath}/{field_name}",
-                               f"negative {field_name}")
+                    findings.append((f"{spath}/{field_name}",
+                                     f"negative {field_name}"))
             if stage.inter_arrival is not INFINITE:
                 if not isinstance(stage.inter_arrival, int):
-                    report.add(f"{spath}/inter_arrival",
-                               "inter-arrival must be integer ns or INFINITE")
+                    findings.append((
+                        f"{spath}/inter_arrival",
+                        "inter-arrival must be integer ns or INFINITE"))
                 elif stage.inter_arrival <= 0:
-                    report.add(f"{spath}/inter_arrival",
-                               "finite inter-arrival must be positive")
+                    findings.append((f"{spath}/inter_arrival",
+                                     "finite inter-arrival must be positive"))
             if finite_fields and stage.cost > stage.deadline:
-                report.add(f"{spath}/cost", "cost exceeds deadline")
+                findings.append((f"{spath}/cost", "cost exceeds deadline"))
             kinds.add(stage.inter_arrival is INFINITE)
         if len(kinds) > 1:
-            report.add(f"{apath}/stages",
-                       "one-shot and periodic stages in one analytic")
+            findings.append((f"{apath}/stages",
+                             "one-shot and periodic stages in one analytic"))
 
-        check_topology_reference(analytic, apath, report)
+        check_topology_reference(analytic, apath, findings)
 
-    return report
+    return ValidationReport(findings)
 
 
 def nodes(expr):
@@ -989,36 +1012,36 @@ def nodes(expr):
     return found
 
 
-def check_topology_reference(analytic, apath, report):
+def check_topology_reference(analytic, apath, findings):
+    path = f"{apath}/topology"
     declared = {s.id: s for s in analytic.stages}
     covered = set()
     try:
         topology = nodes(analytic.topology)
     except TypeError:
-        report.add(f"{apath}/topology", "malformed composition expression")
+        findings.append((path, "malformed composition expression"))
         return
     if any(not isinstance(n, Leaf) and not n.children for n in topology):
-        report.add(f"{apath}/topology", "empty composition node")
+        findings.append((path, "empty composition node"))
     for sid in (n.stage for n in topology if isinstance(n, Leaf)):
         if sid not in declared:
-            report.add(f"{apath}/topology",
-                       f"topology references unknown stage {sid!r}")
+            findings.append(
+                (path, f"topology references unknown stage {sid!r}"))
         elif sid in covered:
-            report.add(f"{apath}/topology", f"stage {sid!r} covered twice")
+            findings.append((path, f"stage {sid!r} covered twice"))
         covered.add(sid)
     for sid in sorted(declared.keys() - covered):
-        report.add(f"{apath}/topology", f"stage {sid!r} not covered")
+        findings.append((path, f"stage {sid!r} not covered"))
     for rr in (n for n in topology if isinstance(n, RoundRobin)):
         if not all(isinstance(c, Leaf) for c in rr.children):
-            report.add(f"{apath}/topology",
-                       "round-robin children must be stage ids")
+            findings.append((path, "round-robin children must be stage ids"))
             continue
         periods = {declared[c.stage].inter_arrival for c in rr.children
                    if c.stage in declared}
         if len(periods) > 1 or INFINITE in periods:
             ids = ", ".join(c.stage for c in rr.children)
-            report.add(f"{apath}/topology", f"round-robin replicas {ids} "
-                       f"do not share one finite inter-arrival")
+            findings.append((path, f"round-robin replicas {ids} do not "
+                             f"share one finite inter-arrival"))
 
 
 # few ids, so duplicates, unknown and uncovered stages are common; values

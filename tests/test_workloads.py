@@ -97,7 +97,6 @@ class TestBuiltinSystems:
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 1}),
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 4000}),
         (ScenarioId.MICROBLOG_ONLINE, {"frequency_hz": 1000,
-                                       "deadline": 10 * MS,
                                        "blocking": 20 * US}),
         (ScenarioId.BOOK_ONLINE, {"frequency_hz": 40_000}),
         (ScenarioId.MICROBLOG_OFFLINE, {"costs": [MINUTE] * 4}),
@@ -106,15 +105,6 @@ class TestBuiltinSystems:
     ])
     def test_all_builtins_validate(self, scenario, params):
         assert validate_system(builtin_system(scenario, **params)).ok
-
-    def test_a_zero_deadline_is_kept_and_refused(self):
-        system = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1,
-                                deadline=0)
-        assert system.analytics[0].end_to_end_deadline == 0
-        assert {s.deadline for s in system.stages()} == {0}
-        assert ("/analytics/0/end_to_end_deadline",
-                "end-to-end deadline must be positive") in (
-                    validate_system(system).findings)
 
     def test_pure_function_of_params(self):
         a = builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=250)
