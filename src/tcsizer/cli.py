@@ -55,10 +55,10 @@ error at the flag. run_command reads each spec once. size and decimate
 exit 1 when a stage would need more than sizing.REPLICATION_LIMIT
 replicas. simulate refuses a run that could make more than
 MAX_SIM_RELEASES releases, at --horizon. emit_system_spec refuses, with
-a TypeError, a topology not made of the four node classes. A command
-imports only what it runs, when it starts: analyze imports the
-response-time analysis, simulate the analysis and the simulator, and
-size, decimate and compare the sweeps.
+a TypeError, a topology not made of stage ids (str) and the three
+composition classes. A command imports only what it runs, when it
+starts: analyze imports the response-time analysis, simulate the
+analysis and the simulator, and size, decimate and compare the sweeps.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from .model import (
     Cluster,
     Core,
     Expr,
-    Leaf,
     Par,
     ReleasePolicy,
     RoundRobin,
@@ -278,8 +277,9 @@ def _json_number(x: Fraction):
 # A field names its key (the record's field of the same name), its value
 # parser, called with the value alone, and its value formatter. _read
 # walks a table once and hands the values, in field order, to the
-# record's _make, an absent optional key as the record's default; a list
-# of records is read as the tuple its record holds. _write walks it back.
+# record's _make, an absent key as the record's default (a key whose
+# field has no default is required); a list of records is read as the
+# tuple its record holds. _write walks it back.
 # A parser raises ParseError with the pointer below its value; each
 # container prefixes its key or index as the error passes out, so no
 # pointer is built unless a value is bad. A spec's durations are read
@@ -298,14 +298,14 @@ class _Field(NamedTuple):
     key: str
     parse: Callable[[Any], Any]
     format: Callable[[Any], Any] = _same
-    required: bool = False
 
 
 class _Table:
     """The fields of one kind of record, in the order of the fields of
     ``record`` (a named tuple class, or tuple), with what _read needs
     computed once: each field's (key, parser, default) step, the
-    required keys in field order, and all the keys."""
+    required keys (the fields the record gives no default) in field
+    order, and all the keys."""
 
     def __init__(self, what: str, record: type, *fields: _Field):
         self.what = what
@@ -314,7 +314,8 @@ class _Table:
         self.fields = fields
         self.steps = tuple((f.key, f.parse, defaults.get(f.key))
                            for f in fields)
-        self.required = tuple(f.key for f in fields if f.required)
+        self.required = tuple(f.key for f in fields
+                              if f.key not in defaults)
         self.known = frozenset(f.key for f in fields)
 
 
@@ -437,10 +438,9 @@ def _list_of(parse_item, into=list):
 
 
 def _records(key: str, table: _Table) -> _Field:
-    """A required list of the records of ``table``, read as a tuple."""
+    """A list of the records of ``table``, read as a tuple."""
     return _Field(key, _list_of(lambda value: _read(value, table), tuple),
-                  lambda records: [_write(r, table.fields) for r in records],
-                  True)
+                  lambda records: [_write(r, table.fields) for r in records])
 
 
 # each key's node class; _KEYS, its inverse, writes what _NODES reads
@@ -450,7 +450,7 @@ _KEYS = {kind: key for key, kind in _NODES.items()}
 
 def _parse_topology(node: Any, depth: int = 1) -> Expr:
     if isinstance(node, str):
-        return Leaf(node)
+        return node
     if isinstance(node, dict):
         if len(node) != 1:
             raise ParseError("", 'topology node must be a stage id or '
@@ -480,10 +480,10 @@ def _parse_topology(node: Any, depth: int = 1) -> Expr:
 
 def _emit_topology(expr: Expr):
     cls = expr.__class__
-    if cls is Leaf:
-        return expr.stage
+    if cls is str:
+        return expr
     key = _KEYS.get(cls)
-    if key is None:
+    if key is None or isinstance(expr.children, str):  # not "a", "b"
         raise model.not_a_node(expr)
     return {key: [_emit_topology(c) for c in expr.children]}
 
@@ -521,10 +521,10 @@ def _core_id(value: Any) -> str:
 
 _STAGE = _Table(
     "a stage object", Stage,
-    _Field("id", _string, required=True),
-    _Field("cost", _duration, format_duration, True),
-    _Field("inter_arrival", _durations(allow_inf=True), format_duration, True),
-    _Field("deadline", _duration, format_duration, True),
+    _Field("id", _string),
+    _Field("cost", _duration, format_duration),
+    _Field("inter_arrival", _durations(allow_inf=True), format_duration),
+    _Field("deadline", _duration, format_duration),
     _Field("blocking", _duration, format_duration),
     _Field("priority", _integer("priority must be an integer")),
     _Field("core", _string),
@@ -532,15 +532,15 @@ _STAGE = _Table(
 
 _ANALYTIC = _Table(
     "an analytic object", Analytic,
-    _Field("id", _string, required=True),
+    _Field("id", _string),
     _records("stages", _STAGE),
-    _Field("topology", _parse_topology, _emit_topology, True),
-    _Field("end_to_end_deadline", _duration, format_duration, True),
+    _Field("topology", _parse_topology, _emit_topology),
+    _Field("end_to_end_deadline", _duration, format_duration),
 )
 
 _CORE = _Table(
     "a core object", Core,
-    _Field("id", _core_id, required=True),
+    _Field("id", _core_id),
     _Field("capacity", _share("capacity"), _json_number),
     _Field("platform_blocking", _duration, format_duration),
 )
@@ -560,7 +560,7 @@ _DOC = _Table(
     "a JSON object", tuple,
     _records("analytics", _ANALYTIC),
     _Field("cluster", _parse_cluster,
-           lambda cluster: _write(cluster, _CLUSTER.fields), True),
+           lambda cluster: _write(cluster, _CLUSTER.fields)),
 )
 
 
@@ -590,7 +590,8 @@ def parse_system_spec(text: str) -> tuple[System, Cluster]:
 
 def emit_system_spec(system: System, cluster: Cluster) -> str:
     """Inverse of parse_system_spec: parse(emit(x)) == x. A topology
-    that is not made of the four node classes raises TypeError."""
+    that is not made of stage ids (str) and the three composition
+    classes raises TypeError."""
     doc = _write(SimpleNamespace(analytics=system.analytics, cluster=cluster),
                  _DOC.fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

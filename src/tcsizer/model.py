@@ -125,8 +125,9 @@ class Stage(NamedTuple):
 
 # --- series-parallel composition expressions ---------------------------------
 #
-# A node compares equal only to a node of its own class, so that Seq(c)
-# and Par(c) differ although both are the one-field tuple (c,).
+# A leaf is its stage id, a str, as in a spec. A node compares equal only
+# to a node of its own class, so that Seq(c) and Par(c) differ although
+# both are the one-field tuple (c,).
 
 def _node_eq(self, other) -> bool:
     return self.__class__ is other.__class__ and tuple.__eq__(self, other)
@@ -138,12 +139,6 @@ def _node_ne(self, other) -> bool:
 
 def _node_hash(self) -> int:
     return hash((self.__class__, tuple.__hash__(self)))
-
-
-class Leaf(NamedTuple):
-    stage: str
-
-    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
 class Seq(NamedTuple):
@@ -161,34 +156,31 @@ class Par(NamedTuple):
 class RoundRobin(NamedTuple):
     """Replicas of one stage: item n goes to child n mod k only."""
 
-    children: tuple[Leaf, ...]
+    children: tuple[str, ...]
 
     __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-Expr = Union[Leaf, Seq, Par, RoundRobin]
-_NODE_CLASSES = frozenset((Leaf, Seq, Par, RoundRobin))
+#: A topology leaf: the id of the stage it names.
+Leaf = str
+Expr = Union[str, Seq, Par, RoundRobin]
+_NODE_CLASSES = frozenset((str, Seq, Par, RoundRobin))
 
 
-def _coerce(node: "Expr | str") -> Expr:
-    return Leaf(node) if isinstance(node, str) else node
+def seq(*children: Expr) -> Expr:
+    """Sequential composition; a single child is returned as it is."""
+    return children[0] if len(children) == 1 else Seq(children)
 
 
-def seq(*children: "Expr | str") -> Expr:
-    """Sequential composition; bare strings become leaves."""
-    items = tuple(_coerce(c) for c in children)
-    return items[0] if len(items) == 1 else Seq(items)
-
-
-def par(*children: "Expr | str") -> Expr:
-    """Parallel composition; bare strings become leaves."""
-    items = tuple(_coerce(c) for c in children)
-    return items[0] if len(items) == 1 else Par(items)
+def par(*children: Expr) -> Expr:
+    """Parallel composition; a single child is returned as it is."""
+    return children[0] if len(children) == 1 else Par(children)
 
 
 def not_a_node(value) -> TypeError:
     """The error of a topology walk that meets ``value``, whose class is
-    none of the four node classes."""
+    none of the four node classes: str (a leaf), Seq, Par and
+    RoundRobin."""
     return TypeError(f"not a composition expression: {value!r}")
 
 
@@ -212,8 +204,8 @@ def item_flow(expr: Expr) -> Flow:
 
     def walk(node: Expr) -> tuple[list[str], list[str]]:
         cls = node.__class__
-        if cls is Leaf:
-            return [node.stage], [node.stage]
+        if cls is str:
+            return [node], [node]
         if cls is Seq:
             sources, sinks = walk(node.children[0])
             for child in node.children[1:]:
@@ -251,11 +243,11 @@ def end_to_end_response(expr: Expr,
     """Compose per-stage response times over the topology: Seq sums,
     Par and RoundRobin take the maximum, each node told by its class."""
     cls = expr.__class__
-    if cls is Leaf:
+    if cls is str:
         try:
-            return per_stage[expr.stage]
+            return per_stage[expr]
         except KeyError:
-            raise MissingStage(expr.stage) from None
+            raise MissingStage(expr) from None
     if cls is not Seq and cls is not Par and cls is not RoundRobin:
         raise not_a_node(expr)
     children = map(end_to_end_response, expr.children, repeat(per_stage))
@@ -340,11 +332,9 @@ class Cluster(_Cluster):
         return cls(*iterable)
 
 
-def homogeneous_cluster(m: int, capacity=Fraction(1),
-                        platform_blocking: Duration = 0) -> Cluster:
-    """m identical cores named c0..c{m-1}."""
-    return Cluster(tuple(
-        Core(f"c{i}", capacity, platform_blocking) for i in range(m)))
+def homogeneous_cluster(m: int, capacity=Fraction(1)) -> Cluster:
+    """m identical cores named c0..c{m-1}, with no platform blocking."""
+    return Cluster(tuple(Core(f"c{i}", capacity) for i in range(m)))
 
 
 def effective_blocking(system: System, allocation: Mapping[str, str],
@@ -477,9 +467,9 @@ def _topology_problems(topology: Expr,
     inter-arrival: one walk over its nodes, each before its children,
     checks the leaves and keeps the round-robin nodes, so the messages
     come as: an empty node, the leaves left to right, the uncovered ids
-    sorted, the round-robin nodes left to right. A non-node, children
-    that are no sequence, or a leaf whose stage is not a string, gives
-    only the malformed message."""
+    sorted, the round-robin nodes left to right. A non-node, or children
+    that are no sequence or are a string (which would read as
+    one-character leaves), gives only the malformed message."""
     problems: list[str] = []
     covered: set[str] = set()
     replicated: list[RoundRobin] = []
@@ -490,21 +480,22 @@ def _topology_problems(topology: Expr,
             cls = node.__class__
             if cls not in _NODE_CLASSES:
                 return [_MALFORMED]
-            if cls is not Leaf:
-                todo += reversed(node.children)
-                if not node.children:
+            if cls is not str:
+                children = node.children
+                if isinstance(children, str):
+                    return [_MALFORMED]
+                todo += reversed(children)
+                if not children:
                     empty = True
                 elif cls is RoundRobin:
                     replicated.append(node)
                 continue
-            sid = node.stage
-            if not isinstance(sid, str):
-                return [_MALFORMED]
-            if sid not in periods:
-                problems.append(f"topology references unknown stage {sid!r}")
-            elif sid in covered:
-                problems.append(f"stage {sid!r} covered twice")
-            covered.add(sid)
+            if node not in periods:
+                problems.append(
+                    f"topology references unknown stage {node!r}")
+            elif node in covered:
+                problems.append(f"stage {node!r} covered twice")
+            covered.add(node)
     except TypeError:
         return [_MALFORMED]
     if empty:
@@ -513,17 +504,17 @@ def _topology_problems(topology: Expr,
         problems.append(f"stage {sid!r} not covered")
     for rr in replicated:
         for child in rr.children:
-            if not isinstance(child, Leaf):
+            if child.__class__ is not str:
                 problems.append("round-robin children must be stage ids")
                 break
         else:
             try:
-                shared = {periods[c.stage] for c in rr.children
-                          if c.stage in periods}
+                shared = {periods[sid] for sid in rr.children
+                          if sid in periods}
             except TypeError:  # an unhashable inter-arrival is not finite
                 shared = {INFINITE}
             if len(shared) > 1 or INFINITE in shared:
-                ids = ", ".join(c.stage for c in rr.children)
+                ids = ", ".join(rr.children)
                 problems.append(f"round-robin replicas {ids} do not share "
                                 f"one finite inter-arrival")
     return problems

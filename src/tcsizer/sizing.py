@@ -21,7 +21,6 @@ from .model import (
     INFINITE,
     Duration,
     Expr,
-    Leaf,
     MissingStage,
     Par,
     RoundRobin,
@@ -134,16 +133,16 @@ def retime_system(template: System, frequency_hz) -> System:
 
 
 def _expand_topology(expr: Expr, stage_map: dict[str, list[Stage]]) -> Expr:
-    if isinstance(expr, Leaf):
+    cls = expr.__class__
+    if cls is str:
         try:
-            replicas = stage_map[expr.stage]
+            replicas = stage_map[expr]
         except KeyError:
-            raise MissingStage(expr.stage) from None
+            raise MissingStage(expr) from None
         if len(replicas) == 1:
-            return Leaf(replicas[0].id)
-        return RoundRobin(tuple(Leaf(r.id) for r in replicas))
-    return type(expr)(tuple(_expand_topology(c, stage_map)
-                            for c in expr.children))
+            return replicas[0].id
+        return RoundRobin(tuple(r.id for r in replicas))
+    return cls(tuple(_expand_topology(c, stage_map) for c in expr.children))
 
 
 def _require_template(template: System) -> None:
@@ -155,7 +154,7 @@ def _require_template(template: System) -> None:
         while todo:
             node = todo.pop()
             cls = node.__class__
-            if cls is Leaf:
+            if cls is str:
                 continue
             if cls is RoundRobin:
                 replicated = True
@@ -209,13 +208,15 @@ def decimation_sweep(template: System, input_frequency, factors: Sequence[int],
     makes it activate once per F inputs: its inter-arrival becomes
     F * T_in (utilization divided by F) and the oldest item of a batch
     waits (F-1) * T_in in the buffer, charged as extra blocking on the
-    aggregator. F = 1 is exactly the undecimated analysis.
+    aggregator.
 
-    Responses use the isolated-stage model (R = B + C, no interference):
-    the sweep sizes each phase onto its own cores, so cross-stage
-    interference is a deployment concern, not a sizing one. One-shot
-    stages count 0 utilization, as in frequency_sweep, whose row is the
-    F = 1 core count, REPLICATION_LIMIT included.
+    Responses use the isolated-stage model (R = B + C, no interference),
+    so ``end_to_end`` is the sum of B + C over the topology, not
+    solve_system's bound: the sweep sizes each phase onto its own cores,
+    so cross-stage interference is a deployment concern, not a sizing
+    one. Only the core count of F = 1 is the undecimated one: it is
+    frequency_sweep's row at the same rate, REPLICATION_LIMIT included.
+    One-shot stages count 0 utilization, as there.
     """
     _require_template(template)
     if len(template.analytics) != 1:

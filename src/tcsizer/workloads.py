@@ -21,7 +21,6 @@ from .model import (
     US,
     Analytic,
     Duration,
-    Leaf,
     Stage,
     System,
     period_from_frequency,
@@ -98,6 +97,6 @@ def _priority_pair() -> System:
     """Two one-shot analytics, 1h of work each, deadlines 2h and 1h."""
     def one_shot(sid: str, d: Duration) -> Analytic:
         stage = Stage(id=sid, cost=HOUR, inter_arrival=INFINITE, deadline=d)
-        return Analytic(id=sid, stages=(stage,), topology=Leaf(sid),
+        return Analytic(id=sid, stages=(stage,), topology=sid,
                         end_to_end_deadline=d)
     return System((one_shot("TC1", 2 * HOUR), one_shot("TC2", HOUR)))

@@ -16,6 +16,9 @@ Each generator targets the regime its property is a theorem in:
 * pipelined_system: multi-core, multi-analytic systems with one period
   per analytic (rate-consistent pipelines), ADVERSARIAL-style blocking
   terms and series-parallel shapes, for conservativeness runs.
+
+SubStr, a str subclass, stands where a leaf would: a topology leaf is a
+str itself, so every walker reads it as a non-node.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from tcsizer import (
     Analytic,
     Cluster,
     Core,
-    Leaf,
     Stage,
     System,
     allocate_first_fit,
@@ -59,11 +61,15 @@ HARMONIC_PERIODS = [1_000_000 * (1 << k) for k in range(8)]
 COPRIME_PERIODS = (7, 11, 13, 1_000_003, 999_999_937, INFINITE)
 
 
+class SubStr(str):
+    __slots__ = ()
+
+
 def _single_stage_analytic(aid: str, cost: int, period: int,
                            blocking: int = 0) -> Analytic:
     stage = Stage(id=aid, cost=cost, inter_arrival=period,
                   deadline=period + blocking, blocking=blocking)
-    return Analytic(id=aid, stages=(stage,), topology=Leaf(aid),
+    return Analytic(id=aid, stages=(stage,), topology=aid,
                     end_to_end_deadline=period + blocking)
 
 
@@ -166,7 +172,7 @@ def _analytic_with_shape(rng: random.Random, aid: str, period: int,
             inter_arrival=period, deadline=period + b, blocking=b))
     ids = [s.id for s in stages]
     if shape == "single":
-        topo = Leaf(ids[0])
+        topo = ids[0]
     elif shape == "chain2":
         topo = seq(ids[0], ids[1])
     elif shape == "chain3":

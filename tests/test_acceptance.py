@@ -17,7 +17,6 @@ from tcsizer import (
     SEC,
     US,
     Analytic,
-    Leaf,
     ScenarioId,
     Stage,
     System,
@@ -219,7 +218,7 @@ def _blocking_regime_system(seed, zero_blocking=False):
         stages.append(Stage(id=f"s{i}", cost=c, inter_arrival=t,
                             deadline=t + b, blocking=b))
     system = System(tuple(
-        Analytic(s.id, (s,), Leaf(s.id), s.deadline) for s in stages))
+        Analytic(s.id, (s,), s.id, s.deadline) for s in stages))
     return with_priorities(system, assign_priorities_dm(system))
 
 

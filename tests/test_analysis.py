@@ -18,7 +18,6 @@ from tcsizer import (
     Cluster,
     Core,
     InvalidAllocation,
-    Leaf,
     MissingStage,
     ReleasePolicy,
     ResponseReport,
@@ -45,7 +44,7 @@ from tcsizer import (
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
 
-from generators import regime_problem_per_pass
+from generators import SubStr, regime_problem_per_pass
 
 
 def stage(sid, c, t, d=None, b=0, prio=None):
@@ -55,7 +54,7 @@ def stage(sid, c, t, d=None, b=0, prio=None):
 
 def single(sid, c, t, d=None, b=0, prio=None):
     s = stage(sid, c, t, d, b, prio)
-    return Analytic(id=sid, stages=(s,), topology=Leaf(sid),
+    return Analytic(id=sid, stages=(s,), topology=sid,
                     end_to_end_deadline=s.deadline)
 
 
@@ -67,7 +66,7 @@ def bound_below(me, cotenants, cap, platform_blocking=0):
     ranked = [me._replace(priority=1)]
     ranked += [z._replace(priority=2) for z in cotenants]
     system = System(tuple(
-        Analytic(id=s.id, stages=(s,), topology=Leaf(s.id),
+        Analytic(id=s.id, stages=(s,), topology=s.id,
                  end_to_end_deadline=cap)
         for s in ranked))
     cluster = Cluster((Core("c0", platform_blocking=platform_blocking),))
@@ -160,7 +159,7 @@ class TestStageResponseTime:
 
 class TestEndToEnd:
     def test_leaf(self):
-        assert end_to_end_response(Leaf("s"), {"s": 5 * MS}) == 5 * MS
+        assert end_to_end_response("s", {"s": 5 * MS}) == 5 * MS
 
     def test_seq_and_par(self):
         rts = {"a": 3 * MS, "b": 5 * MS}
@@ -176,10 +175,11 @@ class TestEndToEnd:
         with pytest.raises(MissingStage):
             end_to_end_response(seq("a", "b"), {"a": 1})
 
-    @pytest.mark.parametrize("node", ["a", ("a",), None])
+    @pytest.mark.parametrize("node", [SubStr("a"), ("a",), None])
     def test_not_a_composition_node(self, node):
-        # at the top and below a Seq, which seq() would coerce "a" out of
-        for expr in (node, Seq((Leaf("a"), node))):
+        # at the top and below a Seq: a leaf is a str itself, not an
+        # instance of a subclass
+        for expr in (node, Seq(("a", node))):
             with pytest.raises(TypeError) as exc:
                 end_to_end_response(expr, {"a": 1})
             assert str(exc.value) == (
@@ -202,7 +202,7 @@ class TestEndToEnd:
 
         def build(avail):
             if len(avail) == 1:
-                return Leaf(avail[0])
+                return avail[0]
             k = data.draw(st.integers(1, len(avail) - 1))
             left, right = avail[:k], avail[k:]
             ctor = data.draw(st.sampled_from([seq, par]))
@@ -229,7 +229,7 @@ class TestLeafOutsideItsAnalytic:
         a = stage("a", 1 * MS, 10 * MS, prio=1)
         b = stage("b", b_cost, 10 * MS, prio=2)
         return System((Analytic("A", (a,), seq("a", leaf), SEC),
-                       Analytic("B", (b,), Leaf("b"), SEC)))
+                       Analytic("B", (b,), "b", SEC)))
 
     ENTRY_POINTS = {
         "solve_system": lambda system: solve_system(
@@ -313,7 +313,7 @@ class TestSolveSystem:
 
     def test_platform_blocking_is_folded_in(self):
         system = System((single("s", 1 * MS, 10 * MS, prio=1),))
-        cluster = homogeneous_cluster(1, platform_blocking=2 * MS)
+        cluster = Cluster((Core("c0", platform_blocking=2 * MS),))
         report = solve_system(system, {"s": "c0"}, cluster)
         assert report.per_stage["s"] == 3 * MS
 

@@ -33,7 +33,6 @@ from tcsizer import (
     Core,
     HorizonTooShort,
     InvalidAllocation,
-    Leaf,
     MissingParam,
     MissingStage,
     Par,
@@ -64,7 +63,7 @@ from tcsizer.cli import (
     run_command,
 )
 
-from generators import accepted_stream, pipelined_system
+from generators import SubStr, accepted_stream, pipelined_system
 
 
 # the message for a number past MAX_NUMBER_DIGITS
@@ -140,7 +139,7 @@ def overload(tmp_path):
     def analytic(sid):
         s = Stage(id=sid, cost=6 * MS, inter_arrival=10 * MS,
                   deadline=20 * MS, core="c0")
-        return Analytic(sid, (s,), Leaf(sid), 20 * MS)
+        return Analytic(sid, (s,), sid, 20 * MS)
 
     path = tmp_path / "overload.json"
     path.write_text(emit_system_spec(System((analytic("a"), analytic("b"))),
@@ -224,7 +223,8 @@ class TestSpecRoundTrip:
         system = retime_system(builtin_system(ScenarioId.MICROBLOG_ONLINE,
                                               frequency_hz=1,
                                               blocking=20 * US), 4000)
-        cluster = homogeneous_cluster(3, platform_blocking=5 * US)
+        cluster = Cluster(tuple(Core(f"c{i}", platform_blocking=5 * US)
+                                for i in range(3)))
         text = emit_system_spec(system, cluster)
         system2, cluster2 = parse_system_spec(text)
         assert system2 == system
@@ -237,6 +237,24 @@ class TestSpecRoundTrip:
                     "microblog-split#3"]},
             {"rr": ["microblog-count#1", "microblog-count#2",
                     "microblog-count#3"]}]}
+
+    def test_a_bare_id_topology_round_trips(self):
+        # a leaf is its stage id, in memory as in the spec
+        doc = {
+            "analytics": [{
+                "end_to_end_deadline": "10ns", "id": "x",
+                "stages": [{"blocking": "0ns", "cost": "1ns",
+                            "deadline": "10ns", "id": "s",
+                            "inter_arrival": "10ns"}],
+                "topology": "s"}],
+            "cluster": {"cores": [{"capacity": 1, "id": "c0",
+                                   "platform_blocking": "0ns"}]},
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        system, cluster = parse_system_spec(text)
+        assert system.analytics[0].topology.__class__ is str
+        assert system.analytics[0].topology == "s"
+        assert emit_system_spec(system, cluster) == text
 
     def test_headline_round_trip(self):
         system, cluster = headline_system(), homogeneous_cluster(8)
@@ -372,7 +390,7 @@ class TestSpecRoundTrip:
         # DM priorities and first-fit cores on 2-3 cores, with stage and
         # platform blockings, over every shape the generator draws
         def shape(node):
-            if node.__class__ is Leaf:
+            if node.__class__ is str:
                 return "leaf"
             return (node.__class__.__name__, *map(shape, node.children))
 
@@ -418,21 +436,22 @@ class SubSeq(Seq):
     __slots__ = ()
 
 
-class SubLeaf(Leaf):
-    __slots__ = ()
-
-
 class TestEmitRefusesNonNodes:
-    """emit_system_spec writes a node only of the four node classes, told
-    by class identity as the model's walkers tell it: a subclassed node
-    is not written as its base kind, and a bare value is no leaf."""
+    """emit_system_spec writes a node only of the four node classes (a
+    leaf is a str), told by class identity as the model's walkers tell
+    it: a subclassed node is not written as its base kind, a str
+    subclass is no leaf, and neither is a value of another type. A node
+    whose children are a string is refused too, not written as
+    one-character leaves."""
 
     @pytest.mark.parametrize("topology, bad", [
-        (SubSeq((Leaf("a"), Leaf("b"))), SubSeq((Leaf("a"), Leaf("b")))),
-        (Par((Leaf("a"), SubLeaf("b"))), SubLeaf("b")),
-        ("a", "a"),
+        (SubSeq(("a", "b")), SubSeq(("a", "b"))),
+        (Par(("a", SubStr("b"))), SubStr("b")),
+        (SubStr("a"), SubStr("a")),
         (7, 7),
-    ], ids=["seq-subclass", "leaf-subclass-below-par", "string", "int"])
+        (Par(("a", Seq("ab"))), Seq("ab")),
+    ], ids=["seq-subclass", "leaf-subclass-below-par", "str-subclass",
+            "int", "string-children"])
     def test_type_error(self, topology, bad):
         stages = tuple(Stage(sid, MS, 10 * MS, 10 * MS) for sid in "ab")
         system = System((Analytic("x", stages, topology, SEC),))
@@ -881,7 +900,7 @@ class TestAnalyzeCommand:
     def test_invalid_system_is_usage_error(self, tmp_path):
         s = Stage(id="s", cost=2 * SEC, inter_arrival=10 * SEC,
                   deadline=1 * SEC)
-        system = System((Analytic("a", (s,), Leaf("s"), SEC),))
+        system = System((Analytic("a", (s,), "s", SEC),))
         path = tmp_path / "bad.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
         code, _, err = invoke(["analyze", str(path)])
@@ -944,8 +963,8 @@ class TestAnalyzeCommand:
                      deadline=10 * US)
         batch = Stage(id="batch", cost=10 * US, inter_arrival=INFINITE,
                       deadline=2 * HOUR)
-        system = System((Analytic("tick", (tick,), Leaf("tick"), 10 * US),
-                         Analytic("batch", (batch,), Leaf("batch"),
+        system = System((Analytic("tick", (tick,), "tick", 10 * US),
+                         Analytic("batch", (batch,), "batch",
                                   2 * HOUR)))
         path = tmp_path / "full-core.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
@@ -1344,7 +1363,7 @@ class TestSimulateCommand:
             self, tmp_path, where, bad, pointer):
         doc = json.loads(emit_system_spec(System((Analytic(
             "a", (Stage(id="a", cost=MS, inter_arrival=10 * MS,
-                        deadline=10 * MS),), Leaf("a"), 10 * MS),)),
+                        deadline=10 * MS),), "a", 10 * MS),)),
             homogeneous_cluster(1)))
         if where == "stage":
             doc["analytics"][0]["stages"][0]["id"] = bad
@@ -1392,7 +1411,7 @@ class TestCompareCommand:
     def test_deadline_off_the_regime_is_answered(self, tmp_path):
         s = Stage(id="s", cost=MS, inter_arrival=10 * MS, deadline=9 * MS,
                   priority=1)
-        system = System((Analytic("s", (s,), Leaf("s"), 9 * MS),))
+        system = System((Analytic("s", (s,), "s", 9 * MS),))
         path = tmp_path / "off-regime.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
         code, out, err = invoke(["compare", str(path)])
@@ -1897,7 +1916,7 @@ class TestArbitraryFlagText:
         # one one-shot stage of 1 ns: every horizon the flag accepts
         # completes its item, and no horizon makes the run long
         stage = Stage(id="s", cost=1, inter_arrival=INFINITE, deadline=MS)
-        system = System((Analytic("a", (stage,), Leaf("s"), MS),))
+        system = System((Analytic("a", (stage,), "s", MS),))
         path = tmp_path_factory.mktemp("arbitrary") / "spec.json"
         path.write_text(emit_system_spec(system, homogeneous_cluster(1)))
         return path

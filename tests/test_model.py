@@ -38,7 +38,12 @@ from tcsizer.model import item_flow, period_scales
 from tcsizer.sim import SimConfig
 from tcsizer.workloads import ScenarioId, builtin_system
 
-from generators import COPRIME_PERIODS, accepted_stream, pipelined_system
+from generators import (
+    COPRIME_PERIODS,
+    SubStr,
+    accepted_stream,
+    pipelined_system,
+)
 
 
 def stage(sid, c, t, d, **kw):
@@ -48,7 +53,7 @@ def stage(sid, c, t, d, **kw):
 def single(sid, c, t, d=None, **kw):
     d = t if d is None else d
     s = stage(sid, c, t, d, **kw)
-    return Analytic(id=sid, stages=(s,), topology=Leaf(sid),
+    return Analytic(id=sid, stages=(s,), topology=sid,
                     end_to_end_deadline=d)
 
 
@@ -80,11 +85,11 @@ class TestValidation:
     def test_uncovered_and_unknown_stages(self):
         s1 = stage("x", 1, 10, 10)
         s2 = stage("y", 1, 10, 10)
-        analytic = Analytic(id="a", stages=(s1, s2), topology=Leaf("x"),
+        analytic = Analytic(id="a", stages=(s1, s2), topology="x",
                             end_to_end_deadline=10)
         findings = validate_system(System((analytic,))).findings
         assert any("not covered" in msg for _, msg in findings)
-        analytic2 = Analytic(id="b", stages=(s1,), topology=Leaf("zz"),
+        analytic2 = Analytic(id="b", stages=(s1,), topology="zz",
                              end_to_end_deadline=10)
         findings2 = validate_system(System((analytic2,))).findings
         assert any("unknown stage" in msg for _, msg in findings2)
@@ -118,7 +123,7 @@ class TestValidation:
 
     def test_infinite_outside_inter_arrival_is_reported_not_raised(self):
         s = Stage(id="s", cost=INFINITE, inter_arrival=10, deadline=10)
-        analytic = Analytic(id="a", stages=(s,), topology=Leaf("s"),
+        analytic = Analytic(id="a", stages=(s,), topology="s",
                             end_to_end_deadline=10)
         report = validate_system(System((analytic,)))
         assert [(p, m) for p, m in report.findings] == [
@@ -128,7 +133,7 @@ class TestValidation:
         def rr_system(*periods):
             stages = tuple(stage(f"r#{i}", 1, t, 10)
                            for i, t in enumerate(periods, 1))
-            topo = RoundRobin(tuple(Leaf(s.id) for s in stages))
+            topo = RoundRobin(tuple(s.id for s in stages))
             return System((Analytic("a", stages, topo, 10),))
 
         assert validate_system(rr_system(10, 10, 10)).ok
@@ -161,9 +166,9 @@ class TestValidation:
 
     def test_round_robin_children_must_be_leaves(self):
         stages = (stage("a", 1, 10, 10), stage("b", 1, 10, 10))
-        topo = RoundRobin((Leaf("a"), seq("b")))
+        topo = RoundRobin(("a", seq("b")))
         assert validate_system(System((Analytic("x", stages, topo, 10),))).ok
-        topo = RoundRobin((Leaf("a"), par("b", "b")))
+        topo = RoundRobin(("a", par("b", "b")))
         findings = validate_system(System((Analytic("x", stages, topo, 10),)))
         assert ("/analytics/0/topology",
                 "round-robin children must be stage ids") in findings.findings
@@ -181,7 +186,7 @@ class TestValidation:
         # no duplicate, trace-field or coverage finding for the bad id:
         # it is not declared, so the leaf "s" is unknown
         stages = (stage(bad, 1, 10, 10), stage(bad, 1, 10, 10))
-        system = System((Analytic("a", stages, Leaf("s"), 10),))
+        system = System((Analytic("a", stages, "s", 10),))
         assert validate_system(system).findings == [
             ("/analytics/0/stages/0/id", "stage id must be a string"),
             ("/analytics/0/stages/1/id", "stage id must be a string"),
@@ -205,7 +210,7 @@ class TestValidation:
 
     def test_an_unhashable_inter_arrival_is_a_finding(self):
         stages = (stage("r#1", 1, [10], 10), stage("r#2", 1, [10], 10))
-        topo = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        topo = RoundRobin(("r#1", "r#2"))
         system = System((Analytic("a", stages, topo, 10),))
         assert validate_system(system).findings == [
             (f"/analytics/0/stages/{si}/inter_arrival",
@@ -214,11 +219,12 @@ class TestValidation:
             ("/analytics/0/topology", "round-robin replicas r#1, r#2 do "
              "not share one finite inter-arrival")]
 
-    @pytest.mark.parametrize("bad", [5, ["s"], None])
-    def test_a_leaf_whose_stage_is_not_a_string_is_malformed(self, bad):
+    @pytest.mark.parametrize("bad", [5, ["s"], None, SubStr("s")])
+    def test_a_leaf_that_is_not_a_str_is_malformed(self, bad):
+        # a value of another type, or of a str subclass, in a leaf's
+        # place is a non-node
         stages = (stage("s", 1, 10, 10),)
-        for topo in (Leaf(bad), seq("s", Leaf(bad)),
-                     RoundRobin((Leaf("s"), Leaf(bad)))):
+        for topo in (bad, seq("s", bad), RoundRobin(("s", bad))):
             system = System((Analytic("a", stages, topo, 10),))
             assert validate_system(system).findings == [
                 ("/analytics/0/topology", "malformed composition expression")]
@@ -231,13 +237,13 @@ class TestValidation:
                   stage("r1", 1, 10, 10), stage("r2", 1, 20, 20),
                   stage("v", 1, 10, 10), stage("u", 1, 10, 10))
         topo = Seq((
-            RoundRobin((Leaf("r1"), Leaf("r2"))),
-            Leaf("a"),
-            Leaf("zz"),
-            RoundRobin((Seq((Leaf("b"),)),)),
+            RoundRobin(("r1", "r2")),
+            "a",
+            "zz",
+            RoundRobin((Seq(("b",)),)),
             Par(()),
-            Leaf("a"),
-            Leaf("yy"),
+            "a",
+            "yy",
         ))
         system = System((Analytic("x", stages, topo, 100),))
         expected = [("/analytics/0/topology", message) for message in (
@@ -258,9 +264,9 @@ class TestValidation:
         class Chain(Seq):
             __slots__ = ()
 
-        node = Chain((Leaf("a"),))
+        node = Chain(("a",))
         stages = (stage("a", 1, 10, 10),)
-        for topo in (node, Par((Leaf("b"), node))):
+        for topo in (node, Par(("b", node))):
             system = System((Analytic("x", stages, topo, 10),))
             expected = [
                 ("/analytics/0/topology", "malformed composition expression")]
@@ -280,16 +286,28 @@ class TestValidation:
         # finding
         stages = (stage("a", 1, 10, 10),)
         for bad in (Seq(5), Par(None), RoundRobin(3)):
-            for topo in (bad, Seq((Leaf("zz"), Par(()), bad))):
+            for topo in (bad, Seq(("zz", Par(()), bad))):
                 system = System((Analytic("x", stages, topo, 10),))
                 assert validate_system(system).findings == [
                     ("/analytics/0/topology",
                      "malformed composition expression")]
 
+    def test_children_that_are_a_string_are_only_malformed(self):
+        # a string of children would read as one-character leaves, so
+        # Seq("ab") is not Seq(("a", "b"))
+        stages = (stage("a", 1, 10, 10), stage("b", 1, 10, 10))
+        for bad in (Seq("ab"), Par("ab"), RoundRobin("ab"), Seq(SubStr("ab"))):
+            for topo in (bad, Seq(("zz", bad))):
+                system = System((Analytic("x", stages, topo, 10),))
+                expected = [("/analytics/0/topology",
+                             "malformed composition expression")]
+                assert validate_system(system).findings == expected
+                assert validate_system_reference(system).findings == expected
+
     def test_a_deeply_nested_non_node_is_only_malformed(self):
         stages = (stage("a", 1, 10, 10),)
-        for bad in ("a", 5, None):
-            topo = Seq((Leaf("zz"), Par((Seq((Leaf("a"), bad)),)), Par(())))
+        for bad in (SubStr("a"), 5, None):
+            topo = Seq(("zz", Par((Seq(("a", bad)),)), Par(())))
             system = System((Analytic("x", stages, topo, 10),))
             assert validate_system(system).findings == [
                 ("/analytics/0/topology", "malformed composition expression")]
@@ -633,9 +651,9 @@ class TestCoreAndCluster:
 
     @pytest.mark.parametrize("capacity", [1, 0.5, "1/2", Fraction(1, 2)])
     def test_homogeneous_cluster_leaves_coercion_to_core(self, capacity):
-        cluster = homogeneous_cluster(2, capacity, platform_blocking=7)
+        cluster = homogeneous_cluster(2, capacity)
         exact = Fraction(capacity)
-        assert cluster == Cluster((Core("c0", exact, 7), Core("c1", exact, 7)))
+        assert cluster == Cluster((Core("c0", exact), Core("c1", exact)))
         for core in (*cluster.cores, Core("c", capacity)):
             assert type(core) is Core
             assert type(core.capacity) is Fraction
@@ -665,22 +683,33 @@ class TestStageUtilization:
 
 
 class TestRecords:
-    NODES = [Leaf, Seq, Par, RoundRobin]
+    NODES = [Seq, Par, RoundRobin]
 
     @pytest.mark.parametrize("a", NODES)
     @pytest.mark.parametrize("b", NODES)
     def test_nodes_compare_by_class(self, a, b):
-        children = (Leaf("x"), Leaf("y"))
+        children = ("x", "y")
         same = a is b
         assert (a(children) == b(children)) is same
         assert (a(children) != b(children)) is not same
         assert len({a(children), b(children)}) == (1 if same else 2)
 
+    @pytest.mark.parametrize("kind", NODES)
+    def test_a_leaf_is_no_node_that_holds_it(self, kind):
+        assert kind(("a",)) != "a"
+        assert "a" != kind(("a",))
+        assert len({"a", kind(("a",))}) == 2
+
     def test_a_node_is_not_its_tuple(self):
-        assert Leaf("a") != ("a",)
-        assert ("a",) != Leaf("a")
-        assert not Leaf("a") == ("a",)
-        assert Seq((Leaf("a"),)) != ((Leaf("a"),),)
+        assert Seq(("a",)) != (("a",),)
+        assert (("a",),) != Seq(("a",))
+        assert not Seq(("a",)) == (("a",),)
+
+    def test_a_leaf_is_its_stage_id(self):
+        assert Leaf is str
+        assert seq("a") == "a"
+        assert par("a") == "a"
+        assert seq("a", "b") == Seq(("a", "b"))
 
     def test_nested_nodes_compare_by_class(self):
         assert seq("a", par("b", "c")) == seq("a", par("b", "c"))
@@ -690,7 +719,7 @@ class TestRecords:
     @pytest.mark.parametrize("record, name", [
         (Stage("s", 1, 2, 3), "cost"),
         (Core("c"), "capacity"),
-        (Analytic("a", (), Leaf("s"), 1), "stages"),
+        (Analytic("a", (), "s", 1), "stages"),
         (SimConfig(horizon=SEC), "horizon"),
     ])
     def test_fields_cannot_be_assigned(self, record, name):
@@ -791,7 +820,7 @@ class TestStageCopies:
 
     def test_every_field_survives_the_copy(self):
         stage = Stage("s", 3, 7, 11, blocking=2, priority=5, core="c1")
-        analytic = Analytic("a", (stage,), Leaf("s"), 13)
+        analytic = Analytic("a", (stage,), "s", 13)
         # every field differs from its default, so a field added later
         # fails here until it is set above (and copied)
         no_default = object()
@@ -824,8 +853,8 @@ class TestStageCopies:
 # item_flow replaced, kept here as its oracle. They read a RoundRobin
 # node as the Par node it used to be.
 def sources_by_walk(expr):
-    if isinstance(expr, Leaf):
-        return [expr.stage]
+    if isinstance(expr, str):
+        return [expr]
     if isinstance(expr, Seq):
         return sources_by_walk(expr.children[0])
     out = []
@@ -835,8 +864,8 @@ def sources_by_walk(expr):
 
 
 def sinks_by_walk(expr):
-    if isinstance(expr, Leaf):
-        return [expr.stage]
+    if isinstance(expr, str):
+        return [expr]
     if isinstance(expr, Seq):
         return sinks_by_walk(expr.children[-1])
     out = []
@@ -846,7 +875,7 @@ def sinks_by_walk(expr):
 
 
 def edges_by_walk(expr, preds):
-    if isinstance(expr, Leaf):
+    if isinstance(expr, str):
         return
     if isinstance(expr, Seq):
         for a, b in zip(expr.children, expr.children[1:]):
@@ -872,12 +901,11 @@ def tree_of(shape, ids, lanes):
     """The topology of ``shape`` whose leaves take ids from ``ids``; the
     lane (k, j) of each child j of a k-way rr node goes into ``lanes``."""
     if shape is None:
-        return Leaf(next(ids))
+        return next(ids)
     kind, children = shape
     nodes = tuple(tree_of(c, ids, lanes) for c in children)
     if kind is RoundRobin:
-        lanes.update((leaf.stage, (len(nodes), j))
-                     for j, leaf in enumerate(nodes))
+        lanes.update((sid, (len(nodes), j)) for j, sid in enumerate(nodes))
     return kind(nodes)
 
 
@@ -909,8 +937,8 @@ class TestItemFlow:
         rnd.shuffle(ids)
         expr = tree_of(shape, iter(ids), {})
         flow = item_flow(expr)
-        response = {n.stage: rnd.randrange(10**6) for n in nodes(expr)
-                    if isinstance(n, Leaf)}
+        response = {n: rnd.randrange(10**6) for n in nodes(expr)
+                    if isinstance(n, str)}
         finish = {}
 
         def finish_of(sid):
@@ -930,8 +958,15 @@ class TestItemFlow:
                               "e": ("b", "d")}
         assert flow.lanes == {}
 
+    def test_a_str_subclass_is_no_leaf(self):
+        bad = SubStr("b")
+        for topo in (bad, seq("a", bad)):
+            with pytest.raises(TypeError) as exc:
+                item_flow(topo)
+            assert str(exc.value) == f"not a composition expression: {bad!r}"
+
     def test_round_robin_example(self):
-        replicas = RoundRobin((Leaf("b#1"), Leaf("b#2"), Leaf("b#3")))
+        replicas = RoundRobin(("b#1", "b#2", "b#3"))
         flow = item_flow(seq("a", replicas, "c"))
         assert flow.sources == ["a"]
         assert flow.sinks == ["c"]
@@ -1006,8 +1041,10 @@ def nodes(expr):
         node = todo.pop()
         found.append(node)
         if node.__class__ in (Seq, Par, RoundRobin):
+            if isinstance(node.children, str):  # no one-character leaves
+                raise TypeError(f"children are a string: {node!r}")
             todo += reversed(node.children)
-        elif node.__class__ is not Leaf:
+        elif node.__class__ is not str:
             raise TypeError(f"not a composition expression: {node!r}")
     return found
 
@@ -1021,9 +1058,9 @@ def check_topology_reference(analytic, apath, findings):
     except TypeError:
         findings.append((path, "malformed composition expression"))
         return
-    if any(not isinstance(n, Leaf) and not n.children for n in topology):
+    if any(not isinstance(n, str) and not n.children for n in topology):
         findings.append((path, "empty composition node"))
-    for sid in (n.stage for n in topology if isinstance(n, Leaf)):
+    for sid in (n for n in topology if isinstance(n, str)):
         if sid not in declared:
             findings.append(
                 (path, f"topology references unknown stage {sid!r}"))
@@ -1033,13 +1070,13 @@ def check_topology_reference(analytic, apath, findings):
     for sid in sorted(declared.keys() - covered):
         findings.append((path, f"stage {sid!r} not covered"))
     for rr in (n for n in topology if isinstance(n, RoundRobin)):
-        if not all(isinstance(c, Leaf) for c in rr.children):
+        if not all(isinstance(c, str) for c in rr.children):
             findings.append((path, "round-robin children must be stage ids"))
             continue
-        periods = {declared[c.stage].inter_arrival for c in rr.children
-                   if c.stage in declared}
+        periods = {declared[sid].inter_arrival for sid in rr.children
+                   if sid in declared}
         if len(periods) > 1 or INFINITE in periods:
-            ids = ", ".join(c.stage for c in rr.children)
+            ids = ", ".join(rr.children)
             findings.append((path, f"round-robin replicas {ids} do not "
                              f"share one finite inter-arrival"))
 
@@ -1054,12 +1091,12 @@ VALIDATION_TIMES = st.one_of(
 
 VALIDATION_TOPOLOGIES = st.one_of(
     st.recursive(
-        st.builds(Leaf, VALIDATION_IDS),
+        VALIDATION_IDS,
         lambda kids: st.builds(lambda kind, children: kind(tuple(children)),
                                st.sampled_from([Seq, Par, RoundRobin]),
                                st.lists(kids, max_size=3)),
         max_leaves=6),
-    st.sampled_from(["a", 5]))  # not composition nodes: malformed
+    st.sampled_from([SubStr("a"), 5]))  # not composition nodes: malformed
 VALIDATION_STAGES = st.builds(
     Stage, id=VALIDATION_IDS, cost=VALIDATION_TIMES,
     inter_arrival=VALIDATION_TIMES, deadline=VALIDATION_TIMES,

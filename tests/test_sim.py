@@ -18,7 +18,6 @@ from tcsizer import (
     Core,
     HorizonTooShort,
     InvalidAllocation,
-    Leaf,
     MissingStage,
     ReleasePolicy,
     ResponseReport,
@@ -55,7 +54,7 @@ def single(sid, c, t, d=None, b=0, prio=1):
     d = t if d is None else d
     s = Stage(id=sid, cost=c, inter_arrival=t, deadline=d, blocking=b,
               priority=prio)
-    return Analytic(id=sid, stages=(s,), topology=Leaf(sid),
+    return Analytic(id=sid, stages=(s,), topology=sid,
                     end_to_end_deadline=d)
 
 
@@ -113,7 +112,7 @@ class TestBasics:
                                 deadline=HOUR, priority=1),
             }
             system = System(tuple(
-                Analytic(sid, (st,), Leaf(sid), st.deadline)
+                Analytic(sid, (st,), sid, st.deadline)
                 for sid, st in stages.items()))
             trace = run(system, {sid: "c0" for sid in stages},
                         homogeneous_cluster(1), horizon=8 * HOUR)
@@ -547,7 +546,7 @@ class TestRoundRobin:
                         deadline=10 * MS, priority=2) for i in (1, 2))
         z = Stage(id="z", cost=1 * MS, inter_arrival=5 * MS,
                   deadline=5 * MS, priority=1)
-        topo = seq(RoundRobin((Leaf("a#1"), Leaf("a#2"))), "z")
+        topo = seq(RoundRobin(("a#1", "a#2")), "z")
         system = System((Analytic("rr", (a1, a2, z), topo, 20 * MS),))
         return system, {"a#1": "c0", "a#2": "c1", "z": "c2"}
 
@@ -595,7 +594,7 @@ class TestRoundRobin:
                   priority=3)
         c = Stage(id="c", cost=1 * MS, inter_arrival=5 * MS, deadline=5 * MS,
                   priority=1)
-        topo = seq(par(RoundRobin((Leaf("a#1"), Leaf("a#2"))), "x"), "c")
+        topo = seq(par(RoundRobin(("a#1", "a#2")), "x"), "c")
         system = System((Analytic("j", (*replicas, x, c), topo, 20 * MS),))
         allocation = {"a#1": "c0", "a#2": "c1", "x": "c2", "c": "c2"}
         trace = run(system, allocation, homogeneous_cluster(3),
@@ -667,7 +666,7 @@ class TestObservation:
     def test_undeclared_topology_stage_is_missing_stage(self):
         s = Stage(id="a", cost=MS, inter_arrival=10 * MS, deadline=10 * MS,
                   priority=1)
-        for topology in (seq("a", "ghost"), seq("ghost", "a"), Leaf("ghost")):
+        for topology in (seq("a", "ghost"), seq("ghost", "a"), "ghost"):
             system = System((Analytic("x", (s,), topology, SEC),))
             with pytest.raises(MissingStage) as exc:
                 run(system, {"a": "c0"}, homogeneous_cluster(1), horizon=SEC)
@@ -738,13 +737,11 @@ def every_path_system():
                          *(stage(r, 1200, 3000, 3) for r in replicas),
                          stage("x", 200, 1000, 8, blocking_us=100),
                          stage("sink", 100, 1000, 5)),
-                 seq("src", par(RoundRobin(tuple(map(Leaf, replicas))), "x"),
-                     "sink"), 20 * MS),
+                 seq("src", par(RoundRobin(replicas), "x"), "sink"), 20 * MS),
         Analytic("join", (stage("j0", 200, 2000, 7), stage("j1", 300, 2000, 6),
                           stage("j2", 300, 2000, 6), stage("j3", 200, 2000, 4)),
                  seq("j0", par("j1", "j2"), "j3"), 20 * MS),
-        Analytic("once", (stage("once", 1500, None, 1),), Leaf("once"),
-                 20 * MS),
+        Analytic("once", (stage("once", 1500, None, 1),), "once", 20 * MS),
         Analytic("tail", (stage("t0", 400, 5000, 2), stage("t1", 500, None, 1)),
                  seq("t0", "t1"), 20 * MS)))
     allocation = {"src": "c0", "x": "c0", "j0": "c0", "once": "c0",

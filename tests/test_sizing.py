@@ -12,7 +12,6 @@ from tcsizer import (
     US,
     Analytic,
     DecimationRow,
-    Leaf,
     Par,
     ReplicationExceeded,
     RoundRobin,
@@ -37,7 +36,7 @@ from tcsizer.model import item_flow
 from tcsizer.sizing import replica_count
 from tcsizer.workloads import ScenarioId, builtin_system
 
-from generators import COPRIME_PERIODS
+from generators import COPRIME_PERIODS, SubStr
 
 
 def utilization_at(stage, inter_arrival):
@@ -69,12 +68,10 @@ class TestRetime:
 
     def test_replicas_sit_under_a_round_robin_node(self, microblog):
         retimed = retime_system(microblog, 4000)
-        split = RoundRobin(tuple(Leaf(f"microblog-split#{i}")
-                                 for i in (1, 2, 3)))
-        count = RoundRobin(tuple(Leaf(f"microblog-count#{i}")
-                                 for i in (1, 2, 3)))
+        split = RoundRobin(tuple(f"microblog-split#{i}" for i in (1, 2, 3)))
+        count = RoundRobin(tuple(f"microblog-count#{i}" for i in (1, 2, 3)))
         assert retimed.analytics[0].topology == Seq(
-            (Leaf("microblog-gen"), split, count))
+            ("microblog-gen", split, count))
 
     def test_refuses_a_replicated_system(self, microblog):
         retimed = retime_system(microblog, 4000)
@@ -117,9 +114,9 @@ class TestTemplateWalk:
         def periodic(*ids):
             return tuple(Stage(sid, 1 * MS, 10 * MS, 10 * MS) for sid in ids)
 
-        plain = Analytic("p0", periodic("a", "b"), Seq((Leaf("a"), Leaf("b"))),
+        plain = Analytic("p0", periodic("a", "b"), Seq(("a", "b")),
                          SEC)
-        topology = Seq((Leaf("x"), Par((Leaf("y"), Seq((Leaf("z"), deep))))))
+        topology = Seq(("x", Par(("y", Seq(("z", deep))))))
         return plain, Analytic("p1", periodic("x", "y", "z", *extra),
                                topology, SEC)
 
@@ -134,7 +131,7 @@ class TestTemplateWalk:
                 yield name, sweep, System((plain, deep_one)), 1
 
     def test_a_deep_round_robin_node_is_refused(self):
-        rr = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        rr = RoundRobin(("r#1", "r#2"))
         for name, sweep, template, index in self.each_sweep(
                 rr, "r#1", "r#2"):
             with pytest.raises(ValueError) as raised:
@@ -143,7 +140,7 @@ class TestTemplateWalk:
                 f"/analytics/{index}/topology: analytic 'p1' is already "
                 f"replicated (round-robin node)"), name
 
-    @pytest.mark.parametrize("non_node", ["w", 42, ("w",)])
+    @pytest.mark.parametrize("non_node", [SubStr("w"), 42, ("w",)])
     def test_a_non_node_below_a_seq_is_a_type_error(self, non_node):
         for name, sweep, template, _ in self.each_sweep(non_node):
             with pytest.raises(TypeError) as raised:
@@ -153,7 +150,7 @@ class TestTemplateWalk:
 
     def test_the_walk_reads_past_a_round_robin_node(self):
         # a non-node after the round-robin node is still found
-        rr = RoundRobin((Leaf("r#1"), Leaf("r#2")))
+        rr = RoundRobin(("r#1", "r#2"))
         deep = Par((rr, 42))
         for name, sweep, template, _ in self.each_sweep(deep, "r#1", "r#2"):
             with pytest.raises(TypeError) as raised:
@@ -204,7 +201,7 @@ class TestFrequencySweep:
         batch = Stage(id="batch", cost=3 * MS, inter_arrival=INFINITE,
                       deadline=SEC)
         system = System((*microblog.analytics, Analytic(
-            id="batch", stages=(batch,), topology=Leaf("batch"),
+            id="batch", stages=(batch,), topology="batch",
             end_to_end_deadline=SEC)))
         u_max = Fraction(3, 4)
         rows = frequency_sweep(system, [1, 3, 7, 777, 4000], u_max=u_max)
@@ -223,7 +220,7 @@ class TestFrequencySweep:
                       deadline=SEC)
         templates = [builtin_system(ScenarioId.TABLE_VI), System((
             *microblog.analytics, Analytic(
-                id="batch", stages=(batch,), topology=Leaf("batch"),
+                id="batch", stages=(batch,), topology="batch",
                 end_to_end_deadline=SEC)))]
         for template in templates:
             (row,) = frequency_sweep(template, [frequency], u_max=1)
@@ -283,14 +280,14 @@ def sweep_templates(draw):
               deadline=SEC)
         for i in range(draw(st.integers(0, 6)))]
     return System(tuple(
-        Analytic(s.id, (s,), Leaf(s.id), SEC) for s in stages))
+        Analytic(s.id, (s,), s.id, SEC) for s in stages))
 
 
 class TestReplicationLimit:
     @given(sweep_templates(),
            st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
     # at 1 MHz the first stage needs 4096 replicas, the second 4097
-    @example(System(tuple(Analytic(s.id, (s,), Leaf(s.id), SEC) for s in (
+    @example(System(tuple(Analytic(s.id, (s,), s.id, SEC) for s in (
         Stage("s0", 4096 * US, MS, SEC), Stage("s1", 4097 * US, MS, SEC),
     ))), [1, 10**6])
     @settings(max_examples=500, deadline=None)
@@ -347,13 +344,13 @@ def decimation_templates(draw):
 
     def tree(ids):
         if len(ids) == 1:
-            return Leaf(ids[0])
+            return ids[0]
         cut = draw(st.integers(1, len(ids) - 1))
         return draw(st.sampled_from([Seq, Par]))(
             (tree(ids[:cut]), tree(ids[cut:])))
 
     ids = [s.id for s in stages]
-    topology = Leaf(ids[-1])
+    topology = ids[-1]
     if len(ids) > 1:
         topology = Seq((tree(ids[:-1]), topology))
     for kind in draw(st.lists(st.sampled_from([Seq, Par]), max_size=2)):
@@ -460,13 +457,13 @@ class TestBaselineComparison:
     def test_single_small_stage(self):
         s = Stage(id="s", cost=1 * MS, inter_arrival=10 * MS,
                   deadline=11 * MS, blocking=1 * MS, priority=1)
-        system = System((Analytic("s", (s,), Leaf("s"), 11 * MS),))
+        system = System((Analytic("s", (s,), "s", 11 * MS),))
         assert baseline_comparison(system, u_max=1) == (1, 1)
 
     def test_deadline_off_the_regime_is_answered(self):
         s = Stage(id="s", cost=1 * MS, inter_arrival=10 * MS,
                   deadline=9 * MS, priority=1)
-        system = System((Analytic("s", (s,), Leaf("s"), 9 * MS),))
+        system = System((Analytic("s", (s,), "s", 9 * MS),))
         assert baseline_comparison(system, u_max=1) == (1, 1)
 
     def test_direction_over_random_systems(self):
@@ -481,7 +478,7 @@ class TestBaselineComparison:
                 stages.append(Stage(id=f"s{i}", cost=c, inter_arrival=t,
                                     deadline=t + b, blocking=b))
             system = System(tuple(
-                Analytic(s.id, (s,), Leaf(s.id), s.deadline) for s in stages))
+                Analytic(s.id, (s,), s.id, s.deadline) for s in stages))
             system = with_priorities(system, assign_priorities_dm(system))
             ours, baseline = baseline_comparison(system, u_max=1)
             assert baseline >= ours
@@ -520,7 +517,7 @@ def coprime_systems(draw):
                             deadline=d, blocking=b,
                             priority=draw(st.none() | st.integers())))
     return System(tuple(
-        Analytic(s.id, (s,), Leaf(s.id), max(1, s.deadline)) for s in stages))
+        Analytic(s.id, (s,), s.id, max(1, s.deadline)) for s in stages))
 
 
 class TestScaledSums:
@@ -543,7 +540,7 @@ class TestScaledSums:
                   Stage(id="y", cost=3, inter_arrival=INFINITE, deadline=10,
                         priority=1))
         system = System(tuple(
-            Analytic(s.id, (s,), Leaf(s.id), s.deadline) for s in stages))
+            Analytic(s.id, (s,), s.id, s.deadline) for s in stages))
         assert total_utilization(system).total == 0
         assert [s.utilization() for s in system.stages()] == [0, 0]
         assert baseline_comparison(system, Fraction(1, 3)) == (1, 1)
