@@ -16,18 +16,26 @@ periods (``model.period_scales``), and a one-shot stage weighs 0. A
 level (a stage and its cotenants) that weighs more than L has no finite
 busy period (Lehoczky, 1990; Tindell, Burns and Wellings, 1994); one
 that weighs L while the stage weighs 0 leaves a load that fills the
-core, so R >= base + R, which no R meets when base > 0. Any other
-recurrence has a least fixed point, which reads DIVERGED past the cap.
+core, so the stage never runs, whatever its base. Any other recurrence
+has a least fixed point, which reads DIVERGED past the cap.
 
 Each fixed point starts from one job of every cotenant in its load,
-top = base + sum_z C_z (Audsley et al., 1993), or from 0 when the base
-is 0, its own fixed point. With f the right-hand side above, the one
-premise is base >= 1: the least fixed point R >= base then makes every
-ceil(R / T_z) >= 1, so R = f(R) >= top. From any lower bound the
-iteration reaches the same least fixed point as from the base, in no
-more rounds. Since ceil(R / T) = floor((R - 1) / T) + 1 for all integer
-R and T >= 1, each round evaluates f(R) in one division and one product
-per distinct period, as top + sum_z floor((R - 1) / T_z) * C_z.
+top = base + sum_z C_z (Audsley et al., 1993). With f the right-hand
+side above and a positive cost, the base is at least 1: the least fixed
+point R >= base then makes every ceil(R / T_z) >= 1, so R = f(R) >= top,
+and from any lower bound the iteration reaches the least fixed point in
+no more rounds. Since ceil(R / T) = floor((R - 1) / T) + 1 for all
+integer R and T >= 1, each round evaluates f(R) in one division and one
+product per distinct period, as top + sum_z floor((R - 1) / T_z) * C_z.
+
+A stage of zero cost completes only when it is dispatched, and at any
+instant the simulator makes its releases before it dispatches, so a
+cotenant job released at the instant its window would close runs
+first. Its window is closed: it counts floor(R / T_z) + 1 jobs of each
+cotenant where a positive cost counts ceil(R / T_z), the limit of a
+positive cost, and each round evaluates top + sum_z floor(R / T_z) *
+C_z. Below h1 = (5, 10) and h2 = (5, 20) us on one core, a zero-cost
+stage gets 15 us, which the simulator observes.
 
 All arithmetic is exact: times are integer nanoseconds. Each analytic's
 end-to-end response composes its stages' bounds over its topology
@@ -72,18 +80,17 @@ class ResponseReport(NamedTuple):
     system_feasible: bool
 
 
-def _fixed_point(base: Duration, top: Duration,
-                 load: Iterable[tuple[int, Duration]],
-                 cap: Duration) -> ResponseTime:
-    """Least R >= ``base`` with R = base + sum ceil(R / T) * C over the
-    (period T, summed cost C) pairs of ``load``, which has one (see the
-    module docstring), or DIVERGED once an iterate exceeds ``cap``.
-    ``top`` is base + sum C, where it starts (at 0 when base is 0), each
-    round evaluating top + sum floor((R - 1) / T) * C."""
-    r = top if base else 0
+def _fixed_point(top: Duration, load: Iterable[tuple[int, Duration]],
+                 cap: Duration, s: int) -> ResponseTime:
+    """Least R with R = top + sum floor((R - s) / T) * C over the (period
+    T, summed cost C) pairs of ``load``, iterated from ``top``, or
+    DIVERGED once an iterate exceeds ``cap``. s is 1 for a stage of
+    positive cost and 0 for one of zero cost, whose window is closed
+    (see the module docstring)."""
+    r = top
     while r <= cap:
         nxt = top
-        below = r - 1
+        below = r - s
         for t, c in load:
             nxt += below // t * c
         if nxt == r:
@@ -143,15 +150,17 @@ def solve_system(system: System, allocation: Mapping[str, str],
                     level_sum += cost
                     level_weight += cost * scale[period]
             top = b + once + level_sum
-            # the DIVERGED rule; a stage of weight 0 has base b + once
+            s = 1 if c else 0
+            # the DIVERGED rule: a full level leaves a stage of weight 0
+            # no time at all
             if level_weight >= lcm and (level_weight > lcm
-                                        or b + once and not c * scale[t]):
+                                        or not c * scale[t]):
                 per_stage[sid] = DIVERGED
             elif t is INFINITE:
-                per_stage[sid] = _fixed_point(b + once, top, load, cap)
+                per_stage[sid] = _fixed_point(top, load, cap, s)
             else:
                 totals[t] -= c
-                per_stage[sid] = _fixed_point(b + c + once, top, load, cap)
+                per_stage[sid] = _fixed_point(top, load, cap, s)
                 totals[t] += c
 
     per_analytic: dict[str, AnalyticVerdict] = {}

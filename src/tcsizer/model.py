@@ -180,7 +180,8 @@ def par(*children: Expr) -> Expr:
 def not_a_node(value) -> TypeError:
     """The error of a topology walk that meets ``value``, whose class is
     none of the four node classes: str (a leaf), Seq, Par and
-    RoundRobin."""
+    RoundRobin, or a node whose children are a string, which would read
+    as one-character leaves."""
     return TypeError(f"not a composition expression: {value!r}")
 
 
@@ -206,6 +207,9 @@ def item_flow(expr: Expr) -> Flow:
         cls = node.__class__
         if cls is str:
             return [node], [node]
+        if cls is not Seq and cls is not Par and cls is not RoundRobin \
+                or isinstance(node.children, str):
+            raise not_a_node(node)
         if cls is Seq:
             sources, sinks = walk(node.children[0])
             for child in node.children[1:]:
@@ -214,8 +218,6 @@ def item_flow(expr: Expr) -> Flow:
                 for sid in child_sources:
                     preds[sid] = upstream
             return sources, sinks
-        if cls is not Par and cls is not RoundRobin:
-            raise not_a_node(node)
         sources, sinks = [], []
         for child in node.children:
             child_sources, child_sinks = walk(child)
@@ -248,7 +250,8 @@ def end_to_end_response(expr: Expr,
             return per_stage[expr]
         except KeyError:
             raise MissingStage(expr) from None
-    if cls is not Seq and cls is not Par and cls is not RoundRobin:
+    if cls is not Seq and cls is not Par and cls is not RoundRobin \
+            or isinstance(expr.children, str):
         raise not_a_node(expr)
     children = map(end_to_end_response, expr.children, repeat(per_stage))
     return sum(children) if cls is Seq else max(children)
@@ -342,7 +345,7 @@ def effective_blocking(system: System, allocation: Mapping[str, str],
     """Each stage's blocking on its host core, max(stage blocking, core
     platform blocking). The first bad stage raises: ValueError without a
     priority, InvalidAllocation without a known core."""
-    platform = {c.id: c.platform_blocking for c in cluster.cores}
+    platform = {cid: floor for cid, _, floor in cluster.cores}
     core_of, floor_of = allocation.get, platform.get
     out: dict[str, Duration] = {}
     for sid, _, _, _, blocking, priority, _ in system.stages():
@@ -571,15 +574,20 @@ def period_scales(
     of the distinct finite values, so with every period among them C/T
     is C * scale[T] over L, and with a denominator q among them (a core
     capacity's, say) a fraction p/q is p * scale[q] over L."""
-    finite = set(values) - {INFINITE}
-    # pairwise rounds, so each lcm joins operands of like size
-    lcms = [*finite] or [1]
-    while len(lcms) > 1:
-        lcms = [math.lcm(*lcms[i:i + 2]) for i in range(0, len(lcms), 2)]
-    lcm = lcms[0]
+    finite = [*set(values) - {INFINITE}]
+    lcm = _lcm_of(finite, 0, len(finite))
     scale = {x: lcm // x for x in finite}
     scale[INFINITE] = 0
     return lcm, scale
+
+
+def _lcm_of(values: list[int], lo: int, hi: int) -> int:
+    """The lcm of values[lo:hi], 1 when empty: the lcms of its two
+    halves joined, so that each lcm joins operands of like size."""
+    if hi - lo <= 2:
+        return math.lcm(*values[lo:hi])
+    mid = (lo + hi) // 2
+    return math.lcm(_lcm_of(values, lo, mid), _lcm_of(values, mid, hi))
 
 
 def allocate_first_fit(system: System, cluster: Cluster) -> dict[str, str]:

@@ -34,6 +34,14 @@ under UNIFORM when some stage's effective blocking is non-zero; any
 other run reads no random number, so its trace does not depend on the
 seed.
 
+Every draw goes through one sampler, below(n), uniform in [0, n): it
+draws getrandbits(k), k = n.bit_length(), and draws again while the
+result is at least n. A JITTERED phase is below(T_in) and a UNIFORM
+delay below(B + 1), in the order the run makes them. So a seed's trace
+depends only on ``random.Random(seed).getrandbits``; the draws consume
+the same bits in the same order as ``randrange(T_in)`` and
+``randint(0, B)`` on CPython 3.10-3.12.
+
 Each fact of a job has one home. Stages and cores are numbered in
 stage-id and core-id order, so integer indices order everything below
 exactly as the ids would. A ready job is the entry (neg_prio, release,
@@ -43,7 +51,9 @@ Heap events are (time, rank, stage index, job, last): last is the
 dispatched entry of a completion, stale once its core runs another (a
 preempted job goes back as a new entry, so none is dispatched twice),
 the release time of a blocking end. Per-stage constants live in lists
-indexed by stage index, all filled in one setup pass. The cores to
+indexed by stage index, all filled in one setup pass that unpacks each
+analytic, stage and item flow once; a topology without a round-robin
+node skips the lanes and the joins' lane exclusion. The cores to
 dispatch at an instant are the set bits of an int, walked lowest bit
 first. One function, release(), makes every release and holds the
 throttle (the earliest time of each stage's next release), the one-shot
@@ -86,20 +96,25 @@ class HorizonTooShort(ValueError):
 
 class _SimConfig(NamedTuple):
     horizon: Duration
-    seed: int = 0
-    blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL
-    release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS
+    seed: int
+    blocking_policy: BlockingPolicy
+    release_policy: ReleasePolicy
 
 
 class SimConfig(_SimConfig):
-    """A run's horizon in ns (positive), its seed and its two policies."""
+    """A run's horizon in ns (positive), its seed and its two policies.
+    The defaults live in ``__new__`` alone, which builds the tuple once
+    the horizon is checked."""
 
     __slots__ = ()
 
-    def __new__(cls, horizon: Duration, *rest, **fields):
+    def __new__(cls, horizon: Duration, seed: int = 0,
+                blocking_policy: BlockingPolicy = BlockingPolicy.ADVERSARIAL,
+                release_policy: ReleasePolicy = ReleasePolicy.SYNCHRONOUS):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        return super().__new__(cls, horizon, *rest, **fields)
+        return tuple.__new__(
+            cls, (horizon, seed, blocking_policy, release_policy))
 
     @classmethod
     def _make(cls, iterable) -> SimConfig:
@@ -156,21 +171,22 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     whose topologies name only declared stages (else MissingStage).
     Raises HorizonTooShort when not a single item completes end-to-end.
     """
+    horizon, seed, blocking_policy, release_policy = config
     blocking = effective_blocking(system, allocation, cluster)
     # stages and cores are numbered in id order, so that integers order
     # heap and ready entries, and dispatches, exactly as the ids would
-    sids = sorted(s.id for s in system.stages())
-    index = {sid: i for i, sid in enumerate(sids)}
+    sids = sorted(blocking)
     n = len(sids)
-    core_ids = sorted({c.id for c in cluster.cores})
-    core_index = {cid: ci for ci, cid in enumerate(core_ids)}
+    index = dict(zip(sids, range(n)))
+    core_ids = sorted([c.id for c in cluster.cores])
+    core_index = dict(zip(core_ids, range(len(core_ids))))
     host = [0] * n  # core index
     host_bit = [0] * n  # 1 << host, the host's bit in a dirty mask
     host_id = [""] * n
     neg_prio = [0] * n
     cost = [0] * n
     period: list[Duration | None] = [None] * n  # None for one-shot
-    b_eff = [0] * n
+    b_eff = [blocking[sid] for sid in sids]
     a_of = [0] * n  # analytic index
     is_source = [False] * n
     k_of = [1] * n  # stage i admits the items m with m % k_of[i] == lane[i]
@@ -178,43 +194,55 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     # each stage's join targets as (target, k, lane, predecessors that
     # admit an item the target admits); a target below n is a stage
     # index, n + a is the end of analytic a, where sinks join
-    routes: list[list[tuple]] = [[] for _ in range(n)]
+    routes: list[list[tuple]] = [[] for _ in sids]
     aids: list[str] = []  # analytic index -> id
-    for a, analytic in enumerate(system.analytics):
-        aids.append(analytic.id)
-        flow = item_flow(analytic.topology)
+    for a, (aid, stages, topology, _) in enumerate(system.analytics):
+        aids.append(aid)
+        _, sinks, preds, lanes = item_flow(topology)
         local = {}  # the analytic's own stages, so a foreign leaf is missing
-        for s in analytic.stages:
-            i = local[s.id] = index[s.id]
-            host_id[i] = allocation[s.id]
-            host[i] = core_index[host_id[i]]
-            host_bit[i] = 1 << host[i]
-            neg_prio[i] = -s.priority
-            cost[i] = s.cost
-            if s.inter_arrival is not INFINITE:
-                period[i] = s.inter_arrival
-            b_eff[i] = blocking[s.id]
+        for sid, c, t, _, _, priority, _ in stages:
+            i = local[sid] = index[sid]
+            hid = host_id[i] = allocation[sid]
+            ci = host[i] = core_index[hid]
+            host_bit[i] = 1 << ci
+            neg_prio[i] = -priority
+            cost[i] = c
+            if t is not INFINITE:
+                period[i] = t
             a_of[i] = a
-            is_source[i] = s.id not in flow.preds
-            k_of[i], lane[i] = flow.lanes.get(s.id, (1, 0))
+            is_source[i] = sid not in preds
         # one child of a round-robin node admits each item, so joins
         # leave its children past lane 0 out
-        extra = {sid for sid, (_, j) in flow.lanes.items() if j}
+        if lanes:
+            for sid, (k, j) in lanes.items():
+                if sid in local:
+                    k_of[local[sid]], lane[local[sid]] = k, j
+            extra = {sid for sid, (_, j) in lanes.items() if j}
         try:
-            for target, ups in (*flow.preds.items(), (None, flow.sinks)):
-                route = (n + a if target is None else local[target],
-                         *flow.lanes.get(target, (1, 0)),
-                         sum(up not in extra for up in ups))
+            for target, ups in (*preds.items(), (None, sinks)):
+                i = n + a if target is None else local[target]
+                route = ((i, *lanes.get(target, (1, 0)),
+                          sum(up not in extra for up in ups)) if lanes
+                         else (i, 1, 0, len(ups)))
                 for up in ups:
                     routes[local[up]].append(route)
         except KeyError as exc:  # every leaf is a sink or a predecessor
             raise MissingStage(exc.args[0]) from None
 
-    jittered = config.release_policy is ReleasePolicy.JITTERED
-    uniform = (config.blocking_policy is BlockingPolicy.UNIFORM
-               and any(b_eff))
-    rng = random.Random(config.seed) if jittered or uniform else None
-    horizon = config.horizon
+    jittered = release_policy is ReleasePolicy.JITTERED
+    uniform = blocking_policy is BlockingPolicy.UNIFORM and any(b_eff)
+    getrandbits = (random.Random(seed).getrandbits if jittered or uniform
+                   else None)
+
+    def below(bound: int) -> int:
+        """The one sampler (see the module docstring): uniform in
+        [0, bound)."""
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        return r
+
     trace = SimTrace()
     emit = trace.log.append
     job_responses = trace.job_responses
@@ -252,7 +280,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
         if period[i] is not None:
             t_in = max(1, period[i] // k_of[i])
             if a_of[i] not in phase:
-                phase[a_of[i]] = rng.randrange(t_in) if jittered else 0
+                phase[a_of[i]] = below(t_in) if jittered else 0
             offset = phase[a_of[i]] + lane[i] * t_in
         release(i, lane[i], offset)
 
@@ -299,7 +327,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
                         release(i, job + k_of[i], t + period[i])
                 delay = b_eff[i]
                 if delay and uniform:
-                    delay = rng.randint(0, delay)
+                    delay = below(delay + 1)
                 if delay == 0:
                     push(ready[host[i]],
                          (neg_prio[i], t, i, job, cost[i], False))
@@ -333,7 +361,7 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
 
     if not end_to_end:
         raise HorizonTooShort(
-            f"no item completed end-to-end within {config.horizon} ns")
+            f"no item completed end-to-end within {horizon} ns")
     return trace
 
 

@@ -156,10 +156,10 @@ def _require_template(template: System) -> None:
             cls = node.__class__
             if cls is str:
                 continue
-            if cls is RoundRobin:
-                replicated = True
-            elif cls is not Seq and cls is not Par:
+            if cls is not Seq and cls is not Par and cls is not RoundRobin \
+                    or isinstance(node.children, str):
                 raise not_a_node(node)
+            replicated = replicated or cls is RoundRobin
             todo += reversed(node.children)
         if replicated:
             raise ValueError(f"/analytics/{a}/topology: analytic {aid!r} "

@@ -19,6 +19,7 @@ from tcsizer import (
     Core,
     InvalidAllocation,
     MissingStage,
+    Par,
     ReleasePolicy,
     ResponseReport,
     Seq,
@@ -108,8 +109,19 @@ class TestStageResponseTime:
         tick = stage("tick", 10 * US, 10 * US)  # U = 1
         batch = stage("batch", 10 * US, INFINITE, HOUR)
         assert bound_below(batch, [tick], 100 * MS) is DIVERGED
+        # a zero-cost stage completes only when it is dispatched, and
+        # the tick fills every instant, so idle never runs: the rule
+        # makes it DIVERGED. A simulation makes no release at its
+        # horizon, and only there does idle run
         idle = stage("idle", 0, INFINITE, HOUR)
-        assert bound_below(idle, [tick], 100 * MS) == 0
+        assert bound_below(idle, [tick], 100 * MS) is DIVERGED
+        system = System((
+            Analytic("tick", (tick._replace(priority=2),), "tick", HOUR),
+            Analytic("idle", (idle._replace(priority=1),), "idle", HOUR)))
+        trace = simulate(system, {"tick": "c0", "idle": "c0"},
+                         homogeneous_cluster(1), SimConfig(horizon=MS))
+        assert ("tick", 99) in trace.job_responses
+        assert trace.job_responses[("idle", 0)] == MS
 
     def test_cap_boundary_is_inclusive(self):
         me = stage("me", HOUR, INFINITE, 2 * HOUR)
@@ -182,6 +194,15 @@ class TestEndToEnd:
         for expr in (node, Seq(("a", node))):
             with pytest.raises(TypeError) as exc:
                 end_to_end_response(expr, {"a": 1})
+            assert str(exc.value) == (
+                f"not a composition expression: {node!r}")
+
+    @pytest.mark.parametrize("node", [Seq("ab"), Par("ab")])
+    def test_string_children_are_no_leaves(self, node):
+        # "ab" as children would read as the leaves "a" and "b", 1 + 2
+        for expr in (node, Seq(("a", node))):
+            with pytest.raises(TypeError) as exc:
+                end_to_end_response(expr, {"a": 1, "b": 2})
             assert str(exc.value) == (
                 f"not a composition expression: {node!r}")
 
@@ -367,12 +388,18 @@ class TestSolveSystem:
         return solve_system(system, allocation, homogeneous_cluster(1))
 
     def test_zero_base_stage_is_not_seeded(self):
-        # idle's base B + C is 0, its own fixed point; a start from
-        # base + sum C = 0 + 10 would stop at 10, a fixed point too
+        # idle's base B + C is 0, but a zero-cost job still waits for
+        # the hp job released with it: the closed window starts at
+        # top = 0 + 10, and 10 + floor(10 / 40) * 10 = 10. A simulation
+        # from the critical instant observes exactly 10
         hp = single("hp", 10, 40, prio=2)
         idle = single("idle", 0, 40, prio=1)
         report = self.solve_on_one_core(hp, idle)
-        assert report.per_stage == {"hp": 10, "idle": 0}
+        assert report.per_stage == {"hp": 10, "idle": 10}
+        system = System((hp, idle))
+        trace = simulate(system, {"hp": "c0", "idle": "c0"},
+                         homogeneous_cluster(1), SimConfig(horizon=400))
+        assert worst_observed(trace).per_stage == {"hp": 10, "idle": 10}
 
     def test_less_blocking_than_the_level_above_is_not_seeded(self):
         # a: 5 + 1 + 5*ceil(R/10) = 16 (start 6 + 5). j: 1 + 5*ceil(R/10)
@@ -477,6 +504,19 @@ class TestOverloadedLevels:
                                                   prio=1))
         assert report.per_stage == {"s0": DIVERGED}
 
+    @pytest.mark.parametrize("me", [
+        single("me", 0, 20 * US, d=HOUR, prio=1),
+        single("me", 10 * US, INFINITE, d=HOUR, prio=1),
+        single("me", 0, INFINITE, d=HOUR, prio=1),
+    ], ids=["zero-cost", "one-shot", "zero-cost-one-shot"])
+    def test_a_full_level_leaves_a_weightless_stage_no_time(self, me):
+        # me weighs 0 below a tick of U = 1, so it never runs. The cap
+        # of an hour is some 10**8 rounds of a climbing iterate away, so
+        # only the rule can answer at once
+        _, _, _, report = self.solve_on_c0(
+            single("tick", 10 * US, 10 * US, d=HOUR, prio=2), me)
+        assert report.per_stage == {"tick": 10 * US, "me": DIVERGED}
+
     @pytest.mark.parametrize("release", list(ReleasePolicy))
     def test_a_full_core_keeps_its_bound(self, release):
         # U = 1 exactly is no overload: b waits one job of a
@@ -545,14 +585,17 @@ class TestBadStages:
 
 
 def reference_response_time(stage, interferers, cap, blocking):
-    """The recurrence charged one ceiling per interferer per round, or
+    """The recurrence charged one term per interferer per round, or
     DIVERGED when the stage and its interferers together need more than
-    the core: no busy period at that level ends."""
-    if stage.utilization() + sum(z.utilization() for z in interferers) > 1:
+    the core, or all of it while the stage needs none of it: no busy
+    period at that level ends, or the stage never runs. A positive cost
+    charges each periodic interferer ceil(R / T) jobs; a zero cost
+    closes the window and charges floor(R / T) + 1."""
+    level = stage.utilization() + sum(z.utilization() for z in interferers)
+    if level > 1 or level == 1 and stage.utilization() == 0:
         return DIVERGED
     base = blocking + stage.cost
     r = base
-    rounds = 0
     while True:
         if r > cap:
             return DIVERGED
@@ -560,14 +603,13 @@ def reference_response_time(stage, interferers, cap, blocking):
         for z in interferers:
             if z.inter_arrival is INFINITE:
                 nxt += z.cost
-            else:
+            elif stage.cost:
                 nxt += -(-r // z.inter_arrival) * z.cost
+            else:
+                nxt += (r // z.inter_arrival + 1) * z.cost
         if nxt == r:
             return r
         r = nxt
-        rounds += 1
-        if rounds == 64 and sum(z.utilization() for z in interferers) >= 1:
-            return DIVERGED
 
 
 def reference_solve(system, allocation, cluster):

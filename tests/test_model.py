@@ -965,6 +965,16 @@ class TestItemFlow:
                 item_flow(topo)
             assert str(exc.value) == f"not a composition expression: {bad!r}"
 
+    def test_string_children_are_no_leaves(self):
+        # "ab" as children would read as the leaves "a" and "b"
+        for bad in (Seq("ab"), Par("ab"), RoundRobin("ab"),
+                    Seq(SubStr("ab"))):
+            for topo in (bad, seq("a", bad)):
+                with pytest.raises(TypeError) as exc:
+                    item_flow(topo)
+                assert str(exc.value) == (
+                    f"not a composition expression: {bad!r}")
+
     def test_round_robin_example(self):
         replicas = RoundRobin(("b#1", "b#2", "b#3"))
         flow = item_flow(seq("a", replicas, "c"))

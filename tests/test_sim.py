@@ -71,6 +71,23 @@ class TestBasics:
         assert set(trace.job_responses.values()) == {2 * MS}
         assert len(trace.end_to_end_responses) == 10
 
+    def test_equal_priorities_do_not_preempt(self):
+        # b turns ready at 2 ms while a, of equal priority and released
+        # first, runs: a keeps the core, with no PREEMPT/RESUME pair
+        system = System((single("a", 5 * MS, 100 * MS),
+                         single("b", 1 * MS, 100 * MS, b=2 * MS)))
+        trace = run(system, {"a": "c0", "b": "c0"}, homogeneous_cluster(1),
+                    horizon=20 * MS)
+        assert trace.log == [
+            (0, "c0", "RELEASE", "a", 0),
+            (0, "c0", "RELEASE", "b", 0),
+            (0, "c0", "START", "a", 0),
+            (2 * MS, "c0", "BLOCK_END", "b", 0),
+            (5 * MS, "c0", "COMPLETE", "a", 0),
+            (5 * MS, "c0", "START", "b", 0),
+            (6 * MS, "c0", "COMPLETE", "b", 0),
+        ]
+
     def test_two_tasks_reach_the_analytic_bound(self):
         system = System((single("hp", 2 * MS, 5 * MS, prio=2),
                          single("lp", 3 * MS, 15 * MS, prio=1)))
@@ -206,6 +223,13 @@ class TestBlocking:
             elif e.kind == "BLOCK_END":
                 delays[e.job] += e.time
         assert delays and all(0 < d <= 4 * MS for d in delays.values())
+        # at B = 1 ns each delay is 0 or 1, so a sampler that could
+        # return its bound shows as a response of C + 2
+        system = System((single("s", 1, 10, d=11, b=1),))
+        trace = run(system, {"s": "c0"}, homogeneous_cluster(1),
+                    horizon=10_000, seed=11,
+                    blocking_policy=BlockingPolicy.UNIFORM)
+        assert sorted(set(trace.job_responses.values())) == [1, 2]
 
     def test_platform_blocking_applies(self):
         system = System((single("s", 1 * MS, 10 * MS, d=15 * MS),))
@@ -246,6 +270,14 @@ class TestReleasePolicies:
         assert 0 <= first["a"] < 10 * MS
         assert 0 <= first["b"] < 20 * MS
         assert first != {"a": 0, "b": 0}  # seed 3 actually jitters
+        # at T = 1 ns the one phase within a period is 0, so a sampler
+        # that could return its bound shows as a first release at 1
+        ids = [f"t{i}" for i in range(8)]
+        system = System(tuple(single(sid, 0, 1) for sid in ids))
+        trace = run(system, dict.fromkeys(ids, "c0"), homogeneous_cluster(1),
+                    horizon=4, seed=3, release_policy=ReleasePolicy.JITTERED)
+        assert {e.time for e in trace.events
+                if e.kind == "RELEASE" and e.job == 0} == {0}
 
     def test_one_shot_jitter_is_zero(self):
         system = System((single("batch", 1 * MS, INFINITE, 10 * MS),))

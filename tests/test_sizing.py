@@ -148,6 +148,16 @@ class TestTemplateWalk:
             assert str(raised.value) == (
                 f"not a composition expression: {non_node!r}"), name
 
+    @pytest.mark.parametrize("node", [Seq("ab"), Par("ab"),
+                                      RoundRobin("ab")])
+    def test_string_children_are_a_type_error(self, node):
+        # "ab" as children would read as the leaves "a" and "b"
+        for name, sweep, template, _ in self.each_sweep(node, "a", "b"):
+            with pytest.raises(TypeError) as raised:
+                sweep(template)
+            assert str(raised.value) == (
+                f"not a composition expression: {node!r}"), name
+
     def test_the_walk_reads_past_a_round_robin_node(self):
         # a non-node after the round-robin node is still found
         rr = RoundRobin(("r#1", "r#2"))
