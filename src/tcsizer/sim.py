@@ -52,8 +52,7 @@ dispatched entry of a completion, stale once its core runs another (a
 preempted job goes back as a new entry, so none is dispatched twice),
 the release time of a blocking end. Per-stage constants live in lists
 indexed by stage index, all filled in one setup pass that unpacks each
-analytic, stage and item flow once; a topology without a round-robin
-node skips the lanes and the joins' lane exclusion. The cores to
+analytic, stage and item flow once. The cores to
 dispatch at an instant are the set bits of an int, walked lowest bit
 first. One function, release(), makes every release and holds the
 throttle (the earliest time of each stage's next release), the one-shot
@@ -213,17 +212,18 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             is_source[i] = sid not in preds
         # one child of a round-robin node admits each item, so joins
         # leave its children past lane 0 out
-        if lanes:
-            for sid, (k, j) in lanes.items():
-                if sid in local:
-                    k_of[local[sid]], lane[local[sid]] = k, j
-            extra = {sid for sid, (_, j) in lanes.items() if j}
+        extra = set()
+        for sid, (k, j) in lanes.items():
+            if sid in local:
+                k_of[local[sid]], lane[local[sid]] = k, j
+            if j:
+                extra.add(sid)
         try:
             for target, ups in (*preds.items(), (None, sinks)):
                 i = n + a if target is None else local[target]
-                route = ((i, *lanes.get(target, (1, 0)),
-                          sum(up not in extra for up in ups)) if lanes
-                         else (i, 1, 0, len(ups)))
+                route = (i, *lanes.get(target, (1, 0)),
+                         sum(up not in extra for up in ups) if extra
+                         else len(ups))
                 for up in ups:
                     routes[local[up]].append(route)
         except KeyError as exc:  # every leaf is a sink or a predecessor

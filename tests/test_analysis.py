@@ -42,6 +42,7 @@ from tcsizer import (
     with_priorities,
     worst_observed,
 )
+from tcsizer import analysis
 from tcsizer.model import effective_blocking
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -509,10 +510,20 @@ class TestOverloadedLevels:
         single("me", 10 * US, INFINITE, d=HOUR, prio=1),
         single("me", 0, INFINITE, d=HOUR, prio=1),
     ], ids=["zero-cost", "one-shot", "zero-cost-one-shot"])
-    def test_a_full_level_leaves_a_weightless_stage_no_time(self, me):
-        # me weighs 0 below a tick of U = 1, so it never runs. The cap
-        # of an hour is some 10**8 rounds of a climbing iterate away, so
-        # only the rule can answer at once
+    def test_a_full_level_leaves_a_weightless_stage_no_time(
+            self, me, monkeypatch):
+        # me weighs 0 below a tick of U = 1, so it never runs. Levels are
+        # solved highest first, so the fixed point may answer only for
+        # tick; me must be DIVERGED by the rule alone
+        solved = []
+
+        def tick_only(*args):
+            solved.append(args)
+            assert len(solved) == 1, "me was left to the fixed point"
+            return fixed_point(*args)
+
+        fixed_point = analysis._fixed_point
+        monkeypatch.setattr(analysis, "_fixed_point", tick_only)
         _, _, _, report = self.solve_on_c0(
             single("tick", 10 * US, 10 * US, d=HOUR, prio=2), me)
         assert report.per_stage == {"tick": 10 * US, "me": DIVERGED}
