@@ -128,10 +128,12 @@ MAX_DURATION_DIGITS = 30
 MAX_NUMBER_DIGITS = 1000
 
 #: Most releases a simulate run may make: the sum over the periodic
-#: stages of ceil(horizon / T), plus one for each one-shot stage. A job
-#: costs about 6 us and 1 KB with its trace written (the 4 kHz microblog
-#: headline over 10 s and 30 s on CPython 3.11), so a run at the cap
-#: takes about 6 s and 1 GB; it admits 83 s of that headline.
+#: stages of ceil(horizon / T), plus one for each one-shot stage. With
+#: its trace written, a job costs about 1 KB, and about 7 us simulated or
+#: 5 us replayed (see sim): over 30 s, the 4 kHz microblog headline
+#: (360,000 releases) took 2.4-3.3 s and 363 MB simulated, 1.4-2.1 s and
+#: 351 MB replayed, on CPython 3.11. So a run at the cap takes about 7 s,
+#: or 5 s replayed, and 1 GB; it admits 83 s of that headline.
 MAX_SIM_RELEASES = 1_000_000
 
 def _too_long(text: str) -> bool:

@@ -64,6 +64,29 @@ analytic by item number. Each event is logged as a plain (time, core id,
 kind, stage id, job) tuple; SimEvents are built only when
 ``SimTrace.events`` is read.
 
+A deterministic run replays its steady state instead of simulating it.
+A run may replay when it draws no random number after its phases
+(ADVERSARIAL blocking, or no non-zero effective blocking; either release
+policy), its horizon spans at least 6 H (H the lcm of the finite
+periods), the sources of each analytic release as many items per H,
+every round-robin degree of an analytic divides that count, and no
+analytic mixes one-shot and periodic stages. Such a run keys its state
+at the boundaries 2H, 4H, 8H, ..., as long as half the boundary still
+fits between it and the horizon. The key holds the pending events less
+stale completions, the ready and running entries (a running one with
+the cost it has left), the throttle offsets clamped at 0, the join
+counters and the open items, each part sorted, with times relative to
+the boundary and job indices less the items the analytic has released
+by then. A fixed-priority schedule with periodic releases repeats from
+a boundary at which its state repeats (Leung and Merrill, 1980). So when
+the key at 2bH equals the key at bH, the run appends the events and
+responses of [bH, 2bH) shifted by whole spans (times + m * bH, jobs +
+m * b * items) for every span that ends by the horizon, moves its
+pending state by as many spans, and simulates the rest. Its log, its
+responses and their insertion order are byte-identical to those of the
+simulation. The key and the copy are module functions, so that the
+event loop's locals stay plain locals.
+
 SimConfig is an immutable named tuple that checks its horizon when
 built, by _replace too; SimTrace is a plain object that one run fills.
 """
@@ -71,8 +94,10 @@ built, by _replace too; SimTrace is a plain object that one run fills.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from functools import cached_property
+from itertools import islice
 from typing import Mapping, NamedTuple
 
 from .analysis import DIVERGED, ResponseReport
@@ -284,85 +309,252 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
             offset = phase[a_of[i]] + lane[i] * t_in
         release(i, lane[i], offset)
 
-    while heap and heap[0][0] <= horizon:
-        t = heap[0][0]
-        dirty = 0  # bit ci set: core ci must dispatch at t
-        while heap and heap[0][0] == t:
-            _, rank, i, job, last = pop(heap)
-            if rank == _COMPLETE:
-                ci = host[i]
-                if run_entry[ci] is not last:
-                    continue  # stale completion of a preempted dispatch
-                run_entry[ci] = None
-                dirty |= host_bit[i]
-                sid = sids[i]
-                emit((t, host_id[i], "COMPLETE", sid, job))
-                job_responses[(sid, job)] = t - last[1]
-                for target, k, j, joins in routes[i]:
-                    if k != 1 and job % k != j:
-                        continue  # another replica of a round-robin node
-                    if joins != 1:  # join on the admitting preds
-                        jkey = (target, job)
-                        left = join_pending.pop(jkey, joins) - 1
-                        if left:
-                            join_pending[jkey] = left
-                            continue
-                    if target < n:
-                        release(target, job, t)
-                    else:  # the analytic's end: the item is done
-                        end_to_end[(aids[target - n], job)] = (
-                            t - item_start[target - n].pop(job))
-            elif rank == _READY:
-                emit((t, host_id[i], "BLOCK_END", sids[i], job))
-                push(ready[host[i]],
-                     (neg_prio[i], last, i, job, cost[i], False))
-                dirty |= host_bit[i]
-            else:  # _RELEASE
-                emit((t, host_id[i], "RELEASE", sids[i], job))
-                if is_source[i]:
-                    starts = item_start[a_of[i]]
-                    if job not in starts:  # releases pop in time order
-                        starts[job] = t
-                    if period[i] is not None:
-                        release(i, job + k_of[i], t + period[i])
-                delay = b_eff[i]
-                if delay and uniform:
-                    delay = below(delay + 1)
-                if delay == 0:
-                    push(ready[host[i]],
-                         (neg_prio[i], t, i, job, cost[i], False))
+    # a run that may replay keys its state at boundaries 2H, 4H, 8H, ...
+    # (see the module docstring); the event loop runs to the next
+    # boundary, and past the last one to the horizon
+    span = None if uniform else _replay_span(period, is_source, k_of, a_of,
+                                             len(aids), horizon)
+    limit = horizon + 1
+    if span is not None:
+        hyper, items = span
+        state = (heap, ready, run_entry, run_at, next_release, join_pending,
+                 item_start)
+        seen = None  # the last boundary's key, where it was, and its marks
+        limit = 2 * hyper
+    while True:
+        while heap and heap[0][0] < limit:
+            t = heap[0][0]
+            dirty = 0  # bit ci set: core ci must dispatch at t
+            while heap and heap[0][0] == t:
+                _, rank, i, job, last = pop(heap)
+                if rank == _COMPLETE:
+                    ci = host[i]
+                    if run_entry[ci] is not last:
+                        continue  # stale completion of a preempted dispatch
+                    run_entry[ci] = None
                     dirty |= host_bit[i]
-                elif t + delay <= horizon:
-                    push(heap, (t + delay, _READY, i, job, t))
+                    sid = sids[i]
+                    emit((t, host_id[i], "COMPLETE", sid, job))
+                    job_responses[(sid, job)] = t - last[1]
+                    for target, k, j, joins in routes[i]:
+                        if k != 1 and job % k != j:
+                            continue  # another replica of a round-robin node
+                        if joins != 1:  # join on the admitting preds
+                            jkey = (target, job)
+                            left = join_pending.pop(jkey, joins) - 1
+                            if left:
+                                join_pending[jkey] = left
+                                continue
+                        if target < n:
+                            release(target, job, t)
+                        else:  # the analytic's end: the item is done
+                            end_to_end[(aids[target - n], job)] = (
+                                t - item_start[target - n].pop(job))
+                elif rank == _READY:
+                    emit((t, host_id[i], "BLOCK_END", sids[i], job))
+                    push(ready[host[i]],
+                         (neg_prio[i], last, i, job, cost[i], False))
+                    dirty |= host_bit[i]
+                else:  # _RELEASE
+                    emit((t, host_id[i], "RELEASE", sids[i], job))
+                    if is_source[i]:
+                        starts = item_start[a_of[i]]
+                        if job not in starts:  # releases pop in time order
+                            starts[job] = t
+                        if period[i] is not None:
+                            release(i, job + k_of[i], t + period[i])
+                    delay = b_eff[i]
+                    if delay and uniform:
+                        delay = below(delay + 1)
+                    if delay == 0:
+                        push(ready[host[i]],
+                             (neg_prio[i], t, i, job, cost[i], False))
+                        dirty |= host_bit[i]
+                    elif t + delay <= horizon:
+                        push(heap, (t + delay, _READY, i, job, t))
 
-        while dirty:  # lowest bit first: core-id order
-            bit = dirty & -dirty
-            dirty ^= bit
-            ci = bit.bit_length() - 1
-            rq = ready[ci]
-            if not rq:
-                continue
-            entry = run_entry[ci]
-            if entry is None:
-                entry = pop(rq)
-            elif rq[0][0] >= entry[0]:
-                continue  # equal priority never preempts (FIFO)
-            else:
-                neg, rel, ri, rjob, remaining, _ = entry
-                emit((t, core_ids[ci], "PREEMPT", sids[ri], rjob))
-                entry = pushpop(rq, (neg, rel, ri, rjob,
-                                     remaining - (t - run_at[ci]), True))
-            _, _, i, job, remaining, started = entry
-            emit((t, core_ids[ci], "RESUME" if started else "START", sids[i],
-                  job))
-            run_entry[ci] = entry
-            run_at[ci] = t
-            push(heap, (t + remaining, _COMPLETE, i, job, entry))
+            while dirty:  # lowest bit first: core-id order
+                bit = dirty & -dirty
+                dirty ^= bit
+                ci = bit.bit_length() - 1
+                rq = ready[ci]
+                if not rq:
+                    continue
+                entry = run_entry[ci]
+                if entry is None:
+                    entry = pop(rq)
+                elif rq[0][0] >= entry[0]:
+                    continue  # equal priority never preempts (FIFO)
+                else:
+                    neg, rel, ri, rjob, remaining, _ = entry
+                    emit((t, core_ids[ci], "PREEMPT", sids[ri], rjob))
+                    entry = pushpop(rq, (neg, rel, ri, rjob,
+                                         remaining - (t - run_at[ci]), True))
+                _, _, i, job, remaining, started = entry
+                emit((t, core_ids[ci], "RESUME" if started else "START",
+                      sids[i], job))
+                run_entry[ci] = entry
+                run_at[ci] = t
+                push(heap, (t + remaining, _COMPLETE, i, job, entry))
+
+        if limit > horizon:
+            break
+        key = _state_key(limit, limit // hyper, items, state, a_of, host, n)
+        if seen is not None and seen[0] == key:
+            _replay(trace, seen[2], seen[1], seen[1] // hyper, items, state,
+                    sids, aids, a_of, host, n, horizon)
+            limit = horizon + 1
+            continue
+        seen = (key, limit,
+                (len(trace.log), len(job_responses), len(end_to_end)))
+        limit = 2 * limit if 3 * limit <= horizon else horizon + 1
 
     if not end_to_end:
         raise HorizonTooShort(
             f"no item completed end-to-end within {horizon} ns")
     return trace
+
+
+def _replay_span(period: list, is_source: list, k_of: list, a_of: list,
+                 analytics: int, horizon: Duration):
+    """(H, items per H of each analytic) for a run that may replay, else
+    None. The caller has already ruled out draws after the phases. 6 H
+    is at least 6 times the longest period, which rules most short runs
+    out before the lcm."""
+    finite = [p for p in period if p is not None]
+    if not finite or 6 * max(finite) > horizon:
+        return None
+    hyper = math.lcm(*finite)
+    if 6 * hyper > horizon:
+        return None
+    periodic: list[bool | None] = [None] * analytics
+    items = [0] * analytics
+    for i, p in enumerate(period):
+        a = a_of[i]
+        if periodic[a] is None:
+            periodic[a] = p is not None
+        elif periodic[a] != (p is not None):
+            return None  # a one-shot stage admits item 0 only
+        if is_source[i] and p is not None:
+            count = hyper // p * k_of[i]
+            if items[a] and items[a] != count:
+                return None  # sources of one analytic release apart
+            items[a] = count
+    if any(items[a] % k for a, k in zip(a_of, k_of)):
+        return None  # a shift of items would change replicas
+    return hyper, items
+
+
+def _state_key(at: Duration, b: int, items: list, state: tuple, a_of: list,
+               host: list, n: int) -> tuple:
+    """The run's state at boundary ``at`` = bH, relative to it: times less
+    ``at``, job indices less the b * items its analytic has released,
+    each part sorted. Equal keys make equal futures, shifted."""
+    heap, ready, run_entry, run_at, next_release, join_pending, \
+        item_start = state
+    offsets = [b * c for c in items]
+    off = [offsets[a] for a in a_of]
+    return (
+        sorted([(t - at, rank, i, job - off[i],
+                 last - at if rank == _READY else 0)
+                for t, rank, i, job, last in heap
+                if rank != _COMPLETE or run_entry[host[i]] is last]),
+        [sorted([(neg, rel - at, i, job - off[i], remaining, started)
+                 for neg, rel, i, job, remaining, started in rq])
+         for rq in ready],
+        [None if e is None else  # with the cost left at ``at``
+         (e[0], e[1] - at, e[2], e[3] - off[e[2]], e[4] - (at - since))
+         for e, since in zip(run_entry, run_at)],
+        [r - at if r > at else 0 for r in next_release],
+        sorted([(target, job - (off[target] if target < n
+                                else offsets[target - n]), left)
+                for (target, job), left in join_pending.items()]),
+        [sorted([(item - offsets[a], start - at)
+                 for item, start in starts.items()])
+         for a, starts in enumerate(item_start)],
+    )
+
+
+def _replay(trace: SimTrace, marks: tuple, span: Duration, b: int,
+            items: list, state: tuple, sids: list, aids: list, a_of: list,
+            host: list, n: int, horizon: Duration) -> None:
+    """Appends to ``trace`` the events and responses of the last ``span``
+    = bH, whose own start is at ``marks``, shifted by whole spans (times
+    + m * span, jobs + m * b * items of their analytic) for every span
+    that ends by the horizon, and moves the state by as many. Each
+    shifted instant and job is one int, shared as the simulated path
+    shares it."""
+    log, job_responses, end_to_end = (
+        trace.log, trace.job_responses, trace.end_to_end_responses)
+    heap, ready, run_entry, run_at, next_release, join_pending, \
+        item_start = state
+    copies = (horizon - 2 * span) // span  # the span ends at 2 * span
+    jumps = [b * c for c in items]
+    stage_jump = dict(zip(sids, [jumps[a] for a in a_of]))
+    item_jump = dict(zip(aids, jumps))
+    # the span's distinct instants and (job, jump) pairs, and the position
+    # of each event's in them
+    instants: dict = {}
+    pairs: dict = {}
+    times, cores, kinds, stages, jobs = [], [], [], [], []
+    for t, core, kind, sid, job in log[marks[0]:]:
+        times.append(instants.setdefault(t, len(instants)))
+        cores.append(core)
+        kinds.append(kind)
+        stages.append(sid)
+        jobs.append(pairs.setdefault((job, stage_jump[sid]), len(pairs)))
+    # a stage's job and an analytic's item completed in the span
+    # completed in a logged event, so their pairs are known
+    stage_done = [(sid, pairs[job, stage_jump[sid]], r) for (sid, job), r
+                  in islice(job_responses.items(), marks[1], None)]
+    item_done = [(aid, pairs[item, item_jump[aid]], r) for (aid, item), r
+                 in islice(end_to_end.items(), marks[2], None)]
+    for m in range(1, copies + 1):
+        d = m * span
+        ts = [t + d for t in instants]
+        js = [job + m * jump for job, jump in pairs]
+        log.extend(zip(map(ts.__getitem__, times), cores, kinds, stages,
+                       map(js.__getitem__, jobs)))
+        job_responses.update([((sid, js[j]), r) for sid, j, r in stage_done])
+        end_to_end.update([((aid, js[j]), r) for aid, j, r in item_done])
+
+    # the state at the end of the last copy: the present one, shifted
+    d = copies * span
+    jump = [copies * jumps[a] for a in a_of]
+    dispatched = run_entry[:]
+    for ci, e in enumerate(dispatched):
+        if e is not None:
+            run_entry[ci] = (e[0], e[1] + d, e[2], e[3] + jump[e[2]], e[4],
+                             e[5])
+            run_at[ci] += d
+    events = []
+    for t, rank, i, job, last in heap:
+        t += d
+        if rank == _COMPLETE:
+            if dispatched[host[i]] is not last:
+                continue  # stale
+            last = run_entry[host[i]]
+        elif rank == _READY:
+            if t > horizon:
+                continue  # a blocking end past the horizon is not pushed
+            last += d
+        elif t >= horizon:
+            continue  # nor a release at or past it
+        events.append((t, rank, i, job + jump[i], last))
+    heapq.heapify(events)
+    heap[:] = events
+    for rq in ready:  # a uniform shift keeps each heap a heap
+        rq[:] = [(neg, rel + d, i, job + jump[i], remaining, started)
+                 for neg, rel, i, job, remaining, started in rq]
+    next_release[:] = [r + d for r in next_release]
+    pending = [((target, job + (jump[target] if target < n
+                                else copies * jumps[target - n])), left)
+               for (target, job), left in join_pending.items()]
+    join_pending.clear()
+    join_pending.update(pending)
+    for a, starts in enumerate(item_start):
+        item_start[a] = {item + copies * jumps[a]: start + d
+                         for item, start in starts.items()}
 
 
 def worst_observed(trace: SimTrace) -> WorstObserved:

@@ -97,6 +97,24 @@ MUTANTS = (
            ("test_sim.py",)),
     Mutant("verify-conservative", "sim.py",
            "if obs > bound:", "if obs >= bound:", ("test_sim.py",)),
+    # the simulator's steady-state replay
+    Mutant("replay-release-at-horizon", "sim.py",
+           "elif t >= horizon:", "elif t > horizon:", ("test_sim.py",)),
+    Mutant("replay-blocking-end-at-horizon", "sim.py",
+           "if t > horizon:\n                continue",
+           "if t >= horizon:\n                continue", ("test_sim.py",)),
+    Mutant("replay-job-jump", "sim.py",
+           "jumps = [b * c for c in items]", "jumps = [b for c in items]",
+           ("test_sim.py",)),
+    Mutant("key-stale-completions", "sim.py",
+           "if rank != _COMPLETE or run_entry", "if True or run_entry",
+           ("test_sim.py",)),
+    Mutant("key-ready-unsorted", "sim.py",
+           "[sorted([(neg, rel - at,", "[([(neg, rel - at,",
+           ("test_sim.py",)),
+    Mutant("key-throttle-unclamped", "sim.py",
+           "[r - at if r > at else 0 for r", "[r - at for r",
+           ("test_sim.py",)),
     # the sizing bound
     Mutant("min-cores-strict", "sizing.py",
            "return q.numerator // q.denominator + 1",

@@ -2,6 +2,8 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcsizer import (
     DIVERGED,
@@ -44,6 +46,7 @@ from tcsizer import (
     with_priorities,
     worst_observed,
 )
+from tcsizer import sim
 from tcsizer.model import item_flow
 from tcsizer.workloads import ScenarioId, builtin_system
 
@@ -60,6 +63,24 @@ def single(sid, c, t, d=None, b=0, prio=1):
 
 def run(system, allocation, cluster, **cfg):
     return simulate(system, allocation, cluster, SimConfig(**cfg))
+
+
+def headline():
+    """The 4 kHz microblog, deadline-monotonic first-fit on 8 cores."""
+    system = retime_system(
+        builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1), 4000)
+    system = with_priorities(system, assign_priorities_dm(system))
+    cluster = homogeneous_cluster(8)
+    return system, allocate_first_fit(system, cluster), cluster
+
+
+def without_blocking(system, cluster):
+    """The system and cluster with every stage and platform blocking 0."""
+    system = System(tuple(
+        a._replace(stages=tuple(s._replace(blocking=0) for s in a.stages))
+        for a in system.analytics))
+    return system, Cluster(tuple(c._replace(platform_blocking=0)
+                                 for c in cluster.cores))
 
 
 class TestBasics:
@@ -407,11 +428,7 @@ class TestDeterminism:
         # SYNCHRONOUS never draws, so the seed cannot matter
         (_seed, got), = accepted_stream(pipelined_system, 17, 1)
         system, allocation, cluster, hyper = got
-        system = System(tuple(
-            a._replace(stages=tuple(s._replace(blocking=0) for s in a.stages))
-            for a in system.analytics))
-        cluster = Cluster(tuple(c._replace(platform_blocking=0)
-                                for c in cluster.cores))
+        system, cluster = without_blocking(system, cluster)
         traces = [run(system, allocation, cluster, horizon=3 * hyper,
                       seed=seed, blocking_policy=blocking)
                   for seed in (0, 12345) for blocking in BlockingPolicy]
@@ -790,12 +807,7 @@ class TestPinnedTraces:
 
     @pytest.mark.parametrize("blocking,release", ALL_POLICIES)
     def test_headline(self, blocking, release):
-        # microblog at 4 kHz, deadline-monotonic first-fit on 8 cores
-        system = retime_system(
-            builtin_system(ScenarioId.MICROBLOG_ONLINE, frequency_hz=1), 4000)
-        system = with_priorities(system, assign_priorities_dm(system))
-        cluster = homogeneous_cluster(8)
-        allocation = allocate_first_fit(system, cluster)
+        system, allocation, cluster = headline()
         trace = run(system, allocation, cluster, horizon=250 * MS, seed=11,
                     blocking_policy=blocking, release_policy=release)
         assert trace_digest([trace]) == HEADLINE_DIGESTS[blocking, release]
@@ -870,3 +882,199 @@ EVERY_PATH_DIGESTS = {
     (BlockingPolicy.UNIFORM, ReleasePolicy.JITTERED):
         "b2307caebb94ab966002814d51f3a139eb50562c1bf5668f8d0e63d43ca11cd5",
 }
+
+
+def outcome(system, allocation, cluster, **cfg):
+    """What a run leaves: its log and both response dicts as lists, in
+    insertion order, or HorizonTooShort's message."""
+    try:
+        trace = run(system, allocation, cluster, **cfg)
+    except HorizonTooShort as exc:
+        return str(exc)
+    return (trace.log, list(trace.job_responses.items()),
+            list(trace.end_to_end_responses.items()))
+
+
+def replays_as_simulated(system, allocation, cluster, **cfg):
+    """Runs twice, with the steady-state replay and with it turned off
+    (its eligibility helper answers None), asserts the two leave the
+    same, and returns how many times the first run replayed."""
+    calls = []
+    replay = sim._replay
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_replay",
+                   lambda *args: calls.append(args) or replay(*args))
+        got = outcome(system, allocation, cluster, **cfg)
+        replays = len(calls)
+        mp.setattr(sim, "_replay_span", lambda *args: None)
+        want = outcome(system, allocation, cluster, **cfg)
+    assert len(calls) == replays
+    assert got == want
+    return replays
+
+
+class TestSteadyStateReplay:
+    """A deterministic run past 6 hyperperiods copies its steady state
+    instead of simulating it; what it leaves must be what the simulation
+    leaves, byte for byte and in the same insertion order."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_replay_matches_the_simulation(self, data):
+        policy = data.draw(st.sampled_from([
+            (BlockingPolicy.ADVERSARIAL, ReleasePolicy.SYNCHRONOUS),
+            (BlockingPolicy.ADVERSARIAL, ReleasePolicy.JITTERED),
+            (BlockingPolicy.UNIFORM, ReleasePolicy.SYNCHRONOUS),
+            (BlockingPolicy.UNIFORM, ReleasePolicy.JITTERED)]))
+        first = data.draw(st.integers(0, 400))
+        (_seed, got), = accepted_stream(pipelined_system, first, 1)
+        system, allocation, cluster, hyper = got
+        if policy[0] is BlockingPolicy.UNIFORM:  # so it draws no delay
+            system, cluster = without_blocking(system, cluster)
+        shortest = min(s.inter_arrival for s in system.stages())
+        # a whole number of hyperperiods lands a synchronous release on
+        # the horizon, and so does one period more
+        extra = data.draw(st.sampled_from(
+            [0, shortest, 1 + data.draw(st.integers(0, hyper - 2))]))
+        horizon = data.draw(st.integers(6, 64)) * hyper + extra
+        replays_as_simulated(
+            system, allocation, cluster, horizon=horizon,
+            seed=data.draw(st.integers(0, 2**32)),
+            blocking_policy=policy[0], release_policy=policy[1])
+
+    @pytest.mark.parametrize("release", list(ReleasePolicy))
+    def test_the_headline_replays(self, release):
+        system, allocation, cluster = headline()
+        assert replays_as_simulated(system, allocation, cluster,
+                                    horizon=2 * SEC, seed=12,
+                                    release_policy=release) == 1
+
+    @pytest.mark.parametrize("scenario, frequency, horizon", [
+        (ScenarioId.MICROBLOG_ONLINE, 4000, 100 * MS),  # replicas inside
+        (ScenarioId.MICROBLOG_ONLINE, 8000, 100 * MS + 1),  # and at source
+        (ScenarioId.BOOK_ONLINE, 1000, 250 * MS + 123 * US),
+    ])
+    @pytest.mark.parametrize("release", list(ReleasePolicy))
+    def test_round_robin_replicas(self, scenario, frequency, horizon,
+                                  release):
+        # the lane of item n + b * items is the lane of item n
+        system, allocation, cluster = first_fit_on_fewest(retime_system(
+            builtin_system(scenario, frequency_hz=1), frequency))
+        assert replays_as_simulated(system, allocation, cluster,
+                                    horizon=horizon, seed=5,
+                                    release_policy=release) == 1
+
+    def test_a_par_join_of_a_round_robin_node(self):
+        replicas = tuple(Stage(id=f"a#{i}", cost=3 * MS, inter_arrival=10 * MS,
+                               deadline=10 * MS, priority=2) for i in (1, 2))
+        x = Stage(id="x", cost=1 * MS, inter_arrival=5 * MS, deadline=5 * MS,
+                  priority=3)
+        c = Stage(id="c", cost=4 * MS, inter_arrival=5 * MS, deadline=5 * MS,
+                  priority=1)
+        topo = seq(par(RoundRobin(("a#1", "a#2")), "x"), "c")
+        system = System((Analytic("j", (*replicas, x, c), topo, 20 * MS),))
+        allocation = {"a#1": "c0", "a#2": "c1", "x": "c2", "c": "c2"}
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(3),
+                                    horizon=203 * MS) == 1
+
+    def test_preemptions_leave_stale_completions(self):
+        # l's job 1, ready at 21 ms, is preempted at 23 ms by h's job
+        # ready then, so at the boundary 2H = 24 ms its completion at
+        # 26 ms is stale; so it is at every boundary after
+        system = System((single("h", 1 * MS, 4 * MS, b=3 * MS, prio=2),
+                         single("l", 5 * MS, 12 * MS, b=9 * MS, prio=1)))
+        allocation = {"h": "c0", "l": "c0"}
+        trace = run(system, allocation, homogeneous_cluster(1),
+                    horizon=48 * MS)
+        assert (23 * MS, "c0", "PREEMPT", "l", 1) in trace.log
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=SEC) == 1
+
+    def test_a_zero_cost_stage(self):
+        z = Stage(id="z", cost=0, inter_arrival=2 * MS, deadline=2 * MS,
+                  priority=3)
+        w = Stage(id="w", cost=1 * MS, inter_arrival=2 * MS, deadline=2 * MS,
+                  priority=2)
+        system = System((Analytic("zw", (z, w), seq("z", "w"), 4 * MS),
+                         single("o", 3 * MS, 6 * MS, d=12 * MS, prio=1)))
+        allocation = {"z": "c0", "w": "c0", "o": "c0"}
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=100 * MS) == 1
+
+    @pytest.mark.parametrize("horizon", [104 * MS, 102 * MS])
+    def test_a_blocking_end_at_or_past_the_horizon(self, horizon):
+        # the release at 90 ms ends its blocking at 104 ms: an event at
+        # the horizon, or past it
+        system = System((single("s", 1 * MS, 10 * MS, d=30 * MS,
+                                b=14 * MS),))
+        log = run(system, {"s": "c0"}, homogeneous_cluster(1),
+                  horizon=horizon).log
+        assert ((104 * MS, "c0", "BLOCK_END", "s", 9) in log) == (
+            horizon == 104 * MS)
+        assert replays_as_simulated(system, {"s": "c0"},
+                                    homogeneous_cluster(1),
+                                    horizon=horizon) == 1
+
+    @pytest.mark.parametrize("cost", [1 * MS, 35 * MS])
+    def test_a_one_shot_analytic_beside_a_periodic_one(self, cost):
+        # the longer one-shot job is still open at 2H and 4H, so the
+        # state repeats only from 8H to 16H
+        system = System((single("p", 4 * MS, 10 * MS, prio=2),
+                         single("once", cost, INFINITE, d=HOUR, prio=1)))
+        allocation = {"p": "c0", "once": "c0"}
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=503 * MS) == 1
+
+    @pytest.mark.parametrize("prios", [(2, 1), (1, 2)])
+    def test_the_lehoczky_pair(self, prios):
+        # R > T: jobs back up across hyperperiods before the schedule
+        # repeats
+        system = System((single("t1", 26 * MS, 70 * MS, d=HOUR,
+                                prio=prios[0]),
+                         single("t2", 62 * MS, 100 * MS, d=HOUR,
+                                prio=prios[1])))
+        allocation = {"t1": "c0", "t2": "c0"}
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=30 * 700 * MS + 1) == 1
+
+    def test_a_rate_inconsistent_pipeline_never_repeats(self):
+        # b can serve one item in 20 ms of the two a releases, so its
+        # backlog grows at every boundary
+        a = Stage(id="a", cost=1 * MS, inter_arrival=10 * MS,
+                  deadline=10 * MS, priority=2)
+        b = Stage(id="b", cost=1 * MS, inter_arrival=20 * MS,
+                  deadline=20 * MS, priority=1)
+        system = System((Analytic("ab", (a, b), seq("a", "b"), SEC),))
+        assert replays_as_simulated(system, {"a": "c0", "b": "c0"},
+                                    homogeneous_cluster(1),
+                                    horizon=2 * SEC) == 0
+
+    def test_the_key_is_the_state_relative_to_its_boundary(self):
+        # two stages of one analytic on one core, H = 12 ms and 3 items
+        # per H, at boundary bH, with m = 3b items released: s0's job m
+        # runs and left a stale completion, s1's jobs m to m + 2 wait,
+        # item m is open
+        def key(b, stale=True, layout=(0, 1, 2)):
+            at, m = b * 12 * MS, 3 * b
+            running = (-2, at - 2, 0, m, 3 * US, True)
+            heap = [(at + 3, 0, 0, m, running), (at + 8, 2, 0, m + 1, 0)]
+            if stale:  # skipped when popped: its dispatch was preempted
+                heap.append((at + 1, 0, 0, m, (-2, at - 2, 0, m, 4 * US,
+                                               False)))
+            queued = [(-1, at - 3 + j, 1, m + j, 2 * US, False)
+                      for j in range(3)]
+            state = (heap, [[queued[j] for j in layout]], [running],
+                     [at - 1], [at + 8, at - 5], {(2, m): 1}, [{m: at - 3}])
+            return sim._state_key(at, b, [3], state, [0, 0], [0, 0], 2)
+
+        assert key(2) == key(4)
+        assert key(2) == key(2, stale=False)
+        # both layouts keep the heap order of one ready queue
+        assert key(2) == key(2, layout=(0, 2, 1))
+
+    def test_no_release_on_the_horizon(self):
+        # the copies end at the horizon, where s's next release would be
+        system = System((single("s", 1 * MS, 10 * MS),))
+        assert replays_as_simulated(system, {"s": "c0"},
+                                    homogeneous_cluster(1),
+                                    horizon=100 * MS) == 1
