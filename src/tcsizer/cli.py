@@ -485,7 +485,8 @@ def _emit_topology(expr: Expr):
     if cls is str:
         return expr
     key = _KEYS.get(cls)
-    if key is None or isinstance(expr.children, str):  # not "a", "b"
+    if key is None or not expr.children \
+            or isinstance(expr.children, str):  # not "a", "b"
         raise model.not_a_node(expr)
     return {key: [_emit_topology(c) for c in expr.children]}
 

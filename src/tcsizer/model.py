@@ -180,8 +180,8 @@ def par(*children: Expr) -> Expr:
 def not_a_node(value) -> TypeError:
     """The error of a topology walk that meets ``value``, whose class is
     none of the four node classes: str (a leaf), Seq, Par and
-    RoundRobin, or a node whose children are a string, which would read
-    as one-character leaves."""
+    RoundRobin, or a node with no children, or whose children are a
+    string, which would read as one-character leaves."""
     return TypeError(f"not a composition expression: {value!r}")
 
 
@@ -208,7 +208,7 @@ def item_flow(expr: Expr) -> Flow:
         if cls is str:
             return [node], [node]
         if cls is not Seq and cls is not Par and cls is not RoundRobin \
-                or isinstance(node.children, str):
+                or not node.children or isinstance(node.children, str):
             raise not_a_node(node)
         if cls is Seq:
             sources, sinks = walk(node.children[0])
@@ -251,7 +251,7 @@ def end_to_end_response(expr: Expr,
         except KeyError:
             raise MissingStage(expr) from None
     if cls is not Seq and cls is not Par and cls is not RoundRobin \
-            or isinstance(expr.children, str):
+            or not expr.children or isinstance(expr.children, str):
         raise not_a_node(expr)
     children = map(end_to_end_response, expr.children, repeat(per_stage))
     return sum(children) if cls is Seq else max(children)

@@ -68,24 +68,32 @@ A deterministic run replays its steady state instead of simulating it.
 A run may replay when it draws no random number after its phases
 (ADVERSARIAL blocking, or no non-zero effective blocking; either release
 policy), its horizon spans at least 6 H (H the lcm of the finite
-periods), the sources of each analytic release as many items per H,
-every round-robin degree of an analytic divides that count, and no
-analytic mixes one-shot and periodic stages. Such a run keys its state
-at the boundaries 2H, 4H, 8H, ..., as long as half the boundary still
-fits between it and the horizon. The key holds the pending events less
-stale completions, the ready and running entries (a running one with
-the cost it has left), the throttle offsets clamped at 0, the join
-counters and the open items, each part sorted, with times relative to
-the boundary and job indices less the items the analytic has released
-by then. A fixed-priority schedule with periodic releases repeats from
-a boundary at which its state repeats (Leung and Merrill, 1980). So when
-the key at 2bH equals the key at bH, the run appends the events and
-responses of [bH, 2bH) shifted by whole spans (times + m * bH, jobs +
-m * b * items) for every span that ends by the horizon, moves its
-pending state by as many spans, and simulates the rest. Its log, its
-responses and their insertion order are byte-identical to those of the
-simulation. The key and the copy are module functions, so that the
-event loop's locals stay plain locals.
+periods), and every round-robin degree of an analytic divides the items
+its periodic sources release per H. Such a run keys its state at the
+boundaries 2H, 4H, 8H, ..., as long as half the boundary still fits
+between it and the horizon. The key holds the pending events less stale
+completions, the ready and running entries (a running one with the cost
+it has left), the throttle offsets clamped at 0, the join counters and
+the open items, each part sorted, with times relative to the boundary
+and job indices less the items the analytic has released by then. A
+fixed-priority schedule with periodic releases repeats from a boundary
+at which its state repeats (Leung and Merrill, 1980). So when the key at
+2bH equals the key at bH, the run shortens its horizon by the c whole
+spans of bH that fit between 2bH and it, drops its pending releases at
+or past the new horizon, and simulates on from its own state: the
+schedule does not depend on when it starts, so this is the rest of the
+run, c * bH earlier and c * b * items earlier in job index. Once the
+event loop ends, the events and responses of [bH, 2bH), shifted by m
+spans (times + m * bH, jobs + m * b * items) for m = 1, ..., c, go
+between those logged before 2bH and the rest, which is shifted by c
+spans. Its log, its responses and their insertion order are
+byte-identical to those of the simulation. The key alone rules out what
+a shift cannot copy: a periodic source always has one pending release,
+whose job index moves by its own count per H, so a source whose count
+differs from its analytic's never keys equal; and a one-shot stage only
+ever holds item 0, open from t = 0, which no later key holds alike. The
+key and the copy are module functions, so that the event loop's locals
+stay plain locals; only simulate and the key read the run's state.
 
 SimConfig is an immutable named tuple that checks its horizon when
 built, by _replace too; SimTrace is a plain object that one run fills.
@@ -312,11 +320,12 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
     # a run that may replay keys its state at boundaries 2H, 4H, 8H, ...
     # (see the module docstring); the event loop runs to the next
     # boundary, and past the last one to the horizon
-    span = None if uniform else _replay_span(period, is_source, k_of, a_of,
-                                             len(aids), horizon)
+    steady = None if uniform else _replay_span(period, is_source, k_of,
+                                               a_of, len(aids), horizon)
     limit = horizon + 1
-    if span is not None:
-        hyper, items = span
+    copy = None  # what _replay copies and shifts once the loop ends
+    if steady is not None:
+        hyper, items = steady
         state = (heap, ready, run_entry, run_at, next_release, join_pending,
                  item_start)
         seen = None  # the last boundary's key, where it was, and its marks
@@ -400,18 +409,26 @@ def simulate(system: System, allocation: Mapping[str, str], cluster: Cluster,
         if limit > horizon:
             break
         key = _state_key(limit, limit // hyper, items, state, a_of, host, n)
+        marks = (len(trace.log), len(job_responses), len(end_to_end))
         if seen is not None and seen[0] == key:
-            _replay(trace, seen[2], seen[1], seen[1] // hyper, items, state,
-                    sids, aids, a_of, host, n, horizon)
+            # the rest of the run is the run from here to a horizon whole
+            # spans earlier, whose releases there or later are not pushed
+            span = seen[1]
+            copies = (horizon - limit) // span
+            horizon -= copies * span
+            heap[:] = [e for e in heap if e[1] != _RELEASE or e[0] < horizon]
+            heapq.heapify(heap)
+            copy = (seen[2], marks, span, span // hyper, copies)
             limit = horizon + 1
             continue
-        seen = (key, limit,
-                (len(trace.log), len(job_responses), len(end_to_end)))
+        seen = (key, limit, marks)
         limit = 2 * limit if 3 * limit <= horizon else horizon + 1
 
+    if copy is not None:
+        _replay(trace, *copy, items, sids, aids, a_of)
     if not end_to_end:
         raise HorizonTooShort(
-            f"no item completed end-to-end within {horizon} ns")
+            f"no item completed end-to-end within {config.horizon} ns")
     return trace
 
 
@@ -427,19 +444,10 @@ def _replay_span(period: list, is_source: list, k_of: list, a_of: list,
     hyper = math.lcm(*finite)
     if 6 * hyper > horizon:
         return None
-    periodic: list[bool | None] = [None] * analytics
-    items = [0] * analytics
+    items = [0] * analytics  # the last periodic source's count decides
     for i, p in enumerate(period):
-        a = a_of[i]
-        if periodic[a] is None:
-            periodic[a] = p is not None
-        elif periodic[a] != (p is not None):
-            return None  # a one-shot stage admits item 0 only
         if is_source[i] and p is not None:
-            count = hyper // p * k_of[i]
-            if items[a] and items[a] != count:
-                return None  # sources of one analytic release apart
-            items[a] = count
+            items[a_of[i]] = hyper // p * k_of[i]
     if any(items[a] % k for a, k in zip(a_of, k_of)):
         return None  # a shift of items would change replicas
     return hyper, items
@@ -475,86 +483,60 @@ def _state_key(at: Duration, b: int, items: list, state: tuple, a_of: list,
     )
 
 
-def _replay(trace: SimTrace, marks: tuple, span: Duration, b: int,
-            items: list, state: tuple, sids: list, aids: list, a_of: list,
-            host: list, n: int, horizon: Duration) -> None:
-    """Appends to ``trace`` the events and responses of the last ``span``
-    = bH, whose own start is at ``marks``, shifted by whole spans (times
-    + m * span, jobs + m * b * items of their analytic) for every span
-    that ends by the horizon, and moves the state by as many. Each
-    shifted instant and job is one int, shared as the simulated path
-    shares it."""
+def _replay(trace: SimTrace, start: tuple, end: tuple, span: Duration,
+            b: int, copies: int, items: list, sids: list, aids: list,
+            a_of: list) -> None:
+    """Copies the events and responses logged from marks ``start`` to
+    ``end``, the span bH, shifted by m spans (times + m * span, jobs +
+    m * b * items of their analytic) for m = 1, ..., copies, in between
+    those logged before ``end`` and the rest, which it shifts by
+    ``copies`` spans. Each shifted instant and job is one int, shared as
+    the simulated path shares it."""
     log, job_responses, end_to_end = (
         trace.log, trace.job_responses, trace.end_to_end_responses)
-    heap, ready, run_entry, run_at, next_release, join_pending, \
-        item_start = state
-    copies = (horizon - 2 * span) // span  # the span ends at 2 * span
     jumps = [b * c for c in items]
     stage_jump = dict(zip(sids, [jumps[a] for a in a_of]))
     item_jump = dict(zip(aids, jumps))
-    # the span's distinct instants and (job, jump) pairs, and the position
-    # of each event's in them
-    instants: dict = {}
-    pairs: dict = {}
-    times, cores, kinds, stages, jobs = [], [], [], [], []
-    for t, core, kind, sid, job in log[marks[0]:]:
-        times.append(instants.setdefault(t, len(instants)))
-        cores.append(core)
-        kinds.append(kind)
-        stages.append(sid)
-        jobs.append(pairs.setdefault((job, stage_jump[sid]), len(pairs)))
-    # a stage's job and an analytic's item completed in the span
-    # completed in a logged event, so their pairs are known
-    stage_done = [(sid, pairs[job, stage_jump[sid]], r) for (sid, job), r
-                  in islice(job_responses.items(), marks[1], None)]
-    item_done = [(aid, pairs[item, item_jump[aid]], r) for (aid, item), r
-                 in islice(end_to_end.items(), marks[2], None)]
-    for m in range(1, copies + 1):
-        d = m * span
-        ts = [t + d for t in instants]
-        js = [job + m * jump for job, jump in pairs]
-        log.extend(zip(map(ts.__getitem__, times), cores, kinds, stages,
-                       map(js.__getitem__, jobs)))
-        job_responses.update([((sid, js[j]), r) for sid, j, r in stage_done])
-        end_to_end.update([((aid, js[j]), r) for aid, j, r in item_done])
-
-    # the state at the end of the last copy: the present one, shifted
-    d = copies * span
-    jump = [copies * jumps[a] for a in a_of]
-    dispatched = run_entry[:]
-    for ci, e in enumerate(dispatched):
-        if e is not None:
-            run_entry[ci] = (e[0], e[1] + d, e[2], e[3] + jump[e[2]], e[4],
-                             e[5])
-            run_at[ci] += d
-    events = []
-    for t, rank, i, job, last in heap:
-        t += d
-        if rank == _COMPLETE:
-            if dispatched[host[i]] is not last:
-                continue  # stale
-            last = run_entry[host[i]]
-        elif rank == _READY:
-            if t > horizon:
-                continue  # a blocking end past the horizon is not pushed
-            last += d
-        elif t >= horizon:
-            continue  # nor a release at or past it
-        events.append((t, rank, i, job + jump[i], last))
-    heapq.heapify(events)
-    heap[:] = events
-    for rq in ready:  # a uniform shift keeps each heap a heap
-        rq[:] = [(neg, rel + d, i, job + jump[i], remaining, started)
-                 for neg, rel, i, job, remaining, started in rq]
-    next_release[:] = [r + d for r in next_release]
-    pending = [((target, job + (jump[target] if target < n
-                                else copies * jumps[target - n])), left)
-               for (target, job), left in join_pending.items()]
-    join_pending.clear()
-    join_pending.update(pending)
-    for a, starts in enumerate(item_start):
-        item_start[a] = {item + copies * jumps[a]: start + d
-                         for item, start in starts.items()}
+    parts = []
+    for lo, hi, shifts in (
+            (start, end, range(1, copies + 1)),
+            (end, (len(log), len(job_responses), len(end_to_end)),
+             (copies,))):
+        # the part's distinct instants and (job, jump) pairs, and the
+        # position of each event's in them
+        instants: dict = {}
+        pairs: dict = {}
+        times, cores, kinds, stages, jobs = [], [], [], [], []
+        for t, core, kind, sid, job in log[lo[0]:hi[0]]:
+            times.append(instants.setdefault(t, len(instants)))
+            cores.append(core)
+            kinds.append(kind)
+            stages.append(sid)
+            jobs.append(pairs.setdefault((job, stage_jump[sid]), len(pairs)))
+        # a stage's job and an analytic's item completed in the part
+        # completed in a logged event, so their pairs are known
+        parts.append((
+            shifts, instants, pairs, times, cores, kinds, stages, jobs,
+            [(sid, pairs[job, stage_jump[sid]], r) for (sid, job), r
+             in islice(job_responses.items(), lo[1], hi[1])],
+            [(aid, pairs[item, item_jump[aid]], r) for (aid, item), r
+             in islice(end_to_end.items(), lo[2], hi[2])]))
+    del log[end[0]:]  # the rest goes after the copies
+    for _ in range(len(job_responses) - end[1]):
+        job_responses.popitem()
+    for _ in range(len(end_to_end) - end[2]):
+        end_to_end.popitem()
+    for (shifts, instants, pairs, times, cores, kinds, stages, jobs,
+         stage_done, item_done) in parts:
+        for m in shifts:
+            d = m * span
+            ts = [t + d for t in instants]
+            js = [job + m * jump for job, jump in pairs]
+            log.extend(zip(map(ts.__getitem__, times), cores, kinds, stages,
+                           map(js.__getitem__, jobs)))
+            job_responses.update([((sid, js[j]), r)
+                                  for sid, j, r in stage_done])
+            end_to_end.update([((aid, js[j]), r) for aid, j, r in item_done])
 
 
 def worst_observed(trace: SimTrace) -> WorstObserved:

@@ -157,7 +157,7 @@ def _require_template(template: System) -> None:
             if cls is str:
                 continue
             if cls is not Seq and cls is not Par and cls is not RoundRobin \
-                    or isinstance(node.children, str):
+                    or not node.children or isinstance(node.children, str):
                 raise not_a_node(node)
             replicated = replicated or cls is RoundRobin
             todo += reversed(node.children)

@@ -80,6 +80,12 @@ MUTANTS = (
     Mutant("string-children", "model.py",
            "or isinstance(node.children, str):\n            raise",
            "or False:\n            raise", ("test_model.py",)),
+    Mutant("empty-node-flow", "model.py",
+           "or not node.children or isinstance", "or isinstance",
+           ("test_model.py::TestItemFlow",)),
+    Mutant("empty-node-compose", "model.py",
+           "or not expr.children or isinstance", "or isinstance",
+           ("test_analysis.py::TestEndToEnd",)),
     Mutant("lcm-halves", "model.py",
            "_lcm_of(values, mid, hi)", "_lcm_of(values, mid + 1, hi)",
            ("test_model.py",)),
@@ -99,10 +105,13 @@ MUTANTS = (
            "if obs > bound:", "if obs >= bound:", ("test_sim.py",)),
     # the simulator's steady-state replay
     Mutant("replay-release-at-horizon", "sim.py",
-           "elif t >= horizon:", "elif t > horizon:", ("test_sim.py",)),
-    Mutant("replay-blocking-end-at-horizon", "sim.py",
-           "if t > horizon:\n                continue",
-           "if t >= horizon:\n                continue", ("test_sim.py",)),
+           "e[0] < horizon]", "e[0] <= horizon]", ("test_sim.py",)),
+    Mutant("replay-horizon-cut", "sim.py",
+           "horizon -= copies * span", "horizon -= (copies - 1) * span",
+           ("test_sim.py",)),
+    Mutant("replay-round-robin-degree", "sim.py",
+           "if any(items[a] % k for", "if False and any(items[a] % k for",
+           ("test_sim.py",)),
     Mutant("replay-job-jump", "sim.py",
            "jumps = [b * c for c in items]", "jumps = [b for c in items]",
            ("test_sim.py",)),
@@ -115,6 +124,13 @@ MUTANTS = (
     Mutant("key-throttle-unclamped", "sim.py",
            "[r - at if r > at else 0 for r", "[r - at for r",
            ("test_sim.py",)),
+    # the sweeps' template walk and the spec writer
+    Mutant("empty-node-template", "sizing.py",
+           "or not node.children or isinstance", "or isinstance",
+           ("test_sizing.py::TestTemplateWalk",)),
+    Mutant("empty-node-emit", "cli.py",
+           "if key is None or not expr.children", "if key is None",
+           ("test_cli.py::TestEmitRefusesNonNodes",)),
     # the sizing bound
     Mutant("min-cores-strict", "sizing.py",
            "return q.numerator // q.denominator + 1",

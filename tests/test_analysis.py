@@ -207,6 +207,22 @@ class TestEndToEnd:
             assert str(exc.value) == (
                 f"not a composition expression: {node!r}")
 
+    @pytest.mark.parametrize("node", [Seq(()), Par(())])
+    def test_an_empty_node_is_no_node(self, node):
+        # an empty Seq would sum to 0 and an empty Par leak max()'s
+        # error; solve_system composes through the same walk
+        for expr in (node, Seq(("a", node))):
+            with pytest.raises(TypeError) as exc:
+                end_to_end_response(expr, {"a": 1})
+            assert str(exc.value) == (
+                f"not a composition expression: {node!r}")
+            system = System((Analytic("x", (stage("a", MS, 10 * MS, prio=1),),
+                                      expr, SEC),))
+            with pytest.raises(TypeError) as exc:
+                solve_system(system, {"a": "c0"}, homogeneous_cluster(1))
+            assert str(exc.value) == (
+                f"not a composition expression: {node!r}")
+
     def test_missing_stage_is_a_value_error_naming_the_stage(self):
         system = System((Analytic("x", (stage("a", MS, 10 * MS, prio=1),),
                                   seq("a", "ghost"), SEC),))

@@ -442,7 +442,8 @@ class TestEmitRefusesNonNodes:
     it: a subclassed node is not written as its base kind, a str
     subclass is no leaf, and neither is a value of another type. A node
     whose children are a string is refused too, not written as
-    one-character leaves."""
+    one-character leaves, and so is a node with no children, which the
+    parse would refuse."""
 
     @pytest.mark.parametrize("topology, bad", [
         (SubSeq(("a", "b")), SubSeq(("a", "b"))),
@@ -450,8 +451,9 @@ class TestEmitRefusesNonNodes:
         (SubStr("a"), SubStr("a")),
         (7, 7),
         (Par(("a", Seq("ab"))), Seq("ab")),
+        (Seq(("a", Par(()))), Par(())),
     ], ids=["seq-subclass", "leaf-subclass-below-par", "str-subclass",
-            "int", "string-children"])
+            "int", "string-children", "empty-node"])
     def test_type_error(self, topology, bad):
         stages = tuple(Stage(sid, MS, 10 * MS, 10 * MS) for sid in "ab")
         system = System((Analytic("x", stages, topology, SEC),))

@@ -35,7 +35,7 @@ from tcsizer import (
     with_priorities,
 )
 from tcsizer.model import item_flow, period_scales
-from tcsizer.sim import SimConfig
+from tcsizer.sim import SimConfig, simulate
 from tcsizer.workloads import ScenarioId, builtin_system
 
 from generators import (
@@ -972,6 +972,23 @@ class TestItemFlow:
             for topo in (bad, seq("a", bad)):
                 with pytest.raises(TypeError) as exc:
                     item_flow(topo)
+                assert str(exc.value) == (
+                    f"not a composition expression: {bad!r}")
+
+    def test_an_empty_node_is_no_node(self):
+        # Seq(()) has no first child to start from; simulate reads the
+        # topology through item_flow, so it refuses the node too
+        stages = (stage("a", 1, 10, 10, priority=1),)
+        for bad in (Seq(()), Par(()), RoundRobin(())):
+            for topo in (bad, seq("a", bad)):
+                with pytest.raises(TypeError) as exc:
+                    item_flow(topo)
+                assert str(exc.value) == (
+                    f"not a composition expression: {bad!r}")
+                system = System((Analytic("x", stages, topo, 10),))
+                with pytest.raises(TypeError) as exc:
+                    simulate(system, {"a": "c0"}, homogeneous_cluster(1),
+                             SimConfig(100))
                 assert str(exc.value) == (
                     f"not a composition expression: {bad!r}")
 

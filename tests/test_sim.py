@@ -1049,6 +1049,49 @@ class TestSteadyStateReplay:
                                     homogeneous_cluster(1),
                                     horizon=2 * SEC) == 0
 
+    def test_a_round_robin_degree_that_does_not_divide_the_items(self):
+        # s releases 1 item per H = 2 us, which 3 replicas do not divide:
+        # a shift by whole spans would move item n to another replica
+        s = Stage(id="s", cost=100, inter_arrival=2 * US, deadline=2 * US,
+                  priority=9)
+        replicas = tuple(Stage(id=f"r#{j}", cost=100 * (j + 1),
+                               inter_arrival=1 * US, deadline=1 * US,
+                               priority=j) for j in (1, 2, 3))
+        topo = seq("s", RoundRobin(("r#1", "r#2", "r#3")))
+        system = System((Analytic("rr", (s, *replicas), topo, 10 * US),))
+        allocation = dict.fromkeys(["s", "r#1", "r#2", "r#3"], "c0")
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=50 * US) == 0
+
+    def test_a_mixed_analytic_replays(self):
+        # the one-shot stage holds item 0 only, and is done long before
+        # the state repeats
+        once = Stage(id="once", cost=1 * MS, inter_arrival=INFINITE,
+                     deadline=HOUR, priority=3)
+        tick = Stage(id="tick", cost=1 * MS, inter_arrival=10 * MS,
+                     deadline=10 * MS, priority=2)
+        system = System((Analytic("m", (once, tick), seq("once", "tick"),
+                                  HOUR),
+                         single("o", 3 * MS, 10 * MS, prio=1)))
+        allocation = {"once": "c0", "tick": "c0", "o": "c0"}
+        assert replays_as_simulated(system, allocation, homogeneous_cluster(1),
+                                    horizon=203 * MS) >= 1
+
+    def test_sources_that_disagree_never_replay(self):
+        # a releases twice as many items per H as b, so its pending
+        # release keys apart at every boundary
+        a = Stage(id="a", cost=1 * MS, inter_arrival=10 * MS,
+                  deadline=10 * MS, priority=3)
+        b = Stage(id="b", cost=1 * MS, inter_arrival=20 * MS,
+                  deadline=20 * MS, priority=2)
+        c = Stage(id="c", cost=1 * MS, inter_arrival=20 * MS,
+                  deadline=20 * MS, priority=1)
+        system = System((Analytic("abc", (a, b, c),
+                                  seq(par("a", "b"), "c"), SEC),))
+        assert replays_as_simulated(system, dict.fromkeys("abc", "c0"),
+                                    homogeneous_cluster(1),
+                                    horizon=2 * SEC) == 0
+
     def test_the_key_is_the_state_relative_to_its_boundary(self):
         # two stages of one analytic on one core, H = 12 ms and 3 items
         # per H, at boundary bH, with m = 3b items released: s0's job m

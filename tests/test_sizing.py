@@ -158,6 +158,14 @@ class TestTemplateWalk:
             assert str(raised.value) == (
                 f"not a composition expression: {node!r}"), name
 
+    @pytest.mark.parametrize("node", [Seq(()), Par(()), RoundRobin(())])
+    def test_an_empty_node_is_a_type_error(self, node):
+        for name, sweep, template, _ in self.each_sweep(node):
+            with pytest.raises(TypeError) as raised:
+                sweep(template)
+            assert str(raised.value) == (
+                f"not a composition expression: {node!r}"), name
+
     def test_the_walk_reads_past_a_round_robin_node(self):
         # a non-node after the round-robin node is still found
         rr = RoundRobin(("r#1", "r#2"))
